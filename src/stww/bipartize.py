@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sequence import ContractionSequence, replay
+from .sequence import ContractionSequence, LabelledContraction, replay
 from .trigraph import SIDE_CLA, SIDE_VAR, SignedTrigraph
 
 
@@ -63,28 +63,21 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
     for step in replay(graph, seq):
         input_width = max(input_width, step.after.max_red_degree())
 
-    out_graph = graph
-    output_width = out_graph.max_red_degree()
-    labels = {v: v for v in out_graph.vertices()}
+    out = LabelledContraction(graph)
+    output_width = graph.max_red_degree()
     # input-graph vertex -> (side-0 half, side-1 half) as output-graph vertices
     halves: dict[int, tuple[int | None, int | None]] = {
         v: ((v, None) if graph.side(v) == SIDE_VAR else (None, v))
         for v in graph.vertices()
     }
-    out_steps: list[tuple[int, int]] = []
     index_map: dict[int, int] = {}
     doubled: set[int] = set()
 
     def contract_out(p: int, q: int, input_index: int) -> int:
-        nonlocal out_graph, output_width
-        keep, merge = sorted((labels[p], labels[q]))
-        new = out_graph.fresh_id()
-        out_graph = out_graph.contract(p, q)
-        labels[new] = keep
-        del labels[p], labels[q]
-        out_steps.append((keep, merge))
-        index_map[len(out_steps) - 1] = input_index
-        output_width = max(output_width, out_graph.max_red_degree())
+        nonlocal output_width
+        new = out.contract(p, q)
+        index_map[len(out.steps) - 1] = input_index
+        output_width = max(output_width, out.graph.max_red_degree())
         return new
 
     def check_half_degrees(current_halves: dict[int, tuple[int | None, int | None]]) -> None:
@@ -92,7 +85,7 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
             for half, sibling in ((xa, xb), (xb, xa)):
                 if half is None:
                     continue
-                reds = out_graph.red_neighbors(half)
+                reds = out.graph.red_neighbors(half)
                 if len(reds - {sibling}) > input_width:
                     raise HalfDegreeError(
                         f"half {half} has red degree {len(reds - {sibling})} "
@@ -126,14 +119,14 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
                 )
         else:
             merged_a = contract_out(ua, va, step.index)
-            doubled.add(len(out_steps) - 1)
+            doubled.add(len(out.steps) - 1)
             merged_b = contract_out(ub, vb, step.index)
             halves[step.new_vertex] = (merged_a, merged_b)
         check_half_degrees(halves)
 
     n = max(graph.vertices(), default=0)
     return BipartizationResult(
-        ContractionSequence(tuple(out_steps), num_vertices=n),
+        ContractionSequence(tuple(out.steps), num_vertices=n),
         index_map,
         frozenset(doubled),
         input_width,

@@ -1,10 +1,20 @@
-"""Twin-width upper bounds: greedy sequences, exact search, subdivided cliques."""
+"""Twin-width upper bounds: greedy sequences, exact search, subdivided cliques.
+
+greedy_sequence runs on a private mutable bitset working graph rather than
+on SignedTrigraph: each candidate pair is scored from its endpoints' masks
+and the per-degree buckets in O(max red degree) word operations, and each
+contraction updates only the merged vertex and its neighbours.  The scores,
+the label tie-break and hence the emitted sequences are exactly those of
+contracting every candidate pair and measuring the result.  The exact
+search and the subdivided-clique construction contract SignedTrigraphs
+through sequence.LabelledContraction.
+"""
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .sequence import ContractionSequence
+from .sequence import ContractionSequence, LabelledContraction
 from .trigraph import NEG, POS, RED, SignedTrigraph
 
 
@@ -24,49 +34,141 @@ def _candidate_pairs(graph: SignedTrigraph, bipartite: bool) -> list[tuple[int, 
     ]
 
 
-def _contraction_score(
-    graph: SignedTrigraph, u: int, v: int, by_red_desc: list[int], total_red: int
-) -> tuple[int, int]:
-    """(max red degree, red edge count) of the graph after contracting u,v.
+class _WorkingGraph:
+    """Greedy's private, mutable bitset copy of a trigraph.
 
-    Evaluated locally: only the merged vertex and the old neighbors of u and
-    v change degree, so the maximum elsewhere is read off a precomputed
-    degree-descending vertex order.
+    Vertices get dense indices: the input vertices in sorted order, then
+    one fresh index per contraction, so every mask stays below 2V bits
+    however sparse the input ids are.  Vertex i keeps int bitmasks of its
+    POS, NEG and RED neighbours (plus their union), its red degree, and
+    its label: the smallest input id in its bag.  One bucket mask per red
+    degree and the running red-edge total let a pair be scored without
+    touching the rest of the graph.
     """
-    nbrs_u = graph.neighbors(u)
-    nbrs_v = graph.neighbors(v)
-    merged_red = 0
-    affected_max = 0
-    affected = {u, v}
-    for x in set(nbrs_u) | set(nbrs_v):
-        if x == u or x == v:
-            continue
-        ku = nbrs_u.get(x)
-        kv = nbrs_v.get(x)
-        red = not ((ku == POS and kv == POS) or (ku == NEG and kv == NEG))
-        if red:
-            merged_red += 1
-        degree = (
-            graph.red_degree(x)
-            + (1 if red else 0)
-            - (1 if ku == RED else 0)
-            - (1 if kv == RED else 0)
-        )
-        affected_max = max(affected_max, degree)
-        affected.add(x)
-    outside_max = 0
-    for x in by_red_desc:
-        if x not in affected:
-            outside_max = graph.red_degree(x)
-            break
-    new_total = (
-        total_red
-        - graph.red_degree(u)
-        - graph.red_degree(v)
-        + (1 if graph.edge(u, v) == RED else 0)
-        + merged_red
-    )
-    return max(merged_red, affected_max, outside_max), new_total
+
+    __slots__ = ("pos", "neg", "red", "nbr", "rdeg", "label", "bucket", "top", "total_red")
+
+    def __init__(self, graph: SignedTrigraph) -> None:
+        verts = graph.vertices()
+        index = {v: i for i, v in enumerate(verts)}
+        size = max(2 * len(verts) - 1, 0)
+        self.pos = [0] * size
+        self.neg = [0] * size
+        self.red = [0] * size
+        for u, v, kind in graph.edges():
+            i, j = index[u], index[v]
+            masks = self.pos if kind == POS else self.neg if kind == NEG else self.red
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        self.nbr = [p | n | r for p, n, r in zip(self.pos, self.neg, self.red)]
+        self.rdeg = [r.bit_count() for r in self.red]
+        self.label = verts + [0] * (size - len(verts))
+        # red degrees never exceed the vertex count, one bucket each
+        self.bucket = [0] * (len(verts) + 1)
+        for i in range(len(verts)):
+            self.bucket[self.rdeg[i]] |= 1 << i
+        self.top = max(self.rdeg, default=0)
+        self.total_red = sum(self.rdeg) // 2
+
+    def best_pair(self, groups: list[list[int]], largest: bool) -> tuple[int, int]:
+        """The pair minimizing (max red degree, red edges, label tie) after
+        its contraction.
+
+        For a pair u, v with agree = (pos_u & pos_v) | (neg_u & neg_v), the
+        merged vertex is red to merged = N(u) | N(v) - {u, v} - agree.  Of
+        those, the vertices red to neither u nor v gain one red edge and the
+        vertices red to both lose one; every other vertex keeps its degree.
+        The new maximum is then read off the degree buckets from the top
+        down, so a pair costs O(max red degree) word operations.
+        """
+        pos, neg, red, nbr = self.pos, self.neg, self.red, self.nbr
+        rdeg, label, bucket = self.rdeg, self.label, self.bucket
+        top, total = self.top, self.total_red
+        best_key: tuple | None = None
+        best_pair = (0, 0)
+        best_width = len(bucket)
+        for group in groups:
+            rows = [(v, 1 << v, pos[v], neg[v], nbr[v]) for v in group]
+            for a, (u, bit_u, pos_u, neg_u, nbr_u) in enumerate(rows):
+                red_u = red[u]
+                base = total - rdeg[u]
+                label_u = label[u]
+                for v, bit_v, pos_v, neg_v, nbr_v in rows[a + 1 :]:
+                    pair = bit_u | bit_v
+                    merged = (nbr_u | nbr_v) & ~((pos_u & pos_v) | (neg_u & neg_v) | pair)
+                    merged_red = width = merged.bit_count()
+                    if width > best_width:
+                        continue
+                    red_v = red[v]
+                    gain = merged & ~(red_u | red_v)
+                    lose = red_u & red_v
+                    # a degree-d vertex ends at d + 1 (gain), d - 1 (lose) or d
+                    d = top
+                    while d >= width:
+                        rest = bucket[d] & ~pair
+                        if rest:
+                            if rest & gain:
+                                width = d + 1
+                                break
+                            if rest & ~lose:
+                                width = d
+                                break
+                            width = max(width, d - 1)
+                        d -= 1
+                    if width > best_width:
+                        continue
+                    edges = base - rdeg[v] + ((red_u >> v) & 1) + merged_red
+                    label_v = label[v]
+                    low, high = (label_u, label_v) if label_u < label_v else (label_v, label_u)
+                    key = (width, edges, (-low, -high) if largest else (low, high))
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best_pair = (u, v)
+                        best_width = width
+        return best_pair
+
+    def contract(self, u: int, v: int, w: int) -> None:
+        """Merge u and v into the fresh index w, updating only w and the
+        old neighbours of u and v."""
+        pos, neg, red, nbr = self.pos, self.neg, self.red, self.nbr
+        rdeg, bucket = self.rdeg, self.bucket
+        pair = (1 << u) | (1 << v)
+        bit_w = 1 << w
+        pos_w = pos[u] & pos[v]
+        neg_w = neg[u] & neg[v]
+        touched = (nbr[u] | nbr[v]) & ~pair
+        red_w = touched & ~(pos_w | neg_w)
+        self.total_red += red_w.bit_count() - rdeg[u] - rdeg[v] + ((red[u] >> v) & 1)
+        rest = touched
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            x = low.bit_length() - 1
+            pos[x] &= ~pair
+            neg[x] &= ~pair
+            if low & pos_w:
+                pos[x] |= bit_w
+            elif low & neg_w:
+                neg[x] |= bit_w
+            red_x = (red[x] & ~pair) | (bit_w if low & red_w else 0)
+            red[x] = red_x
+            nbr[x] = (nbr[x] & ~pair) | bit_w
+            degree = red_x.bit_count()
+            if degree != rdeg[x]:
+                bucket[rdeg[x]] &= ~low
+                bucket[degree] |= low
+                rdeg[x] = degree
+        for x in (u, v):
+            bucket[rdeg[x]] &= ~(1 << x)
+            pos[x] = neg[x] = red[x] = nbr[x] = 0
+        pos[w], neg[w], red[w], nbr[w] = pos_w, neg_w, red_w, touched
+        rdeg[w] = red_w.bit_count()
+        bucket[rdeg[w]] |= bit_w
+        self.label[w] = min(self.label[u], self.label[v])
+        top = min(max(self.top + 1, rdeg[w]), len(bucket) - 1)
+        while top and not bucket[top]:
+            top -= 1
+        self.top = top
 
 
 def greedy_sequence(
@@ -77,45 +179,45 @@ def greedy_sequence(
     Each step contracts the pair minimizing (resulting max red degree,
     resulting red edge count), breaking ties by the smallest surviving-label
     pair; tie_break="largest" reverses the label comparison, giving a second
-    deterministic sequence for cross-checks.  The achieved width lands in
-    declared_width.
+    deterministic sequence for cross-checks.  Labels are distinct, so the
+    key orders all pairs strictly and the sequence does not depend on the
+    order pairs are scored in.  The achieved width lands in declared_width.
+
+    The loop runs on a private bitset working graph (_WorkingGraph): a pair
+    is scored in O(max red degree) word operations and a contraction
+    updates only the merged vertex and its neighbours in place.
     """
     if tie_break not in ("smallest", "largest"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     if bipartite:
         _require_sides(graph, "bipartite greedy")
-    g = graph
-    labels = {v: v for v in g.vertices()}
+    work = _WorkingGraph(graph)
+    vertices = graph.vertices()
+    if bipartite:
+        by_side: dict[int | None, list[int]] = {}
+        for i, v in enumerate(vertices):
+            by_side.setdefault(graph.side(v), []).append(i)
+        groups = list(by_side.values())
+    else:
+        groups = [list(range(len(vertices)))]
     steps: list[tuple[int, int]] = []
-    width = g.max_red_degree()
-    while True:
-        pairs = _candidate_pairs(g, bipartite)
-        if not pairs:
-            break
-        by_red_desc = sorted(g.vertices(), key=g.red_degree, reverse=True)
-        total_red = sum(g.red_degree(v) for v in g.vertices()) // 2
-        best_key: tuple | None = None
-        best_pair = pairs[0]
-        for u, v in pairs:
-            score = _contraction_score(g, u, v, by_red_desc, total_red)
-            low, high = sorted((labels[u], labels[v]))
-            tie = (low, high) if tie_break == "smallest" else (-low, -high)
-            key = (*score, tie)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pair = (u, v)
-        u, v = best_pair
-        keep, merge = sorted((labels[u], labels[v]))
-        new = g.fresh_id()
-        g = g.contract(u, v)
-        labels[new] = keep
-        del labels[u], labels[v]
-        steps.append((keep, merge))
-        width = max(width, g.max_red_degree())
+    width = work.top
+    fresh = len(vertices)
+    while any(len(group) > 1 for group in groups):
+        u, v = work.best_pair(groups, tie_break == "largest")
+        steps.append(tuple(sorted((work.label[u], work.label[v]))))
+        work.contract(u, v, fresh)
+        for group in groups:
+            if u in group:
+                group.remove(u)
+                group.remove(v)
+                group.append(fresh)
+        fresh += 1
+        width = max(width, work.top)
     return ContractionSequence(
         tuple(steps),
         declared_width=width,
-        num_vertices=max(graph.vertices(), default=0),
+        num_vertices=max(vertices, default=0),
     )
 
 
@@ -179,10 +281,10 @@ def exact_tww_bruteforce(
         width = max(initial, int(achieved))
         # Reconstruct the lexicographically smallest witness: at each state
         # take the smallest label pair that still meets the achieved value.
-        steps: list[tuple[int, int]] = []
-        labels = {v: v for v in graph.vertices()}
-        g = graph
+        witness = LabelledContraction(graph)
+        labels = witness.labels
         while True:
+            g = witness.graph
             pairs = _candidate_pairs(g, bipartite)
             if not pairs:
                 break
@@ -193,17 +295,12 @@ def exact_tww_bruteforce(
                 if m > achieved:
                     continue
                 if max(m, solve(h)) <= achieved:
-                    keep, merge = sorted((labels[u], labels[v]))
-                    new = g.fresh_id()
-                    g = h
-                    labels[new] = keep
-                    del labels[u], labels[v]
-                    steps.append((keep, merge))
+                    witness.contract(u, v)
                     break
             else:
                 raise AssertionError("witness reconstruction lost the optimum")
         return width, ContractionSequence(
-            tuple(steps),
+            tuple(witness.steps),
             declared_width=width,
             num_vertices=max(graph.vertices(), default=0),
         )
@@ -284,15 +381,15 @@ def subdivided_clique_sequence(
     _validate_subdivided_clique(graph, clique_vertices)
     d = len(set(clique_vertices))
 
-    g = graph
-    labels = {v: v for v in g.vertices()}
+    seq = LabelledContraction(graph)
+    labels = seq.labels
     clique = set(clique_vertices)
-    subdividers = set(g.vertices()) - clique
-    steps: list[tuple[int, int]] = []
+    subdividers = set(graph.vertices()) - clique
     width = 0
 
     def check_degrees() -> None:
         nonlocal width
+        g = seq.graph
         width = max(width, g.max_red_degree())
         if g.max_red_degree() > d - 1:
             raise AssertionError(f"red degree exceeded {d - 1}")
@@ -301,22 +398,11 @@ def subdivided_clique_sequence(
             if worst > d - 1:
                 raise AssertionError(f"total degree {worst} exceeded {d - 1}")
 
-    def contract_into(u: int, v: int) -> int:
-        """Contract u and v; the merged vertex answers to the smaller label."""
-        nonlocal g
-        keep, merge = sorted((labels[u], labels[v]))
-        new = g.fresh_id()
-        g = g.contract(u, v)
-        labels[new] = keep
-        del labels[u], labels[v]
-        steps.append((keep, merge))
-        return new
-
     check_degrees()
     while subdividers:
         pick = None
         for v in sorted(clique, key=labels.get):
-            adjacent = [u for u in g.neighbors(v) if u in subdividers]
+            adjacent = [u for u in seq.graph.neighbors(v) if u in subdividers]
             if adjacent:
                 pick = (v, min(adjacent, key=labels.get))
                 break
@@ -325,16 +411,16 @@ def subdivided_clique_sequence(
         v, u = pick
         subdividers.remove(u)
         clique.remove(v)
-        clique.add(contract_into(u, v))
+        clique.add(seq.contract(u, v))
         check_degrees()
     while len(clique) > 1:
         first, second = sorted(clique, key=labels.get)[:2]
         clique.remove(first)
         clique.remove(second)
-        clique.add(contract_into(first, second))
+        clique.add(seq.contract(first, second))
         check_degrees()
     return ContractionSequence(
-        tuple(steps),
+        tuple(seq.steps),
         declared_width=width,
         num_vertices=max(graph.vertices(), default=0),
     )

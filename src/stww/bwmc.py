@@ -188,14 +188,8 @@ def base_record(graph: SignedTrigraph, weights: WeightFunction) -> Record:
     the empty assignment, whose weight is the empty product 1.
     """
     record: Record = {}
-    empty = frozenset()
     for v in graph.vertices():
-        region = frozenset((v,))
-        if graph.side(v) == SIDE_VAR:
-            record[Profile(region, region, empty, 1, empty)] = weights.of(v)
-            record[Profile(region, empty, empty, 0, empty)] = weights.of(-v)
-        else:
-            record[Profile(region, empty, empty, 0, empty)] = _ONE
+        record.update(_singleton_record(graph, v, weights))
     return record
 
 

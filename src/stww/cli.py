@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 invalid contraction sequence (verify), 64 usage,
 65 malformed input data, 71 environment problems such as a missing or
-misbehaving SAT solver.
+misbehaving SAT solver, or an input that exceeds an internal limit such as
+the interpreter's recursion depth.
 """
 
 from __future__ import annotations
@@ -345,6 +346,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except (SolverUnavailableError, SolverError, DecodeError) as exc:
         print(f"stww: {exc}", file=sys.stderr)
+        return EX_ENV
+    except RecursionError as exc:
+        print(f"stww: input exceeds an internal limit ({exc})", file=sys.stderr)
         return EX_ENV
     except (ParseError, OSError, ValueError) as exc:
         print(f"stww: {exc}", file=sys.stderr)

@@ -57,6 +57,30 @@ class ReplayStep:
     after: SignedTrigraph
 
 
+class LabelledContraction:
+    """A graph contracted step by step, recording survivor-label steps.
+
+    Each contract(u, v) merges two current vertices into a fresh one that
+    answers to the smaller of their two labels, and appends the step
+    (keep, merge) in the same convention as ContractionSequence.
+    """
+
+    def __init__(self, graph: SignedTrigraph) -> None:
+        self.graph = graph
+        self.labels = {v: v for v in graph.vertices()}
+        self.steps: list[tuple[int, int]] = []
+
+    def contract(self, u: int, v: int) -> int:
+        """Contract u and v; return the merged vertex's id."""
+        keep, merge = sorted((self.labels[u], self.labels[v]))
+        new = self.graph.fresh_id()
+        self.graph = self.graph.contract(u, v)
+        self.labels[new] = keep
+        del self.labels[u], self.labels[v]
+        self.steps.append((keep, merge))
+        return new
+
+
 def replay(graph: SignedTrigraph, seq: ContractionSequence) -> Iterator[ReplayStep]:
     """Replay a sequence, yielding one ReplayStep per contraction.
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from stww.bwmc import Profile, enumerate_red_connected, realizes
 from stww.cnf import Formula, WeightFunction
 from stww.cwexpr import CliqueWidthExpression, CwEdge, CwLeaf, CwRelabel, CwUnion, expression
-from stww.trigraph import NEG, POS, SIDE_CLA, SIDE_VAR, SignedTrigraph
+from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph
 
 
 def random_formula(rng, max_vars=10, max_clauses=12, widths=(2, 3, 4), min_clauses=0):
@@ -82,6 +82,44 @@ def brute_min_bipartite_width(graph):
         return result
 
     return max(graph.max_red_degree(), best(graph))
+
+
+def reference_greedy(graph, bipartite=False, tie_break="smallest"):
+    """Reference greedy: contract every candidate pair and measure the result.
+
+    Scores each pair by the contracted graph's own max_red_degree() and red
+    edge count, breaking ties on the sorted label pair (negated for
+    "largest"), and returns (steps, declared_width).
+    """
+    g = graph
+    labels = {v: v for v in g.vertices()}
+    steps = []
+    width = g.max_red_degree()
+    while True:
+        pairs = [
+            (u, v)
+            for u, v in itertools.combinations(g.vertices(), 2)
+            if not bipartite or g.side(u) == g.side(v)
+        ]
+        if not pairs:
+            break
+        best = None
+        for u, v in pairs:
+            h = g.contract(u, v)
+            red_edges = sum(1 for _, _, kind in h.edges() if kind == RED)
+            low, high = sorted((labels[u], labels[v]))
+            tie = (low, high) if tie_break == "smallest" else (-low, -high)
+            key = (h.max_red_degree(), red_edges, tie)
+            if best is None or key < best[0]:
+                best = (key, u, v, h)
+        _, u, v, h = best
+        keep, merge = sorted((labels[u], labels[v]))
+        labels[g.fresh_id()] = keep
+        del labels[u], labels[v]
+        steps.append((keep, merge))
+        g = h
+        width = max(width, g.max_red_degree())
+    return tuple(steps), width
 
 
 def brute_hitting_set_exists(universe, sets, k):

@@ -1,12 +1,13 @@
+import itertools
 import random
 
 import pytest
 
-from helpers import brute_min_bipartite_width, random_bipartite_graph
+from helpers import brute_min_bipartite_width, random_bipartite_graph, reference_greedy
 from stww.bounds import exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
-from stww.generators import gen_subdivided_clique
+from stww.generators import gen_grid, gen_random_ksat, gen_subdivided_clique
 from stww.sequence import replay, verify
-from stww.trigraph import NEG, POS, RED, SignedTrigraph
+from stww.trigraph import NEG, POS, RED, SignedTrigraph, incidence_graph
 
 
 def test_greedy_contracts_twins_first():
@@ -46,6 +47,42 @@ def test_greedy_tie_breaks_give_different_but_valid_sequences():
     assert small.steps != large.steps
     assert verify(g, small, require_bipartite=True).ok
     assert verify(g, large, require_bipartite=True).ok
+
+
+def _random_sided_trigraph(rng, ids):
+    """Sided trigraph on the given ids with POS, NEG and RED cross edges."""
+    sides = {v: rng.randint(0, 1) for v in ids}
+    edges = [
+        (u, v, rng.choice((POS, NEG, RED)))
+        for u, v in itertools.combinations(ids, 2)
+        if sides[u] != sides[v] and rng.random() < 0.4
+    ]
+    return SignedTrigraph(ids, edges, sides=sides)
+
+
+def _greedy_equivalence_cases():
+    for n in range(3, 11):
+        for seed in range(2):
+            yield incidence_graph(gen_random_ksat(n, 3, 2 * n, seed=seed)), (True,)
+    rng = random.Random(17)
+    for _ in range(12):
+        ids = sorted(rng.sample(range(1, 60), rng.randint(2, 12)))
+        yield _random_sided_trigraph(rng, ids), (True, False)
+    for seed in range(3):
+        yield gen_grid(2, 4, signs="random", seed=seed), (True, False)
+    yield gen_grid(3, 2, signs="random", seed=5), (True, False)
+    yield _random_sided_trigraph(random.Random(3), [1, 5000, 5001]), (True, False)
+    yield _random_sided_trigraph(random.Random(4), [2, 9, 5000, 5001, 7000, 7002]), (True, False)
+
+
+def test_greedy_matches_contract_and_measure_reference():
+    for graph, modes in _greedy_equivalence_cases():
+        for bipartite in modes:
+            for tie_break in ("smallest", "largest"):
+                seq = greedy_sequence(graph, bipartite=bipartite, tie_break=tie_break)
+                steps, width = reference_greedy(graph, bipartite, tie_break)
+                assert seq.steps == steps, (graph, bipartite, tie_break)
+                assert seq.declared_width == width, (graph, bipartite, tie_break)
 
 
 def test_greedy_guards():

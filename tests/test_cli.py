@@ -201,6 +201,20 @@ def test_data_errors_exit_65(capsys, tmp_path):
     assert code == EX_DATA
 
 
+def test_recursion_limit_is_an_env_error(capsys, monkeypatch, tmp_path, or_cnf):
+    seq = greedy_to_file(capsys, tmp_path, or_cnf)
+
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("stww.cli.solve_bwmc", too_deep)
+    code, out, err = run(capsys, "bwmc", or_cnf, seq, "-k", "1")
+    assert code == EX_ENV
+    assert out == ""
+    assert err.startswith("stww: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--help"])
