@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sequence import ContractionSequence, LabelledContraction, replay
+from .sequence import ContractionLog, ContractionSequence, LabelledContraction
 from .trigraph import SIDE_CLA, SIDE_VAR, SignedTrigraph
 
 
@@ -57,11 +57,11 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
         if graph.side(v) is None:
             raise ValueError(f"vertex {v} has no side; bipartize needs a sided graph")
 
-    # Verified width of the whole input sequence; the half-degree check
-    # below is against this d.
-    input_width = graph.max_red_degree()
-    for step in replay(graph, seq):
-        input_width = max(input_width, step.after.max_red_degree())
+    log = ContractionLog(graph, seq)
+    if log.failure is not None:
+        raise ValueError(log.failure[1])
+    # the half-degree check below is against the input sequence's width d
+    input_width = log.width
 
     out = LabelledContraction(graph)
     output_width = graph.max_red_degree()
@@ -93,35 +93,35 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
                     )
 
     check_half_degrees(halves)
-    for step in replay(graph, seq):
-        ua, ub = halves.pop(step.keep_vertex)
-        va, vb = halves.pop(step.merge_vertex)
+    for index, (x, y, z) in enumerate(log.steps):
+        ua, ub = halves.pop(x)
+        va, vb = halves.pop(y)
         empties = sum(1 for half in (ua, ub, va, vb) if half is None)
         if empties == 2:
             if ua is not None and va is not None:
-                halves[step.new_vertex] = (contract_out(ua, va, step.index), None)
+                halves[z] = (contract_out(ua, va, index), None)
             elif ub is not None and vb is not None:
-                halves[step.new_vertex] = (None, contract_out(ub, vb, step.index))
+                halves[z] = (None, contract_out(ub, vb, index))
             else:
                 # u and v sit on opposite sides; w's halves already exist
-                halves[step.new_vertex] = (ua if ua is not None else va,
-                                           ub if ub is not None else vb)
+                halves[z] = (ua if ua is not None else va,
+                             ub if ub is not None else vb)
         elif empties == 1:
             if ua is not None and va is not None:
-                halves[step.new_vertex] = (
-                    contract_out(ua, va, step.index),
+                halves[z] = (
+                    contract_out(ua, va, index),
                     ub if ub is not None else vb,
                 )
             else:
-                halves[step.new_vertex] = (
+                halves[z] = (
                     ua if ua is not None else va,
-                    contract_out(ub, vb, step.index),
+                    contract_out(ub, vb, index),
                 )
         else:
-            merged_a = contract_out(ua, va, step.index)
+            merged_a = contract_out(ua, va, index)
             doubled.add(len(out.steps) - 1)
-            merged_b = contract_out(ub, vb, step.index)
-            halves[step.new_vertex] = (merged_a, merged_b)
+            merged_b = contract_out(ub, vb, index)
+            halves[z] = (merged_a, merged_b)
         check_half_degrees(halves)
 
     n = max(graph.vertices(), default=0)

@@ -15,10 +15,11 @@ carry satisfaction and the ones budget across contractions:
 A record maps profiles to the total weight of the assignments realizing
 them; a profile is realizable iff it is present (the value may be 0 when
 weights vanish or cancel).  Records are built per region on demand: the
-region of the final two-vertex graph is evaluated recursively through the
-levels, which keeps the work proportional to the regions actually touched
-instead of every red-connected set of every level.  `dp_records` exposes the
-classic full per-level records for cross-checking against `realizes`.
+region of the final two-vertex graph is evaluated children first off a
+stack, each region once, which keeps the work proportional to the regions
+actually touched instead of every red-connected set of every level.
+`dp_records` exposes the classic full per-level records for cross-checking
+against `realizes`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .cnf import Assignment, Formula, WeightFunction
-from .sequence import ContractionSequence, ReplayStep, replay, verify
+from .sequence import ContractionLog, ContractionSequence, replay
 from .trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
 _ZERO = Fraction(0)
@@ -54,16 +55,6 @@ class ComplexityEstimate:
     max_region_size: int
     profile_count_bound: int
     tuple_count_bound: int
-
-
-def _profile_key(profile: Profile):
-    return (
-        sorted(profile.region),
-        sorted(profile.has_one),
-        sorted(profile.mixed),
-        profile.ones,
-        sorted(profile.satisfied),
-    )
 
 
 def _grow_sets(graph: SignedTrigraph, seed: int, allowed, max_size: int) -> list[frozenset[int]]:
@@ -211,66 +202,42 @@ def _canonical_removal(graph: SignedTrigraph, region: frozenset[int], sources) -
     return best, dist[best]
 
 
-class _RegionEvaluator:
-    """Evaluates record entries region by region across contraction levels.
+def _region_record(
+    log: ContractionLog, region: frozenset[int], weights: WeightFunction, budget: int, stats: dict
+) -> Record:
+    """Record of a region of the last level of `log`.
 
-    Level index i means "after i contraction steps"; level 0 is the
-    incidence graph, where every region is a singleton with a base entry.
-    Results are memoized per (level, region).
+    A region's record holds from the step that creates its youngest vertex
+    until one of its vertices is contracted away, so records are memoized
+    by region alone and computed at that step, from the records of the
+    regions its expansion splits into; those come first, off a stack.
     """
-
-    def __init__(
-        self,
-        graph: SignedTrigraph,
-        steps: list[ReplayStep],
-        weights: WeightFunction,
-        budget: int,
-        max_region: int,
-        width: int,
-        stats: dict | None = None,
-    ) -> None:
-        self.initial = graph
-        self.steps = steps
-        self.weights = weights
-        self.budget = budget
-        self.max_region = max_region
-        self.width = width
-        self.stats = stats if stats is not None else {}
-        self.stats.setdefault("regions_evaluated", 0)
-        self.stats.setdefault("large_regions", 0)
-        self._memo: dict[tuple[int, frozenset[int]], Record] = {}
-
-    def region_record(self, level: int, region: frozenset[int]) -> Record:
-        key = (level, region)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
+    stats.setdefault("regions_evaluated", 0)
+    stats.setdefault("large_regions", 0)
+    max_region = _region_threshold(budget, log.width)
+    memo: dict[frozenset[int], Record] = {}
+    stack = [region]
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        level = max(log.birth(v) for v in top)
         if level == 0:
-            assert len(region) == 1, "level-0 regions are singletons"
-            (v,) = region
-            result = _singleton_record(self.initial, v, self.weights)
-        else:
-            step = self.steps[level - 1]
-            if step.new_vertex not in region:
-                result = self.region_record(level - 1, region)
-            else:
-                lookup = lambda comp: self.region_record(level - 1, comp)
-                result = _recompute_region(
-                    step.before,
-                    self.initial,
-                    self.weights,
-                    step.keep_vertex,
-                    step.merge_vertex,
-                    step.new_vertex,
-                    region,
-                    self.budget,
-                    self.max_region,
-                    self.width,
-                    lookup,
-                    self.stats,
-                )
-        self._memo[key] = result
-        return result
+            assert len(top) == 1, "regions of input vertices are singletons"
+            (v,) = top
+            memo[top] = _singleton_record(log, v, weights)
+            continue
+        x, y, z = log.steps[level - 1]
+        expanded = (top - {z}) | {x, y}
+        missing = [c for c in _child_regions(log, expanded, max_region) if c not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        memo[top] = _recompute_region(
+            log, log, weights, x, y, z, top, budget, max_region, log.width, memo.__getitem__, stats
+        )
+    return memo[region]
 
 
 def _singleton_record(initial: SignedTrigraph, v: int, weights: WeightFunction) -> Record:
@@ -298,7 +265,7 @@ def _component_entries(
     satisfies every clause bagged at the endpoint at once)."""
     comp_vars = [u for u in comp if before.side(u) == SIDE_VAR]
     entries = []
-    for profile in sorted(table, key=_profile_key):
+    for profile, value in table.items():
         if profile.ones > budget:
             continue
         status = {}
@@ -312,7 +279,7 @@ def _component_entries(
                 if (kind == POS and status[u][0]) or (kind == NEG and status[u][1]):
                     mask.add(c)
                     break
-        entries.append((profile, table[profile], status, frozenset(mask)))
+        entries.append((profile, value, status, frozenset(mask)))
     return entries
 
 
@@ -362,6 +329,15 @@ def _fold_target(
         if x in sat and y in sat:
             satisfied.add(z)
     return Profile(region, frozenset(has_one), frozenset(mixed), ones, frozenset(satisfied))
+
+
+def _child_regions(before: SignedTrigraph, expanded: frozenset[int], max_region: int):
+    """Regions _recompute_region reads: the red components of `expanded`, or
+    of `expanded` minus each vertex when one is too large to have a record."""
+    components = _red_components(before, expanded)
+    if any(len(comp) > max_region for comp in components):
+        return [comp for v in expanded for comp in _red_components(before, expanded - {v})]
+    return components
 
 
 def _recompute_region(
@@ -514,13 +490,11 @@ def transition(
         if x not in profile.region and y not in profile.region:
             out[profile] = value
 
-    def lookup(comp: frozenset[int]) -> Mapping[Profile, Fraction]:
-        return by_region[comp]
-
     for region in _connected_with(after, z, max_region):
         out.update(
             _recompute_region(
-                before, initial, weights, x, y, z, region, k, max_region, d, lookup, stats
+                before, initial, weights, x, y, z, region, k, max_region, d,
+                by_region.__getitem__, stats,
             )
         )
     return out
@@ -589,21 +563,18 @@ def finalize(
         region = frozenset(vertices)
         wanted = frozenset((clause_vertex,))
         total = _ZERO
-        for profile in sorted(record, key=_profile_key):
+        for profile, value in record.items():
             if profile.region == region and profile.satisfied == wanted and profile.ones <= k:
-                total += record[profile]
+                total += value
         return total
     return _single_clause_count(formula, weights, k)
 
 
-def _validated_replay(
-    formula: Formula, seq: ContractionSequence
-) -> tuple[SignedTrigraph, list[ReplayStep], int]:
-    graph = incidence_graph(formula)
-    report = verify(graph, seq, require_bipartite=True)
-    if not report.ok:
-        raise ValueError(f"invalid contraction sequence: {report.failure}")
-    return graph, list(replay(graph, seq)), report.width
+def _validated_log(graph: SignedTrigraph, seq: ContractionSequence) -> ContractionLog:
+    log = ContractionLog(graph, seq, require_bipartite=True)
+    if log.failure is not None:
+        raise ValueError(f"invalid contraction sequence: {log.failure}")
+    return log
 
 
 def solve_bwmc(
@@ -624,15 +595,9 @@ def solve_bwmc(
     if k < 0:
         raise ValueError("the ones budget k must be nonnegative")
     graph = incidence_graph(formula)
-    if graph.num_vertices:
-        report = verify(graph, seq, require_bipartite=True)
-        if not report.ok:
-            raise ValueError(f"invalid contraction sequence: {report.failure}")
-        width = report.width
-    elif len(seq):
+    if not graph.num_vertices and len(seq):
         raise ValueError("nonempty sequence for an empty incidence graph")
-    else:
-        width = 0
+    log = _validated_log(graph, seq)
 
     if any(not clause for clause in formula.clauses):
         return _ZERO
@@ -652,18 +617,16 @@ def solve_bwmc(
             "the sequence must contract the incidence graph down to "
             "one variable vertex and one clause vertex"
         )
-    steps = list(replay(graph, seq))
-    final = steps[-1].after if steps else graph
-    max_region = _region_threshold(budget, width)
     if stats is not None:
-        estimate = estimate_bounds(graph.num_vertices, budget, width)
+        estimate = estimate_bounds(graph.num_vertices, budget, log.width)
         stats["estimate"] = estimate
-        stats["width"] = width
-    if final.edge(*final.vertices()) != RED:
-        return finalize({}, final, formula, weights, k)
-    evaluator = _RegionEvaluator(graph, steps, weights, budget, max_region, width, stats)
-    record = evaluator.region_record(len(steps), frozenset(final.vertices()))
-    return finalize(record, final, formula, weights, k)
+        stats["width"] = log.width
+    if log.edge(*log.vertices()) != RED:
+        return finalize({}, log, formula, weights, k)
+    record = _region_record(
+        log, frozenset(log.vertices()), weights, budget, stats if stats is not None else {}
+    )
+    return finalize(record, log, formula, weights, k)
 
 
 def dp_records(
@@ -681,11 +644,12 @@ def dp_records(
     """
     if k <= 0:
         raise ValueError("record enumeration needs a positive ones budget")
-    graph, steps, width = _validated_replay(formula, seq)
+    graph = incidence_graph(formula)
+    width = _validated_log(graph, seq).width
     budget = min(k, formula.num_vars)
     record = base_record(graph, weights)
     yield graph, record
-    for step in steps:
+    for step in replay(graph, seq):
         record = transition(
             record,
             step.before,

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 invalid contraction sequence (verify), 64 usage,
 65 malformed input data, 71 environment problems such as a missing or
-misbehaving SAT solver, or an input that exceeds an internal limit such as
-the interpreter's recursion depth.
+misbehaving SAT solver, or an input that exceeds an internal limit of the
+interpreter.
 """
 
 from __future__ import annotations
@@ -116,11 +116,12 @@ def _cmd_verify(args) -> int:
     report = verify(graph, seq, require_bipartite=args.bipartite)
     failure = report.failure
     if failure is None and args.width is not None and report.width > args.width:
-        over = next(
-            (i for i, r in enumerate(report.per_step_max_red) if r > args.width),
-            len(report.per_step_max_red) - 1,
-        )
-        failure = (over, f"red degree {report.width} exceeds declared width {args.width}")
+        initial = graph.max_red_degree()
+        if initial > args.width:
+            failure = (0, f"input graph has red degree {initial}, which exceeds declared width {args.width}")
+        else:
+            over, red = next((i, r) for i, r in enumerate(report.per_step_max_red) if r > args.width)
+            failure = (over, f"red degree {red} exceeds declared width {args.width}")
     if failure is not None:
         step, reason = failure
         if args.json:
@@ -248,8 +249,6 @@ def _int_list(text: str) -> list[int]:
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="accepted for compatibility; execution is sequential")
 
     parser = _Parser(prog="stww", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -3,16 +3,17 @@
 A sequence step is a (keep, merge) pair in survivor-id convention: both ids
 refer to original vertices, and after the step the merged bag keeps
 answering to the keep id.  Internally each contraction creates a fresh
-vertex; replay maintains the label-to-vertex translation.
+vertex; ContractionLog maintains the label-to-vertex translation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .cnf import ParseError
-from .trigraph import SignedTrigraph
+from .trigraph import RED, SignedTrigraph, merge_edges
 
 
 @dataclass(frozen=True)
@@ -81,26 +82,116 @@ class LabelledContraction:
         return new
 
 
+class ContractionLog:
+    """One replay of a sequence on a mutable adjacency, with no graph copies.
+
+    Records each step's (x, y, z) vertex ids, the maximum red degree after
+    it, whether every step stayed on one side, and the first failure, where
+    replay stops: an unknown label or, with require_bipartite, a cross-side
+    step.  For every vertex ever created it keeps side, bag, birth level (0
+    for input vertices, i + 1 for step i's z) and edges.  The edge between
+    two vertices never changes while both exist, so side, bag, edge and
+    red_neighbors answer for any level at which the queried vertices all
+    exist; red_neighbors holds every vertex ever red-adjacent, and the
+    dynamic program, which intersects it with coexisting vertices, reads a
+    log wherever it reads a graph.  vertices() lists the last level's.
+    """
+
+    def __init__(
+        self, graph: SignedTrigraph, seq: ContractionSequence, require_bipartite: bool = False
+    ) -> None:
+        adj = self._adj = {v: dict(graph.neighbors(v)) for v in graph.vertices()}
+        red = self._red = {v: set(graph.red_neighbors(v)) for v in adj}
+        side = self._side = {v: graph.side(v) for v in adj}
+        self._bag = {v: graph.bag(v) for v in adj}
+        z = self._last_input = max(adj, default=0)
+        self.steps: list[tuple[int, int, int]] = []
+        self.per_step_max_red: list[int] = []
+        self.bipartite = True
+        self.failure: tuple[int, str] | None = None
+        # current vertex -> red degree, and how many current vertices have each
+        degree = self._red_degree = {v: len(red[v]) for v in adj}
+        count = Counter(degree.values())
+        top = self.width = max(degree.values(), default=0)
+        label_to_vertex = {v: v for v in adj}
+        for idx, (keep, merge) in enumerate(seq.steps):
+            unknown = [label for label in (keep, merge) if label not in label_to_vertex]
+            if unknown:
+                self.failure = (idx, f"step {idx}: unknown vertex id {unknown[0]}")
+                return
+            x, y = label_to_vertex[keep], label_to_vertex.pop(merge)
+            if side[x] is None or side[x] != side[y]:
+                self.bipartite = False
+                if require_bipartite:
+                    self.failure = (idx, f"cross-side contraction ({keep},{merge})")
+                    return
+            z += 1
+            count[degree.pop(x)] -= 1
+            count[degree.pop(y)] -= 1
+            adj[z] = {w: kind for w, kind in merge_edges(adj[x], adj[y]).items() if w in degree}
+            red[z] = {w for w, kind in adj[z].items() if kind == RED}
+            for w, kind in adj[z].items():
+                adj[w][z] = kind
+                if kind == RED:
+                    red[w].add(z)
+                count[degree[w]] -= 1
+                degree[w] += (kind == RED) - (adj[x].get(w) == RED) - (adj[y].get(w) == RED)
+                count[degree[w]] += 1
+            degree[z] = len(red[z])
+            count[degree[z]] += 1
+            # a neighbour of z gains at most one red edge
+            top = max(top + 1, degree[z])
+            while not count[top]:
+                top -= 1
+            self.per_step_max_red.append(top)
+            self.width = max(self.width, top)
+            self.steps.append((x, y, z))
+            side[z] = side[x] if side[x] == side[y] else None
+            label_to_vertex[keep] = z
+
+    def vertices(self) -> list[int]:
+        return sorted(self._red_degree)
+
+    def side(self, v: int) -> int | None:
+        return self._side[v]
+
+    def birth(self, v: int) -> int:
+        return max(v - self._last_input, 0)
+
+    def edge(self, u: int, v: int) -> str | None:
+        return self._adj[u].get(v)
+
+    def red_neighbors(self, v: int) -> set[int]:
+        return self._red[v]
+
+    def bag(self, v: int) -> frozenset[int]:
+        """Input vertices contracted into v, gathered on first request."""
+        if v not in self._bag:
+            parts, pending = set(), [v]
+            while pending:
+                u = pending.pop()
+                if u in self._bag:
+                    parts |= self._bag[u]
+                else:
+                    pending.extend(self.steps[self.birth(u) - 1][:2])
+            self._bag[v] = frozenset(parts)
+        return self._bag[v]
+
+
 def replay(graph: SignedTrigraph, seq: ContractionSequence) -> Iterator[ReplayStep]:
     """Replay a sequence, yielding one ReplayStep per contraction.
 
-    Raises ValueError naming the step index if a label is unknown (already
-    merged away or never present).
+    After yielding every valid step, raises ValueError naming the step index
+    if a label is unknown (already merged away or never present).
     """
+    log = ContractionLog(graph, seq)
     current = graph
-    label_to_vertex = {v: v for v in graph.vertices()}
-    for idx, (keep, merge) in enumerate(seq.steps):
-        for label in (keep, merge):
-            if label not in label_to_vertex:
-                raise ValueError(f"step {idx}: unknown vertex id {label}")
-        u = label_to_vertex[keep]
-        v = label_to_vertex[merge]
-        new_vertex = current.fresh_id()
-        after = current.contract(u, v)
-        yield ReplayStep(idx, keep, merge, u, v, new_vertex, current, after)
-        label_to_vertex[keep] = new_vertex
-        del label_to_vertex[merge]
+    for idx, (x, y, z) in enumerate(log.steps):
+        after = current.contract(x, y)
+        yield ReplayStep(idx, *seq.steps[idx], x, y, z, current, after)
         current = after
+    if log.failure is not None:
+        raise ValueError(log.failure[1])
 
 
 def verify(
@@ -113,31 +204,10 @@ def verify(
     on a common side counts as non-bipartite; with require_bipartite it is a
     failure and replay halts there.
     """
-    per_step: list[int] = []
-    width = graph.max_red_degree()
-    bipartite = True
-    failure: tuple[int, str] | None = None
-    try:
-        for step in replay(graph, seq):
-            before = step.before
-            same_side = (
-                before.side(step.keep_vertex) is not None
-                and before.side(step.keep_vertex) == before.side(step.merge_vertex)
-            )
-            if not same_side:
-                bipartite = False
-                if require_bipartite:
-                    failure = (
-                        step.index,
-                        f"cross-side contraction ({step.keep_label},{step.merge_label})",
-                    )
-                    break
-            per_step.append(step.after.max_red_degree())
-            width = max(width, per_step[-1])
-    except ValueError as exc:
-        idx = len(per_step)
-        failure = (idx, str(exc))
-    return VerificationReport(width, bipartite and failure is None, per_step, failure)
+    log = ContractionLog(graph, seq, require_bipartite)
+    return VerificationReport(
+        log.width, log.bipartite and log.failure is None, log.per_step_max_red, log.failure
+    )
 
 
 def width_of(graph: SignedTrigraph, seq: ContractionSequence) -> int:

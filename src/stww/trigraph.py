@@ -28,6 +28,16 @@ class RedDegreeReport:
     max_red_degree: int
 
 
+def merge_edges(nu: Mapping[int, str], nv: Mapping[int, str]) -> dict[int, str]:
+    """Edges of the vertex contracted from u and v, given their neighbourhoods.
+
+    For every x adjacent to u or v the merged edge is POS if both ux and vx
+    are POS, NEG if both are NEG, and RED in every other case; x adjacent to
+    neither stays non-adjacent.
+    """
+    return {x: (nu.get(x) if nu.get(x) == nv.get(x) else RED) for x in set(nu) | set(nv)}
+
+
 class SignedTrigraph:
     """Immutable signed trigraph; contract() returns a new graph.
 
@@ -143,12 +153,7 @@ class SignedTrigraph:
     # -- construction ----------------------------------------------------
 
     def contract(self, u: int, v: int, *, same_side_only: bool = False) -> SignedTrigraph:
-        """Merge u and v into a fresh vertex.
-
-        For every other vertex x the merged edge is POS if both ux and vx
-        are POS, NEG if both are NEG, absent if both are absent, and RED in
-        every other case.
-        """
+        """Merge u and v into a fresh vertex whose edges follow merge_edges."""
         if u == v:
             raise ValueError("cannot contract a vertex with itself")
         if u not in self._adj or v not in self._adj:
@@ -157,18 +162,9 @@ class SignedTrigraph:
             raise ValueError(f"cross-side contraction ({u},{v}) rejected")
 
         w = self._next_id
-        merged: dict[int, str] = {}
-        for x in set(self._adj[u]) | set(self._adj[v]):
-            if x == u or x == v:
-                continue
-            ku = self._adj[u].get(x)
-            kv = self._adj[v].get(x)
-            if ku == POS and kv == POS:
-                merged[x] = POS
-            elif ku == NEG and kv == NEG:
-                merged[x] = NEG
-            else:
-                merged[x] = RED
+        merged = merge_edges(self._adj[u], self._adj[v])
+        merged.pop(u, None)
+        merged.pop(v, None)
 
         new = SignedTrigraph.__new__(SignedTrigraph)
         adj = {x: dict(nbrs) for x, nbrs in self._adj.items() if x != u and x != v}

@@ -122,6 +122,38 @@ def reference_greedy(graph, bipartite=False, tie_break="smallest"):
     return tuple(steps), width
 
 
+def reference_verify(graph, seq, require_bipartite=False):
+    """Reference verify: contract SignedTrigraphs with a private label map.
+
+    Returns (width, per_step_max_red, is_bipartite_sequence, failure,
+    step_ids), where step_ids holds (keep vertex, merge vertex, new vertex)
+    for every step contracted before the first failure.
+    """
+    g = graph
+    labels = {v: v for v in g.vertices()}
+    width = g.max_red_degree()
+    per_step, step_ids = [], []
+    bipartite, failure = True, None
+    for idx, (keep, merge) in enumerate(seq.steps):
+        unknown = [label for label in (keep, merge) if label not in labels]
+        if unknown:
+            failure = (idx, f"step {idx}: unknown vertex id {unknown[0]}")
+            break
+        u, v = labels.pop(keep), labels.pop(merge)
+        if g.side(u) is None or g.side(u) != g.side(v):
+            bipartite = False
+            if require_bipartite:
+                failure = (idx, f"cross-side contraction ({keep},{merge})")
+                break
+        new = g.fresh_id()
+        g = g.contract(u, v)
+        labels[keep] = new
+        step_ids.append((u, v, new))
+        per_step.append(g.max_red_degree())
+        width = max(width, per_step[-1])
+    return width, per_step, bipartite and failure is None, failure, step_ids
+
+
 def brute_hitting_set_exists(universe, sets, k):
     """Is there a ≤ k element subset of the universe meeting every set?"""
     for size in range(0, k + 1):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import check_record, random_formula, random_weights
+from test_acceptance import implication_chain, zip_sequence
 from stww.bounds import greedy_sequence
 from stww.bwmc import (
     Profile,
@@ -285,3 +286,17 @@ def test_estimate_bounds_formulas():
     assert degenerate.max_region_size == 0
     assert degenerate.profile_count_bound == 2
     assert degenerate.tuple_count_bound == 2
+
+
+@pytest.mark.parametrize("n", [250, 2000])
+def test_long_chains_count_exactly(n):
+    # criterion B's closed form: the models with <= 2 ones are all-false,
+    # {x_n} and {x_{n-1}, x_n}
+    w = random_weights(random.Random(n), n)
+    neg = [w.of(-v) for v in range(1, n + 1)]
+    expected = (
+        math.prod(neg)
+        + w.of(n) * math.prod(neg[: n - 1])
+        + w.of(n - 1) * w.of(n) * math.prod(neg[: n - 2])
+    )
+    assert solve_bwmc(implication_chain(n), w, 2, zip_sequence(n)) == expected

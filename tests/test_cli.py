@@ -83,11 +83,43 @@ def test_verify_rejects_cross_side_step(capsys, tmp_path, or_cnf):
     assert "cross-side" in err
 
 
-def test_greedy_threads_flag_is_accepted(capsys, tmp_path, or_cnf):
-    code, out, _err = run(capsys, "greedy", or_cnf, "--threads", "4", "--json")
+def test_greedy_json_payload_and_no_threads_option(capsys, or_cnf):
+    code, out, _err = run(capsys, "greedy", or_cnf, "--json")
     assert code == EX_OK
     payload = json.loads(out.splitlines()[-1])
     assert payload["bipartite"] is True and payload["steps"] == 1
+    with pytest.raises(SystemExit) as info:
+        main(["greedy", or_cnf, "--threads", "4"])
+    assert info.value.code == EX_USAGE
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("tws", ["p tws 3 0\n", "p tws 3 1\n2 3\n"])
+def test_verify_width_flag_blames_an_input_graph_over_the_width(capsys, tmp_path, tws):
+    graph = tmp_path / "star.stg"
+    graph.write_text("p stg 3 2\n1 2 r\n1 3 r\n")
+    seq = tmp_path / "seq.tws"
+    seq.write_text(tws)
+    code, _out, err = run(capsys, "verify", str(graph), str(seq), "--width", "1")
+    assert code == EX_INVALID_SEQUENCE
+    assert err.startswith("invalid sequence at step 0: input graph has red degree 2")
+    code, out, _err = run(capsys, "verify", str(graph), str(seq), "--width", "1", "--json")
+    assert code == EX_INVALID_SEQUENCE
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["step"] == 0
+    assert "input graph" in payload["reason"]
+
+
+def test_verify_width_flag_names_the_first_step_over_the_width(capsys, tmp_path):
+    # 1 and 2 are twins, so the first step stays red-free and the second does not
+    graph = tmp_path / "twins.stg"
+    graph.write_text("p stg 4 3\n1 3 +\n2 3 +\n3 4 +\n")
+    seq = tmp_path / "seq.tws"
+    seq.write_text("p tws 4 2\n1 2\n1 3\n")
+    code, out, _err = run(capsys, "verify", str(graph), str(seq), "--width", "0", "--json")
+    assert code == EX_INVALID_SEQUENCE
+    payload = json.loads(out)
+    assert payload["step"] == 1 and payload["reason"] == "red degree 1 exceeds declared width 0"
 
 
 def test_gen_grid_parses_back_and_bipartize(capsys, tmp_path):

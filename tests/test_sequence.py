@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import random_bipartite_graph
+from helpers import random_bipartite_graph, reference_verify
 from stww.bounds import greedy_sequence
 from stww.cnf import ParseError
 from stww.sequence import (
@@ -14,7 +14,7 @@ from stww.sequence import (
     verify,
     width_of,
 )
-from stww.trigraph import NEG, POS, RED, SignedTrigraph
+from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph
 
 
 def path4():
@@ -130,3 +130,53 @@ def test_random_greedy_sequences_round_trip_and_verify():
         back = parse_sequence(serialize_sequence(seq))
         assert back.steps == seq.steps
         assert verify(g, back, require_bipartite=True).width == report.width
+
+
+def random_sequence_case(rng):
+    """Sparse ids, mixed and missing sides, RED input edges, and a random
+    sequence that may cross sides and may name an unknown label."""
+    ids = sorted(rng.sample(range(1, 60), rng.randint(2, 9)))
+    sides = {v: rng.choice((None, SIDE_VAR, SIDE_CLA)) for v in ids}
+    edges = []
+    for i, u in enumerate(ids):
+        for v in ids[i + 1:]:
+            if sides[u] is not None and sides[u] == sides[v]:
+                continue
+            if rng.random() < 0.5:
+                edges.append((u, v, rng.choice((POS, NEG, RED))))
+    graph = SignedTrigraph(ids, edges, sides)
+    labels, gone, steps = list(ids), [], []
+    while len(labels) > 1 and rng.random() < 0.9:
+        keep, merge = rng.sample(labels, 2)
+        if rng.random() < 0.1:
+            merge = rng.choice(gone + [61])
+        else:
+            labels.remove(merge)
+            gone.append(merge)
+        steps.append((keep, merge))
+    return graph, ContractionSequence(tuple(steps))
+
+
+def test_verify_and_replay_match_reference_contractions():
+    seen = set()
+    for seed in range(300):
+        graph, seq = random_sequence_case(random.Random(seed))
+        for strict in (False, True):
+            width, per_step, bipartite, failure, step_ids = reference_verify(graph, seq, strict)
+            report = verify(graph, seq, require_bipartite=strict)
+            assert (report.width, report.per_step_max_red) == (width, per_step), seed
+            assert (report.is_bipartite_sequence, report.failure) == (bipartite, failure), seed
+            if failure is not None:
+                seen.add((strict, failure[1].split()[0]))
+        width, per_step, bipartite, failure, step_ids = reference_verify(graph, seq)
+        yielded = []
+        try:
+            for step in replay(graph, seq):
+                yielded.append((step.keep_vertex, step.merge_vertex, step.new_vertex))
+        except ValueError as exc:
+            assert failure is not None and str(exc) == failure[1], seed
+        else:
+            assert failure is None, seed
+        assert yielded == step_ids, seed
+    # both failure kinds occur, the cross-side one only when it is required
+    assert seen == {(False, "step"), (True, "step"), (True, "cross-side")}
