@@ -17,7 +17,6 @@ from .bwmc import (
     finalize,
     realizes,
     solve_bwmc,
-    transition,
 )
 from .cnf import (
     Formula,

@@ -18,8 +18,8 @@ weights vanish or cancel).  Records are built per region on demand: the
 region of the final two-vertex graph is evaluated children first off a
 stack, each region once, which keeps the work proportional to the regions
 actually touched instead of every red-connected set of every level.
-`dp_records` exposes the classic full per-level records for cross-checking
-against `realizes`.
+`dp_records` reads the same memoized records for every red-connected region
+of every level, for cross-checking against `realizes`.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .cnf import Assignment, Formula, WeightFunction
-from .sequence import ContractionLog, ContractionSequence, replay
+from .sequence import ContractionLog, ContractionSequence
 from .trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
 _ZERO = Fraction(0)
@@ -57,28 +57,6 @@ class ComplexityEstimate:
     tuple_count_bound: int
 
 
-def _grow_sets(graph: SignedTrigraph, seed: int, allowed, max_size: int) -> list[frozenset[int]]:
-    """Red-connected sets containing `seed` whose other members pass `allowed`."""
-    results: list[frozenset[int]] = []
-
-    def grow(current: frozenset[int], frontier: frozenset[int], banned: frozenset[int]) -> None:
-        results.append(current)
-        if len(current) >= max_size:
-            return
-        blocked = set(banned)
-        for v in sorted(frontier):
-            if v in blocked:
-                continue
-            extended = (frontier | graph.red_neighbors(v)) - current
-            nxt = frozenset(u for u in extended if u != v and allowed(u))
-            grow(current | {v}, nxt, frozenset(blocked))
-            blocked.add(v)
-
-    start_frontier = frozenset(u for u in graph.red_neighbors(seed) if allowed(u))
-    grow(frozenset((seed,)), start_frontier, frozenset())
-    return results
-
-
 def enumerate_red_connected(graph: SignedTrigraph, max_size: int) -> list[frozenset[int]]:
     """Every red-connected vertex set of size <= max_size, each exactly once.
 
@@ -86,15 +64,24 @@ def enumerate_red_connected(graph: SignedTrigraph, max_size: int) -> list[frozen
     deterministic and duplicate-free.
     """
     out: list[frozenset[int]] = []
-    if max_size < 1:
-        return out
-    for root in graph.vertices():
-        out.extend(_grow_sets(graph, root, lambda u: u > root, max_size))
+
+    def grow(current: frozenset[int], frontier: frozenset[int], blocked: set[int]) -> None:
+        out.append(current)
+        if len(current) >= max_size:
+            return
+        for v in sorted(frontier):
+            if v in blocked:
+                continue
+            extended = (frontier | graph.red_neighbors(v)) - current
+            nxt = frozenset(u for u in extended if u != v and u > root)
+            grow(current | {v}, nxt, set(blocked))
+            blocked.add(v)
+
+    if max_size >= 1:
+        for root in graph.vertices():
+            frontier = frozenset(u for u in graph.red_neighbors(root) if u > root)
+            grow(frozenset((root,)), frontier, set())
     return out
-
-
-def _connected_with(graph: SignedTrigraph, anchor: int, max_size: int) -> list[frozenset[int]]:
-    return _grow_sets(graph, anchor, lambda u: True, max_size)
 
 
 def _red_components(graph: SignedTrigraph, vertex_set) -> list[frozenset[int]]:
@@ -203,9 +190,14 @@ def _canonical_removal(graph: SignedTrigraph, region: frozenset[int], sources) -
 
 
 def _region_record(
-    log: ContractionLog, region: frozenset[int], weights: WeightFunction, budget: int, stats: dict
+    log: ContractionLog,
+    region: frozenset[int],
+    weights: WeightFunction,
+    budget: int,
+    memo: dict[frozenset[int], Record],
+    stats: dict,
 ) -> Record:
-    """Record of a region of the last level of `log`.
+    """Record of a region of some level of `log`, memoized in `memo`.
 
     A region's record holds from the step that creates its youngest vertex
     until one of its vertices is contracted away, so records are memoized
@@ -215,7 +207,6 @@ def _region_record(
     stats.setdefault("regions_evaluated", 0)
     stats.setdefault("large_regions", 0)
     max_region = _region_threshold(budget, log.width)
-    memo: dict[frozenset[int], Record] = {}
     stack = [region]
     while stack:
         top = stack[-1]
@@ -229,21 +220,19 @@ def _region_record(
             memo[top] = _singleton_record(log, v, weights)
             continue
         x, y, z = log.steps[level - 1]
-        expanded = (top - {z}) | {x, y}
-        missing = [c for c in _child_regions(log, expanded, max_region) if c not in memo]
+        splits = _splits(log, (top - {z}) | {x, y}, max_region)
+        missing = [comp for _, components in splits for comp in components if comp not in memo]
         if missing:
             stack.extend(missing)
             continue
-        memo[top] = _recompute_region(
-            log, log, weights, x, y, z, top, budget, max_region, log.width, memo.__getitem__, stats
-        )
+        memo[top] = _recompute_region(log, level, top, splits, weights, budget, memo, stats)
     return memo[region]
 
 
-def _singleton_record(initial: SignedTrigraph, v: int, weights: WeightFunction) -> Record:
+def _singleton_record(graph: SignedTrigraph, v: int, weights: WeightFunction) -> Record:
     region = frozenset((v,))
     empty = frozenset()
-    if initial.side(v) == SIDE_VAR:
+    if graph.side(v) == SIDE_VAR:
         return {
             Profile(region, region, empty, 1, empty): weights.of(v),
             Profile(region, empty, empty, 0, empty): weights.of(-v),
@@ -252,7 +241,7 @@ def _singleton_record(initial: SignedTrigraph, v: int, weights: WeightFunction) 
 
 
 def _component_entries(
-    before: SignedTrigraph,
+    log: ContractionLog,
     comp: frozenset[int],
     region_clauses: list[int],
     table: Mapping[Profile, Fraction],
@@ -263,7 +252,7 @@ def _component_entries(
     edges (a black edge pins every bagged literal pair to one sign, so a 1
     in a has_one bag behind a positive edge, or a 0 behind a negative edge,
     satisfies every clause bagged at the endpoint at once)."""
-    comp_vars = [u for u in comp if before.side(u) == SIDE_VAR]
+    comp_vars = [u for u in comp if log.side(u) == SIDE_VAR]
     entries = []
     for profile, value in table.items():
         if profile.ones > budget:
@@ -275,7 +264,7 @@ def _component_entries(
         mask = set()
         for c in region_clauses:
             for u in comp_vars:
-                kind = before.edge(u, c)
+                kind = log.edge(u, c)
                 if (kind == POS and status[u][0]) or (kind == NEG and status[u][1]):
                     mask.add(c)
                     break
@@ -331,42 +320,50 @@ def _fold_target(
     return Profile(region, frozenset(has_one), frozenset(mixed), ones, frozenset(satisfied))
 
 
-def _child_regions(before: SignedTrigraph, expanded: frozenset[int], max_region: int):
-    """Regions _recompute_region reads: the red components of `expanded`, or
-    of `expanded` minus each vertex when one is too large to have a record."""
-    components = _red_components(before, expanded)
-    if any(len(comp) > max_region for comp in components):
-        return [comp for v in expanded for comp in _red_components(before, expanded - {v})]
-    return components
+def _splits(log: ContractionLog, expanded: frozenset[int], max_region: int):
+    """How the record of a merge over `expanded` is assembled, as a list of
+    (peeled vertex or None, red components with records).
+
+    Normally one split: the red components of `expanded`, nothing peeled.
+    When a component is too large to have a record, `expanded` is one
+    component of a capped region plus its merged pair, and each vertex in
+    turn is peeled off, leaving the red components of the rest.
+    """
+    components = _red_components(log, expanded)
+    if all(len(comp) <= max_region for comp in components):
+        assert len(components) <= log.width + 2, "component count exceeds red-degree bound"
+        return [(None, components)]
+    assert len(components) == 1 and len(expanded) == max_region + 1
+    return [(v, _red_components(log, expanded - {v})) for v in sorted(expanded)]
 
 
 def _recompute_region(
-    before: SignedTrigraph,
-    initial: SignedTrigraph,
-    weights: WeightFunction,
-    x: int,
-    y: int,
-    z: int,
+    log: ContractionLog,
+    level: int,
     region: frozenset[int],
+    splits,
+    weights: WeightFunction,
     budget: int,
-    max_region: int,
-    width: int,
-    lookup: Callable[[frozenset[int]], Mapping[Profile, Fraction]],
+    memo: Mapping[frozenset[int], Record],
     stats: dict,
 ) -> Record:
+    """Record of `region`, born at step `level`, from the records of its splits."""
     stats["regions_evaluated"] += 1
+    x, y, z = log.steps[level - 1]
     expanded = (region - {z}) | {x, y}
-    region_clauses = sorted(c for c in expanded if before.side(c) == SIDE_CLA)
-    z_is_var = before.side(x) == SIDE_VAR
-    components = _red_components(before, expanded)
+    region_clauses = sorted(c for c in expanded if log.side(c) == SIDE_CLA)
+    z_is_var = log.side(x) == SIDE_VAR
+    if splits[0][0] is not None:
+        stats["large_regions"] += 1
     out: Record = {}
-
-    if all(len(comp) <= max_region for comp in components):
-        assert len(components) <= width + 2, "component count exceeds red-degree bound"
+    for peeled, components in splits:
         entry_lists = [
-            _component_entries(before, comp, region_clauses, lookup(comp), budget)
+            _component_entries(log, comp, region_clauses, memo[comp], budget)
             for comp in components
         ]
+        peel_weight = _ONE
+        if peeled is not None and log.side(peeled) == SIDE_VAR:
+            peel_weight = math.prod((weights.of(-v) for v in log.bag(peeled)), start=_ONE)
         for chosen, product, ones in _combine_entries(entry_lists, budget):
             statuses: dict[int, tuple[bool, bool]] = {}
             sat: set[int] = set()
@@ -374,130 +371,75 @@ def _recompute_region(
                 statuses.update(status)
                 sat.update(profile.satisfied)
                 sat.update(mask)
+            if peeled is not None:
+                if not _peel(log, expanded, peeled, region_clauses, statuses, sat):
+                    continue
+                product *= peel_weight
             target = _fold_target(region, x, y, z, z_is_var, statuses, ones, sat)
             out[target] = out.get(target, _ZERO) + product
-        return out
-
-    # One oversized component: peel off the vertex red-farthest from the
-    # has_one set.  Its bag is forced all-zero (variable) or deterministically
-    # checkable (clause) because everything within red distance 2 of a 1
-    # cannot be that far vertex.
-    assert len(components) == 1 and len(region) == max_region
-    assert len(expanded) == max_region + 1
-    stats["large_regions"] += 1
-    for v in sorted(expanded):
-        rest = expanded - {v}
-        sub_components = _red_components(before, rest)
-        entry_lists = [
-            _component_entries(before, comp, region_clauses, lookup(comp), budget)
-            for comp in sub_components
-        ]
-        v_is_var = before.side(v) == SIDE_VAR
-        if v_is_var:
-            v_weight = _ONE
-            for orig in sorted(before.bag(v)):
-                v_weight *= weights.of(-orig)
-        else:
-            v_weight = _ONE
-        red_near_v = before.red_neighbors(v) & expanded
-
-        for chosen, product, ones in _combine_entries(entry_lists, budget):
-            statuses = {}
-            sat = set()
-            for profile, _value, status, mask in chosen:
-                statuses.update(status)
-                sat.update(profile.satisfied)
-                sat.update(mask)
-            pulled = frozenset(u for u, (saw_one, _z) in statuses.items() if saw_one)
-            chosen_v, dist = _canonical_removal(before, expanded, pulled)
-            if chosen_v != v:
-                continue
-            if pulled:
-                assert dist >= 3, "peeled vertex sits red-close to a has_one bag"
-            if v_is_var:
-                statuses[v] = (False, True)
-                for c in region_clauses:
-                    if before.edge(v, c) == NEG:
-                        sat.add(c)
-            # clauses red-adjacent to v (and v itself when it is a clause
-            # vertex) see a non-uniform edge, but every red neighbour here
-            # carries an all-zero bag, so satisfaction reduces to finding a
-            # negative original literal per bagged clause
-            special = [c for c in region_clauses if c == v or c in red_near_v]
-            for c in special:
-                if c in sat:
-                    continue
-                if _all_zero_red_satisfied(before, initial, c, expanded, statuses):
-                    sat.add(c)
-            target = _fold_target(region, x, y, z, z_is_var, statuses, ones, sat)
-            out[target] = out.get(target, _ZERO) + v_weight * product
     return out
 
 
+def _peel(
+    log: ContractionLog,
+    expanded: frozenset[int],
+    v: int,
+    region_clauses: list[int],
+    statuses: dict[int, tuple[bool, bool]],
+    sat: set[int],
+) -> bool:
+    """Complete, in place, one combination of the split that peeled `v`.
+
+    The combination counts only when v is the vertex red-farthest from the
+    has_one set, so every assignment is counted under exactly one peel.
+    Then v's bag is all zero (variable) or deterministically checkable
+    (clause), because everything within red distance 2 of a 1 cannot be
+    that far vertex.
+    """
+    pulled = frozenset(u for u, (saw_one, _z) in statuses.items() if saw_one)
+    chosen_v, dist = _canonical_removal(log, expanded, pulled)
+    if chosen_v != v:
+        return False
+    if pulled:
+        assert dist >= 3, "peeled vertex sits red-close to a has_one bag"
+    if log.side(v) == SIDE_VAR:
+        statuses[v] = (False, True)
+        for c in region_clauses:
+            if log.edge(v, c) == NEG:
+                sat.add(c)
+    # clauses red-adjacent to v (and v itself when it is a clause vertex)
+    # see a non-uniform edge, but every red neighbour here carries an
+    # all-zero bag, so satisfaction reduces to finding a negative original
+    # literal per bagged clause
+    red_near_v = log.red_neighbors(v) & expanded
+    for c in region_clauses:
+        if (c == v or c in red_near_v) and c not in sat:
+            if _all_zero_red_satisfied(log, c, expanded, statuses):
+                sat.add(c)
+    return True
+
+
 def _all_zero_red_satisfied(
-    before: SignedTrigraph,
-    initial: SignedTrigraph,
+    log: ContractionLog,
     c: int,
     expanded: frozenset[int],
     statuses: Mapping[int, tuple[bool, bool]],
 ) -> bool:
     zero_sources = []
-    for u in sorted(before.red_neighbors(c) & expanded):
-        if before.side(u) != SIDE_VAR:
+    for u in sorted(log.red_neighbors(c) & expanded):
+        if log.side(u) != SIDE_VAR:
             continue
         assert not statuses[u][0], "red neighbour of the peeled zone has a 1"
         zero_sources.append(u)
-    for orig in before.bag(c):
+    for orig in log.bag(c):
         hit = False
         for u in zero_sources:
-            if any(initial.edge(var, orig) == NEG for var in before.bag(u)):
+            if any(log.edge(var, orig) == NEG for var in log.bag(u)):
                 hit = True
                 break
         if not hit:
             return False
     return True
-
-
-def transition(
-    record: Record,
-    before: SignedTrigraph,
-    after: SignedTrigraph,
-    x: int,
-    y: int,
-    z: int,
-    k: int,
-    d: int,
-    weights: WeightFunction,
-    initial: SignedTrigraph,
-    stats: dict | None = None,
-) -> Record:
-    """Full-record step: profiles avoiding z are copied, the rest recomputed.
-
-    `record` must hold every realizable profile of every red-connected
-    region of `before` up to the size threshold; the result satisfies the
-    same invariant for `after`.  Used by `dp_records` and the record-level
-    tests; `solve_bwmc` evaluates regions on demand instead.
-    """
-    if stats is None:
-        stats = {}
-    stats.setdefault("regions_evaluated", 0)
-    stats.setdefault("large_regions", 0)
-    max_region = _region_threshold(k, d)
-    out: Record = {}
-    by_region: dict[frozenset[int], Record] = {}
-    for profile, value in record.items():
-        by_region.setdefault(profile.region, {})[profile] = value
-        if x not in profile.region and y not in profile.region:
-            out[profile] = value
-
-    for region in _connected_with(after, z, max_region):
-        out.update(
-            _recompute_region(
-                before, initial, weights, x, y, z, region, k, max_region, d,
-                by_region.__getitem__, stats,
-            )
-        )
-    return out
 
 
 def _region_threshold(k: int, d: int) -> int:
@@ -624,7 +566,7 @@ def solve_bwmc(
     if log.edge(*log.vertices()) != RED:
         return finalize({}, log, formula, weights, k)
     record = _region_record(
-        log, frozenset(log.vertices()), weights, budget, stats if stats is not None else {}
+        log, frozenset(log.vertices()), weights, budget, {}, stats if stats is not None else {}
     )
     return finalize(record, log, formula, weights, k)
 
@@ -639,31 +581,27 @@ def dp_records(
     """Full per-level records, from the incidence graph to the final level.
 
     Each yielded record holds every realizable profile of every
-    red-connected region up to the size threshold.  Meant for validation on
-    small inputs; the full enumeration grows quickly with the threshold.
+    red-connected region up to the size threshold, read through the region
+    evaluation `solve_bwmc` runs, with one memo across the levels.  Meant
+    for validation on small inputs; the full enumeration grows quickly
+    with the threshold.
     """
     if k <= 0:
         raise ValueError("record enumeration needs a positive ones budget")
     graph = incidence_graph(formula)
-    width = _validated_log(graph, seq).width
+    log = _validated_log(graph, seq)
     budget = min(k, formula.num_vars)
-    record = base_record(graph, weights)
-    yield graph, record
-    for step in replay(graph, seq):
-        record = transition(
-            record,
-            step.before,
-            step.after,
-            step.keep_vertex,
-            step.merge_vertex,
-            step.new_vertex,
-            budget,
-            width,
-            weights,
-            graph,
-            stats,
-        )
-        yield step.after, record
+    max_region = _region_threshold(budget, log.width)
+    memo: dict[frozenset[int], Record] = {}
+    if stats is None:
+        stats = {}
+    for level in range(len(log.steps) + 1):
+        if level:
+            graph = graph.contract(*log.steps[level - 1][:2])
+        record: Record = {}
+        for region in enumerate_red_connected(graph, max_region):
+            record.update(_region_record(log, region, weights, budget, memo, stats))
+        yield graph, record
 
 
 def estimate_bounds(n: int, k: int, d: int) -> ComplexityEstimate:

@@ -220,10 +220,21 @@ def width_of(graph: SignedTrigraph, seq: ContractionSequence) -> int:
 
 
 def final_graph(graph: SignedTrigraph, seq: ContractionSequence) -> SignedTrigraph:
-    current = graph
-    for step in replay(graph, seq):
-        current = step.after
-    return current
+    """The last graph of the replay, built once from a ContractionLog.
+
+    Raises the same ValueError as replay if a label is unknown.
+    """
+    log = ContractionLog(graph, seq)
+    if log.failure is not None:
+        raise ValueError(log.failure[1])
+    current = log.vertices()
+    alive = set(current)
+    return SignedTrigraph(
+        current,
+        [(u, w, kind) for u in current for w, kind in log._adj[u].items() if u < w and w in alive],
+        sides={v: log.side(v) for v in current},
+        bags={v: log.bag(v) for v in current},
+    )
 
 
 def parse_sequence(text: str | bytes) -> ContractionSequence:

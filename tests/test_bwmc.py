@@ -264,6 +264,22 @@ def test_dp_records_sound_on_one_instance():
     assert checked > 0
 
 
+def test_dp_records_sound_on_the_peel_path():
+    f = LARGE_BRANCH_FORMULA
+    # no literal weighs 1, so a peeled variable's all-zero weight shows
+    w = WeightFunction({1: 2, -1: 3, 2: 5, -2: 7, 3: Fraction(1, 2), -3: 11, 4: -1, -4: 13,
+                        5: 17, -5: Fraction(2, 3)})
+    seq = greedy_for(f, tie_break="largest")
+    threshold = estimate_bounds(0, 1, seq.declared_width).max_region_size
+    initial = incidence_graph(f)
+    stats = {}
+    checked = 0
+    for graph, record in dp_records(f, w, 1, seq, stats=stats):
+        checked += check_record(initial, graph, record, w, 1, threshold)
+    assert stats["large_regions"] == 1
+    assert checked == 252
+
+
 def test_dp_records_finalize_matches_solve():
     for seed in range(10):
         rng = random.Random(500 + seed)

@@ -1,7 +1,9 @@
 import json
+import os
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from stww.cli import EX_DATA, EX_ENV, EX_INVALID_SEQUENCE, EX_OK, EX_USAGE, main
 from stww.cnf import parse_dimacs
 from stww.sequence import parse_sequence, verify
 from stww.trigraph import incidence_graph, parse_graph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 OR_CNF = "p cnf 2 1\n1 2 0\n"
 
@@ -258,9 +262,13 @@ def test_help_exits_zero(capsys):
 def test_module_entry_point(tmp_path):
     cnf = tmp_path / "or.cnf"
     cnf.write_text(OR_CNF)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "stww.cli", "oracle", "bwmc", str(cnf), "-k", "1"],
-        capture_output=True, text=True,
+        env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["2", "2.000000"]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import random_bipartite_graph, reference_verify
+from test_acceptance import implication_chain, zip_sequence
 from stww.bounds import greedy_sequence
 from stww.cnf import ParseError
 from stww.sequence import (
@@ -14,7 +15,7 @@ from stww.sequence import (
     verify,
     width_of,
 )
-from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph
+from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
 
 def path4():
@@ -81,6 +82,14 @@ def test_final_graph():
     h = final_graph(g, ContractionSequence(((1, 2), (1, 3), (1, 4))))
     assert h.num_vertices == 1
     assert h.bag(h.vertices()[0]) == frozenset({1, 2, 3, 4})
+    # the zip schedule leaves one variable and one clause vertex, red-joined
+    n = 2000
+    chain = final_graph(incidence_graph(implication_chain(n)), zip_sequence(n))
+    cla, var = sorted(chain.vertices(), key=chain.side, reverse=True)
+    assert (chain.side(var), chain.side(cla)) == (SIDE_VAR, SIDE_CLA)
+    assert chain.bag(var) == frozenset(range(1, n + 1))
+    assert chain.bag(cla) == frozenset(range(n + 1, 2 * n))
+    assert chain.edge(var, cla) == RED
 
 
 def test_tws_round_trip():
@@ -169,14 +178,20 @@ def test_verify_and_replay_match_reference_contractions():
             if failure is not None:
                 seen.add((strict, failure[1].split()[0]))
         width, per_step, bipartite, failure, step_ids = reference_verify(graph, seq)
-        yielded = []
+        yielded, last = [], graph
         try:
             for step in replay(graph, seq):
                 yielded.append((step.keep_vertex, step.merge_vertex, step.new_vertex))
+                last = step.after
         except ValueError as exc:
             assert failure is not None and str(exc) == failure[1], seed
+            with pytest.raises(ValueError) as raised:
+                final_graph(graph, seq)
+            assert str(raised.value) == failure[1], seed
         else:
             assert failure is None, seed
+            final = final_graph(graph, seq)
+            assert (final, final.fresh_id()) == (last, last.fresh_id()), seed
         assert yielded == step_ids, seed
     # both failure kinds occur, the cross-side one only when it is required
     assert seen == {(False, "step"), (True, "step"), (True, "cross-side")}
