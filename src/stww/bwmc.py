@@ -245,30 +245,37 @@ def _component_entries(
     comp: frozenset[int],
     region_clauses: list[int],
     table: Mapping[Profile, Fraction],
-    budget: int,
 ):
-    """Profiles of one red component, with per-profile variable statuses and
-    the set of region clauses each profile satisfies through uniform black
-    edges (a black edge pins every bagged literal pair to one sign, so a 1
-    in a has_one bag behind a positive edge, or a 0 behind a negative edge,
-    satisfies every clause bagged at the endpoint at once)."""
-    comp_vars = [u for u in comp if log.side(u) == SIDE_VAR]
+    """Profiles of one red component, each with the region clauses it
+    satisfies through uniform black edges: a black edge pins every bagged
+    literal pair to one sign, so a 1 behind a positive edge, or a 0 behind
+    a negative one, satisfies every clause bagged at the endpoint.  The mask
+    is the positive clauses of the has_one variables plus the negative
+    clauses of the variables whose bag holds a 0 (not in has_one, or
+    mixed); each variable's two clause sets are read once per call."""
+    reach = []
+    for u in comp:
+        if log.side(u) != SIDE_VAR:
+            continue
+        pos, neg = set(), set()
+        for c in region_clauses:
+            kind = log.edge(u, c)
+            if kind == POS:
+                pos.add(c)
+            elif kind == NEG:
+                neg.add(c)
+        reach.append((u, pos, neg))
     entries = []
     for profile, value in table.items():
-        if profile.ones > budget:
-            continue
-        status = {}
-        for u in comp_vars:
-            saw_one = u in profile.has_one
-            status[u] = (saw_one, not saw_one or u in profile.mixed)
         mask = set()
-        for c in region_clauses:
-            for u in comp_vars:
-                kind = log.edge(u, c)
-                if (kind == POS and status[u][0]) or (kind == NEG and status[u][1]):
-                    mask.add(c)
-                    break
-        entries.append((profile, value, status, frozenset(mask)))
+        for u, pos, neg in reach:
+            if u in profile.has_one:
+                mask |= pos
+                if u in profile.mixed:
+                    mask |= neg
+            else:
+                mask |= neg
+        entries.append((profile, value, mask))
     return entries
 
 
@@ -284,40 +291,6 @@ def _combine_entries(entry_lists, budget: int):
             continue
         for chosen, value, total in _combine_entries(rest, budget - ones):
             yield (entry,) + chosen, entry[1] * value, ones + total
-
-
-def _fold_target(
-    region: frozenset[int],
-    x: int,
-    y: int,
-    z: int,
-    z_is_var: bool,
-    statuses: Mapping[int, tuple[bool, bool]],
-    ones: int,
-    sat: set[int],
-) -> Profile:
-    """Collapse statuses over (region∖{z})∪{x,y} into the profile on region."""
-    has_one = set()
-    mixed = set()
-    for u, (saw_one, saw_zero) in statuses.items():
-        if u == x or u == y:
-            continue
-        if saw_one:
-            has_one.add(u)
-            if saw_zero:
-                mixed.add(u)
-    satisfied = {c for c in sat if c != x and c != y}
-    if z_is_var:
-        x_one, x_zero = statuses[x]
-        y_one, y_zero = statuses[y]
-        if x_one or y_one:
-            has_one.add(z)
-            if x_zero or y_zero:
-                mixed.add(z)
-    else:
-        if x in sat and y in sat:
-            satisfied.add(z)
-    return Profile(region, frozenset(has_one), frozenset(mixed), ones, frozenset(satisfied))
 
 
 def _splits(log: ContractionLog, expanded: frozenset[int], max_region: int):
@@ -347,35 +320,55 @@ def _recompute_region(
     memo: Mapping[frozenset[int], Record],
     stats: dict,
 ) -> Record:
-    """Record of `region`, born at step `level`, from the records of its splits."""
+    """Record of `region`, born at step `level`, from the records of its splits.
+
+    A combination's has_one, mixed and satisfied are the unions of its
+    profiles' sets, satisfied also taking their masks.  The merged pair
+    folds into z: a variable z has a 1 if x or y has one, and is mixed if it
+    also has a 0; a clause z is satisfied if x and y both are.  x and y are
+    then dropped.
+    """
     stats["regions_evaluated"] += 1
     x, y, z = log.steps[level - 1]
     expanded = (region - {z}) | {x, y}
     region_clauses = sorted(c for c in expanded if log.side(c) == SIDE_CLA)
     z_is_var = log.side(x) == SIDE_VAR
+    merged = {x, y}
     if splits[0][0] is not None:
         stats["large_regions"] += 1
     out: Record = {}
     for peeled, components in splits:
         entry_lists = [
-            _component_entries(log, comp, region_clauses, memo[comp], budget)
-            for comp in components
+            _component_entries(log, comp, region_clauses, memo[comp]) for comp in components
         ]
         peel_weight = _ONE
         if peeled is not None and log.side(peeled) == SIDE_VAR:
             peel_weight = math.prod((weights.of(-v) for v in log.bag(peeled)), start=_ONE)
         for chosen, product, ones in _combine_entries(entry_lists, budget):
-            statuses: dict[int, tuple[bool, bool]] = {}
+            has_one: set[int] = set()
+            mixed: set[int] = set()
             sat: set[int] = set()
-            for profile, _value, status, mask in chosen:
-                statuses.update(status)
-                sat.update(profile.satisfied)
-                sat.update(mask)
+            for profile, _value, mask in chosen:
+                has_one |= profile.has_one
+                mixed |= profile.mixed
+                sat |= profile.satisfied
+                sat |= mask
             if peeled is not None:
-                if not _peel(log, expanded, peeled, region_clauses, statuses, sat):
+                if not _peel(log, expanded, peeled, region_clauses, has_one, sat):
                     continue
                 product *= peel_weight
-            target = _fold_target(region, x, y, z, z_is_var, statuses, ones, sat)
+            if z_is_var:
+                x_one, y_one = x in has_one, y in has_one
+                if x_one or y_one:
+                    has_one.add(z)
+                    if not (x_one and y_one) or x in mixed or y in mixed:
+                        mixed.add(z)
+            elif x in sat and y in sat:
+                sat.add(z)
+            has_one -= merged
+            mixed -= merged
+            sat -= merged
+            target = Profile(region, frozenset(has_one), frozenset(mixed), ones, frozenset(sat))
             out[target] = out.get(target, _ZERO) + product
     return out
 
@@ -385,7 +378,7 @@ def _peel(
     expanded: frozenset[int],
     v: int,
     region_clauses: list[int],
-    statuses: dict[int, tuple[bool, bool]],
+    has_one: set[int],
     sat: set[int],
 ) -> bool:
     """Complete, in place, one combination of the split that peeled `v`.
@@ -394,16 +387,15 @@ def _peel(
     has_one set, so every assignment is counted under exactly one peel.
     Then v's bag is all zero (variable) or deterministically checkable
     (clause), because everything within red distance 2 of a 1 cannot be
-    that far vertex.
+    that far vertex.  A peeled variable stays out of has_one, which is
+    what an all-zero bag means.
     """
-    pulled = frozenset(u for u, (saw_one, _z) in statuses.items() if saw_one)
-    chosen_v, dist = _canonical_removal(log, expanded, pulled)
+    chosen_v, dist = _canonical_removal(log, expanded, has_one)
     if chosen_v != v:
         return False
-    if pulled:
+    if has_one:
         assert dist >= 3, "peeled vertex sits red-close to a has_one bag"
     if log.side(v) == SIDE_VAR:
-        statuses[v] = (False, True)
         for c in region_clauses:
             if log.edge(v, c) == NEG:
                 sat.add(c)
@@ -414,7 +406,7 @@ def _peel(
     red_near_v = log.red_neighbors(v) & expanded
     for c in region_clauses:
         if (c == v or c in red_near_v) and c not in sat:
-            if _all_zero_red_satisfied(log, c, expanded, statuses):
+            if _all_zero_red_satisfied(log, c, expanded, has_one):
                 sat.add(c)
     return True
 
@@ -423,13 +415,13 @@ def _all_zero_red_satisfied(
     log: ContractionLog,
     c: int,
     expanded: frozenset[int],
-    statuses: Mapping[int, tuple[bool, bool]],
+    has_one: set[int],
 ) -> bool:
     zero_sources = []
     for u in sorted(log.red_neighbors(c) & expanded):
         if log.side(u) != SIDE_VAR:
             continue
-        assert not statuses[u][0], "red neighbour of the peeled zone has a 1"
+        assert u not in has_one, "red neighbour of the peeled zone has a 1"
         zero_sources.append(u)
     for orig in log.bag(c):
         hit = False

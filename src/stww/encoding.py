@@ -202,12 +202,15 @@ def encode(graph: SignedTrigraph, d: int) -> EncodingArtifact:
                     )
 
     # red edges persist while both endpoints stay alive
+    red_at: dict[int, list[tuple[int, int, int]]] = {t: [] for t in vertices}
+    for (t, a, c), var in red.items():
+        red_at[t].append((a, c, var))
     for t in vertices:
         for u2 in vertices:
             if u2 == t:
                 continue
-            for (tt, a, c), var in red.items():
-                if tt != t or a == u2 or c == u2:
+            for a, c, var in red_at[t]:
+                if a == u2 or c == u2:
                     continue
                 b.add(-var, -olit(t, u2), -olit(u2, a), -olit(u2, c), rlit(u2, a, c))
 

@@ -71,43 +71,57 @@ def bwmc_oracle(formula: Formula, weights: WeightFunction, k: int) -> Fraction:
 def bsat_oracle(formula: Formula, k: int) -> bool:
     """True iff some model of the formula sets at most k variables to 1.
 
-    Branches on the literals of the first not-yet-satisfied clause; a branch
-    dies when a clause has every literal assigned false or when satisfying a
-    positive literal would exceed the ones budget.  Unassigned variables
-    default to 0, which never spends budget.
+    Branches on the literals of the first not-yet-satisfied clause, negative
+    literals first; a branch dies when a clause has every literal assigned
+    false or when satisfying a positive literal would exceed the ones
+    budget.  Unassigned variables default to 0, which never spends budget.
+    The search keeps its branch points on an explicit stack, so its depth
+    is not bounded by the interpreter's recursion limit.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     clauses = [tuple(clause) for clause in formula.clauses]
+    assignment: dict[int, int] = {}
+    used = 0
+    # one frame per branch point: its untried literals and the one now set
+    frames: list[list] = []
+    while True:
+        free = _first_open_clause(clauses, assignment)
+        if free == []:
+            return True
+        if free is not None:
+            frames.append([iter(sorted(free, key=lambda l: l > 0)), None])
+        lit = None
+        while frames and lit is None:
+            untried, tried = frames[-1]
+            if tried is not None:
+                del assignment[abs(tried)]
+                used -= tried > 0
+            lit = next((l for l in untried if used + (l > 0) <= k), None)
+            if lit is None:
+                frames.pop()
+        if lit is None:
+            return False
+        frames[-1][1] = lit
+        assignment[abs(lit)] = 1 if lit > 0 else 0
+        used += lit > 0
 
-    def search(assignment: dict[int, int], used: int) -> bool:
-        target_free: list[int] | None = None
-        for clause in clauses:
-            free: list[int] = []
-            satisfied = False
-            for lit in clause:
-                value = assignment.get(abs(lit))
-                if value is None:
-                    free.append(lit)
-                elif (lit > 0) == bool(value):
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
+
+def _first_open_clause(clauses, assignment: dict[int, int]) -> list[int] | None:
+    """The free literals of the first clause the assignment leaves open:
+    None when some clause has every literal false, [] when none is open."""
+    target_free: list[int] | None = None
+    for clause in clauses:
+        free: list[int] = []
+        for lit in clause:
+            value = assignment.get(abs(lit))
+            if value is None:
+                free.append(lit)
+            elif (lit > 0) == bool(value):
+                break
+        else:
             if not free:
-                return False
+                return None
             if target_free is None:
                 target_free = free
-        if target_free is None:
-            return True
-        for lit in sorted(target_free, key=lambda l: l > 0):
-            cost = 1 if lit > 0 else 0
-            if used + cost > k:
-                continue
-            assignment[abs(lit)] = 1 if lit > 0 else 0
-            if search(assignment, used + cost):
-                return True
-            del assignment[abs(lit)]
-        return False
-
-    return search({}, 0)
+    return [] if target_free is None else target_free

@@ -191,6 +191,15 @@ def test_oracle_bsat_output(capsys, or_cnf):
     assert json.loads(out) == {"satisfiable": True, "k": 1}
 
 
+def test_oracle_bsat_on_a_long_chain(capsys, tmp_path):
+    n = 1100
+    cnf = tmp_path / "chain.cnf"
+    cnf.write_text(f"p cnf {n} {n - 1}\n" + "".join(f"-{i} {i + 1} 0\n" for i in range(1, n)))
+    code, out, _err = run(capsys, "oracle", "bsat", str(cnf), "-k", "0")
+    assert code == EX_OK
+    assert out.strip() == "true"
+
+
 def test_exact_without_solver_is_an_env_error(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("TWW_SOLVER", raising=False)
     grid = tmp_path / "grid.stg"

@@ -85,3 +85,17 @@ def test_bsat_monotone_in_k():
         f = random_formula(rng, max_vars=7, max_clauses=9)
         answers = [bsat_oracle(f, k) for k in range(f.num_vars + 1)]
         assert all(b or not a for a, b in zip(answers, answers[1:]))
+
+
+def implication_chain(n):
+    """(¬x_i ∨ x_{i+1}) for i < n: all-zero is a model, and x1 = 1 forces all n ones."""
+    return Formula(n, tuple(frozenset({-i, i + 1}) for i in range(1, n)))
+
+
+def test_bsat_searches_past_the_recursion_limit():
+    n = 1100
+    chain = implication_chain(n)
+    assert bsat_oracle(chain, 0)
+    pinned = Formula(n, chain.clauses + (frozenset({1}),))
+    assert not bsat_oracle(pinned, n - 1)
+    assert bsat_oracle(pinned, n)
