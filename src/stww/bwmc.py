@@ -20,6 +20,15 @@ stack, each region once, which keeps the work proportional to the regions
 actually touched instead of every red-connected set of every level.
 `dp_records` reads the same memoized records for every red-connected region
 of every level, for cross-checking against `realizes`.
+
+Inside the memo a region's record is a table keyed by the state
+(has_one, mixed, ones, satisfied), the three sets as int bitsets over vertex
+ids (bit v is vertex v); the region is the memo key.  `Profile`s are built
+only where records leave the module.  `solve_bwmc` counts in integers: each
+variable's weight pair (w(v), w(-v)) is scaled by D_v, the lcm of its two
+denominators, and since every assignment takes one weight of each pair,
+every term carries the same factor Π D_v, divided out once at the end.
+The same code runs on the caller's `Fraction` weights in `dp_records`.
 """
 
 from __future__ import annotations
@@ -33,8 +42,8 @@ from .cnf import Assignment, Formula, WeightFunction
 from .sequence import ContractionLog, ContractionSequence
 from .trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 class Profile(NamedTuple):
@@ -46,6 +55,8 @@ class Profile(NamedTuple):
 
 
 Record = dict[Profile, Fraction]
+# state (has_one, mixed, ones, satisfied), the three sets as vertex bitsets
+Table = dict[tuple[int, int, int, int], int | Fraction]
 
 
 @dataclass(frozen=True)
@@ -167,7 +178,7 @@ def base_record(graph: SignedTrigraph, weights: WeightFunction) -> Record:
     """
     record: Record = {}
     for v in graph.vertices():
-        record.update(_singleton_record(graph, v, weights))
+        record.update(_profiles(frozenset((v,)), _singleton_record(graph, v, weights)))
     return record
 
 
@@ -194,10 +205,10 @@ def _region_record(
     region: frozenset[int],
     weights: WeightFunction,
     budget: int,
-    memo: dict[frozenset[int], Record],
+    memo: dict[frozenset[int], Table],
     stats: dict,
-) -> Record:
-    """Record of a region of some level of `log`, memoized in `memo`.
+) -> Table:
+    """Table of a region of some level of `log`, memoized in `memo`.
 
     A region's record holds from the step that creates its youngest vertex
     until one of its vertices is contracted away, so records are memoized
@@ -229,68 +240,60 @@ def _region_record(
     return memo[region]
 
 
-def _singleton_record(graph: SignedTrigraph, v: int, weights: WeightFunction) -> Record:
-    region = frozenset((v,))
-    empty = frozenset()
+def _singleton_record(graph: SignedTrigraph, v: int, weights: WeightFunction) -> Table:
     if graph.side(v) == SIDE_VAR:
-        return {
-            Profile(region, region, empty, 1, empty): weights.of(v),
-            Profile(region, empty, empty, 0, empty): weights.of(-v),
-        }
-    return {Profile(region, empty, empty, 0, empty): _ONE}
+        return {(1 << v, 0, 1, 0): weights.of(v), (0, 0, 0, 0): weights.of(-v)}
+    return {(0, 0, 0, 0): _ONE}
+
+
+def _members(region: frozenset[int], bits: int) -> frozenset[int]:
+    return frozenset(v for v in region if bits >> v & 1)
+
+
+def _profiles(region: frozenset[int], table: Table) -> Record:
+    """The public form of a region's table: one Profile per state."""
+    return {
+        Profile(region, _members(region, has_one), _members(region, mixed), ones,
+                _members(region, sat)): value
+        for (has_one, mixed, ones, sat), value in table.items()
+    }
 
 
 def _component_entries(
     log: ContractionLog,
     comp: frozenset[int],
     region_clauses: list[int],
-    table: Mapping[Profile, Fraction],
-):
-    """Profiles of one red component, each with the region clauses it
-    satisfies through uniform black edges: a black edge pins every bagged
-    literal pair to one sign, so a 1 behind a positive edge, or a 0 behind
-    a negative one, satisfies every clause bagged at the endpoint.  The mask
-    is the positive clauses of the has_one variables plus the negative
-    clauses of the variables whose bag holds a 0 (not in has_one, or
-    mixed); each variable's two clause sets are read once per call."""
+    table: Table,
+) -> list[tuple[int, int, int, int, int | Fraction]]:
+    """States of one red component, each with its satisfied set widened by
+    the region clauses it satisfies through uniform black edges: a black
+    edge pins every bagged literal pair to one sign, so a 1 behind a
+    positive edge, or a 0 behind a negative one, satisfies every clause
+    bagged at the endpoint.  That is the positive clauses of the has_one
+    variables plus the negative clauses of the variables whose bag holds a
+    0 (not in has_one, or mixed); each variable's two clause masks are read
+    once per call."""
     reach = []
     for u in comp:
         if log.side(u) != SIDE_VAR:
             continue
-        pos, neg = set(), set()
+        pos = neg = 0
         for c in region_clauses:
             kind = log.edge(u, c)
             if kind == POS:
-                pos.add(c)
+                pos |= 1 << c
             elif kind == NEG:
-                neg.add(c)
-        reach.append((u, pos, neg))
+                neg |= 1 << c
+        reach.append((1 << u, pos, pos | neg, neg))
     entries = []
-    for profile, value in table.items():
-        mask = set()
-        for u, pos, neg in reach:
-            if u in profile.has_one:
-                mask |= pos
-                if u in profile.mixed:
-                    mask |= neg
+    for (has_one, mixed, ones, sat), value in table.items():
+        for bit, pos, both, neg in reach:
+            if has_one & bit:
+                sat |= both if mixed & bit else pos
             else:
-                mask |= neg
-        entries.append((profile, value, mask))
+                sat |= neg
+        entries.append((has_one, mixed, ones, sat, value))
     return entries
-
-
-def _combine_entries(entry_lists, budget: int):
-    if not entry_lists:
-        yield (), _ONE, 0
-        return
-    head = entry_lists[0]
-    rest = entry_lists[1:]
-    for entry in head:
-        ones = entry[0].ones
-        if ones > budget:
-            continue
-        for chosen, value, total in _combine_entries(rest, budget - ones):
-            yield (entry,) + chosen, entry[1] * value, ones + total
 
 
 def _splits(log: ContractionLog, expanded: frozenset[int], max_region: int):
@@ -317,59 +320,60 @@ def _recompute_region(
     splits,
     weights: WeightFunction,
     budget: int,
-    memo: Mapping[frozenset[int], Record],
+    memo: Mapping[frozenset[int], Table],
     stats: dict,
-) -> Record:
-    """Record of `region`, born at step `level`, from the records of its splits.
+) -> Table:
+    """Table of `region`, born at step `level`, from the tables of its splits.
 
-    A combination's has_one, mixed and satisfied are the unions of its
-    profiles' sets, satisfied also taking their masks.  The merged pair
-    folds into z: a variable z has a 1 if x or y has one, and is mixed if it
-    also has a 0; a clause z is satisfied if x and y both are.  x and y are
-    then dropped.
+    The components fold one at a time into partial states: has_one, mixed
+    and satisfied are unions (satisfied also taking each state's clause
+    mask), ones adds up within the budget, and equal partial states sum.
+    The merged pair then folds into z: a variable z has a 1 if x or y has
+    one, and is mixed if it also has a 0; a clause z is satisfied if x and
+    y both are.  x and y are then dropped.
     """
     stats["regions_evaluated"] += 1
     x, y, z = log.steps[level - 1]
     expanded = (region - {z}) | {x, y}
     region_clauses = sorted(c for c in expanded if log.side(c) == SIDE_CLA)
     z_is_var = log.side(x) == SIDE_VAR
-    merged = {x, y}
+    pair = 1 << x | 1 << y
+    drop = ~pair
+    z_bit = 1 << z
     if splits[0][0] is not None:
         stats["large_regions"] += 1
-    out: Record = {}
+    out: Table = {}
     for peeled, components in splits:
-        entry_lists = [
-            _component_entries(log, comp, region_clauses, memo[comp]) for comp in components
-        ]
+        partial: Table = {(0, 0, 0, 0): _ONE}
+        for comp in components:
+            entries = _component_entries(log, comp, region_clauses, memo[comp])
+            folded: Table = {}
+            for (has_one, mixed, ones, sat), value in partial.items():
+                for e_has_one, e_mixed, e_ones, e_sat, e_value in entries:
+                    total = ones + e_ones
+                    if total > budget:
+                        continue
+                    key = (has_one | e_has_one, mixed | e_mixed, total, sat | e_sat)
+                    folded[key] = folded.get(key, _ZERO) + value * e_value
+            partial = folded
         peel_weight = _ONE
         if peeled is not None and log.side(peeled) == SIDE_VAR:
             peel_weight = math.prod((weights.of(-v) for v in log.bag(peeled)), start=_ONE)
-        for chosen, product, ones in _combine_entries(entry_lists, budget):
-            has_one: set[int] = set()
-            mixed: set[int] = set()
-            sat: set[int] = set()
-            for profile, _value, mask in chosen:
-                has_one |= profile.has_one
-                mixed |= profile.mixed
-                sat |= profile.satisfied
-                sat |= mask
+        for (has_one, mixed, ones, sat), value in partial.items():
             if peeled is not None:
-                if not _peel(log, expanded, peeled, region_clauses, has_one, sat):
+                sat = _peel(log, expanded, peeled, region_clauses, has_one, sat)
+                if sat is None:
                     continue
-                product *= peel_weight
+                value *= peel_weight
             if z_is_var:
-                x_one, y_one = x in has_one, y in has_one
-                if x_one or y_one:
-                    has_one.add(z)
-                    if not (x_one and y_one) or x in mixed or y in mixed:
-                        mixed.add(z)
-            elif x in sat and y in sat:
-                sat.add(z)
-            has_one -= merged
-            mixed -= merged
-            sat -= merged
-            target = Profile(region, frozenset(has_one), frozenset(mixed), ones, frozenset(sat))
-            out[target] = out.get(target, _ZERO) + product
+                if has_one & pair:
+                    has_one |= z_bit
+                    if has_one & pair != pair or mixed & pair:
+                        mixed |= z_bit
+            elif sat & pair == pair:
+                sat |= z_bit
+            key = (has_one & drop, mixed & drop, ones, sat & drop)
+            out[key] = out.get(key, _ZERO) + value
     return out
 
 
@@ -378,50 +382,52 @@ def _peel(
     expanded: frozenset[int],
     v: int,
     region_clauses: list[int],
-    has_one: set[int],
-    sat: set[int],
-) -> bool:
-    """Complete, in place, one combination of the split that peeled `v`.
+    has_one: int,
+    sat: int,
+) -> int | None:
+    """The satisfied set of one combination of the split that peeled `v`,
+    or None when the combination does not count under this peel.
 
-    The combination counts only when v is the vertex red-farthest from the
-    has_one set, so every assignment is counted under exactly one peel.
-    Then v's bag is all zero (variable) or deterministically checkable
-    (clause), because everything within red distance 2 of a 1 cannot be
-    that far vertex.  A peeled variable stays out of has_one, which is
-    what an all-zero bag means.
+    It counts only when v is the vertex red-farthest from the has_one set,
+    so every assignment is counted under exactly one peel.  Then v's bag is
+    all zero (variable) or deterministically checkable (clause), because
+    everything within red distance 2 of a 1 cannot be that far vertex.  A
+    peeled variable stays out of has_one, which is what an all-zero bag
+    means.
     """
-    chosen_v, dist = _canonical_removal(log, expanded, has_one)
+    sources = [u for u in expanded if has_one >> u & 1]
+    chosen_v, dist = _canonical_removal(log, expanded, sources)
     if chosen_v != v:
-        return False
-    if has_one:
+        return None
+    if sources:
         assert dist >= 3, "peeled vertex sits red-close to a has_one bag"
     if log.side(v) == SIDE_VAR:
         for c in region_clauses:
             if log.edge(v, c) == NEG:
-                sat.add(c)
+                sat |= 1 << c
     # clauses red-adjacent to v (and v itself when it is a clause vertex)
     # see a non-uniform edge, but every red neighbour here carries an
     # all-zero bag, so satisfaction reduces to finding a negative original
     # literal per bagged clause
     red_near_v = log.red_neighbors(v) & expanded
     for c in region_clauses:
-        if (c == v or c in red_near_v) and c not in sat:
+        if (c == v or c in red_near_v) and not sat >> c & 1:
             if _all_zero_red_satisfied(log, c, expanded, has_one):
-                sat.add(c)
-    return True
+                sat |= 1 << c
+    return sat
 
 
 def _all_zero_red_satisfied(
     log: ContractionLog,
     c: int,
     expanded: frozenset[int],
-    has_one: set[int],
+    has_one: int,
 ) -> bool:
     zero_sources = []
     for u in sorted(log.red_neighbors(c) & expanded):
         if log.side(u) != SIDE_VAR:
             continue
-        assert u not in has_one, "red neighbour of the peeled zone has a 1"
+        assert not has_one >> u & 1, "red neighbour of the peeled zone has a 1"
         zero_sources.append(u)
     for orig in log.bag(c):
         hit = False
@@ -507,7 +513,11 @@ def finalize(
 def _validated_log(graph: SignedTrigraph, seq: ContractionSequence) -> ContractionLog:
     log = ContractionLog(graph, seq, require_bipartite=True)
     if log.failure is not None:
-        raise ValueError(f"invalid contraction sequence: {log.failure}")
+        index, reason = log.failure
+        prefix = f"step {index}: "
+        if not reason.startswith(prefix):
+            reason = prefix + reason
+        raise ValueError(f"invalid contraction sequence: {reason}")
     return log
 
 
@@ -532,7 +542,39 @@ def solve_bwmc(
     if not graph.num_vertices and len(seq):
         raise ValueError("nonempty sequence for an empty incidence graph")
     log = _validated_log(graph, seq)
+    scaled = _ScaledWeights(formula, weights)
+    return Fraction(_scaled_count(formula, scaled, k, graph, log, stats), scaled.scale)
 
+
+class _ScaledWeights:
+    """Integer literal weights: each variable's pair (w(v), w(-v)) times the
+    lcm D_v of its two denominators.  Every assignment takes one weight of
+    each pair, so every term of a count is scaled by the same `scale`,
+    the product of the D_v."""
+
+    def __init__(self, formula: Formula, weights: WeightFunction) -> None:
+        self._by_literal: dict[int, int] = {}
+        self.scale = 1
+        for v in formula.variables():
+            one, zero = weights.of(v), weights.of(-v)
+            d = math.lcm(one.denominator, zero.denominator)
+            self._by_literal[v] = one.numerator * (d // one.denominator)
+            self._by_literal[-v] = zero.numerator * (d // zero.denominator)
+            self.scale *= d
+
+    def of(self, literal: int) -> int:
+        return self._by_literal[literal]
+
+
+def _scaled_count(
+    formula: Formula,
+    weights: _ScaledWeights,
+    k: int,
+    graph: SignedTrigraph,
+    log: ContractionLog,
+    stats: dict | None,
+) -> int:
+    """solve_bwmc's count times the weights' scale, all in integers."""
     if any(not clause for clause in formula.clauses):
         return _ZERO
     budget = min(k, formula.num_vars)
@@ -546,7 +588,7 @@ def solve_bwmc(
             return total
         return _ZERO
 
-    if len(seq) != graph.num_vertices - 2:
+    if len(log.steps) != graph.num_vertices - 2:
         raise ValueError(
             "the sequence must contract the incidence graph down to "
             "one variable vertex and one clause vertex"
@@ -557,10 +599,9 @@ def solve_bwmc(
         stats["width"] = log.width
     if log.edge(*log.vertices()) != RED:
         return finalize({}, log, formula, weights, k)
-    record = _region_record(
-        log, frozenset(log.vertices()), weights, budget, {}, stats if stats is not None else {}
-    )
-    return finalize(record, log, formula, weights, k)
+    region = frozenset(log.vertices())
+    table = _region_record(log, region, weights, budget, {}, stats if stats is not None else {})
+    return finalize(_profiles(region, table), log, formula, weights, k)
 
 
 def dp_records(
@@ -584,7 +625,7 @@ def dp_records(
     log = _validated_log(graph, seq)
     budget = min(k, formula.num_vars)
     max_region = _region_threshold(budget, log.width)
-    memo: dict[frozenset[int], Record] = {}
+    memo: dict[frozenset[int], Table] = {}
     if stats is None:
         stats = {}
     for level in range(len(log.steps) + 1):
@@ -592,7 +633,8 @@ def dp_records(
             graph = graph.contract(*log.steps[level - 1][:2])
         record: Record = {}
         for region in enumerate_red_connected(graph, max_region):
-            record.update(_region_record(log, region, weights, budget, memo, stats))
+            table = _region_record(log, region, weights, budget, memo, stats)
+            record.update(_profiles(region, table))
         yield graph, record
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import check_record, random_formula, random_weights
+from helpers import bounded_ones_count, check_record, random_formula, random_weights
 from test_acceptance import implication_chain, zip_sequence
 from stww.bounds import greedy_sequence
 from stww.bwmc import (
@@ -18,11 +18,13 @@ from stww.bwmc import (
     solve_bwmc,
 )
 from stww.cnf import Formula, WeightFunction
+from stww.generators import gen_random_ksat
 from stww.oracle import bwmc_oracle
 from stww.sequence import ContractionSequence
 from stww.trigraph import NEG, POS, RED, SignedTrigraph, incidence_graph
 
 EMPTY = frozenset()
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
 
 
 def fs(*items):
@@ -35,6 +37,23 @@ def or_clause():
 
 def greedy_for(formula, tie_break="smallest"):
     return greedy_sequence(incidence_graph(formula), bipartite=True, tie_break=tie_break)
+
+
+def prime_weights(rng, num_vars, zeros=True):
+    """Literal weights with numerators in -6..6 over prime denominators up
+    to 97, distinct across the literals while the primes last."""
+    literals = [lit for v in range(1, num_vars + 1) for lit in (v, -v)]
+    if len(literals) <= len(PRIMES):
+        primes = rng.sample(PRIMES, len(literals))
+    else:
+        primes = [rng.choice(PRIMES) for _ in literals]
+    table = {}
+    for lit, p in zip(literals, primes):
+        numerator = rng.randint(-6, 6)
+        if numerator == 0 and not zeros:
+            numerator = rng.choice((-1, 1))
+        table[lit] = Fraction(numerator, p)
+    return WeightFunction(table)
 
 
 # -- regions ------------------------------------------------------------------
@@ -316,3 +335,106 @@ def test_long_chains_count_exactly(n):
         + w.of(n - 1) * w.of(n) * math.prod(neg[: n - 2])
     )
     assert solve_bwmc(implication_chain(n), w, 2, zip_sequence(n)) == expected
+
+
+def test_long_chain_with_prime_denominators_counts_exactly():
+    # every variable's pair has its own denominators, so the integer
+    # dynamic program carries a scale of about 18,500 bits
+    n = 2000
+    w = prime_weights(random.Random(7), n, zeros=False)
+    neg = [w.of(-v) for v in range(1, n + 1)]
+    expected = (
+        math.prod(neg)
+        + w.of(n) * math.prod(neg[: n - 1])
+        + w.of(n - 1) * w.of(n) * math.prod(neg[: n - 2])
+    )
+    assert solve_bwmc(implication_chain(n), w, 2, zip_sequence(n)) == expected
+
+
+# -- integer weights -----------------------------------------------------------
+
+
+def test_solve_returns_a_fraction_on_every_path():
+    w = WeightFunction({1: Fraction(2, 3), -1: Fraction(-5, 7), 2: Fraction(1, 2),
+                        -2: Fraction(3, 11)})
+    red_final = Formula(2, (fs(1, 2), fs(-1)))
+    cases = [
+        (Formula(2, (fs(1, 2), fs())), 2, None),  # an empty clause
+        (Formula(2, ()), 1, None),  # no clauses
+        (Formula(0, ()), 0, None),  # no variables either
+        (Formula(2, (fs(-1), fs(-2))), 0, None),  # k = 0
+        (or_clause(), 1, None),  # black final edge: the closed form
+        (red_final, 2, ContractionSequence(((3, 4), (1, 2)), num_vertices=4)),  # the DP
+    ]
+    for formula, k, seq in cases:
+        value = solve_bwmc(formula, w, k, seq if seq is not None else greedy_for(formula))
+        assert type(value) is Fraction, (formula, k)
+        assert value == bwmc_oracle(formula, w, k), (formula, k)
+    assert value.denominator > 1  # the DP's count: the scale was divided out
+
+
+def test_prime_denominator_weights_match_the_oracle():
+    for seed in range(60):
+        rng = random.Random(700 + seed)
+        f = random_formula(rng, max_vars=10, max_clauses=12)
+        w = prime_weights(rng, f.num_vars)
+        k = rng.randint(0, f.num_vars)
+        assert solve_bwmc(f, w, k, greedy_for(f)) == bwmc_oracle(f, w, k), (seed, k)
+
+
+def test_peel_path_count_matches_the_oracle():
+    f = LARGE_BRANCH_FORMULA
+    w = WeightFunction({1: 2, -1: 3, 2: 5, -2: 7, 3: Fraction(1, 2), -3: 11, 4: -1, -4: 13,
+                        5: 17, -5: Fraction(2, 3)})
+    stats = {}
+    assert solve_bwmc(f, w, 1, greedy_for(f, "largest"), stats=stats) == bwmc_oracle(f, w, 1)
+    assert stats["large_regions"] >= 1
+
+
+# -- past the oracle: the bounded-ones reference ---------------------------------
+
+
+def test_bounded_ones_reference_matches_the_oracle():
+    for seed in range(100):
+        rng = random.Random(seed)
+        f = random_formula(rng, max_vars=10, max_clauses=12, widths=(2, 3, 4))
+        w = random_weights(rng, f.num_vars, zeros=True, negatives=True)
+        k = rng.randint(0, f.num_vars)
+        assert bounded_ones_count(f, w, k) == bwmc_oracle(f, w, k), (seed, k)
+
+
+def mostly_negative_2cnf(rng, n, m):
+    """Distinct random 2-clauses whose literals are negative with
+    probability 3/4, so that models with at most 3 ones are common."""
+    clauses = set()
+    while len(clauses) < m:
+        pair = rng.sample(range(1, n + 1), 2)
+        clauses.add(frozenset(v if rng.random() < 0.25 else -v for v in pair))
+    return Formula(n, tuple(sorted(clauses, key=sorted)))
+
+
+def test_solve_matches_the_bounded_ones_reference_past_the_oracle():
+    # n = 40 and 30 are out of bwmc_oracle's reach.  k = 1 stays out, and
+    # so does seed 2 at k = 2: both take the large-region peel path for
+    # tens of seconds (ROADMAP, the peel-path cliff).
+    checked = nonzero = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        f = mostly_negative_2cnf(rng, 40, 40)
+        w = random_weights(rng, 40, zeros=False)
+        seq = greedy_for(f)
+        for k in (2, 3):
+            if (seed, k) == (2, 2):
+                continue
+            value = solve_bwmc(f, w, k, seq)
+            assert value == bounded_ones_count(f, w, k), (seed, k)
+            checked += 1
+            nonzero += value != 0
+    for seed in range(1, 9):
+        f = gen_random_ksat(30, 3, 30, seed)
+        w = random_weights(random.Random(seed), 30, zeros=False)
+        value = solve_bwmc(f, w, 2, greedy_for(f))
+        assert value == bounded_ones_count(f, w, 2), seed
+        checked += 1
+        nonzero += value != 0
+    assert 2 * nonzero >= checked

@@ -87,6 +87,22 @@ def test_verify_rejects_cross_side_step(capsys, tmp_path, or_cnf):
     assert "cross-side" in err
 
 
+def test_bwmc_names_the_failing_step_once(capsys, tmp_path):
+    cnf = tmp_path / "s.cnf"
+    cnf.write_text("p cnf 2 1\n1 -2 0\n")
+    cross = tmp_path / "cross.tws"
+    cross.write_text("p tws 3 1\n1 3\n")
+    code, out, err = run(capsys, "bwmc", str(cnf), str(cross), "-k", "1")
+    assert code == EX_DATA and out == ""
+    assert err == "stww: invalid contraction sequence: step 0: cross-side contraction (1,3)\n"
+    # an unknown label already names its step; it is not named twice
+    unknown = tmp_path / "unknown.tws"
+    unknown.write_text("p tws 3 2\n1 2\n2 3\n")
+    code, _out, err = run(capsys, "bwmc", str(cnf), str(unknown), "-k", "1")
+    assert code == EX_DATA
+    assert err == "stww: invalid contraction sequence: step 1: unknown vertex id 2\n"
+
+
 def test_greedy_json_payload_and_no_threads_option(capsys, or_cnf):
     code, out, _err = run(capsys, "greedy", or_cnf, "--json")
     assert code == EX_OK
