@@ -59,7 +59,8 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
 
     log = ContractionLog(graph, seq)
     if log.failure is not None:
-        raise ValueError(log.failure[1])
+        idx, reason = log.failure
+        raise ValueError(f"step {idx}: {reason}")
     # the half-degree check below is against the input sequence's width d
     input_width = log.width
 

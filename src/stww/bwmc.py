@@ -513,11 +513,8 @@ def finalize(
 def _validated_log(graph: SignedTrigraph, seq: ContractionSequence) -> ContractionLog:
     log = ContractionLog(graph, seq, require_bipartite=True)
     if log.failure is not None:
-        index, reason = log.failure
-        prefix = f"step {index}: "
-        if not reason.startswith(prefix):
-            reason = prefix + reason
-        raise ValueError(f"invalid contraction sequence: {reason}")
+        idx, reason = log.failure
+        raise ValueError(f"invalid contraction sequence: step {idx}: {reason}")
     return log
 
 

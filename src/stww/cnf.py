@@ -5,6 +5,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import neg
 from typing import Iterator, Mapping
 
 # An assignment is a total map variable -> {0, 1}.
@@ -41,7 +43,9 @@ class Formula:
     variable v, -v for its negation.  Enforced invariants: every literal's
     variable lies in [1, num_vars], no clause contains a complementary pair,
     and no two clauses are equal as literal sets.  Variables occurring in no
-    clause are allowed.
+    clause are allowed.  Two passes apply the same checks: a few
+    whole-formula set operations accept a valid formula, and only when one of
+    them fails does the per-literal loop run, to name the first bad clause.
     """
 
     num_vars: int
@@ -49,9 +53,21 @@ class Formula:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "clauses", tuple(frozenset(c) for c in self.clauses))
+        clauses = tuple(map(frozenset, self.clauses))
+        object.__setattr__(self, "clauses", clauses)
         if self.num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
+        # the type check reads every literal: 1.0 == 1 would hide in a set
+        if set(map(type, chain.from_iterable(clauses))) <= {int}:
+            literals = set().union(*clauses)
+            if (
+                0 not in literals
+                and -self.num_vars <= min(literals, default=0)
+                and max(literals, default=0) <= self.num_vars
+                and all(clause.isdisjoint(map(neg, clause)) for clause in clauses)
+                and len(set(clauses)) == len(clauses)
+            ):
+                return
         seen: set[frozenset[int]] = set()
         for idx, clause in enumerate(self.clauses):
             for lit in clause:
@@ -263,7 +279,7 @@ def serialize_dimacs(formula: Formula, weights: WeightFunction | None = None) ->
     if weights is not None:
         for lit, value in weights.items():
             lines.append(f"c p weight {lit} {value} 0")
+    # Formula forbids complementary pairs, so |lit| alone gives (|lit|, sign) order
     for clause in formula.clauses:
-        lits = sorted(clause, key=_literal_key)
-        lines.append(" ".join(str(lit) for lit in lits) + " 0")
+        lines.append(" ".join(map(str, sorted(clause, key=abs))) + " 0")
     return "\n".join(lines) + "\n"

@@ -59,13 +59,21 @@ class ExactResult:
 
 
 class _Builder:
-    """Allocates variables and collects clauses, dropping exact duplicates."""
+    """Allocates variables and collects clauses, dropping exact duplicates.
+
+    Duplicates do occur: at d = 0 the degree counters of v and w both emit
+    the unit clause -r(t,v,w) for their shared red variable.  (Each
+    transitivity clause would come from all 3 rotations of its triple; that
+    rule emits only the first.)  Tautologies do not: the literals of every
+    rule name distinct variables, and Formula rejects a tautology loudly
+    should a change to the encoder ever build one.
+    """
 
     def __init__(self) -> None:
         self.count = 0
         self.legend: dict[int, tuple] = {}
-        self.clauses: list[frozenset[int]] = []
-        self._seen: set[frozenset[int]] = set()
+        # clause -> None, kept in first-insertion order
+        self.clauses: dict[frozenset[int], None] = {}
 
     def new_var(self, role: tuple) -> int:
         self.count += 1
@@ -73,12 +81,7 @@ class _Builder:
         return self.count
 
     def add(self, *lits: int) -> None:
-        clause = frozenset(lits)
-        if any(-lit in clause for lit in clause):
-            return
-        if clause not in self._seen:
-            self._seen.add(clause)
-            self.clauses.append(clause)
+        self.clauses[frozenset(lits)] = None
 
     def add_at_most(self, lits: list[int], bound: int, tag: tuple) -> None:
         """Sequential-counter cardinality constraint: at most `bound` true."""
@@ -147,9 +150,12 @@ def encode(graph: SignedTrigraph, d: int) -> EncodingArtifact:
     def rlit(t: int, a: int, c: int) -> int:
         return red[(t, a, c) if a < c else (t, c, a)]
 
-    # total elimination order
+    # total elimination order: the three rotations of (x, y, z) give the same
+    # clause, so emit the one starting at the smallest vertex, which comes
+    # first in permutation order; that leaves 2 clauses per vertex triple
     for x, y, z in permutations(vertices, 3):
-        b.add(-olit(x, y), -olit(y, z), olit(x, z))
+        if x < y and x < z:
+            b.add(-olit(x, y), -olit(y, z), olit(x, z))
 
     # last(u) <-> u comes after every same-side vertex
     for u in vertices:
@@ -182,37 +188,39 @@ def encode(graph: SignedTrigraph, d: int) -> EncodingArtifact:
                 if graph.edge(u, w) != graph.edge(v, w):
                     b.add(-parent[(u, v)], -olit(u, w), rlit(u, v, w))
 
-    # a red edge (u,w) alive at an earlier time t transfers to u's parent
+    # not_before[u][w] is the literal -o(u,w): u is not eliminated before w
+    not_before = {u: {w: -olit(u, w) for w in vertices if w != u} for u in vertices}
+
+    # a red edge (u,w) alive at an earlier time t transfers to u's parent:
+    # -r(t,u,w) | -o(t,u) | -p(u,v) | -o(u,w) | r(u,v,w), with the literals
+    # that do not depend on v looked up once per (t, u)
     for t in vertices:
         for u in vertices:
             if u == t:
                 continue
+            not_tu = not_before[t][u]
+            per_w = [(w, -rlit(t, u, w), not_before[u][w]) for w in cross_side[u] if w != t]
             for v in same_side[u]:
                 if v == t:
                     continue
-                for w in cross_side[u]:
-                    if w == t:
-                        continue
-                    b.add(
-                        -rlit(t, u, w),
-                        -olit(t, u),
-                        -parent[(u, v)],
-                        -olit(u, w),
-                        rlit(u, v, w),
-                    )
+                not_parent = -parent[(u, v)]
+                for w, not_red, not_uw in per_w:
+                    b.add(not_red, not_tu, not_parent, not_uw, rlit(u, v, w))
 
-    # red edges persist while both endpoints stay alive
+    # red edges persist while both endpoints stay alive:
+    # -r(t,a,c) | -o(t,u) | -o(u,a) | -o(u,c) | r(u,a,c)
     red_at: dict[int, list[tuple[int, int, int]]] = {t: [] for t in vertices}
     for (t, a, c), var in red.items():
-        red_at[t].append((a, c, var))
+        red_at[t].append((a, c, -var))
     for t in vertices:
-        for u2 in vertices:
-            if u2 == t:
+        for u in vertices:
+            if u == t:
                 continue
-            for a, c, var in red_at[t]:
-                if a == u2 or c == u2:
+            not_tu, not_u = not_before[t][u], not_before[u]
+            for a, c, not_red in red_at[t]:
+                if a == u or c == u:
                     continue
-                b.add(-var, -olit(t, u2), -olit(u2, a), -olit(u2, c), rlit(u2, a, c))
+                b.add(not_red, not_tu, not_u[a], not_u[c], rlit(u, a, c))
 
     # after any step, every vertex has at most d red edges
     for t in vertices:

@@ -117,7 +117,7 @@ class ContractionLog:
         for idx, (keep, merge) in enumerate(seq.steps):
             unknown = [label for label in (keep, merge) if label not in label_to_vertex]
             if unknown:
-                self.failure = (idx, f"step {idx}: unknown vertex id {unknown[0]}")
+                self.failure = (idx, f"unknown vertex id {unknown[0]}")
                 return
             x, y = label_to_vertex[keep], label_to_vertex.pop(merge)
             if side[x] is None or side[x] != side[y]:
@@ -191,7 +191,8 @@ def replay(graph: SignedTrigraph, seq: ContractionSequence) -> Iterator[ReplaySt
         yield ReplayStep(idx, *seq.steps[idx], x, y, z, current, after)
         current = after
     if log.failure is not None:
-        raise ValueError(log.failure[1])
+        idx, reason = log.failure
+        raise ValueError(f"step {idx}: {reason}")
 
 
 def verify(
@@ -226,7 +227,8 @@ def final_graph(graph: SignedTrigraph, seq: ContractionSequence) -> SignedTrigra
     """
     log = ContractionLog(graph, seq)
     if log.failure is not None:
-        raise ValueError(log.failure[1])
+        idx, reason = log.failure
+        raise ValueError(f"step {idx}: {reason}")
     current = log.vertices()
     alive = set(current)
     return SignedTrigraph(

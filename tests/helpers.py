@@ -49,6 +49,21 @@ def random_weights(rng, num_vars, zeros=True, negatives=True):
     return WeightFunction(table)
 
 
+def reference_formula_check(num_vars, clauses):
+    """Reference for Formula's clause checks: the per-literal loop, raising
+    the ValueError of the first bad clause, or returning None."""
+    seen = set()
+    for idx, clause in enumerate(clauses):
+        for lit in clause:
+            if not isinstance(lit, int) or lit == 0 or abs(lit) > num_vars:
+                raise ValueError(f"clause {idx}: literal {lit!r} out of range")
+            if -lit in clause:
+                raise ValueError(f"clause {idx}: complementary pair on variable {abs(lit)}")
+        if clause in seen:
+            raise ValueError(f"clause {idx}: duplicate clause")
+        seen.add(clause)
+
+
 def random_bipartite_graph(rng, max_n=30, p=0.3, min_n=2):
     """Random sided signed graph, edges only across the two sides."""
     n = rng.randint(min_n, max_n)
@@ -137,7 +152,7 @@ def reference_verify(graph, seq, require_bipartite=False):
     for idx, (keep, merge) in enumerate(seq.steps):
         unknown = [label for label in (keep, merge) if label not in labels]
         if unknown:
-            failure = (idx, f"step {idx}: unknown vertex id {unknown[0]}")
+            failure = (idx, f"unknown vertex id {unknown[0]}")
             break
         u, v = labels.pop(keep), labels.pop(merge)
         if g.side(u) is None or g.side(u) != g.side(v):

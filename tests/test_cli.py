@@ -103,6 +103,19 @@ def test_bwmc_names_the_failing_step_once(capsys, tmp_path):
     assert err == "stww: invalid contraction sequence: step 1: unknown vertex id 2\n"
 
 
+def test_verify_names_the_failing_step_once(capsys, tmp_path):
+    cnf = tmp_path / "s.cnf"
+    cnf.write_text("p cnf 2 1\n1 -2 0\n")
+    unknown = tmp_path / "unknown.tws"
+    unknown.write_text("p tws 3 2\n1 2\n2 3\n")
+    code, _out, err = run(capsys, "verify", str(cnf), str(unknown))
+    assert code == EX_INVALID_SEQUENCE
+    assert err == "invalid sequence at step 1: unknown vertex id 2\n"
+    code, out, _err = run(capsys, "verify", str(cnf), str(unknown), "--json")
+    assert code == EX_INVALID_SEQUENCE
+    assert json.loads(out) == {"ok": False, "step": 1, "reason": "unknown vertex id 2"}
+
+
 def test_greedy_json_payload_and_no_threads_option(capsys, or_cnf):
     code, out, _err = run(capsys, "greedy", or_cnf, "--json")
     assert code == EX_OK

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_formula, random_weights
+from helpers import random_formula, random_weights, reference_formula_check
 from stww.cnf import (
     Formula,
     FormulaWarning,
@@ -42,6 +42,56 @@ def test_formula_rejections():
         Formula(2, (frozenset({1, 2}), frozenset({2, 1})))
     with pytest.raises(ValueError, match="nonnegative"):
         Formula(-1, ())
+
+
+def random_clause_list(rng):
+    """Valid clauses over 1..4, each with a small chance of one defect."""
+    clauses = []
+    for _ in range(rng.randint(0, 6)):
+        clause = {v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 5), rng.randint(1, 3))}
+        roll = rng.random()
+        if roll < 0.04:
+            clause.add(0)
+        elif roll < 0.08:
+            clause.add(rng.choice((5, -5, 9)))
+        elif roll < 0.12:
+            clause = {1.0, *(lit for lit in clause if abs(lit) != 1)}
+        elif roll < 0.16:
+            clause.add(True)
+        elif roll < 0.20:
+            clause.add(-next(iter(clause)))
+        elif roll < 0.24 and clauses:
+            clause = set(rng.choice(clauses))
+        elif roll < 0.27:
+            clause = set()
+        clauses.append(frozenset(clause))
+    return clauses
+
+
+def test_formula_rejects_exactly_what_the_reference_loop_rejects():
+    outcomes = set()
+    for seed in range(400):
+        clauses = random_clause_list(random.Random(seed))
+        try:
+            reference_formula_check(4, clauses)
+            expected = None
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            Formula(4, clauses)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, (seed, clauses)
+        outcomes.add(expected.split(": ", 1)[1].split()[0] if expected else None)
+    # every verdict occurs: accepted, out of range (0, 5, 1.0), complementary, duplicate
+    assert outcomes == {None, "literal", "complementary", "duplicate"}
+
+
+def test_formula_checks_the_type_of_every_literal():
+    with pytest.raises(ValueError, match=r"clause 1: literal 1.0 out of range"):
+        Formula(2, (frozenset({1}), frozenset({1.0, 2})))
+    assert Formula(2, (frozenset({True, 2}),)).num_clauses == 1
 
 
 def test_normalized_orders_clauses():
@@ -146,6 +196,16 @@ def test_dimacs_round_trip(seed):
     assert g.num_vars == f.num_vars
     assert g.clauses == f.clauses
     assert u == w
+
+
+def test_serialize_orders_literals_by_variable_then_sign():
+    assert serialize_dimacs(Formula(3, [frozenset({-3, 2, -1})])) == "p cnf 3 1\n-1 2 -3 0\n"
+    weights = WeightFunction({-2: Fraction(1, 3), 2: Fraction(2, 3), 1: 5})
+    assert serialize_dimacs(Formula(2), weights).splitlines()[1:] == [
+        "c p weight 1 5 0",
+        "c p weight 2 2/3 0",
+        "c p weight -2 1/3 0",
+    ]
 
 
 def test_serialize_without_weights_has_no_weight_lines():

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from math import comb
 
 import pytest
 
@@ -13,8 +15,9 @@ from stww.encoding import (
     exact_tww_via_solver,
     run_solver,
 )
+from stww.generators import gen_random_ksat
 from stww.sequence import verify
-from stww.trigraph import NEG, POS, RED, SignedTrigraph
+from stww.trigraph import NEG, POS, RED, SignedTrigraph, incidence_graph
 
 
 def two_by_two():
@@ -33,6 +36,24 @@ def test_encode_guards():
         encode(red, 1)
     with pytest.raises(ValueError, match="nonnegative"):
         encode(two_by_two(), -1)
+
+
+def test_encoding_text_is_pinned():
+    # d = 0 emits the same unit clause from two degree counters; the pin
+    # holds the clause order and the literal order within each line
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        graph = incidence_graph(gen_random_ksat(4, 3, 6, seed))
+        for d in range(4):
+            artifact = encode(graph, d)
+            digest.update(serialize_dimacs(artifact.cnf).encode())
+            # transitivity is the only rule over order variables alone
+            transitivity = [
+                clause for clause in artifact.cnf.clauses
+                if all(artifact.legend[abs(lit)][0] == "order" for lit in clause)
+            ]
+            assert len(transitivity) == 2 * comb(graph.num_vertices, 3)
+    assert digest.hexdigest() == "528d78efe95dc511ba0939630a05472c9b1a829c00693b3f7ba3760748bf5fd8"
 
 
 def test_run_solver_parses_competition_output(tmp_path):
