@@ -3,15 +3,11 @@
 The transform walks the input sequence once.  Every vertex of the current
 input graph owns two halves, its intersections with the two sides; the
 output graph keeps those halves as separate vertices.  An input contraction
-of u and v into w then falls into one of three cases:
-
-  * both u and v lie entirely in one side: contract their representatives
-    if the sides agree, otherwise do nothing (the halves of w already exist
-    as two output vertices);
-  * exactly one of the four halves is empty: contract the two halves on the
-    side where both exist;
-  * all four halves exist: a double step, contracting the side-0 halves
-    first and the side-1 halves second.
+of u and v into w then applies one rule per side, side 0 first: where u
+and v both have a half on that side, contract the two; where only one
+does, it becomes w's half unchanged.  So a contraction of u and v on
+opposite sides makes no output step, and one where all four halves exist
+is a double step.
 
 The output width exceeds the input width by at most 2, and the output has
 at most twice as many steps.
@@ -57,10 +53,7 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
         if graph.side(v) is None:
             raise ValueError(f"vertex {v} has no side; bipartize needs a sided graph")
 
-    log = ContractionLog(graph, seq)
-    if log.failure is not None:
-        idx, reason = log.failure
-        raise ValueError(f"step {idx}: {reason}")
+    log = ContractionLog(graph, seq).check()
     # the half-degree check below is against the input sequence's width d
     input_width = log.width
 
@@ -95,34 +88,17 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
 
     check_half_degrees(halves)
     for index, (x, y, z) in enumerate(log.steps):
-        ua, ub = halves.pop(x)
-        va, vb = halves.pop(y)
-        empties = sum(1 for half in (ua, ub, va, vb) if half is None)
-        if empties == 2:
-            if ua is not None and va is not None:
-                halves[z] = (contract_out(ua, va, index), None)
-            elif ub is not None and vb is not None:
-                halves[z] = (None, contract_out(ub, vb, index))
-            else:
-                # u and v sit on opposite sides; w's halves already exist
-                halves[z] = (ua if ua is not None else va,
-                             ub if ub is not None else vb)
-        elif empties == 1:
-            if ua is not None and va is not None:
-                halves[z] = (
-                    contract_out(ua, va, index),
-                    ub if ub is not None else vb,
-                )
-            else:
-                halves[z] = (
-                    ua if ua is not None else va,
-                    contract_out(ub, vb, index),
-                )
-        else:
-            merged_a = contract_out(ua, va, index)
-            doubled.add(len(out.steps) - 1)
-            merged_b = contract_out(ub, vb, index)
-            halves[z] = (merged_a, merged_b)
+        first = len(out.steps)
+        # side 0 first, so a double step's intermediate graph has merged
+        # the side-0 halves
+        halves[z] = tuple(
+            contract_out(u_half, v_half, index)
+            if u_half is not None and v_half is not None
+            else (u_half if u_half is not None else v_half)
+            for u_half, v_half in zip(halves.pop(x), halves.pop(y))
+        )
+        if len(out.steps) - first == 2:
+            doubled.add(first)
         check_half_degrees(halves)
 
     n = max(graph.vertices(), default=0)

@@ -15,11 +15,15 @@ carry satisfaction and the ones budget across contractions:
 A record maps profiles to the total weight of the assignments realizing
 them; a profile is realizable iff it is present (the value may be 0 when
 weights vanish or cancel).  Records are built per region on demand: the
-region of the final two-vertex graph is evaluated children first off a
-stack, each region once, which keeps the work proportional to the regions
-actually touched instead of every red-connected set of every level.
-`dp_records` reads the same memoized records for every red-connected region
-of every level, for cross-checking against `realizes`.
+red components of the final two-vertex graph, one variable vertex a and
+one clause vertex c, are evaluated children first off a stack, each
+region once, which keeps the work proportional to the regions actually
+touched instead of every red-connected set of every level.  `finalize`
+reads the count off them by one rule: the weight of the profiles with at
+most k ones under which c is satisfied, read from {a, c} when the final
+edge is red and from a's own profiles across a black edge.  `dp_records`
+reads the same memoized records for every red-connected region of every
+level, for cross-checking against `realizes`.
 
 Inside the memo a region's record is a table keyed by the state
 (has_one, mixed, ones, satisfied), the three sets as int bitsets over vertex
@@ -185,7 +189,7 @@ def base_record(graph: SignedTrigraph, weights: WeightFunction) -> Record:
 def _canonical_removal(graph: SignedTrigraph, region: frozenset[int], sources) -> tuple[int, float]:
     """The region vertex red-farthest from `sources`, ties to the smallest id."""
     dist = {v: math.inf for v in region}
-    queue = sorted(sources)
+    queue = list(sources)
     for s in queue:
         dist[s] = 0
     while queue:
@@ -195,7 +199,7 @@ def _canonical_removal(graph: SignedTrigraph, region: frozenset[int], sources) -
                 if w in region and dist[w] == math.inf:
                     dist[w] = dist[u] + 1
                     nxt.append(w)
-        queue = sorted(nxt)
+        queue = nxt
     best = min(region, key=lambda v: (-dist[v], v))
     return best, dist[best]
 
@@ -423,12 +427,10 @@ def _all_zero_red_satisfied(
     expanded: frozenset[int],
     has_one: int,
 ) -> bool:
-    zero_sources = []
-    for u in sorted(log.red_neighbors(c) & expanded):
-        if log.side(u) != SIDE_VAR:
-            continue
+    # in a bipartite sequence a clause's red neighbours are variable vertices
+    zero_sources = log.red_neighbors(c) & expanded
+    for u in zero_sources:
         assert not has_one >> u & 1, "red neighbour of the peeled zone has a 1"
-        zero_sources.append(u)
     for orig in log.bag(c):
         hit = False
         for u in zero_sources:
@@ -459,63 +461,43 @@ def _budget_poly(weights: WeightFunction, variables, cap: int) -> list[Fraction]
     return poly
 
 
-def _single_clause_count(formula: Formula, weights: WeightFunction, k: int) -> Fraction:
-    cap = min(k, formula.num_vars)
-    everyone = list(formula.variables())
-    total = sum(_budget_poly(weights, everyone, cap), _ZERO)
-    if formula.num_clauses == 0:
-        return total
-    if formula.num_clauses > 1:
-        raise ValueError("closed form only covers formulas with at most one clause")
-    (clause,) = formula.clauses
-    forced_ones = sum(1 for lit in clause if lit < 0)
-    if forced_ones > cap:
-        return total
-    violating = _ONE
-    for lit in clause:
-        violating *= weights.of(-lit)
-    free = [v for v in everyone if v not in {abs(lit) for lit in clause}]
-    tail = _budget_poly(weights, free, cap - forced_ones)
-    return total - violating * sum(tail, _ZERO)
-
-
-def finalize(
-    record: Record,
-    graph: SignedTrigraph,
-    formula: Formula,
-    weights: WeightFunction,
-    k: int,
-) -> Fraction:
+def finalize(record: Record, graph: SignedTrigraph, k: int) -> Fraction:
     """Read the count off the fully contracted two-vertex graph.
 
-    With a red edge, the answer is the total weight of profiles covering
-    both vertices whose clause vertex is satisfied.  Without one, the black
-    edge (or its absence) is uniform over all bagged pairs, which forces the
-    formula to have collapsed to at most one distinct clause; that case has
-    a direct closed form.
+    The count is the total weight of the profiles with at most k ones under
+    which the clause vertex c is satisfied.  With a red edge, those are the
+    profiles of the region {a, c} that list c as satisfied.  Any other edge
+    is uniform over all bagged pairs, so the variable vertex a's {a}
+    profiles decide, by the black-edge rule: a positive edge needs a 1 in
+    a's bag, a negative edge a 0, and no edge is never satisfied.
     """
     vertices = graph.vertices()
     if len(vertices) != 2 or {graph.side(v) for v in vertices} != {SIDE_VAR, SIDE_CLA}:
         raise ValueError("expected a fully contracted graph: one variable and one clause vertex")
-    a, b = vertices
-    clause_vertex = a if graph.side(a) == SIDE_CLA else b
-    if graph.edge(a, b) == RED:
-        region = frozenset(vertices)
-        wanted = frozenset((clause_vertex,))
-        total = _ZERO
-        for profile, value in record.items():
-            if profile.region == region and profile.satisfied == wanted and profile.ones <= k:
-                total += value
-        return total
-    return _single_clause_count(formula, weights, k)
+    a, c = sorted(vertices, key=graph.side)
+    kind = graph.edge(a, c)
+    total = _ZERO
+    for profile, value in record.items():
+        if profile.ones > k:
+            continue
+        if kind == RED:
+            counts = profile.region == {a, c} and c in profile.satisfied
+        elif kind == POS:
+            counts = profile.region == {a} and a in profile.has_one
+        elif kind == NEG:
+            counts = profile.region == {a} and (a not in profile.has_one or a in profile.mixed)
+        else:
+            counts = False
+        if counts:
+            total += value
+    return total
 
 
 def _validated_log(graph: SignedTrigraph, seq: ContractionSequence) -> ContractionLog:
-    log = ContractionLog(graph, seq, require_bipartite=True)
-    if log.failure is not None:
-        idx, reason = log.failure
-        raise ValueError(f"invalid contraction sequence: step {idx}: {reason}")
-    return log
+    try:
+        return ContractionLog(graph, seq, require_bipartite=True).check()
+    except ValueError as err:
+        raise ValueError(f"invalid contraction sequence: {err}") from None
 
 
 def solve_bwmc(
@@ -530,8 +512,10 @@ def solve_bwmc(
     The sequence must be a valid bipartite contraction sequence of the
     formula's incidence graph; when the dynamic program runs (at least one
     clause and a positive budget) it must be maximal, ending at one variable
-    and one clause vertex.  `stats`, when given, collects region counters
-    and the size estimates for the run.
+    and one clause vertex, and `finalize` reads the count off the records
+    of that last level, whatever its edge.  Without a clause or without a
+    budget the count has a closed form.  `stats`, when given, collects
+    region counters and the size estimates for the run.
     """
     if k < 0:
         raise ValueError("the ones budget k must be nonnegative")
@@ -594,11 +578,12 @@ def _scaled_count(
         estimate = estimate_bounds(graph.num_vertices, budget, log.width)
         stats["estimate"] = estimate
         stats["width"] = log.width
-    if log.edge(*log.vertices()) != RED:
-        return finalize({}, log, formula, weights, k)
-    region = frozenset(log.vertices())
-    table = _region_record(log, region, weights, budget, {}, stats if stats is not None else {})
-    return finalize(_profiles(region, table), log, formula, weights, k)
+    memo: dict[frozenset[int], Table] = {}
+    counters = stats if stats is not None else {}
+    record: Record = {}
+    for region in _red_components(log, log.vertices()):
+        record.update(_profiles(region, _region_record(log, region, weights, budget, memo, counters)))
+    return finalize(record, log, k)
 
 
 def dp_records(

@@ -149,6 +149,13 @@ class ContractionLog:
             side[z] = side[x] if side[x] == side[y] else None
             label_to_vertex[keep] = z
 
+    def check(self) -> ContractionLog:
+        """The log itself, or ValueError('step i: reason') at its failure."""
+        if self.failure is not None:
+            idx, reason = self.failure
+            raise ValueError(f"step {idx}: {reason}")
+        return self
+
     def vertices(self) -> list[int]:
         return sorted(self._red_degree)
 
@@ -190,9 +197,7 @@ def replay(graph: SignedTrigraph, seq: ContractionSequence) -> Iterator[ReplaySt
         after = current.contract(x, y)
         yield ReplayStep(idx, *seq.steps[idx], x, y, z, current, after)
         current = after
-    if log.failure is not None:
-        idx, reason = log.failure
-        raise ValueError(f"step {idx}: {reason}")
+    log.check()
 
 
 def verify(
@@ -213,11 +218,7 @@ def verify(
 
 def width_of(graph: SignedTrigraph, seq: ContractionSequence) -> int:
     """Width of one verified sequence (an upper bound on the twin-width)."""
-    report = verify(graph, seq)
-    if not report.ok:
-        idx, reason = report.failure
-        raise ValueError(f"sequence does not verify at step {idx}: {reason}")
-    return report.width
+    return ContractionLog(graph, seq).check().width
 
 
 def final_graph(graph: SignedTrigraph, seq: ContractionSequence) -> SignedTrigraph:
@@ -225,10 +226,7 @@ def final_graph(graph: SignedTrigraph, seq: ContractionSequence) -> SignedTrigra
 
     Raises the same ValueError as replay if a label is unknown.
     """
-    log = ContractionLog(graph, seq)
-    if log.failure is not None:
-        idx, reason = log.failure
-        raise ValueError(f"step {idx}: {reason}")
+    log = ContractionLog(graph, seq).check()
     current = log.vertices()
     alive = set(current)
     return SignedTrigraph(

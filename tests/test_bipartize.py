@@ -59,6 +59,19 @@ def test_index_map_marks_double_steps():
         assert count in (1, 2)
 
 
+def test_doubled_steps_are_exactly_the_repeated_input_indices():
+    doubles = 0
+    for seed in range(30):
+        g = random_bipartite_graph(random.Random(seed), max_n=14)
+        for tie_break in ("smallest", "largest"):
+            result = bipartize(g, greedy_sequence(g, tie_break=tie_break))
+            index_map = result.index_map
+            repeated = {i for i in index_map if index_map[i] == index_map.get(i + 1)}
+            assert result.doubled_steps == repeated, (seed, tie_break)
+            doubles += len(repeated)
+    assert doubles > 0
+
+
 def test_requires_sides():
     g = SignedTrigraph([1, 2], [(1, 2, POS)])
     with pytest.raises(ValueError, match="side"):

@@ -20,8 +20,8 @@ from stww.bwmc import (
 from stww.cnf import Formula, WeightFunction
 from stww.generators import gen_random_ksat
 from stww.oracle import bwmc_oracle
-from stww.sequence import ContractionSequence
-from stww.trigraph import NEG, POS, RED, SignedTrigraph, incidence_graph
+from stww.sequence import ContractionSequence, final_graph
+from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
 EMPTY = frozenset()
 PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
@@ -164,6 +164,45 @@ def test_red_final_edge_goes_through_the_dynamic_program():
     assert stats["estimate"].max_region_size == 10
 
 
+def test_one_clause_over_every_variable_goes_through_the_dynamic_program():
+    # a single clause holding every variable with one sign is the only
+    # formula whose final edge is black; the DP still counts it
+    rng = random.Random(11)
+    for n in range(1, 10):
+        for sign, kind in ((1, POS), (-1, NEG)):
+            f = Formula(n, (frozenset(sign * v for v in range(1, n + 1)),))
+            w = prime_weights(rng, n)
+            for tie_break in ("smallest", "largest"):
+                seq = greedy_for(f, tie_break)
+                final = final_graph(incidence_graph(f), seq)
+                assert final.edge(*final.vertices()) == kind
+                for k in range(1, n + 2):
+                    stats = {}
+                    value = solve_bwmc(f, w, k, seq, stats=stats)
+                    assert value == bwmc_oracle(f, w, k), (n, sign, tie_break, k)
+                    # one region per variable merge, none without one
+                    assert stats["regions_evaluated"] == n - 1
+
+
+def test_finalize_reads_the_variable_vertex_across_a_black_edge():
+    a, c = 1, 2
+    record = {
+        Profile(fs(a), fs(a), EMPTY, 2, EMPTY): Fraction(3),  # all ones
+        Profile(fs(a), fs(a), fs(a), 1, EMPTY): Fraction(5),  # a 1 and a 0
+        Profile(fs(a), EMPTY, EMPTY, 0, EMPTY): Fraction(7),  # all zeros
+        Profile(fs(c), EMPTY, EMPTY, 0, EMPTY): Fraction(11),  # c alone never counts
+    }
+    sides = {a: SIDE_VAR, c: SIDE_CLA}
+    positive = SignedTrigraph([a, c], [(a, c, POS)], sides=sides)
+    negative = SignedTrigraph([a, c], [(a, c, NEG)], sides=sides)
+    unlinked = SignedTrigraph([a, c], [], sides=sides)
+    assert finalize(record, positive, 2) == 3 + 5
+    assert finalize(record, positive, 1) == 5
+    assert finalize(record, negative, 2) == 5 + 7
+    assert finalize(record, negative, 0) == 7
+    assert finalize(record, unlinked, 2) == 0
+
+
 def test_zero_budget_paths():
     all_negative = Formula(2, (fs(-1), fs(-2)))
     seq = greedy_for(all_negative)
@@ -209,7 +248,7 @@ def test_input_guards():
 def test_finalize_requires_two_vertex_graph():
     f = or_clause()
     with pytest.raises(ValueError, match="fully contracted"):
-        finalize({}, incidence_graph(f), f, WeightFunction(), 1)
+        finalize({}, incidence_graph(f), 1)
 
 
 # -- cross-checks --------------------------------------------------------------
@@ -242,7 +281,7 @@ def test_large_region_branch_fires_and_agrees():
     final_graph, record = None, None
     for final_graph, record in dp_records(f, w, 1, seq, stats=forward_stats):
         pass
-    assert finalize(record, final_graph, f, w, 1) == expected
+    assert finalize(record, final_graph, 1) == expected
     assert forward_stats["large_regions"] >= 1
 
 
@@ -309,7 +348,7 @@ def test_dp_records_finalize_matches_solve():
         graph, record = None, None
         for graph, record in dp_records(f, w, k, seq):
             pass
-        assert finalize(record, graph, f, w, k) == solve_bwmc(f, w, k, seq)
+        assert finalize(record, graph, k) == solve_bwmc(f, w, k, seq)
 
 
 def test_estimate_bounds_formulas():
@@ -363,7 +402,7 @@ def test_solve_returns_a_fraction_on_every_path():
         (Formula(2, ()), 1, None),  # no clauses
         (Formula(0, ()), 0, None),  # no variables either
         (Formula(2, (fs(-1), fs(-2))), 0, None),  # k = 0
-        (or_clause(), 1, None),  # black final edge: the closed form
+        (or_clause(), 1, None),  # black final edge: the DP counts it too
         (red_final, 2, ContractionSequence(((3, 4), (1, 2)), num_vertices=4)),  # the DP
     ]
     for formula, k, seq in cases:

@@ -87,6 +87,14 @@ def test_verify_rejects_cross_side_step(capsys, tmp_path, or_cnf):
     assert "cross-side" in err
 
 
+def test_bwmc_stats_at_zero_budget_name_the_closed_form(capsys, tmp_path, or_cnf):
+    seq = greedy_to_file(capsys, tmp_path, or_cnf)
+    code, out, err = run(capsys, "bwmc", or_cnf, seq, "-k", "0", "--stats")
+    assert code == EX_OK
+    assert out.splitlines()[0] == "0"
+    assert err == "stats: solved in closed form, no dynamic program ran\n"
+
+
 def test_bwmc_names_the_failing_step_once(capsys, tmp_path):
     cnf = tmp_path / "s.cnf"
     cnf.write_text("p cnf 2 1\n1 -2 0\n")
