@@ -25,6 +25,13 @@ edge is red and from a's own profiles across a black edge.  `dp_records`
 reads the same memoized records for every red-connected region of every
 level, for cross-checking against `realizes`.
 
+No record is kept for a region past the cap k(d² + 1).  When a merge
+would grow a capped region past it, the expansion peels one vertex: for
+each state, the vertex red-farthest from its has_one set.  That set holds
+at most k variable vertices, so only the farthest vertices of such sets
+are peeled, and one BFS per set gives the table the peel reads its
+vertex from.
+
 Inside the memo a region's record is a table keyed by the state
 (has_one, mixed, ones, satisfied), the three sets as int bitsets over vertex
 ids (bit v is vertex v); the region is the memo key.  `Profile`s are built
@@ -37,6 +44,7 @@ The same code runs on the caller's `Fraction` weights in `dp_records`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,9 +66,11 @@ class Profile(NamedTuple):
     satisfied: frozenset[int]
 
 
-Record = dict[Profile, Fraction]
+Record = dict[Profile, int | Fraction]
 # state (has_one, mixed, ones, satisfied), the three sets as vertex bitsets
 Table = dict[tuple[int, int, int, int], int | Fraction]
+# a capped expansion's has_one bitsets -> (canonical removal, its red distance)
+Removals = dict[int, tuple[int, float]]
 
 
 @dataclass(frozen=True)
@@ -221,6 +231,7 @@ def _region_record(
     """
     stats.setdefault("regions_evaluated", 0)
     stats.setdefault("large_regions", 0)
+    stats.setdefault("peel_candidates", 0)
     max_region = _region_threshold(budget, log.width)
     stack = [region]
     while stack:
@@ -235,12 +246,12 @@ def _region_record(
             memo[top] = _singleton_record(log, v, weights)
             continue
         x, y, z = log.steps[level - 1]
-        splits = _splits(log, (top - {z}) | {x, y}, max_region)
+        splits, removals = _splits(log, (top - {z}) | {x, y}, max_region, budget)
         missing = [comp for _, components in splits for comp in components if comp not in memo]
         if missing:
             stack.extend(missing)
             continue
-        memo[top] = _recompute_region(log, level, top, splits, weights, budget, memo, stats)
+        memo[top] = _recompute_region(log, level, top, splits, removals, weights, budget, memo, stats)
     return memo[region]
 
 
@@ -300,21 +311,36 @@ def _component_entries(
     return entries
 
 
-def _splits(log: ContractionLog, expanded: frozenset[int], max_region: int):
-    """How the record of a merge over `expanded` is assembled, as a list of
-    (peeled vertex or None, red components with records).
+def _splits(log: ContractionLog, expanded: frozenset[int], max_region: int, budget: int):
+    """How the record of a merge over `expanded` is assembled: a list of
+    (peeled vertex or None, red components with records), and the
+    canonical removals the peel path looks up (None without a peel).
 
     Normally one split: the red components of `expanded`, nothing peeled.
     When a component is too large to have a record, `expanded` is one
-    component of a capped region plus its merged pair, and each vertex in
-    turn is peeled off, leaving the red components of the rest.
+    component of a capped region plus its merged pair, and one vertex is
+    peeled off, leaving the red components of the rest.  A state counts
+    only under the peel of the canonical removal of its has_one set, which
+    holds at most `budget` variable vertices; so only the removals of such
+    sets S are peeled, and each S (as a bitset) maps to its removal and
+    distance, one BFS per S.
     """
     components = _red_components(log, expanded)
     if all(len(comp) <= max_region for comp in components):
         assert len(components) <= log.width + 2, "component count exceeds red-degree bound"
-        return [(None, components)]
+        return [(None, components)], None
     assert len(components) == 1 and len(expanded) == max_region + 1
-    return [(v, _red_components(log, expanded - {v})) for v in sorted(expanded)]
+    variables = sorted(v for v in expanded if log.side(v) == SIDE_VAR)
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(variables, size) for size in range(budget + 1)
+    )
+    removals: Removals = {
+        sum(1 << u for u in sources): _canonical_removal(log, expanded, sources)
+        for sources in subsets
+    }
+    candidates = sorted({v for v, _ in removals.values()})
+    splits = [(v, _red_components(log, expanded - {v})) for v in candidates]
+    return splits, removals
 
 
 def _recompute_region(
@@ -322,6 +348,7 @@ def _recompute_region(
     level: int,
     region: frozenset[int],
     splits,
+    removals: Removals | None,
     weights: WeightFunction,
     budget: int,
     memo: Mapping[frozenset[int], Table],
@@ -344,8 +371,9 @@ def _recompute_region(
     pair = 1 << x | 1 << y
     drop = ~pair
     z_bit = 1 << z
-    if splits[0][0] is not None:
+    if removals is not None:
         stats["large_regions"] += 1
+        stats["peel_candidates"] += len(splits)
     out: Table = {}
     for peeled, components in splits:
         partial: Table = {(0, 0, 0, 0): _ONE}
@@ -365,7 +393,7 @@ def _recompute_region(
             peel_weight = math.prod((weights.of(-v) for v in log.bag(peeled)), start=_ONE)
         for (has_one, mixed, ones, sat), value in partial.items():
             if peeled is not None:
-                sat = _peel(log, expanded, peeled, region_clauses, has_one, sat)
+                sat = _peel(log, expanded, peeled, region_clauses, has_one, sat, removals)
                 if sat is None:
                     continue
                 value *= peel_weight
@@ -388,22 +416,23 @@ def _peel(
     region_clauses: list[int],
     has_one: int,
     sat: int,
+    removals: Removals,
 ) -> int | None:
     """The satisfied set of one combination of the split that peeled `v`,
     or None when the combination does not count under this peel.
 
     It counts only when v is the vertex red-farthest from the has_one set,
-    so every assignment is counted under exactly one peel.  Then v's bag is
+    read off `removals` (the table `_splits` built for this region), so
+    every assignment is counted under exactly one peel.  Then v's bag is
     all zero (variable) or deterministically checkable (clause), because
     everything within red distance 2 of a 1 cannot be that far vertex.  A
     peeled variable stays out of has_one, which is what an all-zero bag
     means.
     """
-    sources = [u for u in expanded if has_one >> u & 1]
-    chosen_v, dist = _canonical_removal(log, expanded, sources)
+    chosen_v, dist = removals[has_one]
     if chosen_v != v:
         return None
-    if sources:
+    if has_one:
         assert dist >= 3, "peeled vertex sits red-close to a has_one bag"
     if log.side(v) == SIDE_VAR:
         for c in region_clauses:
@@ -446,7 +475,7 @@ def _region_threshold(k: int, d: int) -> int:
     return k * (d * d + 1)
 
 
-def _budget_poly(weights: WeightFunction, variables, cap: int) -> list[Fraction]:
+def _budget_poly(weights: WeightFunction, variables, cap: int) -> list[int | Fraction]:
     """Coefficient j = total weight of assignments with exactly j ones."""
     poly = [_ONE]
     for v in variables:
@@ -461,7 +490,7 @@ def _budget_poly(weights: WeightFunction, variables, cap: int) -> list[Fraction]
     return poly
 
 
-def finalize(record: Record, graph: SignedTrigraph, k: int) -> Fraction:
+def finalize(record: Record, graph: SignedTrigraph, k: int) -> int | Fraction:
     """Read the count off the fully contracted two-vertex graph.
 
     The count is the total weight of the profiles with at most k ones under
@@ -469,7 +498,9 @@ def finalize(record: Record, graph: SignedTrigraph, k: int) -> Fraction:
     profiles of the region {a, c} that list c as satisfied.  Any other edge
     is uniform over all bagged pairs, so the variable vertex a's {a}
     profiles decide, by the black-edge rule: a positive edge needs a 1 in
-    a's bag, a negative edge a 0, and no edge is never satisfied.
+    a's bag, a negative edge a 0, and no edge is never satisfied.  The sum
+    has the record's value type: `dp_records` gives `Fraction`s, and the
+    scaled ints of `solve_bwmc`'s records pass through as an int.
     """
     vertices = graph.vertices()
     if len(vertices) != 2 or {graph.side(v) for v in vertices} != {SIDE_VAR, SIDE_CLA}:

@@ -194,7 +194,8 @@ def _cmd_bwmc(args) -> int:
             print(
                 f"stats: width {stats['width']}, region size cap {estimate.max_region_size}, "
                 f"{stats.get('regions_evaluated', 0)} regions evaluated "
-                f"({stats.get('large_regions', 0)} at the cap), "
+                f"({stats.get('large_regions', 0)} at the cap, "
+                f"{stats.get('peel_candidates', 0)} peel candidates), "
                 f"profile bound {estimate.profile_count_bound}",
                 file=sys.stderr,
             )

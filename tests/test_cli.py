@@ -63,9 +63,25 @@ def test_bwmc_weighted_json_and_stats(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["k"] == 2
     assert err.startswith("stats: ")
+    assert "(0 at the cap, 0 peel candidates)" in err
     # cross-check against the brute-force oracle subcommand
     code, out, _err = run(capsys, "oracle", "bwmc", str(cnf), "-k", "2")
     assert out.splitlines()[0] == payload["count"]
+
+
+def test_bwmc_stats_count_the_peel_candidates(capsys, tmp_path):
+    # the formula of tests/test_bwmc.py's peel-path checks: its one capped
+    # region peels 3 of the 6 vertices of its expansion
+    cnf = tmp_path / "peel.cnf"
+    cnf.write_text("p cnf 5 6\n-5 -3 -1 0\n-5 -3 0\n1 2 3 0\n-1 4 0\n-5 4 0\n-5 -1 2 0\n")
+    seq = tmp_path / "peel.tws"
+    code, _out, _err = run(capsys, "greedy", str(cnf), "--tie-break", "largest", "-o", str(seq))
+    assert code == EX_OK
+    code, out, err = run(capsys, "bwmc", str(cnf), str(seq), "-k", "1", "--stats")
+    assert code == EX_OK
+    assert "region size cap 5, 14 regions evaluated (1 at the cap, 3 peel candidates)" in err
+    code, oracle_out, _err = run(capsys, "oracle", "bwmc", str(cnf), "-k", "1")
+    assert out == oracle_out
 
 
 def test_verify_round_trip_and_width_flag(capsys, tmp_path, or_cnf):
