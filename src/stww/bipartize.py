@@ -7,7 +7,8 @@ of u and v into w then applies one rule per side, side 0 first: where u
 and v both have a half on that side, contract the two; where only one
 does, it becomes w's half unchanged.  So a contraction of u and v on
 opposite sides makes no output step, and one where all four halves exist
-is a double step.
+is a double step.  The output graph is one ContractionLog grown in place,
+and each half is named by its label, the smallest input id in its bag.
 
 The output width exceeds the input width by at most 2, and the output has
 at most twice as many steps.
@@ -17,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sequence import ContractionLog, ContractionSequence, LabelledContraction
-from .trigraph import SIDE_CLA, SIDE_VAR, SignedTrigraph
+from .sequence import ContractionLog, ContractionSequence
+from .trigraph import RED, SIDE_VAR, SignedTrigraph
 
 
 class HalfDegreeError(AssertionError):
@@ -57,55 +58,51 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
     # the half-degree check below is against the input sequence's width d
     input_width = log.width
 
-    out = LabelledContraction(graph)
-    output_width = graph.max_red_degree()
-    # input-graph vertex -> (side-0 half, side-1 half) as output-graph vertices
+    out = ContractionLog(graph)
+    # input-graph vertex -> (side-0 half, side-1 half) as output labels
     halves: dict[int, tuple[int | None, int | None]] = {
         v: ((v, None) if graph.side(v) == SIDE_VAR else (None, v))
         for v in graph.vertices()
     }
+    steps: list[tuple[int, int]] = []
     index_map: dict[int, int] = {}
     doubled: set[int] = set()
 
-    def contract_out(p: int, q: int, input_index: int) -> int:
-        nonlocal output_width
-        new = out.contract(p, q)
-        index_map[len(out.steps) - 1] = input_index
-        output_width = max(output_width, out.graph.max_red_degree())
-        return new
-
-    def check_half_degrees(current_halves: dict[int, tuple[int | None, int | None]]) -> None:
-        for xa, xb in current_halves.values():
-            for half, sibling in ((xa, xb), (xb, xa)):
+    def check_half_degrees() -> None:
+        for a, b in halves.values():
+            for half, sibling in ((a, b), (b, a)):
                 if half is None:
                     continue
-                reds = out.graph.red_neighbors(half)
-                if len(reds - {sibling}) > input_width:
-                    raise HalfDegreeError(
-                        f"half {half} has red degree {len(reds - {sibling})} "
-                        f"> input width {input_width}"
-                    )
+                v = out.vertex(half)
+                reds = out.red_degree(v)
+                if sibling is not None and out.edge(v, out.vertex(sibling)) == RED:
+                    reds -= 1
+                if reds > input_width:
+                    raise HalfDegreeError(f"half {v} has red degree {reds} > input width {input_width}")
 
-    check_half_degrees(halves)
+    check_half_degrees()
     for index, (x, y, z) in enumerate(log.steps):
-        first = len(out.steps)
+        first = len(steps)
+        merged = []
         # side 0 first, so a double step's intermediate graph has merged
         # the side-0 halves
-        halves[z] = tuple(
-            contract_out(u_half, v_half, index)
-            if u_half is not None and v_half is not None
-            else (u_half if u_half is not None else v_half)
-            for u_half, v_half in zip(halves.pop(x), halves.pop(y))
-        )
-        if len(out.steps) - first == 2:
+        for p, q in zip(halves.pop(x), halves.pop(y)):
+            if p is not None and q is not None:
+                p, q = sorted((p, q))
+                out.contract(p, q)
+                index_map[len(steps)] = index
+                steps.append((p, q))
+            merged.append(q if p is None else p)
+        halves[z] = tuple(merged)
+        if len(steps) - first == 2:
             doubled.add(first)
-        check_half_degrees(halves)
+        check_half_degrees()
 
     n = max(graph.vertices(), default=0)
     return BipartizationResult(
-        ContractionSequence(tuple(out.steps), num_vertices=n),
+        ContractionSequence(tuple(steps), num_vertices=n),
         index_map,
         frozenset(doubled),
         input_width,
-        output_width,
+        out.width,
     )

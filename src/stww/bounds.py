@@ -6,15 +6,15 @@ and the per-degree buckets in O(max red degree) word operations, and each
 contraction updates only the merged vertex and its neighbours.  The scores,
 the label tie-break and hence the emitted sequences are exactly those of
 contracting every candidate pair and measuring the result.  The exact
-search and the subdivided-clique construction contract SignedTrigraphs
-through sequence.LabelledContraction.
+search contracts immutable SignedTrigraphs, which its memo needs; the
+subdivided-clique construction grows one sequence.ContractionLog in place.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .sequence import ContractionSequence, LabelledContraction
+from .sequence import ContractionLog, ContractionSequence
 from .trigraph import NEG, POS, RED, SignedTrigraph
 
 
@@ -281,26 +281,27 @@ def exact_tww_bruteforce(
         width = max(initial, int(achieved))
         # Reconstruct the lexicographically smallest witness: at each state
         # take the smallest label pair that still meets the achieved value.
-        witness = LabelledContraction(graph)
-        labels = witness.labels
+        # A vertex's label is the smallest input id in its bag.
+        g = graph
+        steps: list[tuple[int, int]] = []
         while True:
-            g = witness.graph
             pairs = _candidate_pairs(g, bipartite)
             if not pairs:
                 break
-            ordered = sorted(pairs, key=lambda p: sorted((labels[p[0]], labels[p[1]])))
-            for u, v in ordered:
+            label = {v: min(g.bag(v)) for v in g.vertices()}
+            for u, v in sorted(pairs, key=lambda p: sorted((label[p[0]], label[p[1]]))):
                 h = g.contract(u, v)
                 m = h.max_red_degree()
                 if m > achieved:
                     continue
                 if max(m, solve(h)) <= achieved:
-                    witness.contract(u, v)
+                    steps.append(tuple(sorted((label[u], label[v]))))
+                    g = h
                     break
             else:
                 raise AssertionError("witness reconstruction lost the optimum")
         return width, ContractionSequence(
-            tuple(witness.steps),
+            tuple(steps),
             declared_width=width,
             num_vertices=max(graph.vertices(), default=0),
         )
@@ -381,46 +382,46 @@ def subdivided_clique_sequence(
     _validate_subdivided_clique(graph, clique_vertices)
     d = len(set(clique_vertices))
 
-    seq = LabelledContraction(graph)
-    labels = seq.labels
+    out = ContractionLog(graph)
+    steps: list[tuple[int, int]] = []
+    # clique and subdividers by label; a subdivider is contracted only once
+    # picked, so until then its label is its vertex id
     clique = set(clique_vertices)
     subdividers = set(graph.vertices()) - clique
-    width = 0
 
     def check_degrees() -> None:
-        nonlocal width
-        g = seq.graph
-        width = max(width, g.max_red_degree())
-        if g.max_red_degree() > d - 1:
+        if out.width > d - 1:
             raise AssertionError(f"red degree exceeded {d - 1}")
         if d >= 3:
-            worst = max((len(g.neighbors(x)) for x in g.vertices()), default=0)
+            worst = max((len(out.neighbors(x)) for x in out.vertices()), default=0)
             if worst > d - 1:
                 raise AssertionError(f"total degree {worst} exceeded {d - 1}")
 
     check_degrees()
     while subdividers:
         pick = None
-        for v in sorted(clique, key=labels.get):
-            adjacent = [u for u in seq.graph.neighbors(v) if u in subdividers]
+        for v in sorted(clique):
+            adjacent = [u for u in out.neighbors(out.vertex(v)) if u in subdividers]
             if adjacent:
-                pick = (v, min(adjacent, key=labels.get))
+                pick = (v, min(adjacent))
                 break
         if pick is None:
             raise AssertionError("subdivision vertices left but none adjacent to the clique")
-        v, u = pick
-        subdividers.remove(u)
-        clique.remove(v)
-        clique.add(seq.contract(u, v))
+        keep, merge = sorted(pick)
+        subdividers.remove(pick[1])
+        clique.remove(pick[0])
+        clique.add(keep)
+        out.contract(keep, merge)
+        steps.append((keep, merge))
         check_degrees()
     while len(clique) > 1:
-        first, second = sorted(clique, key=labels.get)[:2]
-        clique.remove(first)
-        clique.remove(second)
-        clique.add(seq.contract(first, second))
+        keep, merge = sorted(clique)[:2]
+        clique.remove(merge)
+        out.contract(keep, merge)
+        steps.append((keep, merge))
         check_degrees()
     return ContractionSequence(
-        tuple(seq.steps),
-        declared_width=width,
+        tuple(steps),
+        declared_width=out.width,
         num_vertices=max(graph.vertices(), default=0),
     )

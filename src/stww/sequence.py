@@ -58,96 +58,84 @@ class ReplayStep:
     after: SignedTrigraph
 
 
-class LabelledContraction:
-    """A graph contracted step by step, recording survivor-label steps.
-
-    Each contract(u, v) merges two current vertices into a fresh one that
-    answers to the smaller of their two labels, and appends the step
-    (keep, merge) in the same convention as ContractionSequence.
-    """
-
-    def __init__(self, graph: SignedTrigraph) -> None:
-        self.graph = graph
-        self.labels = {v: v for v in graph.vertices()}
-        self.steps: list[tuple[int, int]] = []
-
-    def contract(self, u: int, v: int) -> int:
-        """Contract u and v; return the merged vertex's id."""
-        keep, merge = sorted((self.labels[u], self.labels[v]))
-        new = self.graph.fresh_id()
-        self.graph = self.graph.contract(u, v)
-        self.labels[new] = keep
-        del self.labels[u], self.labels[v]
-        self.steps.append((keep, merge))
-        return new
-
-
 class ContractionLog:
-    """One replay of a sequence on a mutable adjacency, with no graph copies.
+    """One in-place contraction on a mutable adjacency, with no graph copies.
 
-    Records each step's (x, y, z) vertex ids, the maximum red degree after
-    it, whether every step stayed on one side, and the first failure, where
-    replay stops: an unknown label or, with require_bipartite, a cross-side
-    step.  For every vertex ever created it keeps side, bag, birth level (0
-    for input vertices, i + 1 for step i's z) and edges.  The edge between
-    two vertices never changes while both exist, so side, bag, edge and
-    red_neighbors answer for any level at which the queried vertices all
-    exist; red_neighbors holds every vertex ever red-adjacent, and the
-    dynamic program, which intersects it with coexisting vertices, reads a
-    log wherever it reads a graph.  vertices() lists the last level's.
+    ContractionLog(graph, seq) replays seq through contract(keep, merge);
+    ContractionLog(graph) starts an empty log for a builder to grow.  Records
+    each step's (x, y, z) vertex ids, the maximum red degree after it,
+    whether every step stayed on one side, and the first failure of seq,
+    where replay stops: an unknown label or, with require_bipartite, a
+    cross-side step.  For every vertex ever created it keeps side, bag,
+    birth level (0 for input vertices, i + 1 for step i's z) and edges.  The
+    edge between two vertices never changes while both exist, so side, bag,
+    edge and red_neighbors answer for any level at which the queried
+    vertices all exist; red_neighbors holds every vertex ever red-adjacent,
+    and the dynamic program, which intersects it with coexisting vertices,
+    reads a log wherever it reads a graph.  vertices, vertex, neighbors and
+    red_degree answer only for the last level.
     """
 
     def __init__(
-        self, graph: SignedTrigraph, seq: ContractionSequence, require_bipartite: bool = False
+        self, graph: SignedTrigraph, seq: ContractionSequence | None = None, require_bipartite: bool = False
     ) -> None:
         adj = self._adj = {v: dict(graph.neighbors(v)) for v in graph.vertices()}
-        red = self._red = {v: set(graph.red_neighbors(v)) for v in adj}
+        self._red = {v: set(graph.red_neighbors(v)) for v in adj}
         side = self._side = {v: graph.side(v) for v in adj}
         self._bag = {v: graph.bag(v) for v in adj}
-        z = self._last_input = max(adj, default=0)
+        self._last_input = max(adj, default=0)
         self.steps: list[tuple[int, int, int]] = []
         self.per_step_max_red: list[int] = []
         self.bipartite = True
         self.failure: tuple[int, str] | None = None
         # current vertex -> red degree, and how many current vertices have each
-        degree = self._red_degree = {v: len(red[v]) for v in adj}
-        count = Counter(degree.values())
-        top = self.width = max(degree.values(), default=0)
-        label_to_vertex = {v: v for v in adj}
-        for idx, (keep, merge) in enumerate(seq.steps):
-            unknown = [label for label in (keep, merge) if label not in label_to_vertex]
+        degree = self._red_degree = {v: len(self._red[v]) for v in adj}
+        self._count = Counter(degree.values())
+        self._top = self.width = max(degree.values(), default=0)
+        # label -> the current vertex answering to it
+        self._vertex_of = {v: v for v in adj}
+        for idx, (keep, merge) in enumerate(seq.steps if seq is not None else ()):
+            unknown = [label for label in (keep, merge) if label not in self._vertex_of]
             if unknown:
                 self.failure = (idx, f"unknown vertex id {unknown[0]}")
                 return
-            x, y = label_to_vertex[keep], label_to_vertex.pop(merge)
-            if side[x] is None or side[x] != side[y]:
-                self.bipartite = False
-                if require_bipartite:
-                    self.failure = (idx, f"cross-side contraction ({keep},{merge})")
-                    return
-            z += 1
-            count[degree.pop(x)] -= 1
-            count[degree.pop(y)] -= 1
-            adj[z] = {w: kind for w, kind in merge_edges(adj[x], adj[y]).items() if w in degree}
-            red[z] = {w for w, kind in adj[z].items() if kind == RED}
-            for w, kind in adj[z].items():
-                adj[w][z] = kind
-                if kind == RED:
-                    red[w].add(z)
-                count[degree[w]] -= 1
-                degree[w] += (kind == RED) - (adj[x].get(w) == RED) - (adj[y].get(w) == RED)
-                count[degree[w]] += 1
-            degree[z] = len(red[z])
-            count[degree[z]] += 1
-            # a neighbour of z gains at most one red edge
-            top = max(top + 1, degree[z])
-            while not count[top]:
-                top -= 1
-            self.per_step_max_red.append(top)
-            self.width = max(self.width, top)
-            self.steps.append((x, y, z))
-            side[z] = side[x] if side[x] == side[y] else None
-            label_to_vertex[keep] = z
+            x, y = self._vertex_of[keep], self._vertex_of[merge]
+            if require_bipartite and (side[x] is None or side[x] != side[y]):
+                self.failure = (idx, f"cross-side contraction ({keep},{merge})")
+                return
+            self.contract(keep, merge)
+
+    def contract(self, keep: int, merge: int) -> int:
+        """Merge the vertices answering to labels keep and merge into a
+        fresh vertex z, which answers to keep from now on; return z."""
+        adj, red, side, degree, count = self._adj, self._red, self._side, self._red_degree, self._count
+        x, y = self._vertex_of[keep], self._vertex_of.pop(merge)
+        z = self._last_input + len(self.steps) + 1
+        count[degree.pop(x)] -= 1
+        count[degree.pop(y)] -= 1
+        adj[z] = {w: kind for w, kind in merge_edges(adj[x], adj[y]).items() if w in degree}
+        red[z] = {w for w, kind in adj[z].items() if kind == RED}
+        for w, kind in adj[z].items():
+            adj[w][z] = kind
+            if kind == RED:
+                red[w].add(z)
+            count[degree[w]] -= 1
+            degree[w] += (kind == RED) - (adj[x].get(w) == RED) - (adj[y].get(w) == RED)
+            count[degree[w]] += 1
+        degree[z] = len(red[z])
+        count[degree[z]] += 1
+        # a neighbour of z gains at most one red edge
+        top = max(self._top + 1, degree[z])
+        while not count[top]:
+            top -= 1
+        self._top = top
+        self.per_step_max_red.append(top)
+        self.width = max(self.width, top)
+        self.steps.append((x, y, z))
+        side[z] = side[x] if side[x] == side[y] else None
+        self.bipartite = self.bipartite and side[z] is not None
+        self._vertex_of[keep] = z
+        return z
 
     def check(self) -> ContractionLog:
         """The log itself, or ValueError('step i: reason') at its failure."""
@@ -158,6 +146,15 @@ class ContractionLog:
 
     def vertices(self) -> list[int]:
         return sorted(self._red_degree)
+
+    def vertex(self, label: int) -> int:
+        return self._vertex_of[label]
+
+    def neighbors(self, v: int) -> dict[int, str]:
+        return {w: kind for w, kind in self._adj[v].items() if w in self._red_degree}
+
+    def red_degree(self, v: int) -> int:
+        return self._red_degree[v]
 
     def side(self, v: int) -> int | None:
         return self._side[v]
@@ -228,10 +225,9 @@ def final_graph(graph: SignedTrigraph, seq: ContractionSequence) -> SignedTrigra
     """
     log = ContractionLog(graph, seq).check()
     current = log.vertices()
-    alive = set(current)
     return SignedTrigraph(
         current,
-        [(u, w, kind) for u in current for w, kind in log._adj[u].items() if u < w and w in alive],
+        [(u, w, kind) for u in current for w, kind in log.neighbors(u).items() if u < w],
         sides={v: log.side(v) for v in current},
         bags={v: log.bag(v) for v in current},
     )

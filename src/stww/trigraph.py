@@ -308,13 +308,16 @@ def parse_graph(text: str | bytes) -> SignedTrigraph:
     n: int | None = None
     sides: dict[int, int | None] = {}
     edges: list[tuple[int, int, str]] = []
-    max_seen = 0
+    # the largest id seen, and the first line naming it
+    max_seen, max_line = 0, 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         fields = line.split()
         if fields[0] == "p":
+            if n is not None:
+                raise ParseError("duplicate header", lineno)
             if len(fields) != 4 or fields[1] != "stg":
                 raise ParseError("expected header 'p stg <n> <m>'", lineno)
             try:
@@ -334,20 +337,21 @@ def parse_graph(text: str | bytes) -> SignedTrigraph:
                 raise ParseError("non-integer side line", lineno) from None
             if s not in (SIDE_VAR, SIDE_CLA):
                 raise ParseError(f"bad side {s}", lineno)
-            sides[v] = s
-            max_seen = max(max_seen, v)
-            continue
-        if len(fields) != 3 or fields[2] not in EDGE_KINDS:
-            raise ParseError("expected edge line 'u v +|-|r'", lineno)
-        try:
-            u = int(fields[0])
-            v = int(fields[1])
-        except ValueError:
-            raise ParseError("non-integer vertex id", lineno) from None
-        edges.append((u, v, fields[2]))
-        max_seen = max(max_seen, u, v)
+            if sides.setdefault(v, s) != s:
+                raise ParseError(f"vertex {v} given sides {sides[v]} and {s}", lineno)
+            ids = (v,)
+        else:
+            if len(fields) != 3 or fields[2] not in EDGE_KINDS:
+                raise ParseError("expected edge line 'u v +|-|r'", lineno)
+            try:
+                ids = (int(fields[0]), int(fields[1]))
+            except ValueError:
+                raise ParseError("non-integer vertex id", lineno) from None
+            edges.append((*ids, fields[2]))
+        if max(ids) > max_seen:
+            max_seen, max_line = max(ids), lineno
     if n is None:
         n = max_seen
     if max_seen > n:
-        raise ParseError(f"vertex id {max_seen} exceeds declared count {n}", 1)
+        raise ParseError(f"vertex id {max_seen} exceeds declared count {n}", max_line)
     return SignedTrigraph(range(1, n + 1), edges, sides)

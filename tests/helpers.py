@@ -169,6 +169,46 @@ def reference_verify(graph, seq, require_bipartite=False):
     return width, per_step, bipartite and failure is None, failure, step_ids
 
 
+def reference_bipartize(graph, seq):
+    """Reference bipartize: the per-side rule on SignedTrigraph copies.
+
+    Replays seq with reference_verify, then contracts the output halves on
+    a graph copied at every step, with a private label map.  Returns
+    (steps, index_map, doubled_steps, input_width, output_width) and
+    asserts the half-degree bound after every input step.
+    """
+    input_width, _, _, failure, step_ids = reference_verify(graph, seq)
+    assert failure is None, failure
+    out = graph
+    labels = {v: v for v in graph.vertices()}
+    output_width = graph.max_red_degree()
+    halves = {v: (v, None) if graph.side(v) == SIDE_VAR else (None, v) for v in graph.vertices()}
+    steps, index_map, doubled = [], {}, set()
+    for index, (x, y, z) in enumerate(step_ids):
+        first = len(steps)
+        merged = []
+        for p, q in zip(halves.pop(x), halves.pop(y)):
+            if p is None or q is None:
+                merged.append(q if p is None else p)
+                continue
+            new = out.fresh_id()
+            keep, merge = sorted((labels.pop(p), labels.pop(q)))
+            labels[new] = keep
+            out = out.contract(p, q)
+            index_map[len(steps)] = index
+            steps.append((keep, merge))
+            output_width = max(output_width, out.max_red_degree())
+            merged.append(new)
+        halves[z] = tuple(merged)
+        if len(steps) - first == 2:
+            doubled.add(first)
+        for a, b in halves.values():
+            for half, sibling in ((a, b), (b, a)):
+                if half is not None:
+                    assert len(out.red_neighbors(half) - {sibling}) <= input_width
+    return tuple(steps), index_map, frozenset(doubled), input_width, output_width
+
+
 def bounded_ones_count(formula, weights, k):
     """Σ w(π) over models π of `formula` with at most k ones, by enumerating
     the Σ_{i≤k} C(n, i) sets of variables set to 1 (n^k work, not 2^n).

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from helpers import random_bipartite_graph
+from helpers import random_bipartite_graph, reference_bipartize
 from stww.bipartize import BipartizationResult, bipartize
 from stww.bounds import greedy_sequence
+from stww.generators import gen_grid
 from stww.sequence import ContractionSequence, verify
 from stww.trigraph import NEG, POS, SignedTrigraph
 
@@ -69,6 +70,26 @@ def test_doubled_steps_are_exactly_the_repeated_input_indices():
             repeated = {i for i in index_map if index_map[i] == index_map.get(i + 1)}
             assert result.doubled_steps == repeated, (seed, tie_break)
             doubles += len(repeated)
+    assert doubles > 0
+
+
+def test_matches_reference_transform():
+    cases = []
+    for seed in range(200):
+        g = random_bipartite_graph(random.Random(seed))
+        cases += [(g, greedy_sequence(g, tie_break=tie)) for tie in ("smallest", "largest")]
+    for side in range(3, 8):
+        g = gen_grid(2, side, "random", seed=side)
+        cases.append((g, greedy_sequence(g)))
+    doubles = 0
+    for g, seq in cases:
+        steps, index_map, doubled, input_width, output_width = reference_bipartize(g, seq)
+        result = bipartize(g, seq)
+        assert result.seq == ContractionSequence(steps, num_vertices=max(g.vertices()))
+        assert result.index_map == index_map
+        assert result.doubled_steps == doubled
+        assert (result.input_width, result.output_width) == (input_width, output_width)
+        doubles += len(doubled)
     assert doubles > 0
 
 

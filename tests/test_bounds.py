@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from helpers import brute_min_bipartite_width, random_bipartite_graph, reference_greedy
 from stww.bounds import exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
 from stww.generators import gen_grid, gen_random_ksat, gen_subdivided_clique
-from stww.sequence import replay, verify
+from stww.sequence import replay, serialize_sequence, verify
 from stww.trigraph import NEG, POS, RED, SignedTrigraph, incidence_graph
 
 
@@ -189,3 +191,22 @@ def test_subdivided_clique_rejects_bad_inputs():
     path = SignedTrigraph([1, 2, 3], [(1, 2, POS), (2, 3, POS)])
     with pytest.raises(ValueError, match="at least two"):
         subdivided_clique_sequence(path, [1])
+
+
+def test_subdivided_clique_and_bruteforce_witnesses_are_pinned():
+    # the pin holds every step of the subdivided-clique sequences (built on
+    # criterion-5-shaped inputs) and of the brute-force witnesses
+    digest = hashlib.sha256()
+    for d in range(3, 8):
+        for i in range(10):
+            rng = random.Random(100 * d + i)
+            counts = [rng.randint(0, 3) for _ in range(math.comb(d, 2))]
+            g, clique = gen_subdivided_clique(d, counts, signs="random", seed=rng.randint(0, 10**6))
+            seq = subdivided_clique_sequence(g, clique)
+            digest.update(f"{seq.declared_width}\n{serialize_sequence(seq)}".encode())
+    for seed in range(20):
+        g = random_bipartite_graph(random.Random(300 + seed), max_n=7)
+        for bipartite in (False, True):
+            width, seq = exact_tww_bruteforce(g, bipartite=bipartite)
+            digest.update(f"{width}\n{serialize_sequence(seq)}".encode())
+    assert digest.hexdigest() == "0000ca5b0436388e6e05f95a4b20280df47718e09703fb67b7013e5c13b7d06d"

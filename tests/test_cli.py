@@ -297,6 +297,10 @@ def test_data_errors_exit_65(capsys, tmp_path):
     stg.write_text("p stg 2 0\ns 1 0\ns 2 1\n")
     code, _out, err = run(capsys, "bwmc", str(stg), str(stg), "-k", "1")
     assert code == EX_DATA
+    stg.write_text("p stg 3 2\nc note\n1 2 +\n2 7 -\n")
+    code, out, err = run(capsys, "greedy", str(stg))
+    assert (code, out) == (EX_DATA, "")
+    assert err == "stww: line 4: vertex id 7 exceeds declared count 3\n"
 
 
 def test_recursion_limit_is_an_env_error(capsys, monkeypatch, tmp_path, or_cnf):

@@ -7,6 +7,7 @@ from test_acceptance import implication_chain, zip_sequence
 from stww.bounds import greedy_sequence
 from stww.cnf import ParseError
 from stww.sequence import (
+    ContractionLog,
     ContractionSequence,
     final_graph,
     parse_sequence,
@@ -179,10 +180,19 @@ def test_verify_and_replay_match_reference_contractions():
                 seen.add((strict, failure[1].split()[0]))
         width, per_step, bipartite, failure, step_ids = reference_verify(graph, seq)
         yielded, last = [], graph
+        grown, grown_width = ContractionLog(graph), graph.max_red_degree()
         try:
             for step in replay(graph, seq):
                 yielded.append((step.keep_vertex, step.merge_vertex, step.new_vertex))
                 last = step.after
+                # a log grown one contract at a time tracks every snapshot
+                assert grown.contract(step.keep_label, step.merge_label) == step.new_vertex
+                assert grown.vertices() == last.vertices(), seed
+                for v in last.vertices():
+                    assert grown.neighbors(v) == last.neighbors(v), seed
+                    assert grown.red_degree(v) == last.red_degree(v), seed
+                grown_width = max(grown_width, last.max_red_degree())
+                assert grown.width == grown_width, seed
         except ValueError as exc:
             assert failure is not None and str(exc) == f"step {failure[0]}: {failure[1]}", seed
             with pytest.raises(ValueError) as raised:

@@ -171,6 +171,27 @@ def test_parse_graph_without_header_and_errors():
         parse_graph("p stg 2 0\ns 1 9\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the error names the line of the offending id, not the header's
+        ("p stg 3 2\nc note\n1 2 +\n2 7 -\n", "line 4: vertex id 7 exceeds declared count 3"),
+        ("s 5 0\np stg 3 0\n", "line 1: vertex id 5 exceeds declared count 3"),
+        ("p stg 3 1\n1 2 +\np stg 9 1\n", "line 3: duplicate header"),
+        ("p stg 2 1\ns 1 0\ns 2 1\ns 1 1\n1 2 +\n", "line 4: vertex 1 given sides 0 and 1"),
+    ],
+)
+def test_parse_graph_rejects_malformed_input(text, message):
+    with pytest.raises(ParseError) as raised:
+        parse_graph(text)
+    assert str(raised.value) == message
+
+
+def test_parse_graph_accepts_a_repeated_side():
+    g = parse_graph("p stg 2 1\ns 1 0\ns 1 0\n1 2 +\n")
+    assert (g.side(1), g.side(2)) == (SIDE_VAR, None)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_random_round_trip_and_contraction_invariants(seed):
