@@ -68,35 +68,49 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
     index_map: dict[int, int] = {}
     doubled: set[int] = set()
 
-    def check_half_degrees() -> None:
-        for a, b in halves.values():
-            for half, sibling in ((a, b), (b, a)):
-                if half is None:
-                    continue
-                v = out.vertex(half)
-                reds = out.red_degree(v)
-                if sibling is not None and out.edge(v, out.vertex(sibling)) == RED:
-                    reds -= 1
-                if reds > input_width:
-                    raise HalfDegreeError(f"half {v} has red degree {reds} > input width {input_width}")
+    # output vertex -> the input vertex it is a half of
+    owner = {v: v for v in graph.vertices()}
 
-    check_half_degrees()
+    def check_halves(x: int) -> None:
+        a, b = halves[x]
+        for half, sibling in ((a, b), (b, a)):
+            if half is None:
+                continue
+            v = out.vertex(half)
+            reds = out.red_degree(v)
+            if sibling is not None and out.edge(v, out.vertex(sibling)) == RED:
+                reds -= 1
+            if reds > input_width:
+                raise HalfDegreeError(f"half {v} has red degree {reds} > input width {input_width}")
+
+    for x in halves:
+        check_halves(x)
     for index, (x, y, z) in enumerate(log.steps):
         first = len(steps)
         merged = []
+        created = []
         # side 0 first, so a double step's intermediate graph has merged
         # the side-0 halves
         for p, q in zip(halves.pop(x), halves.pop(y)):
             if p is not None and q is not None:
                 p, q = sorted((p, q))
-                out.contract(p, q)
+                created.append(out.contract(p, q))
                 index_map[len(steps)] = index
                 steps.append((p, q))
             merged.append(q if p is None else p)
         halves[z] = tuple(merged)
+        for half in merged:
+            if half is not None:
+                owner[out.vertex(half)] = z
         if len(steps) - first == 2:
             doubled.add(first)
-        check_half_degrees()
+        # only z's halves and the output neighbours of this step's merged
+        # vertices can have changed red degree or sibling
+        recheck = {z}
+        for c in created:
+            recheck.update(owner[w] for w in out.neighbors(c))
+        for r in recheck:
+            check_halves(r)
 
     n = max(graph.vertices(), default=0)
     return BipartizationResult(

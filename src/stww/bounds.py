@@ -1,13 +1,17 @@
 """Twin-width upper bounds: greedy sequences, exact search, subdivided cliques.
 
 greedy_sequence runs on a private mutable bitset working graph rather than
-on SignedTrigraph: each candidate pair is scored from its endpoints' masks
-and the per-degree buckets in O(max red degree) word operations, and each
-contraction updates only the merged vertex and its neighbours.  The scores,
-the label tie-break and hence the emitted sequences are exactly those of
-contracting every candidate pair and measuring the result.  The exact
-search contracts immutable SignedTrigraphs, which its memo needs; the
-subdivided-clique construction grows one sequence.ContractionLog in place.
+on SignedTrigraph.  It caches, for every candidate pair, the red degree mr
+the merged vertex would get, which reads only the two endpoints' masks.  A
+step walks the pairs by ascending mr and scores in full, from the
+per-degree buckets, only those whose mr does not exceed the best width
+found so far.  A contraction of u and v changes the masks only of their
+neighbours and the new vertex, so it re-scores only the pairs with an
+endpoint there.  The scores, the label tie-break and hence the emitted
+sequences are exactly those of contracting every candidate pair and
+measuring the result.  The exact search contracts immutable
+SignedTrigraphs, which its memo needs; the subdivided-clique construction
+grows one sequence.ContractionLog in place.
 """
 
 from __future__ import annotations
@@ -35,20 +39,31 @@ def _candidate_pairs(graph: SignedTrigraph, bipartite: bool) -> list[tuple[int, 
 
 
 class _WorkingGraph:
-    """Greedy's private, mutable bitset copy of a trigraph.
+    """Greedy's private, mutable bitset copy of a trigraph, with cached
+    pair scores.
 
     Vertices get dense indices: the input vertices in sorted order, then
     one fresh index per contraction, so every mask stays below 2V bits
     however sparse the input ids are.  Vertex i keeps int bitmasks of its
-    POS, NEG and RED neighbours (plus their union), its red degree, and
-    its label: the smallest input id in its bag.  One bucket mask per red
-    degree and the running red-edge total let a pair be scored without
-    touching the rest of the graph.
+    POS, NEG and RED neighbours (plus their union), its red degree, its
+    label (the smallest input id in its bag) and its group (its side in a
+    bipartite run, else one group for all).  One bucket mask per red degree
+    and the running red-edge total let a pair be scored without touching
+    the rest of the graph.
+
+    Every pair x, y of live vertices in one group has its merged red degree
+    mr(x, y) = |N(x) | N(y) - {x, y} - agree| cached, where agree is
+    (pos_x & pos_y) | (neg_x & neg_y): scores[x] maps each mr value to the
+    mask of x's partners at that value (so each pair sits in both rows),
+    and at[m] is the mask of vertices with a partner at mr m.
     """
 
-    __slots__ = ("pos", "neg", "red", "nbr", "rdeg", "label", "bucket", "top", "total_red")
+    __slots__ = (
+        "pos", "neg", "red", "nbr", "rdeg", "label", "bucket", "top", "total_red",
+        "group", "members", "scores", "at",
+    )
 
-    def __init__(self, graph: SignedTrigraph) -> None:
+    def __init__(self, graph: SignedTrigraph, bipartite: bool) -> None:
         verts = graph.vertices()
         index = {v: i for i, v in enumerate(verts)}
         size = max(2 * len(verts) - 1, 0)
@@ -69,40 +84,78 @@ class _WorkingGraph:
             self.bucket[self.rdeg[i]] |= 1 << i
         self.top = max(self.rdeg, default=0)
         self.total_red = sum(self.rdeg) // 2
+        self.group = [graph.side(v) if bipartite else 0 for v in verts] + [None] * (size - len(verts))
+        self.members: dict[int | None, int] = {}
+        self.scores: list[dict[int, int] | None] = [{} for _ in verts] + [None] * (size - len(verts))
+        # a merged vertex is red to at most the other live vertices
+        self.at = [0] * (len(verts) + 1)
+        for i, key in enumerate(self.group[: len(verts)]):
+            self._score(i, self.members.get(key, 0))
+            self.members[key] = self.members.get(key, 0) | 1 << i
 
-    def best_pair(self, groups: list[list[int]], largest: bool) -> tuple[int, int]:
+    def _score(self, x: int, partners: int) -> None:
+        """Cache mr(x, y) for every y in the mask partners."""
+        pos, neg, nbr, scores, at = self.pos, self.neg, self.nbr, self.scores, self.at
+        pos_x, neg_x, nbr_x = pos[x], neg[x], nbr[x]
+        bit_x = 1 << x
+        row = scores[x]
+        while partners:
+            bit_y = partners & -partners
+            partners ^= bit_y
+            y = bit_y.bit_length() - 1
+            m = ((nbr_x | nbr[y]) & ~((pos_x & pos[y]) | (neg_x & neg[y]) | bit_x | bit_y)).bit_count()
+            # _link inlined: this loop runs once per pair of the input
+            row[m] = row.get(m, 0) | bit_y
+            other = scores[y]
+            other[m] = other.get(m, 0) | bit_x
+            at[m] |= bit_x | bit_y
+
+    def best_pair(self, largest: bool) -> tuple[int, int] | None:
         """The pair minimizing (max red degree, red edges, label tie) after
-        its contraction.
+        its contraction, or None when no group holds two vertices.
 
-        For a pair u, v with agree = (pos_u & pos_v) | (neg_u & neg_v), the
-        merged vertex is red to merged = N(u) | N(v) - {u, v} - agree.  Of
-        those, the vertices red to neither u nor v gain one red edge and the
-        vertices red to both lose one; every other vertex keeps its degree.
-        The new maximum is then read off the degree buckets from the top
-        down, so a pair costs O(max red degree) word operations.
+        Pairs are visited by ascending cached mr, and the walk stops past
+        the best width found so far: the merged vertex alone has red degree
+        mr, so no pair beyond that can win.  Only the visited pairs are
+        scored in full.  Of the merged vertex's red neighbours, those red
+        to neither u nor v gain one red edge and those red to both lose
+        one; every other vertex keeps its degree.  The new maximum is read
+        off the degree buckets from the top down, in O(max red degree)
+        word operations, and the red edge count follows from mr and the
+        two red degrees.
         """
         pos, neg, red, nbr = self.pos, self.neg, self.red, self.nbr
-        rdeg, label, bucket = self.rdeg, self.label, self.bucket
+        rdeg, label, bucket, scores = self.rdeg, self.label, self.bucket, self.scores
         top, total = self.top, self.total_red
         best_key: tuple | None = None
-        best_pair = (0, 0)
+        best_pair = None
         best_width = len(bucket)
-        for group in groups:
-            rows = [(v, 1 << v, pos[v], neg[v], nbr[v]) for v in group]
-            for a, (u, bit_u, pos_u, neg_u, nbr_u) in enumerate(rows):
-                red_u = red[u]
-                base = total - rdeg[u]
+        for merged_red, holders in enumerate(self.at):
+            if merged_red > best_width:
+                break
+            while holders:
+                bit_u = holders & -holders
+                holders ^= bit_u
+                u = bit_u.bit_length() - 1
+                # each pair once, from its lower endpoint
+                partners = scores[u][merged_red] >> (u + 1)
+                if not partners:
+                    continue
+                pos_u, neg_u, nbr_u, red_u = pos[u], neg[u], nbr[u], red[u]
+                base = total - rdeg[u] + merged_red
                 label_u = label[u]
-                for v, bit_v, pos_v, neg_v, nbr_v in rows[a + 1 :]:
-                    pair = bit_u | bit_v
-                    merged = (nbr_u | nbr_v) & ~((pos_u & pos_v) | (neg_u & neg_v) | pair)
-                    merged_red = width = merged.bit_count()
-                    if width > best_width:
-                        continue
+                v = u
+                while partners:
+                    skip = (partners & -partners).bit_length()
+                    partners >>= skip
+                    v += skip
+                    pair = bit_u | 1 << v
+                    merged = (nbr_u | nbr[v]) & ~((pos_u & pos[v]) | (neg_u & neg[v]) | pair)
                     red_v = red[v]
                     gain = merged & ~(red_u | red_v)
                     lose = red_u & red_v
                     # a degree-d vertex ends at d + 1 (gain), d - 1 (lose) or d
+                    width = merged_red
                     d = top
                     while d >= width:
                         rest = bucket[d] & ~pair
@@ -117,7 +170,7 @@ class _WorkingGraph:
                         d -= 1
                     if width > best_width:
                         continue
-                    edges = base - rdeg[v] + ((red_u >> v) & 1) + merged_red
+                    edges = base - rdeg[v] + ((red_u >> v) & 1)
                     label_v = label[v]
                     low, high = (label_u, label_v) if label_u < label_v else (label_v, label_u)
                     key = (width, edges, (-low, -high) if largest else (low, high))
@@ -128,15 +181,24 @@ class _WorkingGraph:
         return best_pair
 
     def contract(self, u: int, v: int, w: int) -> None:
-        """Merge u and v into the fresh index w, updating only w and the
-        old neighbours of u and v."""
+        """Merge u and v into the fresh index w, updating only w, the old
+        neighbours of u and v, and the cached scores of their pairs.
+
+        Only the masks of touched = N(u) | N(v) - {u, v} change, so only
+        pairs with an endpoint in touched or at w can change mr.  A touched
+        t loses u and v and gains w, so against a partner y outside touched
+        (which sees none of u, v, w) mr moves by 1 - |N(t) & {u, v}|: down
+        one if t saw both, else not at all.  Pairs inside touched are
+        scored afresh, and w against its whole group.
+        """
         pos, neg, red, nbr = self.pos, self.neg, self.red, self.nbr
-        rdeg, bucket = self.rdeg, self.bucket
+        rdeg, bucket, scores, at = self.rdeg, self.bucket, self.scores, self.at
         pair = (1 << u) | (1 << v)
         bit_w = 1 << w
         pos_w = pos[u] & pos[v]
         neg_w = neg[u] & neg[v]
         touched = (nbr[u] | nbr[v]) & ~pair
+        both = nbr[u] & nbr[v]
         red_w = touched & ~(pos_w | neg_w)
         self.total_red += red_w.bit_count() - rdeg[u] - rdeg[v] + ((red[u] >> v) & 1)
         rest = touched
@@ -170,6 +232,75 @@ class _WorkingGraph:
             top -= 1
         self.top = top
 
+        for x in (u, v):
+            bit_x = 1 << x
+            for m, mask in scores[x].items():
+                at[m] &= ~bit_x
+                mask &= ~pair
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    _unlink(scores, at, low.bit_length() - 1, bit_x, m)
+            scores[x] = None
+        key = self.group[w] = self.group[u]
+        self.members[key] &= ~pair
+        done = 0
+        rest = touched
+        while rest:
+            bit_t = rest & -rest
+            rest ^= bit_t
+            t = bit_t.bit_length() - 1
+            row = scores[t]
+            # partners inside touched not yet re-scored, and whether t's
+            # partners outside touched all drop by one
+            inside = touched & ~done & ~bit_t
+            saw_both = bit_t & both
+            pos_t, neg_t, nbr_t = pos[t], neg[t], nbr[t]
+            for m, mask in list(row.items()):
+                recheck = mask & inside
+                while recheck:
+                    bit_y = recheck & -recheck
+                    recheck ^= bit_y
+                    y = bit_y.bit_length() - 1
+                    new = ((nbr_t | nbr[y]) & ~((pos_t & pos[y]) | (neg_t & neg[y]) | bit_t | bit_y)).bit_count()
+                    if new != m:
+                        _unlink(scores, at, t, bit_y, m)
+                        _link(scores, at, t, bit_y, new)
+                        _unlink(scores, at, y, bit_t, m)
+                        _link(scores, at, y, bit_t, new)
+                moved = mask & ~touched if saw_both else 0
+                if moved:
+                    _unlink(scores, at, t, moved, m)
+                    _link(scores, at, t, moved, m - 1)
+                    while moved:
+                        bit_y = moved & -moved
+                        moved ^= bit_y
+                        y = bit_y.bit_length() - 1
+                        _unlink(scores, at, y, bit_t, m)
+                        _link(scores, at, y, bit_t, m - 1)
+            done |= bit_t
+        scores[w] = {}
+        self._score(w, self.members[key])
+        self.members[key] |= bit_w
+
+
+def _link(scores: list, at: list[int], x: int, partners: int, m: int) -> None:
+    """Record mr(x, y) = m for each y in partners, in x's row only."""
+    row = scores[x]
+    row[m] = row.get(m, 0) | partners
+    at[m] |= 1 << x
+
+
+def _unlink(scores: list, at: list[int], x: int, partners: int, m: int) -> None:
+    """Forget mr(x, y) = m for each y in partners, in x's row only."""
+    row = scores[x]
+    rest = row[m] & ~partners
+    if rest:
+        row[m] = rest
+    else:
+        del row[m]
+        at[m] &= ~(1 << x)
+
 
 def greedy_sequence(
     graph: SignedTrigraph, bipartite: bool = False, tie_break: str = "smallest"
@@ -183,35 +314,26 @@ def greedy_sequence(
     key orders all pairs strictly and the sequence does not depend on the
     order pairs are scored in.  The achieved width lands in declared_width.
 
-    The loop runs on a private bitset working graph (_WorkingGraph): a pair
-    is scored in O(max red degree) word operations and a contraction
-    updates only the merged vertex and its neighbours in place.
+    The loop runs on a private bitset working graph (_WorkingGraph) that
+    caches each same-group pair's merged red degree mr.  A step scores in
+    full only the pairs whose mr does not exceed the best width found, and
+    a contraction re-scores only the pairs with an endpoint among the
+    merged pair's neighbours or at the new vertex; no other pair's score
+    can change.
     """
     if tie_break not in ("smallest", "largest"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     if bipartite:
         _require_sides(graph, "bipartite greedy")
-    work = _WorkingGraph(graph)
+    work = _WorkingGraph(graph, bipartite)
     vertices = graph.vertices()
-    if bipartite:
-        by_side: dict[int | None, list[int]] = {}
-        for i, v in enumerate(vertices):
-            by_side.setdefault(graph.side(v), []).append(i)
-        groups = list(by_side.values())
-    else:
-        groups = [list(range(len(vertices)))]
     steps: list[tuple[int, int]] = []
     width = work.top
     fresh = len(vertices)
-    while any(len(group) > 1 for group in groups):
-        u, v = work.best_pair(groups, tie_break == "largest")
+    while (pair := work.best_pair(tie_break == "largest")) is not None:
+        u, v = pair
         steps.append(tuple(sorted((work.label[u], work.label[v]))))
         work.contract(u, v, fresh)
-        for group in groups:
-            if u in group:
-                group.remove(u)
-                group.remove(v)
-                group.append(fresh)
         fresh += 1
         width = max(width, work.top)
     return ContractionSequence(

@@ -62,24 +62,25 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _sniff(text: str) -> str:
-    for line in text.splitlines():
+def _sniff(text: str) -> tuple[str, int]:
+    """The problem line's format token and its 1-based line number."""
+    for number, line in enumerate(text.splitlines(), 1):
         tokens = line.split()
         if tokens and tokens[0] == "p" and len(tokens) > 1:
-            return tokens[1]
-    raise ParseError("no problem line found")
+            return tokens[1], number
+    raise ParseError("no problem line found", 1)
 
 
 def _load_graph(path: str) -> tuple[SignedTrigraph, Formula | None, WeightFunction]:
     """Accept either a signed trigraph file or a CNF (via its incidence graph)."""
     text = _read(path)
-    kind = _sniff(text)
+    kind, number = _sniff(text)
     if kind == "cnf":
         formula, weights = parse_dimacs(text, name=path)
         return incidence_graph(formula), formula, weights
     if kind == "stg":
         return parse_graph(text), None, WeightFunction.unit()
-    raise ParseError(f"unsupported problem line 'p {kind}' in {path}")
+    raise ParseError(f"unsupported problem line 'p {kind}' in {path}", number)
 
 
 def _load_formula(path: str) -> tuple[Formula, WeightFunction]:

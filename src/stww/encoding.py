@@ -292,7 +292,10 @@ def run_solver(
     satisfiable, `v` lines of literals.  Returns one of ("sat", literals),
     ("unsat", empty), ("unknown", empty) or ("timeout", empty).
     """
-    args = shlex.split(command) if isinstance(command, str) else list(command)
+    try:
+        args = shlex.split(command) if isinstance(command, str) else list(command)
+    except ValueError as exc:
+        raise SolverUnavailableError(f"cannot parse solver command {command!r}: {exc}") from None
     if not args:
         raise SolverUnavailableError("empty solver command")
     try:
@@ -303,6 +306,8 @@ def run_solver(
         return "timeout", set()
     except (FileNotFoundError, PermissionError, NotADirectoryError) as exc:
         raise SolverUnavailableError(f"cannot run solver {args[0]!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SolverError(f"solver output is not UTF-8 text: {exc}") from None
 
     status = None
     literals: set[int] = set()

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import brute_min_bipartite_width, random_bipartite_graph, reference_greedy
-from stww.bounds import exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
+from stww.bounds import _WorkingGraph, exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
 from stww.generators import gen_grid, gen_random_ksat, gen_subdivided_clique
 from stww.sequence import replay, serialize_sequence, verify
 from stww.trigraph import NEG, POS, RED, SignedTrigraph, incidence_graph
@@ -210,3 +210,67 @@ def test_subdivided_clique_and_bruteforce_witnesses_are_pinned():
             width, seq = exact_tww_bruteforce(g, bipartite=bipartite)
             digest.update(f"{width}\n{serialize_sequence(seq)}".encode())
     assert digest.hexdigest() == "0000ca5b0436388e6e05f95a4b20280df47718e09703fb67b7013e5c13b7d06d"
+
+
+def _greedy_pin_cases():
+    for n in (30, 34, 80):
+        yield incidence_graph(gen_random_ksat(n, 3, 2 * n, seed=n))
+    for side in range(6, 9):
+        yield gen_grid(2, side, signs="random", seed=side)
+    rng = random.Random(23)
+    for _ in range(6):
+        ids = sorted(rng.sample(range(1, 10**4), rng.randint(20, 60)))
+        yield _random_sided_trigraph(rng, ids)
+
+
+def test_greedy_outputs_are_pinned_past_the_reference():
+    # reference_greedy stops near 30 vertices; this pin holds greedy's steps
+    # and widths up to V = 240 in both modes and with both tie-breaks
+    digest = hashlib.sha256()
+    for graph in _greedy_pin_cases():
+        for bipartite in (True, False):
+            for tie_break in ("smallest", "largest"):
+                seq = greedy_sequence(graph, bipartite=bipartite, tie_break=tie_break)
+                digest.update(f"{seq.declared_width}\n{serialize_sequence(seq)}".encode())
+    assert digest.hexdigest() == "e89224d402920e11d4a8e652113ad2cda07e6f771f009fcc0d377eb166559844"
+
+
+def _fresh_scores(work):
+    """Every live same-group pair's merged red degree, from the masks."""
+    scores = {}
+    for key, members in work.members.items():
+        live = [x for x in range(members.bit_length()) if members >> x & 1]
+        for x, y in itertools.combinations(live, 2):
+            agree = (work.pos[x] & work.pos[y]) | (work.neg[x] & work.neg[y])
+            merged = (work.nbr[x] | work.nbr[y]) & ~(agree | 1 << x | 1 << y)
+            scores[x, y] = merged.bit_count()
+    return scores
+
+
+def test_cached_pair_scores_match_the_masks_after_every_step():
+    graphs = [
+        incidence_graph(gen_random_ksat(12, 3, 24, seed=2)),
+        gen_grid(2, 5, signs="random", seed=1),
+        _random_sided_trigraph(random.Random(8), sorted(random.Random(9).sample(range(1, 500), 24))),
+    ]
+    for graph in graphs:
+        for bipartite in (True, False):
+            work = _WorkingGraph(graph, bipartite)
+            fresh = graph.num_vertices
+            while True:
+                cached = {}
+                for x, row in enumerate(work.scores):
+                    for m, partners in (row or {}).items():
+                        for y in range(partners.bit_length()):
+                            if partners >> y & 1:
+                                cached[x, y] = m
+                fresh_scores = _fresh_scores(work)
+                assert cached == {**fresh_scores, **{(y, x): m for (x, y), m in fresh_scores.items()}}
+                holders = [sum(1 << x for x, row in enumerate(work.scores) if row and m in row)
+                           for m in range(len(work.at))]
+                assert work.at == holders
+                pair = work.best_pair(largest=False)
+                if pair is None:
+                    break
+                work.contract(*pair, fresh)
+                fresh += 1

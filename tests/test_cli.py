@@ -262,6 +262,20 @@ def test_exact_without_solver_is_an_env_error(capsys, monkeypatch, tmp_path):
     assert "TWW_SOLVER" in err
 
 
+def test_misbehaving_solver_is_an_env_error(capsys, tmp_path):
+    grid = tmp_path / "grid.stg"
+    run(capsys, "gen", "grid", "2", "3", "-o", str(grid))
+    binary = tmp_path / "binary.sh"
+    binary.write_text("#!/bin/sh\nprintf 's SATISFIABLE\\n\\377\\n'\n")
+    binary.chmod(0o755)
+    code, out, err = run(capsys, "exact", str(grid), "--solver", str(binary))
+    assert (code, out) == (EX_ENV, "")
+    assert err.startswith("stww: solver output is not UTF-8 text")
+    code, out, err = run(capsys, "exact", str(grid), "--solver", "'unbalanced")
+    assert (code, out) == (EX_ENV, "")
+    assert err.startswith("stww: cannot parse solver command")
+
+
 def test_exact_with_bundled_solver(capsys, monkeypatch, tmp_path, mini_solver_cmd):
     monkeypatch.setenv("TWW_SOLVER", shlex.join(mini_solver_cmd))
     grid = tmp_path / "grid.stg"
@@ -301,6 +315,14 @@ def test_data_errors_exit_65(capsys, tmp_path):
     code, out, err = run(capsys, "greedy", str(stg))
     assert (code, out) == (EX_DATA, "")
     assert err == "stww: line 4: vertex id 7 exceeds declared count 3\n"
+    stg.write_text("1 2 +\n")
+    code, out, err = run(capsys, "greedy", str(stg))
+    assert (code, out) == (EX_DATA, "")
+    assert err == "stww: line 1: no problem line found\n"
+    stg.write_text("p foo 1 2\n")
+    code, out, err = run(capsys, "greedy", str(stg))
+    assert (code, out) == (EX_DATA, "")
+    assert err == f"stww: line 1: unsupported problem line 'p foo' in {stg}\n"
 
 
 def test_recursion_limit_is_an_env_error(capsys, monkeypatch, tmp_path, or_cnf):
