@@ -17,11 +17,15 @@ them; a profile is realizable iff it is present (the value may be 0 when
 weights vanish or cancel).  Records are built per region on demand: the
 red components of the final two-vertex graph, one variable vertex a and
 one clause vertex c, are evaluated children first off a stack, each
-region once, which keeps the work proportional to the regions actually
-touched instead of every red-connected set of every level.  `finalize`
-reads the count off them by one rule: the weight of the profiles with at
-most k ones under which c is satisfied, read from {a, c} when the final
-edge is red and from a's own profiles across a black edge.  `dp_records`
+region planned once and evaluated once, which keeps the work proportional
+to the regions actually touched instead of every red-connected set of
+every level.  A region's children fold one after another, skipping lone
+clause vertices, whose record is the empty state alone; the largest
+folds in last and writes the region's table as it goes, so the full
+product is never stored and walked again.  `finalize` reads the count
+off the records by one rule: the weight of the profiles with at most k
+ones under which c is satisfied, read from {a, c} when the final edge is
+red and from a's own profiles across a black edge.  `dp_records`
 reads the same memoized records for every red-connected region of every
 level, for cross-checking against `realizes`.
 
@@ -69,6 +73,10 @@ class Profile(NamedTuple):
 Record = dict[Profile, int | Fraction]
 # state (has_one, mixed, ones, satisfied), the three sets as vertex bitsets
 Table = dict[tuple[int, int, int, int], int | Fraction]
+# a component's entries (has_one, mixed, satisfied, value), grouped by ones
+Groups = list[tuple[int, list[tuple[int, int, int, int | Fraction]]]]
+# the entries of a lone clause vertex: the empty state of weight 1
+_UNIT_GROUPS: Groups = [(0, [(0, 0, 0, _ONE)])]
 # a capped expansion's has_one bitsets -> (canonical removal, its red distance)
 Removals = dict[int, tuple[int, float]]
 
@@ -227,30 +235,39 @@ def _region_record(
     A region's record holds from the step that creates its youngest vertex
     until one of its vertices is contracted away, so records are memoized
     by region alone and computed at that step, from the records of the
-    regions its expansion splits into; those come first, off a stack.
+    regions its expansion splits into; those come first, off a stack.  Each
+    region is planned once: its level, splits and removals wait in `plans`
+    while the children it is missing are computed.
     """
-    stats.setdefault("regions_evaluated", 0)
-    stats.setdefault("large_regions", 0)
-    stats.setdefault("peel_candidates", 0)
+    for key in ("regions_evaluated", "large_regions", "peel_candidates", "fold_states",
+                "largest_table"):
+        stats.setdefault(key, 0)
     max_region = _region_threshold(budget, log.width)
+    plans: dict[frozenset[int], tuple] = {}
     stack = [region]
     while stack:
         top = stack[-1]
         if top in memo:
             stack.pop()
             continue
-        level = max(log.birth(v) for v in top)
-        if level == 0:
-            assert len(top) == 1, "regions of input vertices are singletons"
-            (v,) = top
-            memo[top] = _singleton_record(log, v, weights)
-            continue
-        x, y, z = log.steps[level - 1]
-        splits, removals = _splits(log, (top - {z}) | {x, y}, max_region, budget)
-        missing = [comp for _, components in splits for comp in components if comp not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
+        plan = plans.pop(top, None)
+        if plan is None:
+            # birth levels grow with vertex ids
+            level = log.birth(max(top))
+            if level == 0:
+                assert len(top) == 1, "regions of input vertices are singletons"
+                (v,) = top
+                memo[top] = _singleton_record(log, v, weights)
+                continue
+            x, y, z = log.steps[level - 1]
+            splits, removals = _splits(log, (top - {z}) | {x, y}, max_region, budget)
+            plan = (level, splits, removals)
+            missing = [comp for _, components in splits for comp in components if comp not in memo]
+            if missing:
+                plans[top] = plan
+                stack.extend(missing)
+                continue
+        level, splits, removals = plan
         memo[top] = _recompute_region(log, level, top, splits, removals, weights, budget, memo, stats)
     return memo[region]
 
@@ -279,15 +296,15 @@ def _component_entries(
     comp: frozenset[int],
     region_clauses: list[int],
     table: Table,
-) -> list[tuple[int, int, int, int, int | Fraction]]:
-    """States of one red component, each with its satisfied set widened by
-    the region clauses it satisfies through uniform black edges: a black
-    edge pins every bagged literal pair to one sign, so a 1 behind a
-    positive edge, or a 0 behind a negative one, satisfies every clause
-    bagged at the endpoint.  That is the positive clauses of the has_one
-    variables plus the negative clauses of the variables whose bag holds a
-    0 (not in has_one, or mixed); each variable's two clause masks are read
-    once per call."""
+) -> Groups:
+    """States of one red component, grouped by ones in increasing order,
+    each with its satisfied set widened by the region clauses it satisfies
+    through uniform black edges: a black edge pins every bagged literal pair
+    to one sign, so a 1 behind a positive edge, or a 0 behind a negative
+    one, satisfies every clause bagged at the endpoint.  That is the
+    positive clauses of the has_one variables plus the negative clauses of
+    the variables whose bag holds a 0 (not in has_one, or mixed); each
+    variable's two clause masks are read once per call."""
     reach = []
     for u in comp:
         if log.side(u) != SIDE_VAR:
@@ -299,16 +316,20 @@ def _component_entries(
                 pos |= 1 << c
             elif kind == NEG:
                 neg |= 1 << c
-        reach.append((1 << u, pos, pos | neg, neg))
-    entries = []
+        if pos or neg:
+            reach.append((1 << u, pos, pos | neg, neg))
+    by_ones: dict[int, list[tuple[int, int, int, int | Fraction]]] = {}
     for (has_one, mixed, ones, sat), value in table.items():
         for bit, pos, both, neg in reach:
             if has_one & bit:
                 sat |= both if mixed & bit else pos
             else:
                 sat |= neg
-        entries.append((has_one, mixed, ones, sat, value))
-    return entries
+        group = by_ones.get(ones)
+        if group is None:
+            group = by_ones[ones] = []
+        group.append((has_one, mixed, sat, value))
+    return sorted(by_ones.items())
 
 
 def _splits(log: ContractionLog, expanded: frozenset[int], max_region: int, budget: int):
@@ -359,9 +380,16 @@ def _recompute_region(
     The components fold one at a time into partial states: has_one, mixed
     and satisfied are unions (satisfied also taking each state's clause
     mask), ones adds up within the budget, and equal partial states sum.
-    The merged pair then folds into z: a variable z has a 1 if x or y has
-    one, and is mixed if it also has a 0; a clause z is satisfied if x and
-    y both are.  x and y are then dropped.
+    A component whose only entry is the empty state of weight 1 (a lone
+    clause vertex) leaves the partial states as they are and is skipped;
+    the others fold smallest table first.  Entries come grouped by ones,
+    so each partial state stops at the first group past its budget.  The
+    last component's fold writes the table itself: each combined state is
+    kept only under its peel, if the split peeled a vertex, and then the
+    merged pair folds into z: a variable z has a 1 if x or y has one, and
+    is mixed if it also has a 0; a clause z is satisfied if x and y both
+    are.  x and y are then dropped.  The z rule sees the combined state,
+    since x and y may lie in different components.
     """
     stats["regions_evaluated"] += 1
     x, y, z = log.steps[level - 1]
@@ -376,36 +404,56 @@ def _recompute_region(
         stats["peel_candidates"] += len(splits)
     out: Table = {}
     for peeled, components in splits:
-        partial: Table = {(0, 0, 0, 0): _ONE}
-        for comp in components:
-            entries = _component_entries(log, comp, region_clauses, memo[comp])
+        folds = []
+        for comp in sorted(components, key=lambda comp: len(memo[comp])):
+            groups = _component_entries(log, comp, region_clauses, memo[comp])
+            if groups != _UNIT_GROUPS:
+                folds.append(groups)
+        *inner, last = folds or [_UNIT_GROUPS]
+        # a peeled variable's bag is all zero under its peel: its weight
+        # starts the fold
+        weight = _ONE
+        if peeled is not None and log.side(peeled) == SIDE_VAR:
+            weight = math.prod((weights.of(-v) for v in log.bag(peeled)), start=_ONE)
+        partial: Table = {(0, 0, 0, 0): weight}
+        for groups in inner:
             folded: Table = {}
             for (has_one, mixed, ones, sat), value in partial.items():
-                for e_has_one, e_mixed, e_ones, e_sat, e_value in entries:
+                room = budget - ones
+                for e_ones, group in groups:
+                    if e_ones > room:
+                        break
                     total = ones + e_ones
-                    if total > budget:
-                        continue
-                    key = (has_one | e_has_one, mixed | e_mixed, total, sat | e_sat)
-                    folded[key] = folded.get(key, _ZERO) + value * e_value
+                    for e_has_one, e_mixed, e_sat, e_value in group:
+                        key = (has_one | e_has_one, mixed | e_mixed, total, sat | e_sat)
+                        folded[key] = folded.get(key, _ZERO) + value * e_value
             partial = folded
-        peel_weight = _ONE
-        if peeled is not None and log.side(peeled) == SIDE_VAR:
-            peel_weight = math.prod((weights.of(-v) for v in log.bag(peeled)), start=_ONE)
+            stats["fold_states"] += len(folded)
         for (has_one, mixed, ones, sat), value in partial.items():
-            if peeled is not None:
-                sat = _peel(log, expanded, peeled, region_clauses, has_one, sat, removals)
-                if sat is None:
-                    continue
-                value *= peel_weight
-            if z_is_var:
-                if has_one & pair:
-                    has_one |= z_bit
-                    if has_one & pair != pair or mixed & pair:
-                        mixed |= z_bit
-            elif sat & pair == pair:
-                sat |= z_bit
-            key = (has_one & drop, mixed & drop, ones, sat & drop)
-            out[key] = out.get(key, _ZERO) + value
+            room = budget - ones
+            for e_ones, group in last:
+                if e_ones > room:
+                    break
+                total = ones + e_ones
+                for e_has_one, e_mixed, e_sat, e_value in group:
+                    h = has_one | e_has_one
+                    m = mixed | e_mixed
+                    s = sat | e_sat
+                    if peeled is not None:
+                        s = _peel(log, expanded, peeled, region_clauses, h, s, removals)
+                        if s is None:
+                            continue
+                    if z_is_var:
+                        if h & pair:
+                            h |= z_bit
+                            if h & pair != pair or m & pair:
+                                m |= z_bit
+                    elif s & pair == pair:
+                        s |= z_bit
+                    key = (h & drop, m & drop, total, s & drop)
+                    out[key] = out.get(key, _ZERO) + value * e_value
+    stats["fold_states"] += len(out)
+    stats["largest_table"] = max(stats["largest_table"], len(out))
     return out
 
 
@@ -546,7 +594,9 @@ def solve_bwmc(
     and one clause vertex, and `finalize` reads the count off the records
     of that last level, whatever its edge.  Without a clause or without a
     budget the count has a closed form.  `stats`, when given, collects
-    region counters and the size estimates for the run.
+    region counters, the fold counters (`fold_states`, the partial and
+    output states the folds build, and `largest_table`, the most states of
+    one evaluated region) and the size estimates for the run.
     """
     if k < 0:
         raise ValueError("the ones budget k must be nonnegative")

@@ -63,12 +63,13 @@ def _read(path: str) -> str:
 
 
 def _sniff(text: str) -> tuple[str, int]:
-    """The problem line's format token and its 1-based line number."""
+    """The problem line's format token and its 1-based line number.  Text
+    without one is read as `stg`, the one format whose header is optional."""
     for number, line in enumerate(text.splitlines(), 1):
         tokens = line.split()
         if tokens and tokens[0] == "p" and len(tokens) > 1:
             return tokens[1], number
-    raise ParseError("no problem line found", 1)
+    return "stg", 1
 
 
 def _load_graph(path: str) -> tuple[SignedTrigraph, Formula | None, WeightFunction]:
@@ -197,6 +198,8 @@ def _cmd_bwmc(args) -> int:
                 f"{stats.get('regions_evaluated', 0)} regions evaluated "
                 f"({stats.get('large_regions', 0)} at the cap, "
                 f"{stats.get('peel_candidates', 0)} peel candidates), "
+                f"{stats.get('fold_states', 0)} fold states, "
+                f"largest table {stats.get('largest_table', 0)}, "
                 f"profile bound {estimate.profile_count_bound}",
                 file=sys.stderr,
             )
@@ -288,7 +291,7 @@ def _build_parser() -> _Parser:
     p.add_argument("seq", help="bipartite contraction sequence (.tws)")
     p.add_argument("-k", type=int, required=True, help="ones budget")
     p.add_argument("--stats", action="store_true",
-                   help="report region counts and size bounds on stderr")
+                   help="report region and fold counts and size bounds on stderr")
     p.set_defaults(run=_cmd_bwmc)
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force reference answers")

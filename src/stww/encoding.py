@@ -16,7 +16,7 @@ from __future__ import annotations
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
 from .bounds import greedy_sequence
@@ -83,6 +83,13 @@ class _Builder:
     def add(self, *lits: int) -> None:
         self.clauses[frozenset(lits)] = None
 
+    def copy(self) -> _Builder:
+        other = _Builder()
+        other.count = self.count
+        other.legend = dict(self.legend)
+        other.clauses = dict(self.clauses)
+        return other
+
     def add_at_most(self, lits: list[int], bound: int, tag: tuple) -> None:
         """Sequential-counter cardinality constraint: at most `bound` true."""
         m = len(lits)
@@ -116,6 +123,44 @@ def encode(graph: SignedTrigraph, d: int) -> EncodingArtifact:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
+    return _encode_prefix(graph).finish(d)
+
+
+@dataclass(frozen=True)
+class _Prefix:
+    """Every clause of a graph's encoding but the degree counters.  Only the
+    counters depend on d, and they come last in both variable and clause
+    order, so the encoding at any d is this prefix with d's counters
+    appended."""
+
+    graph: SignedTrigraph
+    builder: _Builder
+    order: dict[tuple[int, int], int]
+    parent: dict[tuple[int, int], int]
+    red: dict[tuple[int, int, int], int]
+    last: dict[int, int]
+    cross_side: dict[int, list[int]]
+
+    def copy(self) -> _Prefix:
+        return replace(self, builder=self.builder.copy())
+
+    def finish(self, d: int) -> EncodingArtifact:
+        """The encoding at d.  The counters go into this prefix's builder,
+        so a prefix that serves several d is copied for each."""
+        b, red, vertices = self.builder, self.red, self.graph.vertices()
+        # after any step, every vertex has at most d red edges
+        for t in vertices:
+            for v in vertices:
+                if v == t:
+                    continue
+                lits = [red[(t, v, w) if v < w else (t, w, v)] for w in self.cross_side[v] if w != t]
+                b.add_at_most(lits, d, ("deg", t, v))
+        cnf = Formula(b.count, tuple(b.clauses))
+        return EncodingArtifact(cnf, b.legend, self.graph, d, self.order, self.parent, red, self.last)
+
+
+def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
+    """The clauses of `encode` that do not depend on d, in its order."""
     vertices = graph.vertices()
     for v in vertices:
         if graph.side(v) is None:
@@ -222,16 +267,7 @@ def encode(graph: SignedTrigraph, d: int) -> EncodingArtifact:
                     continue
                 b.add(not_red, not_tu, not_u[a], not_u[c], rlit(u, a, c))
 
-    # after any step, every vertex has at most d red edges
-    for t in vertices:
-        for v in vertices:
-            if v == t:
-                continue
-            lits = [rlit(t, v, w) for w in cross_side[v] if w != t]
-            b.add_at_most(lits, d, ("deg", t, v))
-
-    cnf = Formula(b.count, tuple(b.clauses))
-    return EncodingArtifact(cnf, b.legend, graph, d, order, parent, red, last)
+    return _Prefix(graph, b, order, parent, red, last, cross_side)
 
 
 def decode(artifact: EncodingArtifact, model) -> ContractionSequence:
@@ -343,16 +379,19 @@ def exact_tww_via_solver(
 ) -> ExactResult:
     """Minimal bipartite width via repeated SAT queries.
 
-    Starts from the greedy upper bound and walks d downward; every
-    satisfiable answer is decoded and re-verified before it is trusted.  On
-    timeout or an unknown answer the best verified width so far is returned
-    with exact=False (an upper bound only).
+    Starts from the greedy upper bound and walks d downward, encoding the
+    clauses that do not depend on d once; every satisfiable answer is
+    decoded and re-verified before it is trusted.  On timeout or an unknown
+    answer the best verified width so far is returned with exact=False (an
+    upper bound only).
     """
     base = greedy_sequence(graph, bipartite=True)
     best_width = base.declared_width or 0
     best_seq = base
     deadline = time.monotonic() + timeout if timeout is not None else None
 
+    # the clauses every d shares, encoded once at the first query
+    prefix: _Prefix | None = None
     d = best_width - 1
     while d >= 0:
         remaining = None
@@ -360,7 +399,9 @@ def exact_tww_via_solver(
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return ExactResult(best_width, best_seq, False)
-        artifact = encode(graph, d)
+        if prefix is None:
+            prefix = _encode_prefix(graph)
+        artifact = prefix.copy().finish(d)
         status, model = run_solver(serialize_dimacs(artifact.cnf), solver, remaining)
         if status == "sat":
             seq = decode(artifact, model)

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import bounded_ones_count, check_record, random_formula, random_weights
 from test_acceptance import implication_chain, zip_sequence
+from stww import bwmc
 from stww.bounds import greedy_sequence
 from stww.bwmc import (
     Profile,
@@ -20,7 +21,7 @@ from stww.bwmc import (
 from stww.cnf import Formula, WeightFunction
 from stww.generators import gen_random_ksat
 from stww.oracle import bwmc_oracle
-from stww.sequence import ContractionSequence, final_graph
+from stww.sequence import ContractionSequence, final_graph, verify
 from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
 EMPTY = frozenset()
@@ -441,6 +442,98 @@ def test_peel_path_count_matches_the_oracle():
     stats = {}
     assert solve_bwmc(f, w, 1, greedy_for(f, "largest"), stats=stats) == bwmc_oracle(f, w, 1)
     assert stats["large_regions"] >= 1
+
+
+# -- the component fold's branches ---------------------------------------------
+
+
+def record_folds(monkeypatch):
+    """Record every split the region evaluator folds, one dict each: whether
+    the merged pair is a variable pair, whether x and y lie in different
+    components of more than one vertex, how many components are lone
+    clause vertices and how many are not, and the peeled vertex."""
+    shapes = []
+    evaluate = bwmc._recompute_region
+
+    def recording(log, level, region, splits, *rest):
+        x, y, _z = log.steps[level - 1]
+        for peeled, components in splits:
+            comp_x, comp_y = (next((c for c in components if v in c), None) for v in (x, y))
+            units = sum(all(log.side(u) == SIDE_CLA for u in comp) for comp in components)
+            shapes.append({
+                "variables": log.side(x) == SIDE_VAR,
+                "apart": comp_x is not comp_y and len(comp_x or ()) > 1 and len(comp_y or ()) > 1,
+                "units": units,
+                "others": len(components) - units,
+                "peeled": peeled,
+            })
+        return evaluate(log, level, region, splits, *rest)
+
+    monkeypatch.setattr(bwmc, "_recompute_region", recording)
+    return shapes
+
+
+def assert_counts_and_records(formula, weights, seq, ks):
+    """solve_bwmc against the oracle, and every level's records against
+    check_record, for each budget in ks."""
+    initial = incidence_graph(formula)
+    width = verify(initial, seq, require_bipartite=True).width
+    for k in ks:
+        assert solve_bwmc(formula, weights, k, seq) == bwmc_oracle(formula, weights, k), k
+        budget = min(k, formula.num_vars)
+        threshold = estimate_bounds(0, budget, width).max_region_size
+        checked = 0
+        for graph, record in dp_records(formula, weights, k, seq):
+            checked += check_record(initial, graph, record, weights, budget, threshold)
+        assert checked > 0
+
+
+def test_fold_merges_a_variable_pair_from_two_components(monkeypatch):
+    # 1,3 and 2,4 merge first, each red to its own clause; merging the two
+    # results joins {x, (1 -3)} and {y, (2 -4)}, so z's has_one and mixed
+    # bits come from both components at once
+    f = Formula(4, (fs(1, -3), fs(2, -4)))
+    seq = ContractionSequence(((1, 3), (2, 4), (1, 2), (5, 6)), num_vertices=6)
+    shapes = record_folds(monkeypatch)
+    solve_bwmc(f, WeightFunction(), 2, seq)
+    assert any(shape["variables"] and shape["apart"] for shape in shapes)
+    assert_counts_and_records(f, prime_weights(random.Random(1), 4, zeros=False), seq, (1, 2, 3, 4))
+
+
+def test_fold_merges_a_clause_pair_from_two_components(monkeypatch):
+    # each clause is red to the vertex its two variables merged into, so
+    # merging the clauses joins two components, and z is satisfied only
+    # when both are
+    f = Formula(4, (fs(1, -2), fs(3, -4)))
+    seq = ContractionSequence(((1, 2), (3, 4), (5, 6), (1, 3)), num_vertices=6)
+    shapes = record_folds(monkeypatch)
+    solve_bwmc(f, WeightFunction(), 2, seq)
+    assert any(not shape["variables"] and shape["apart"] for shape in shapes)
+    assert_counts_and_records(f, prime_weights(random.Random(2), 4, zeros=False), seq, (1, 2, 3, 4))
+
+
+def test_fold_skips_lone_clause_components(monkeypatch):
+    # (1 -2) turns red only when 1 and 2 merge, so that merge's expansion
+    # holds the clause as a component of its own, and its satisfaction
+    # comes from the black edges of the two variable components
+    f = Formula(3, (fs(1, -2), fs(2, 3), fs(-1, -3)))
+    seq = ContractionSequence(((1, 2), (4, 5), (1, 3), (4, 6)), num_vertices=6)
+    shapes = record_folds(monkeypatch)
+    solve_bwmc(f, WeightFunction(), 2, seq)
+    assert any(shape["units"] and shape["others"] >= 2 for shape in shapes)
+    assert_counts_and_records(f, prime_weights(random.Random(3), 3, zeros=False), seq, (1, 2, 3))
+
+
+def test_fold_peels_in_its_last_component(monkeypatch):
+    # the capped region of the peel-path formula peels variable 1 and
+    # leaves two components, so the peel check runs while the second one
+    # folds in, after the first
+    f = LARGE_BRANCH_FORMULA
+    seq = greedy_for(f, tie_break="largest")
+    shapes = record_folds(monkeypatch)
+    solve_bwmc(f, WeightFunction(), 1, seq)
+    assert any(shape["peeled"] is not None and shape["others"] >= 2 for shape in shapes)
+    assert_counts_and_records(f, prime_weights(random.Random(4), 5, zeros=False), seq, (1,))
 
 
 # -- past the oracle: the bounded-ones reference ---------------------------------

@@ -80,6 +80,7 @@ def test_bwmc_stats_count_the_peel_candidates(capsys, tmp_path):
     code, out, err = run(capsys, "bwmc", str(cnf), str(seq), "-k", "1", "--stats")
     assert code == EX_OK
     assert "region size cap 5, 14 regions evaluated (1 at the cap, 3 peel candidates)" in err
+    assert "peel candidates), 62 fold states, largest table 4, profile bound" in err
     code, oracle_out, _err = run(capsys, "oracle", "bwmc", str(cnf), "-k", "1")
     assert out == oracle_out
 
@@ -315,10 +316,14 @@ def test_data_errors_exit_65(capsys, tmp_path):
     code, out, err = run(capsys, "greedy", str(stg))
     assert (code, out) == (EX_DATA, "")
     assert err == "stww: line 4: vertex id 7 exceeds declared count 3\n"
+    # text without a problem line is read as stg, whose header is optional
     stg.write_text("1 2 +\n")
     code, out, err = run(capsys, "greedy", str(stg))
+    assert (code, out, err) == (EX_OK, "p tws 2 1\n1 2\n", "width 0\n")
+    stg.write_text("c no header\n1 2 +\n2 zebra -\n")
+    code, out, err = run(capsys, "greedy", str(stg))
     assert (code, out) == (EX_DATA, "")
-    assert err == "stww: line 1: no problem line found\n"
+    assert err == "stww: line 3: non-integer vertex id\n"
     stg.write_text("p foo 1 2\n")
     code, out, err = run(capsys, "greedy", str(stg))
     assert (code, out) == (EX_DATA, "")

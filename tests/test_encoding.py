@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from math import comb
 
 import pytest
@@ -126,3 +127,24 @@ def test_timeout_returns_upper_bound(mini_solver_cmd):
     assert not result.exact
     assert result.width >= exact_tww_bruteforce(g, bipartite=True)[0]
     assert verify(g, result.seq, require_bipartite=True).ok
+
+
+def test_exact_via_solver_sends_each_d_the_encoding_of_that_d(tmp_path, mini_solver_cmd):
+    # greedy finds width 3 here and the optimum is 2, so the walk asks for
+    # d = 2 (satisfiable) and then d = 1 (unsatisfiable); the recording
+    # solver keeps each query's stdin before the bundled solver answers it
+    graph = incidence_graph(gen_random_ksat(3, 2, 5, 2))
+    assert greedy_sequence(graph, bipartite=True).declared_width == 3
+    recorder = tmp_path / "recording_solver.py"
+    recorder.write_text(
+        "import pathlib, subprocess, sys\n"
+        f"queries = pathlib.Path({str(tmp_path)!r})\n"
+        "text = sys.stdin.read()\n"
+        "(queries / f\"query{len(list(queries.glob('query*.cnf')))}.cnf\").write_text(text)\n"
+        f"sys.exit(subprocess.run({mini_solver_cmd!r}, input=text, text=True).returncode)\n"
+    )
+    result = exact_tww_via_solver(graph, [sys.executable, str(recorder)])
+    assert result.exact and result.width == 2
+    sent = [(tmp_path / f"query{i}.cnf").read_text() for i in range(2)]
+    assert not (tmp_path / "query2.cnf").exists()
+    assert sent == [serialize_dimacs(encode(graph, d).cnf) for d in (2, 1)]
