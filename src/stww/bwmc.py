@@ -30,11 +30,12 @@ reads the same memoized records for every red-connected region of every
 level, for cross-checking against `realizes`.
 
 No record is kept for a region past the cap k(d² + 1).  When a merge
-would grow a capped region past it, the expansion peels one vertex: for
-each state, the vertex red-farthest from its has_one set.  That set holds
-at most k variable vertices, so only the farthest vertices of such sets
-are peeled, and one BFS per set gives the table the peel reads its
-vertex from.
+would grow a capped region past it, the expansion splits by its has_one
+set S, which holds at most k variable vertices.  The vertices within red
+distance 2 of S number at most k(d² + 1), so each red component of that
+ball has a record, read at its entries with has_one S; every other vertex
+holds no 1, and adds its all-zero weight and the clauses it satisfies
+once per split.
 
 Inside the memo a region's record is a table keyed by the state
 (has_one, mixed, ones, satisfied), the three sets as int bitsets over vertex
@@ -77,8 +78,6 @@ Table = dict[tuple[int, int, int, int], int | Fraction]
 Groups = list[tuple[int, list[tuple[int, int, int, int | Fraction]]]]
 # the entries of a lone clause vertex: the empty state of weight 1
 _UNIT_GROUPS: Groups = [(0, [(0, 0, 0, _ONE)])]
-# a capped expansion's has_one bitsets -> (canonical removal, its red distance)
-Removals = dict[int, tuple[int, float]]
 
 
 @dataclass(frozen=True)
@@ -204,24 +203,6 @@ def base_record(graph: SignedTrigraph, weights: WeightFunction) -> Record:
     return record
 
 
-def _canonical_removal(graph: SignedTrigraph, region: frozenset[int], sources) -> tuple[int, float]:
-    """The region vertex red-farthest from `sources`, ties to the smallest id."""
-    dist = {v: math.inf for v in region}
-    queue = list(sources)
-    for s in queue:
-        dist[s] = 0
-    while queue:
-        nxt = []
-        for u in queue:
-            for w in graph.red_neighbors(u):
-                if w in region and dist[w] == math.inf:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        queue = nxt
-    best = min(region, key=lambda v: (-dist[v], v))
-    return best, dist[best]
-
-
 def _region_record(
     log: ContractionLog,
     region: frozenset[int],
@@ -236,10 +217,10 @@ def _region_record(
     until one of its vertices is contracted away, so records are memoized
     by region alone and computed at that step, from the records of the
     regions its expansion splits into; those come first, off a stack.  Each
-    region is planned once: its level, splits and removals wait in `plans`
-    while the children it is missing are computed.
+    region is planned once: its level and splits wait in `plans` while the
+    children it is missing are computed.
     """
-    for key in ("regions_evaluated", "large_regions", "peel_candidates", "fold_states",
+    for key in ("regions_evaluated", "large_regions", "has_one_splits", "fold_states",
                 "largest_table"):
         stats.setdefault(key, 0)
     max_region = _region_threshold(budget, log.width)
@@ -260,15 +241,16 @@ def _region_record(
                 memo[top] = _singleton_record(log, v, weights)
                 continue
             x, y, z = log.steps[level - 1]
-            splits, removals = _splits(log, (top - {z}) | {x, y}, max_region, budget)
-            plan = (level, splits, removals)
-            missing = [comp for _, components in splits for comp in components if comp not in memo]
+            splits = _splits(log, (top - {z}) | {x, y}, max_region, budget)
+            plan = (level, splits)
+            missing = [comp for _, components, _ in splits for comp in components
+                       if comp not in memo]
             if missing:
                 plans[top] = plan
                 stack.extend(missing)
                 continue
-        level, splits, removals = plan
-        memo[top] = _recompute_region(log, level, top, splits, removals, weights, budget, memo, stats)
+        level, splits = plan
+        memo[top] = _recompute_region(log, level, top, splits, weights, budget, memo, stats)
     return memo[region]
 
 
@@ -296,6 +278,7 @@ def _component_entries(
     comp: frozenset[int],
     region_clauses: list[int],
     table: Table,
+    split_has_one: int | None,
 ) -> Groups:
     """States of one red component, grouped by ones in increasing order,
     each with its satisfied set widened by the region clauses it satisfies
@@ -304,7 +287,9 @@ def _component_entries(
     one, satisfies every clause bagged at the endpoint.  That is the
     positive clauses of the has_one variables plus the negative clauses of
     the variables whose bag holds a 0 (not in has_one, or mixed); each
-    variable's two clause masks are read once per call."""
+    variable's two clause masks are read once per call.  Under a has_one
+    split only the states whose has_one is the split's, within the
+    component, are kept."""
     reach = []
     for u in comp:
         if log.side(u) != SIDE_VAR:
@@ -318,8 +303,12 @@ def _component_entries(
                 neg |= 1 << c
         if pos or neg:
             reach.append((1 << u, pos, pos | neg, neg))
+    entries = table.items()
+    if split_has_one is not None:
+        want = split_has_one & sum(1 << u for u in comp)
+        entries = [entry for entry in entries if entry[0][0] == want]
     by_ones: dict[int, list[tuple[int, int, int, int | Fraction]]] = {}
-    for (has_one, mixed, ones, sat), value in table.items():
+    for (has_one, mixed, ones, sat), value in entries:
         for bit, pos, both, neg in reach:
             if has_one & bit:
                 sat |= both if mixed & bit else pos
@@ -334,34 +323,39 @@ def _component_entries(
 
 def _splits(log: ContractionLog, expanded: frozenset[int], max_region: int, budget: int):
     """How the record of a merge over `expanded` is assembled: a list of
-    (peeled vertex or None, red components with records), and the
-    canonical removals the peel path looks up (None without a peel).
+    (has_one or None, red components with records, outside vertices).
 
-    Normally one split: the red components of `expanded`, nothing peeled.
-    When a component is too large to have a record, `expanded` is one
-    component of a capped region plus its merged pair, and one vertex is
-    peeled off, leaving the red components of the rest.  A state counts
-    only under the peel of the canonical removal of its has_one set, which
-    holds at most `budget` variable vertices; so only the removals of such
-    sets S are peeled, and each S (as a bitset) maps to its removal and
-    distance, one BFS per S.
+    Normally one split: the red components of `expanded`, read whole
+    (has_one None), nothing outside.  When a component is too large to
+    have a record, `expanded` is one component of a capped region plus its
+    merged pair, and it splits by its has_one set S, a bitset of at most
+    `budget` variable vertices: each assignment has exactly one, so it
+    counts under exactly one split.  The vertices within red distance 2 of
+    S, the ball, number at most |S|(d² + 1), and each red component of the
+    ball is read at its states with has_one S.  Every vertex outside the
+    ball holds no 1.  A clause of the ball lies at red distance 1 from S,
+    so its red neighbours lie in the ball too, and the component records
+    decide it; a clause outside sees only all-zero bags across its red
+    edges.
     """
     components = _red_components(log, expanded)
     if all(len(comp) <= max_region for comp in components):
         assert len(components) <= log.width + 2, "component count exceeds red-degree bound"
-        return [(None, components)], None
+        return [(None, components, frozenset())]
     assert len(components) == 1 and len(expanded) == max_region + 1
     variables = sorted(v for v in expanded if log.side(v) == SIDE_VAR)
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(variables, size) for size in range(budget + 1)
-    )
-    removals: Removals = {
-        sum(1 << u for u in sources): _canonical_removal(log, expanded, sources)
-        for sources in subsets
-    }
-    candidates = sorted({v for v, _ in removals.values()})
-    splits = [(v, _red_components(log, expanded - {v})) for v in candidates]
-    return splits, removals
+    splits = []
+    for size in range(budget + 1):
+        for sources in itertools.combinations(variables, size):
+            ball = set(sources)
+            frontier = ball
+            for _ in range(2):
+                frontier = {w for u in frontier for w in log.red_neighbors(u) & expanded} - ball
+                ball |= frontier
+            assert len(ball) <= max_region, "a red ball of radius 2 exceeds the cap"
+            has_one = sum(1 << u for u in sources)
+            splits.append((has_one, _red_components(log, ball), expanded - ball))
+    return splits
 
 
 def _recompute_region(
@@ -369,7 +363,6 @@ def _recompute_region(
     level: int,
     region: frozenset[int],
     splits,
-    removals: Removals | None,
     weights: WeightFunction,
     budget: int,
     memo: Mapping[frozenset[int], Table],
@@ -377,19 +370,23 @@ def _recompute_region(
 ) -> Table:
     """Table of `region`, born at step `level`, from the tables of its splits.
 
-    The components fold one at a time into partial states: has_one, mixed
-    and satisfied are unions (satisfied also taking each state's clause
-    mask), ones adds up within the budget, and equal partial states sum.
-    A component whose only entry is the empty state of weight 1 (a lone
-    clause vertex) leaves the partial states as they are and is skipped;
-    the others fold smallest table first.  Entries come grouped by ones,
-    so each partial state stops at the first group past its budget.  The
-    last component's fold writes the table itself: each combined state is
-    kept only under its peel, if the split peeled a vertex, and then the
-    merged pair folds into z: a variable z has a 1 if x or y has one, and
-    is mixed if it also has a 0; a clause z is satisfied if x and y both
-    are.  x and y are then dropped.  The z rule sees the combined state,
-    since x and y may lie in different components.
+    A split's vertices outside its components have all-zero bags: a
+    variable adds the product of its zero weights and satisfies the region
+    clauses behind its negative black edges, worked out once per region; a
+    clause is satisfied when `_all_zero_red_satisfied` says so.  That part
+    starts the fold.  The components fold one at a time into partial
+    states: has_one, mixed and satisfied are unions (satisfied also taking
+    each state's clause mask), ones adds up within the budget, and equal
+    partial states sum.  A component whose only entry is the empty state
+    of weight 1 (a lone clause vertex) leaves the partial states as they
+    are and is skipped; the others fold smallest table first.  Entries
+    come grouped by ones, so each partial state stops at the first group
+    past its budget.  The last component's fold writes the table itself,
+    folding the merged pair into z: a variable z has a 1 if x or y has
+    one, and is mixed if it also has a 0; a clause z is satisfied if x and
+    y both are.  x and y are then dropped.  The z rule sees the combined
+    state, since x and y may lie in different components.  Splits have
+    disjoint has_one sets, so their tables add up.
     """
     stats["regions_evaluated"] += 1
     x, y, z = log.steps[level - 1]
@@ -399,23 +396,32 @@ def _recompute_region(
     pair = 1 << x | 1 << y
     drop = ~pair
     z_bit = 1 << z
-    if removals is not None:
+    # an all-zero variable's weight and the clauses its negative edges satisfy
+    all_zero: dict[int, tuple[int | Fraction, int]] = {}
+    if splits[0][0] is not None:
         stats["large_regions"] += 1
-        stats["peel_candidates"] += len(splits)
+        stats["has_one_splits"] += len(splits)
+        for v in expanded:
+            if log.side(v) == SIDE_VAR:
+                neg = sum(1 << c for c in region_clauses if log.edge(v, c) == NEG)
+                all_zero[v] = (math.prod((weights.of(-u) for u in log.bag(v)), start=_ONE), neg)
     out: Table = {}
-    for peeled, components in splits:
+    for split_has_one, components, outside in splits:
+        weight, outside_sat = _ONE, 0
+        for v in outside:
+            if log.side(v) == SIDE_VAR:
+                zero_weight, neg = all_zero[v]
+                weight *= zero_weight
+                outside_sat |= neg
+            elif _all_zero_red_satisfied(log, v, expanded, split_has_one):
+                outside_sat |= 1 << v
         folds = []
         for comp in sorted(components, key=lambda comp: len(memo[comp])):
-            groups = _component_entries(log, comp, region_clauses, memo[comp])
+            groups = _component_entries(log, comp, region_clauses, memo[comp], split_has_one)
             if groups != _UNIT_GROUPS:
                 folds.append(groups)
         *inner, last = folds or [_UNIT_GROUPS]
-        # a peeled variable's bag is all zero under its peel: its weight
-        # starts the fold
-        weight = _ONE
-        if peeled is not None and log.side(peeled) == SIDE_VAR:
-            weight = math.prod((weights.of(-v) for v in log.bag(peeled)), start=_ONE)
-        partial: Table = {(0, 0, 0, 0): weight}
+        partial: Table = {(0, 0, 0, outside_sat): weight}
         for groups in inner:
             folded: Table = {}
             for (has_one, mixed, ones, sat), value in partial.items():
@@ -439,10 +445,6 @@ def _recompute_region(
                     h = has_one | e_has_one
                     m = mixed | e_mixed
                     s = sat | e_sat
-                    if peeled is not None:
-                        s = _peel(log, expanded, peeled, region_clauses, h, s, removals)
-                        if s is None:
-                            continue
                     if z_is_var:
                         if h & pair:
                             h |= z_bit
@@ -457,47 +459,6 @@ def _recompute_region(
     return out
 
 
-def _peel(
-    log: ContractionLog,
-    expanded: frozenset[int],
-    v: int,
-    region_clauses: list[int],
-    has_one: int,
-    sat: int,
-    removals: Removals,
-) -> int | None:
-    """The satisfied set of one combination of the split that peeled `v`,
-    or None when the combination does not count under this peel.
-
-    It counts only when v is the vertex red-farthest from the has_one set,
-    read off `removals` (the table `_splits` built for this region), so
-    every assignment is counted under exactly one peel.  Then v's bag is
-    all zero (variable) or deterministically checkable (clause), because
-    everything within red distance 2 of a 1 cannot be that far vertex.  A
-    peeled variable stays out of has_one, which is what an all-zero bag
-    means.
-    """
-    chosen_v, dist = removals[has_one]
-    if chosen_v != v:
-        return None
-    if has_one:
-        assert dist >= 3, "peeled vertex sits red-close to a has_one bag"
-    if log.side(v) == SIDE_VAR:
-        for c in region_clauses:
-            if log.edge(v, c) == NEG:
-                sat |= 1 << c
-    # clauses red-adjacent to v (and v itself when it is a clause vertex)
-    # see a non-uniform edge, but every red neighbour here carries an
-    # all-zero bag, so satisfaction reduces to finding a negative original
-    # literal per bagged clause
-    red_near_v = log.red_neighbors(v) & expanded
-    for c in region_clauses:
-        if (c == v or c in red_near_v) and not sat >> c & 1:
-            if _all_zero_red_satisfied(log, c, expanded, has_one):
-                sat |= 1 << c
-    return sat
-
-
 def _all_zero_red_satisfied(
     log: ContractionLog,
     c: int,
@@ -507,7 +468,7 @@ def _all_zero_red_satisfied(
     # in a bipartite sequence a clause's red neighbours are variable vertices
     zero_sources = log.red_neighbors(c) & expanded
     for u in zero_sources:
-        assert not has_one >> u & 1, "red neighbour of the peeled zone has a 1"
+        assert not has_one >> u & 1, "red neighbour of a clause outside the ball has a 1"
     for orig in log.bag(c):
         hit = False
         for u in zero_sources:

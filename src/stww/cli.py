@@ -197,7 +197,7 @@ def _cmd_bwmc(args) -> int:
                 f"stats: width {stats['width']}, region size cap {estimate.max_region_size}, "
                 f"{stats.get('regions_evaluated', 0)} regions evaluated "
                 f"({stats.get('large_regions', 0)} at the cap, "
-                f"{stats.get('peel_candidates', 0)} peel candidates), "
+                f"{stats.get('has_one_splits', 0)} has_one splits), "
                 f"{stats.get('fold_states', 0)} fold states, "
                 f"largest table {stats.get('largest_table', 0)}, "
                 f"profile bound {estimate.profile_count_bound}",

@@ -323,12 +323,38 @@ def test_dp_records_sound_on_one_instance():
     assert checked > 0
 
 
-def test_dp_records_sound_on_the_peel_path():
-    f = LARGE_BRANCH_FORMULA
-    # no literal weighs 1, so a peeled variable's all-zero weight shows
-    w = WeightFunction({1: 2, -1: 3, 2: 5, -2: 7, 3: Fraction(1, 2), -3: 11, 4: -1, -4: 13,
-                        5: 17, -5: Fraction(2, 3)})
-    seq = greedy_for(f, tie_break="largest")
+PEEL_PATH_WEIGHTS = WeightFunction({1: 2, -1: 3, 2: 5, -2: 7, 3: Fraction(1, 2), -3: 11, 4: -1,
+                                    -4: 13, 5: 17, -5: Fraction(2, 3)})
+
+
+def capped_formula(seed):
+    """A small random formula whose greedy sequences reach one capped
+    region at k = 1, with its random weights."""
+    rng = random.Random(seed)
+    f = random_formula(rng, max_vars=8, max_clauses=10, min_clauses=3, widths=(2, 3))
+    return f, random_weights(rng, f.num_vars)
+
+
+@pytest.mark.parametrize(
+    "seed, tie_break, entries",
+    [
+        (None, "largest", 252),
+        (83, "smallest", 2716),
+        (189, "smallest", 425),
+        (391, "smallest", 360),
+        (668, "largest", 279),
+        (770, "smallest", 293),
+        (770, "largest", 296),
+    ],
+    ids=["large-branch", "83", "189", "391", "668", "770-smallest", "770-largest"],
+)
+def test_dp_records_sound_on_the_peel_path(seed, tie_break, entries):
+    if seed is None:
+        # no literal weighs 1, so an all-zero variable's weight shows
+        f, w = LARGE_BRANCH_FORMULA, PEEL_PATH_WEIGHTS
+    else:
+        f, w = capped_formula(seed)
+    seq = greedy_for(f, tie_break=tie_break)
     threshold = estimate_bounds(0, 1, seq.declared_width).max_region_size
     initial = incidence_graph(f)
     stats = {}
@@ -336,7 +362,7 @@ def test_dp_records_sound_on_the_peel_path():
     for graph, record in dp_records(f, w, 1, seq, stats=stats):
         checked += check_record(initial, graph, record, w, 1, threshold)
     assert stats["large_regions"] == 1
-    assert checked == 252
+    assert checked == entries
 
 
 def test_dp_records_finalize_matches_solve():
@@ -423,22 +449,22 @@ def test_prime_denominator_weights_match_the_oracle():
 
 
 def test_peel_path_cliff_formulas_count_in_few_regions():
-    # seeds 10 and 19 evaluated 93,965 and 20,616 regions when every vertex
-    # of a capped region was peeled; peeling only the canonical removals of
-    # the possible has_one sets leaves 1,923 and 1,287
-    for seed in (10, 19):
-        f = gen_random_ksat(16, 3, 32, seed)
-        w = random_weights(random.Random(seed), 16, zeros=False)
+    # the bounds catch a cascade of capped regions: peeling a capped region
+    # one vertex at a time evaluated 1,923 and 1,287 regions on the n = 16
+    # seeds and 17,108 on n = 20 seed 0, and ran past a minute on seeds 13
+    # and 32
+    cases = [(gen_random_ksat(16, 3, 32, seed), seed, 5000) for seed in (10, 19)]
+    cases += [(gen_random_ksat(20, 3, 40, seed), seed, 1000) for seed in (0, 13, 32)]
+    for f, seed, most in cases:
+        w = random_weights(random.Random(seed), f.num_vars, zeros=False)
         stats = {}
         assert solve_bwmc(f, w, 1, greedy_for(f), stats=stats) == bounded_ones_count(f, w, 1)
         assert stats["large_regions"] > 0
-        assert stats["regions_evaluated"] < 5000, seed
+        assert stats["regions_evaluated"] < most, seed
 
 
 def test_peel_path_count_matches_the_oracle():
-    f = LARGE_BRANCH_FORMULA
-    w = WeightFunction({1: 2, -1: 3, 2: 5, -2: 7, 3: Fraction(1, 2), -3: 11, 4: -1, -4: 13,
-                        5: 17, -5: Fraction(2, 3)})
+    f, w = LARGE_BRANCH_FORMULA, PEEL_PATH_WEIGHTS
     stats = {}
     assert solve_bwmc(f, w, 1, greedy_for(f, "largest"), stats=stats) == bwmc_oracle(f, w, 1)
     assert stats["large_regions"] >= 1
@@ -451,13 +477,14 @@ def record_folds(monkeypatch):
     """Record every split the region evaluator folds, one dict each: whether
     the merged pair is a variable pair, whether x and y lie in different
     components of more than one vertex, how many components are lone
-    clause vertices and how many are not, and the peeled vertex."""
+    clause vertices and how many are not, the split's has_one bitset (None
+    off the capped path), and the variable vertices outside its components."""
     shapes = []
     evaluate = bwmc._recompute_region
 
     def recording(log, level, region, splits, *rest):
         x, y, _z = log.steps[level - 1]
-        for peeled, components in splits:
+        for has_one, components, outside in splits:
             comp_x, comp_y = (next((c for c in components if v in c), None) for v in (x, y))
             units = sum(all(log.side(u) == SIDE_CLA for u in comp) for comp in components)
             shapes.append({
@@ -465,7 +492,8 @@ def record_folds(monkeypatch):
                 "apart": comp_x is not comp_y and len(comp_x or ()) > 1 and len(comp_y or ()) > 1,
                 "units": units,
                 "others": len(components) - units,
-                "peeled": peeled,
+                "has_one": has_one,
+                "outside_variables": sorted(u for u in outside if log.side(u) == SIDE_VAR),
             })
         return evaluate(log, level, region, splits, *rest)
 
@@ -525,14 +553,15 @@ def test_fold_skips_lone_clause_components(monkeypatch):
 
 
 def test_fold_peels_in_its_last_component(monkeypatch):
-    # the capped region of the peel-path formula peels variable 1 and
-    # leaves two components, so the peel check runs while the second one
-    # folds in, after the first
+    # the capped region of LARGE_BRANCH_FORMULA splits by its has_one set;
+    # the split with a 1 at vertex 5 folds the component of its ball and
+    # leaves variable 14 outside, whose all-zero weight starts the fold
     f = LARGE_BRANCH_FORMULA
     seq = greedy_for(f, tie_break="largest")
     shapes = record_folds(monkeypatch)
     solve_bwmc(f, WeightFunction(), 1, seq)
-    assert any(shape["peeled"] is not None and shape["others"] >= 2 for shape in shapes)
+    assert any(shape["has_one"] and shape["others"] and shape["outside_variables"]
+               for shape in shapes)
     assert_counts_and_records(f, prime_weights(random.Random(4), 5, zeros=False), seq, (1,))
 
 
@@ -559,17 +588,14 @@ def mostly_negative_2cnf(rng, n, m):
 
 
 def test_solve_matches_the_bounded_ones_reference_past_the_oracle():
-    # n = 40 and 30 are out of bwmc_oracle's reach.  k = 1 stays out:
-    # seed 5 there evaluates 135,355 regions, 35,533 of them at the cap,
-    # and takes most of a minute, because capped regions cascade (ROADMAP,
-    # the peel path).
+    # n = 40 and 30 are out of bwmc_oracle's reach
     checked = nonzero = 0
     for seed in range(6):
         rng = random.Random(seed)
         f = mostly_negative_2cnf(rng, 40, 40)
         w = random_weights(rng, 40, zeros=False)
         seq = greedy_for(f)
-        for k in (2, 3):
+        for k in (1, 2, 3):
             value = solve_bwmc(f, w, k, seq)
             assert value == bounded_ones_count(f, w, k), (seed, k)
             checked += 1

@@ -63,15 +63,15 @@ def test_bwmc_weighted_json_and_stats(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["k"] == 2
     assert err.startswith("stats: ")
-    assert "(0 at the cap, 0 peel candidates)" in err
+    assert "(0 at the cap, 0 has_one splits)" in err
     # cross-check against the brute-force oracle subcommand
     code, out, _err = run(capsys, "oracle", "bwmc", str(cnf), "-k", "2")
     assert out.splitlines()[0] == payload["count"]
 
 
-def test_bwmc_stats_count_the_peel_candidates(capsys, tmp_path):
+def test_bwmc_stats_count_the_has_one_splits(capsys, tmp_path):
     # the formula of tests/test_bwmc.py's peel-path checks: its one capped
-    # region peels 3 of the 6 vertices of its expansion
+    # region splits by the 4 has_one sets of at most one of its 3 variables
     cnf = tmp_path / "peel.cnf"
     cnf.write_text("p cnf 5 6\n-5 -3 -1 0\n-5 -3 0\n1 2 3 0\n-1 4 0\n-5 4 0\n-5 -1 2 0\n")
     seq = tmp_path / "peel.tws"
@@ -79,8 +79,8 @@ def test_bwmc_stats_count_the_peel_candidates(capsys, tmp_path):
     assert code == EX_OK
     code, out, err = run(capsys, "bwmc", str(cnf), str(seq), "-k", "1", "--stats")
     assert code == EX_OK
-    assert "region size cap 5, 14 regions evaluated (1 at the cap, 3 peel candidates)" in err
-    assert "peel candidates), 62 fold states, largest table 4, profile bound" in err
+    assert "region size cap 5, 11 regions evaluated (1 at the cap, 4 has_one splits)" in err
+    assert "has_one splits), 55 fold states, largest table 4, profile bound" in err
     code, oracle_out, _err = run(capsys, "oracle", "bwmc", str(cnf), "-k", "1")
     assert out == oracle_out
 
