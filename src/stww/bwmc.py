@@ -37,10 +37,14 @@ ball has a record, read at its entries with has_one S; every other vertex
 holds no 1, and adds its all-zero weight and the clauses it satisfies
 once per split.
 
-Inside the memo a region's record is a table keyed by the state
-(has_one, mixed, ones, satisfied), the three sets as int bitsets over vertex
-ids (bit v is vertex v); the region is the memo key.  `Profile`s are built
-only where records leave the module.  `solve_bwmc` counts in integers: each
+Inside the memo a region's record is a table grouped by ones: each ones
+count maps the states (has_one, mixed, satisfied) to their values, the
+three sets as int bitsets over vertex ids (bit v is vertex v); the region
+is the memo key.  A table already holds every black edge inside its
+region, so a parent widens a child's states only by the clauses of other
+components, and reads the child's table in place when there are none and
+no has_one split filters it.  `Profile`s are built only where records
+leave the module.  `solve_bwmc` counts in integers: each
 variable's weight pair (w(v), w(-v)) is scaled by D_v, the lcm of its two
 denominators, and since every assignment takes one weight of each pair,
 every term carries the same factor Π D_v, divided out once at the end.
@@ -72,12 +76,11 @@ class Profile(NamedTuple):
 
 
 Record = dict[Profile, int | Fraction]
-# state (has_one, mixed, ones, satisfied), the three sets as vertex bitsets
-Table = dict[tuple[int, int, int, int], int | Fraction]
-# a component's entries (has_one, mixed, satisfied, value), grouped by ones
-Groups = list[tuple[int, list[tuple[int, int, int, int | Fraction]]]]
-# the entries of a lone clause vertex: the empty state of weight 1
-_UNIT_GROUPS: Groups = [(0, [(0, 0, 0, _ONE)])]
+# states grouped by ones, {ones: {(has_one, mixed, satisfied): value}}, the
+# three sets as vertex bitsets
+Table = dict[int, dict[tuple[int, int, int], int | Fraction]]
+# the table of a lone clause vertex: the empty state of weight 1
+_UNIT_TABLE: Table = {0: {(0, 0, 0): _ONE}}
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ def _region_record(
     children it is missing are computed.
     """
     for key in ("regions_evaluated", "large_regions", "has_one_splits", "fold_states",
-                "largest_table"):
+                "largest_table", "entries_copied"):
         stats.setdefault(key, 0)
     max_region = _region_threshold(budget, log.width)
     plans: dict[frozenset[int], tuple] = {}
@@ -256,8 +259,8 @@ def _region_record(
 
 def _singleton_record(graph: SignedTrigraph, v: int, weights: WeightFunction) -> Table:
     if graph.side(v) == SIDE_VAR:
-        return {(1 << v, 0, 1, 0): weights.of(v), (0, 0, 0, 0): weights.of(-v)}
-    return {(0, 0, 0, 0): _ONE}
+        return {0: {(0, 0, 0): weights.of(-v)}, 1: {(1 << v, 0, 0): weights.of(v)}}
+    return {0: {(0, 0, 0): _ONE}}
 
 
 def _members(region: frozenset[int], bits: int) -> frozenset[int]:
@@ -269,7 +272,8 @@ def _profiles(region: frozenset[int], table: Table) -> Record:
     return {
         Profile(region, _members(region, has_one), _members(region, mixed), ones,
                 _members(region, sat)): value
-        for (has_one, mixed, ones, sat), value in table.items()
+        for ones, row in table.items()
+        for (has_one, mixed, sat), value in row.items()
     }
 
 
@@ -279,23 +283,32 @@ def _component_entries(
     region_clauses: list[int],
     table: Table,
     split_has_one: int | None,
-) -> Groups:
-    """States of one red component, grouped by ones in increasing order,
-    each with its satisfied set widened by the region clauses it satisfies
-    through uniform black edges: a black edge pins every bagged literal pair
-    to one sign, so a 1 behind a positive edge, or a 0 behind a negative
-    one, satisfies every clause bagged at the endpoint.  That is the
-    positive clauses of the has_one variables plus the negative clauses of
-    the variables whose bag holds a 0 (not in has_one, or mixed); each
-    variable's two clause masks are read once per call.  Under a has_one
-    split only the states whose has_one is the split's, within the
-    component, are kept."""
+    stats: dict,
+) -> Table:
+    """States of one red component, each with its satisfied set widened by
+    the region clauses outside the component that it satisfies through
+    uniform black edges: a black edge pins every bagged literal pair to one
+    sign, so a 1 behind a positive edge, or a 0 behind a negative one,
+    satisfies every clause bagged at the endpoint.  That is the positive
+    clauses of the has_one variables plus the negative clauses of the
+    variables whose bag holds a 0 (not in has_one, or mixed); each
+    variable's two clause masks are read once per call.  A clause inside
+    the component needs no widening: a region's table already holds the
+    black edges inside the region, since it was folded from children
+    widened across all the clauses of its expansion, and the z rule carries
+    x's and y's uniform edges over to z.  Under a has_one split only the
+    states whose has_one is the split's, within the component, are kept.
+    With neither a split nor a black edge out of the component the table
+    itself is returned, uncopied; otherwise `entries_copied` counts the
+    child states the copy takes."""
     reach = []
     for u in comp:
         if log.side(u) != SIDE_VAR:
             continue
         pos = neg = 0
         for c in region_clauses:
+            if c in comp:
+                continue
             kind = log.edge(u, c)
             if kind == POS:
                 pos |= 1 << c
@@ -303,22 +316,29 @@ def _component_entries(
                 neg |= 1 << c
         if pos or neg:
             reach.append((1 << u, pos, pos | neg, neg))
-    entries = table.items()
-    if split_has_one is not None:
-        want = split_has_one & sum(1 << u for u in comp)
-        entries = [entry for entry in entries if entry[0][0] == want]
-    by_ones: dict[int, list[tuple[int, int, int, int | Fraction]]] = {}
-    for (has_one, mixed, ones, sat), value in entries:
-        for bit, pos, both, neg in reach:
-            if has_one & bit:
-                sat |= both if mixed & bit else pos
-            else:
-                sat |= neg
-        group = by_ones.get(ones)
-        if group is None:
-            group = by_ones[ones] = []
-        group.append((has_one, mixed, sat, value))
-    return sorted(by_ones.items())
+    if split_has_one is None and not reach:
+        return table
+    want = None if split_has_one is None else split_has_one & sum(1 << u for u in comp)
+    out: Table = {}
+    copied = 0
+    for ones, row in table.items():
+        widened: dict[tuple[int, int, int], int | Fraction] = {}
+        for (has_one, mixed, sat), value in row.items():
+            if want is not None and has_one != want:
+                continue
+            for bit, pos, both, neg in reach:
+                if has_one & bit:
+                    sat |= both if mixed & bit else pos
+                else:
+                    sat |= neg
+            # the new bits are clauses outside the component, so no two
+            # states of the table meet
+            widened[has_one, mixed, sat] = value
+        if widened:
+            out[ones] = widened
+            copied += len(widened)
+    stats["entries_copied"] += copied
+    return out
 
 
 def _splits(log: ContractionLog, expanded: frozenset[int], max_region: int, budget: int):
@@ -375,23 +395,26 @@ def _recompute_region(
     clauses behind its negative black edges, worked out once per region; a
     clause is satisfied when `_all_zero_red_satisfied` says so.  That part
     starts the fold.  The components fold one at a time into partial
-    states: has_one, mixed and satisfied are unions (satisfied also taking
-    each state's clause mask), ones adds up within the budget, and equal
-    partial states sum.  A component whose only entry is the empty state
-    of weight 1 (a lone clause vertex) leaves the partial states as they
-    are and is skipped; the others fold smallest table first.  Entries
-    come grouped by ones, so each partial state stops at the first group
-    past its budget.  The last component's fold writes the table itself,
-    folding the merged pair into z: a variable z has a 1 if x or y has
-    one, and is mixed if it also has a 0; a clause z is satisfied if x and
-    y both are.  x and y are then dropped.  The z rule sees the combined
-    state, since x and y may lie in different components.  Splits have
-    disjoint has_one sets, so their tables add up.
+    states, grouped by ones like the tables: has_one, mixed and satisfied
+    are unions (satisfied also taking the clauses each state reaches across
+    components), ones adds up within the budget, and equal partial states
+    sum.  A component whose only entry is the empty state of weight 1 (a
+    lone clause vertex) leaves the partial states as they are and is
+    skipped; the others fold smallest table first, and a table folded into
+    the unit state is that table itself, read in place.  A pair of ones
+    groups whose total passes the budget is skipped whole.  The last
+    component's fold writes the table itself, each state into the row of
+    its ones total, folding the merged pair into z: a variable z has a 1 if
+    x or y has one, and is mixed if it also has a 0; a clause z is
+    satisfied if x and y both are.  x and y are then dropped; a state that
+    holds neither is written as it is.  The z rule sees the combined state,
+    since x and y may lie in different components.  Splits have disjoint
+    has_one sets, so their tables add up.
     """
     stats["regions_evaluated"] += 1
     x, y, z = log.steps[level - 1]
     expanded = (region - {z}) | {x, y}
-    region_clauses = sorted(c for c in expanded if log.side(c) == SIDE_CLA)
+    region_clauses = [c for c in expanded if log.side(c) == SIDE_CLA]
     z_is_var = log.side(x) == SIDE_VAR
     pair = 1 << x | 1 << y
     drop = ~pair
@@ -416,46 +439,63 @@ def _recompute_region(
             elif _all_zero_red_satisfied(log, v, expanded, split_has_one):
                 outside_sat |= 1 << v
         folds = []
-        for comp in sorted(components, key=lambda comp: len(memo[comp])):
-            groups = _component_entries(log, comp, region_clauses, memo[comp], split_has_one)
-            if groups != _UNIT_GROUPS:
-                folds.append(groups)
-        *inner, last = folds or [_UNIT_GROUPS]
-        partial: Table = {(0, 0, 0, outside_sat): weight}
-        for groups in inner:
-            folded: Table = {}
-            for (has_one, mixed, ones, sat), value in partial.items():
-                room = budget - ones
-                for e_ones, group in groups:
-                    if e_ones > room:
-                        break
-                    total = ones + e_ones
-                    for e_has_one, e_mixed, e_sat, e_value in group:
-                        key = (has_one | e_has_one, mixed | e_mixed, total, sat | e_sat)
-                        folded[key] = folded.get(key, _ZERO) + value * e_value
+        for comp in components:
+            table = memo[comp]
+            entries = _component_entries(log, comp, region_clauses, table, split_has_one, stats)
+            if entries != _UNIT_TABLE:
+                folds.append((table, entries))
+        if len(folds) > 1:
+            folds.sort(key=lambda fold: sum(map(len, fold[0].values())))
+        *inner, last = [entries for _, entries in folds] or [_UNIT_TABLE]
+        partial: Table = {0: {(0, 0, outside_sat): weight}}
+        for entries in inner:
+            if partial == _UNIT_TABLE:
+                folded = entries
+            else:
+                folded = {}
+                for ones, states in partial.items():
+                    room = budget - ones
+                    for e_ones, group in entries.items():
+                        if e_ones > room:
+                            continue
+                        total = ones + e_ones
+                        row = folded.get(total)
+                        if row is None:
+                            row = folded[total] = {}
+                        for (has_one, mixed, sat), value in states.items():
+                            for (e_has_one, e_mixed, e_sat), e_value in group.items():
+                                key = (has_one | e_has_one, mixed | e_mixed, sat | e_sat)
+                                row[key] = row.get(key, _ZERO) + value * e_value
             partial = folded
-            stats["fold_states"] += len(folded)
-        for (has_one, mixed, ones, sat), value in partial.items():
+            stats["fold_states"] += sum(map(len, folded.values()))
+        for ones, states in partial.items():
             room = budget - ones
-            for e_ones, group in last:
+            for e_ones, group in last.items():
                 if e_ones > room:
-                    break
+                    continue
                 total = ones + e_ones
-                for e_has_one, e_mixed, e_sat, e_value in group:
-                    h = has_one | e_has_one
-                    m = mixed | e_mixed
-                    s = sat | e_sat
-                    if z_is_var:
-                        if h & pair:
-                            h |= z_bit
-                            if h & pair != pair or m & pair:
-                                m |= z_bit
-                    elif s & pair == pair:
-                        s |= z_bit
-                    key = (h & drop, m & drop, total, s & drop)
-                    out[key] = out.get(key, _ZERO) + value * e_value
-    stats["fold_states"] += len(out)
-    stats["largest_table"] = max(stats["largest_table"], len(out))
+                row = out.get(total)
+                if row is None:
+                    row = out[total] = {}
+                for (has_one, mixed, sat), value in states.items():
+                    for (e_has_one, e_mixed, e_sat), e_value in group.items():
+                        h = has_one | e_has_one
+                        m = mixed | e_mixed
+                        s = sat | e_sat
+                        if z_is_var:
+                            if h & pair:
+                                if h & pair != pair or m & pair:
+                                    m = (m | z_bit) & drop
+                                h = (h | z_bit) & drop
+                        elif s & pair:
+                            if s & pair == pair:
+                                s |= z_bit
+                            s &= drop
+                        key = (h, m, s)
+                        row[key] = row.get(key, _ZERO) + value * e_value
+    size = sum(map(len, out.values()))
+    stats["fold_states"] += size
+    stats["largest_table"] = max(stats["largest_table"], size)
     return out
 
 

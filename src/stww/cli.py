@@ -200,6 +200,7 @@ def _cmd_bwmc(args) -> int:
                 f"{stats.get('has_one_splits', 0)} has_one splits), "
                 f"{stats.get('fold_states', 0)} fold states, "
                 f"largest table {stats.get('largest_table', 0)}, "
+                f"{stats.get('entries_copied', 0)} entries copied, "
                 f"profile bound {estimate.profile_count_bound}",
                 file=sys.stderr,
             )

@@ -470,6 +470,71 @@ def test_peel_path_count_matches_the_oracle():
     assert stats["large_regions"] >= 1
 
 
+def assert_black_edges_satisfied(graph, record):
+    """Every profile's satisfied set holds each region clause that a black
+    edge inside the region satisfies: a positive edge from a has_one
+    variable, or a negative edge from a variable whose bag holds a 0."""
+    checked = 0
+    for profile in record:
+        for u in profile.region:
+            if graph.side(u) != SIDE_VAR:
+                continue
+            holds_zero = u not in profile.has_one or u in profile.mixed
+            for c in profile.region:
+                kind = graph.edge(u, c)
+                if (kind == POS and u in profile.has_one) or (kind == NEG and holds_zero):
+                    assert c in profile.satisfied, (profile, u, c)
+                    checked += 1
+    return checked
+
+
+def test_records_hold_the_black_edges_inside_their_region():
+    # the region evaluator widens a child's states only across components,
+    # which is sound because of this property of every record
+    checked = 0
+    for seed in range(12):
+        rng = random.Random(900 + seed)
+        f = random_formula(rng, max_vars=6, max_clauses=7, min_clauses=1)
+        k = rng.randint(1, f.num_vars)
+        for graph, record in dp_records(f, random_weights(rng, f.num_vars), k, greedy_for(f)):
+            checked += assert_black_edges_satisfied(graph, record)
+    stats = {}
+    seq = greedy_for(LARGE_BRANCH_FORMULA, "largest")
+    for graph, record in dp_records(LARGE_BRANCH_FORMULA, PEEL_PATH_WEIGHTS, 1, seq, stats=stats):
+        checked += assert_black_edges_satisfied(graph, record)
+    assert stats["large_regions"] == 1
+    assert checked > 0
+
+
+DP_COUNTERS = ("regions_evaluated", "large_regions", "has_one_splits", "fold_states",
+               "largest_table")
+
+
+@pytest.mark.parametrize(
+    "ksat, k, counters, copied",
+    [
+        ((12, 3, 24, 1), 2, (34, 0, 0, 1262, 77), 332),
+        ((12, 3, 24, 1), 3, (34, 0, 0, 3995, 284), 888),
+        (None, 3, (117, 0, 0, 1160, 9), 631),
+        ((20, 3, 40, 0), 1, (148, 1, 16, 1770, 20), 692),
+    ],
+    ids=["ksat-12-k2", "ksat-12-k3", "zip-chain-60", "ksat-20-capped"],
+)
+def test_dp_counters_are_pinned(ksat, k, counters, copied):
+    # the five region and fold counters pin the DP's work, so a change to
+    # how tables are stored or read leaves them as they are; entries_copied
+    # counts the child states read through a copy instead of in place
+    if ksat is None:
+        f, seq = implication_chain(60), zip_sequence(60)
+    else:
+        f = gen_random_ksat(*ksat)
+        seq = greedy_for(f)
+    stats = {}
+    solve_bwmc(f, WeightFunction(), k, seq, stats=stats)
+    assert tuple(stats[key] for key in DP_COUNTERS) == counters
+    assert stats["entries_copied"] == copied
+
+
 # -- the component fold's branches ---------------------------------------------
 
 

@@ -64,6 +64,7 @@ def test_bwmc_weighted_json_and_stats(capsys, tmp_path):
     assert payload["k"] == 2
     assert err.startswith("stats: ")
     assert "(0 at the cap, 0 has_one splits)" in err
+    assert "19 fold states, largest table 6, 8 entries copied, profile bound" in err
     # cross-check against the brute-force oracle subcommand
     code, out, _err = run(capsys, "oracle", "bwmc", str(cnf), "-k", "2")
     assert out.splitlines()[0] == payload["count"]
@@ -80,7 +81,8 @@ def test_bwmc_stats_count_the_has_one_splits(capsys, tmp_path):
     code, out, err = run(capsys, "bwmc", str(cnf), str(seq), "-k", "1", "--stats")
     assert code == EX_OK
     assert "region size cap 5, 11 regions evaluated (1 at the cap, 4 has_one splits)" in err
-    assert "has_one splits), 55 fold states, largest table 4, profile bound" in err
+    assert ("has_one splits), 55 fold states, largest table 4, 28 entries copied, "
+            "profile bound") in err
     code, oracle_out, _err = run(capsys, "oracle", "bwmc", str(cnf), "-k", "1")
     assert out == oracle_out
 
