@@ -19,15 +19,15 @@ red components of the final two-vertex graph, one variable vertex a and
 one clause vertex c, are evaluated children first off a stack, each
 region planned once and evaluated once, which keeps the work proportional
 to the regions actually touched instead of every red-connected set of
-every level.  A region's children fold one after another, skipping lone
-clause vertices, whose record is the empty state alone; the largest
-folds in last and writes the region's table as it goes, so the full
-product is never stored and walked again.  `finalize` reads the count
-off the records by one rule: the weight of the profiles with at most k
-ones under which c is satisfied, read from {a, c} when the final edge is
-red and from a's own profiles across a black edge.  `dp_records`
-reads the same memoized records for every red-connected region of every
-level, for cross-checking against `realizes`.
+every level.  A region's children fold one after another, smallest
+first, skipping lone clause vertices, whose record is the empty state
+alone; one pass then applies the contraction's merge of x and y into z
+to the folded states and adds them into the region's table.  `finalize`
+reads the count off the records by one rule: the weight of the profiles
+with at most k ones under which c is satisfied, read from {a, c} when the
+final edge is red and from a's own profiles across a black edge.
+`dp_records` reads the same memoized records for every red-connected
+region of every level, for cross-checking against `realizes`.
 
 No record is kept for a region past the cap k(d² + 1).  When a merge
 would grow a capped region past it, the expansion splits by its has_one
@@ -394,22 +394,15 @@ def _recompute_region(
     variable adds the product of its zero weights and satisfies the region
     clauses behind its negative black edges, worked out once per region; a
     clause is satisfied when `_all_zero_red_satisfied` says so.  That part
-    starts the fold.  The components fold one at a time into partial
-    states, grouped by ones like the tables: has_one, mixed and satisfied
-    are unions (satisfied also taking the clauses each state reaches across
-    components), ones adds up within the budget, and equal partial states
-    sum.  A component whose only entry is the empty state of weight 1 (a
-    lone clause vertex) leaves the partial states as they are and is
-    skipped; the others fold smallest table first, and a table folded into
-    the unit state is that table itself, read in place.  A pair of ones
-    groups whose total passes the budget is skipped whole.  The last
-    component's fold writes the table itself, each state into the row of
-    its ones total, folding the merged pair into z: a variable z has a 1 if
-    x or y has one, and is mixed if it also has a 0; a clause z is
-    satisfied if x and y both are.  x and y are then dropped; a state that
-    holds neither is written as it is.  The z rule sees the combined state,
-    since x and y may lie in different components.  Splits have disjoint
-    has_one sets, so their tables add up.
+    starts the fold.  The components, widened by `_component_entries`,
+    fold into it one at a time through `_product`, smallest first; a lone
+    clause vertex, whose only entry is the empty state of weight 1, is
+    skipped.  One pass then merges x and y into z in each folded state,
+    which sees x and y together even when they lie in different
+    components: a variable z has a 1 if x or y has one, and is mixed if it
+    also has a 0; a clause z is satisfied if x and y both are; x and y are
+    dropped.  The same pass adds each state into the table, where the
+    splits, whose has_one sets are disjoint, add up.
     """
     stats["regions_evaluated"] += 1
     x, y, z = log.steps[level - 1]
@@ -443,60 +436,59 @@ def _recompute_region(
             table = memo[comp]
             entries = _component_entries(log, comp, region_clauses, table, split_has_one, stats)
             if entries != _UNIT_TABLE:
-                folds.append((table, entries))
+                folds.append(entries)
         if len(folds) > 1:
-            folds.sort(key=lambda fold: sum(map(len, fold[0].values())))
-        *inner, last = [entries for _, entries in folds] or [_UNIT_TABLE]
+            folds.sort(key=lambda entries: sum(map(len, entries.values())))
+        *inner, last = folds or [_UNIT_TABLE]
         partial: Table = {0: {(0, 0, outside_sat): weight}}
         for entries in inner:
-            if partial == _UNIT_TABLE:
-                folded = entries
-            else:
-                folded = {}
-                for ones, states in partial.items():
-                    room = budget - ones
-                    for e_ones, group in entries.items():
-                        if e_ones > room:
-                            continue
-                        total = ones + e_ones
-                        row = folded.get(total)
-                        if row is None:
-                            row = folded[total] = {}
-                        for (has_one, mixed, sat), value in states.items():
-                            for (e_has_one, e_mixed, e_sat), e_value in group.items():
-                                key = (has_one | e_has_one, mixed | e_mixed, sat | e_sat)
-                                row[key] = row.get(key, _ZERO) + value * e_value
-            partial = folded
-            stats["fold_states"] += sum(map(len, folded.values()))
-        for ones, states in partial.items():
-            room = budget - ones
-            for e_ones, group in last.items():
-                if e_ones > room:
-                    continue
-                total = ones + e_ones
-                row = out.get(total)
-                if row is None:
-                    row = out[total] = {}
-                for (has_one, mixed, sat), value in states.items():
-                    for (e_has_one, e_mixed, e_sat), e_value in group.items():
-                        h = has_one | e_has_one
-                        m = mixed | e_mixed
-                        s = sat | e_sat
-                        if z_is_var:
-                            if h & pair:
-                                if h & pair != pair or m & pair:
-                                    m = (m | z_bit) & drop
-                                h = (h | z_bit) & drop
-                        elif s & pair:
-                            if s & pair == pair:
-                                s |= z_bit
-                            s &= drop
-                        key = (h, m, s)
-                        row[key] = row.get(key, _ZERO) + value * e_value
+            partial = _product(partial, entries, budget)
+            stats["fold_states"] += sum(map(len, partial.values()))
+        for ones, states in _product(partial, last, budget).items():
+            row = out.get(ones)
+            if row is None:
+                row = out[ones] = {}
+            for (has_one, mixed, sat), value in states.items():
+                if z_is_var:
+                    if has_one & pair:
+                        if has_one & pair != pair or mixed & pair:
+                            mixed = (mixed | z_bit) & drop
+                        has_one = (has_one | z_bit) & drop
+                elif sat & pair:
+                    if sat & pair == pair:
+                        sat |= z_bit
+                    sat &= drop
+                key = (has_one, mixed, sat)
+                row[key] = row.get(key, _ZERO) + value
     size = sum(map(len, out.values()))
     stats["fold_states"] += size
     stats["largest_table"] = max(stats["largest_table"], size)
     return out
+
+
+def _product(partial: Table, entries: Table, budget: int) -> Table:
+    """Fold one component's entries into the partial states: has_one, mixed
+    and satisfied are unions, ones adds up within the budget (a pair of
+    ones rows whose total passes it is skipped whole), and equal states
+    sum.  Folded into the unit state, the entries are returned as they
+    are, read in place."""
+    if partial == _UNIT_TABLE:
+        return entries
+    folded: Table = {}
+    for ones, states in partial.items():
+        room = budget - ones
+        for e_ones, group in entries.items():
+            if e_ones > room:
+                continue
+            total = ones + e_ones
+            row = folded.get(total)
+            if row is None:
+                row = folded[total] = {}
+            for (has_one, mixed, sat), value in states.items():
+                for (e_has_one, e_mixed, e_sat), e_value in group.items():
+                    key = (has_one | e_has_one, mixed | e_mixed, sat | e_sat)
+                    row[key] = row.get(key, _ZERO) + value * e_value
+    return folded
 
 
 def _all_zero_red_satisfied(

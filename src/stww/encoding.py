@@ -46,8 +46,6 @@ class EncodingArtifact:
     d: int
     order_vars: dict[tuple[int, int], int]
     parent_vars: dict[tuple[int, int], int]
-    red_vars: dict[tuple[int, int, int], int]
-    last_vars: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,6 @@ class _Prefix:
     order: dict[tuple[int, int], int]
     parent: dict[tuple[int, int], int]
     red: dict[tuple[int, int, int], int]
-    last: dict[int, int]
     cross_side: dict[int, list[int]]
 
     def copy(self) -> _Prefix:
@@ -156,7 +153,7 @@ class _Prefix:
                 lits = [red[(t, v, w) if v < w else (t, w, v)] for w in self.cross_side[v] if w != t]
                 b.add_at_most(lits, d, ("deg", t, v))
         cnf = Formula(b.count, tuple(b.clauses))
-        return EncodingArtifact(cnf, b.legend, self.graph, d, self.order, self.parent, red, self.last)
+        return EncodingArtifact(cnf, b.legend, self.graph, d, self.order, self.parent)
 
 
 def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
@@ -267,7 +264,7 @@ def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
                     continue
                 b.add(not_red, not_tu, not_u[a], not_u[c], rlit(u, a, c))
 
-    return _Prefix(graph, b, order, parent, red, last, cross_side)
+    return _Prefix(graph, b, order, parent, red, cross_side)
 
 
 def decode(artifact: EncodingArtifact, model) -> ContractionSequence:

@@ -8,6 +8,7 @@ vertex; ContractionLog maintains the label-to-vertex translation.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -23,12 +24,16 @@ class ContractionSequence:
     num_vertices: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "steps", tuple((int(a), int(b)) for a, b in self.steps)
-        )
+        steps = []
         for idx, (keep, merge) in enumerate(self.steps):
+            try:
+                keep, merge = operator.index(keep), operator.index(merge)
+            except TypeError:
+                raise ValueError(f"step {idx}: non-integer label in ({keep!r},{merge!r})") from None
             if keep < 1 or merge < 1 or keep == merge:
                 raise ValueError(f"step {idx}: bad pair ({keep},{merge})")
+            steps.append((keep, merge))
+        object.__setattr__(self, "steps", tuple(steps))
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -8,7 +8,6 @@ into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .cnf import Formula, ParseError
@@ -20,12 +19,6 @@ EDGE_KINDS = (POS, NEG, RED)
 
 SIDE_VAR = 0
 SIDE_CLA = 1
-
-
-@dataclass(frozen=True)
-class RedDegreeReport:
-    per_vertex: dict[int, int]
-    max_red_degree: int
 
 
 def merge_edges(nu: Mapping[int, str], nv: Mapping[int, str]) -> dict[int, str]:
@@ -143,23 +136,17 @@ class SignedTrigraph:
         """Id the next contraction's merged vertex will receive."""
         return self._next_id
 
-    def red_degrees(self) -> RedDegreeReport:
-        per_vertex = {v: len(nbrs) for v, nbrs in self._red.items()}
-        return RedDegreeReport(per_vertex, max(per_vertex.values(), default=0))
-
     def max_red_degree(self) -> int:
         return max((len(nbrs) for nbrs in self._red.values()), default=0)
 
     # -- construction ----------------------------------------------------
 
-    def contract(self, u: int, v: int, *, same_side_only: bool = False) -> SignedTrigraph:
+    def contract(self, u: int, v: int) -> SignedTrigraph:
         """Merge u and v into a fresh vertex whose edges follow merge_edges."""
         if u == v:
             raise ValueError("cannot contract a vertex with itself")
         if u not in self._adj or v not in self._adj:
             raise ValueError(f"cannot contract ({u},{v}): vertex missing")
-        if same_side_only and (self._side[u] is None or self._side[u] != self._side[v]):
-            raise ValueError(f"cross-side contraction ({u},{v}) rejected")
 
         w = self._next_id
         merged = merge_edges(self._adj[u], self._adj[v])

@@ -323,8 +323,8 @@ def test_dp_records_sound_on_one_instance():
     assert checked > 0
 
 
-PEEL_PATH_WEIGHTS = WeightFunction({1: 2, -1: 3, 2: 5, -2: 7, 3: Fraction(1, 2), -3: 11, 4: -1,
-                                    -4: 13, 5: 17, -5: Fraction(2, 3)})
+CAPPED_REGION_WEIGHTS = WeightFunction({1: 2, -1: 3, 2: 5, -2: 7, 3: Fraction(1, 2), -3: 11,
+                                        4: -1, -4: 13, 5: 17, -5: Fraction(2, 3)})
 
 
 def capped_formula(seed):
@@ -348,10 +348,10 @@ def capped_formula(seed):
     ],
     ids=["large-branch", "83", "189", "391", "668", "770-smallest", "770-largest"],
 )
-def test_dp_records_sound_on_the_peel_path(seed, tie_break, entries):
+def test_dp_records_sound_on_capped_regions(seed, tie_break, entries):
     if seed is None:
         # no literal weighs 1, so an all-zero variable's weight shows
-        f, w = LARGE_BRANCH_FORMULA, PEEL_PATH_WEIGHTS
+        f, w = LARGE_BRANCH_FORMULA, CAPPED_REGION_WEIGHTS
     else:
         f, w = capped_formula(seed)
     seq = greedy_for(f, tie_break=tie_break)
@@ -448,7 +448,7 @@ def test_prime_denominator_weights_match_the_oracle():
         assert solve_bwmc(f, w, k, greedy_for(f)) == bwmc_oracle(f, w, k), (seed, k)
 
 
-def test_peel_path_cliff_formulas_count_in_few_regions():
+def test_capped_cliff_formulas_count_in_few_regions():
     # the bounds catch a cascade of capped regions: peeling a capped region
     # one vertex at a time evaluated 1,923 and 1,287 regions on the n = 16
     # seeds and 17,108 on n = 20 seed 0, and ran past a minute on seeds 13
@@ -463,8 +463,8 @@ def test_peel_path_cliff_formulas_count_in_few_regions():
         assert stats["regions_evaluated"] < most, seed
 
 
-def test_peel_path_count_matches_the_oracle():
-    f, w = LARGE_BRANCH_FORMULA, PEEL_PATH_WEIGHTS
+def test_capped_region_count_matches_the_oracle():
+    f, w = LARGE_BRANCH_FORMULA, CAPPED_REGION_WEIGHTS
     stats = {}
     assert solve_bwmc(f, w, 1, greedy_for(f, "largest"), stats=stats) == bwmc_oracle(f, w, 1)
     assert stats["large_regions"] >= 1
@@ -500,7 +500,8 @@ def test_records_hold_the_black_edges_inside_their_region():
             checked += assert_black_edges_satisfied(graph, record)
     stats = {}
     seq = greedy_for(LARGE_BRANCH_FORMULA, "largest")
-    for graph, record in dp_records(LARGE_BRANCH_FORMULA, PEEL_PATH_WEIGHTS, 1, seq, stats=stats):
+    records = dp_records(LARGE_BRANCH_FORMULA, CAPPED_REGION_WEIGHTS, 1, seq, stats=stats)
+    for graph, record in records:
         checked += assert_black_edges_satisfied(graph, record)
     assert stats["large_regions"] == 1
     assert checked > 0
@@ -617,7 +618,7 @@ def test_fold_skips_lone_clause_components(monkeypatch):
     assert_counts_and_records(f, prime_weights(random.Random(3), 3, zeros=False), seq, (1, 2, 3))
 
 
-def test_fold_peels_in_its_last_component(monkeypatch):
+def test_has_one_split_folds_its_ball_and_outside(monkeypatch):
     # the capped region of LARGE_BRANCH_FORMULA splits by its has_one set;
     # the split with a 1 at vertex 5 folds the component of its ball and
     # leaves variable 14 outside, whose all-zero weight starts the fold

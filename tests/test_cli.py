@@ -71,11 +71,11 @@ def test_bwmc_weighted_json_and_stats(capsys, tmp_path):
 
 
 def test_bwmc_stats_count_the_has_one_splits(capsys, tmp_path):
-    # the formula of tests/test_bwmc.py's peel-path checks: its one capped
+    # the formula of tests/test_bwmc.py's capped-region checks: its one capped
     # region splits by the 4 has_one sets of at most one of its 3 variables
-    cnf = tmp_path / "peel.cnf"
+    cnf = tmp_path / "capped.cnf"
     cnf.write_text("p cnf 5 6\n-5 -3 -1 0\n-5 -3 0\n1 2 3 0\n-1 4 0\n-5 4 0\n-5 -1 2 0\n")
-    seq = tmp_path / "peel.tws"
+    seq = tmp_path / "capped.tws"
     code, _out, _err = run(capsys, "greedy", str(cnf), "--tie-break", "largest", "-o", str(seq))
     assert code == EX_OK
     code, out, err = run(capsys, "bwmc", str(cnf), str(seq), "-k", "1", "--stats")

@@ -30,6 +30,9 @@ def test_sequence_validation():
         ContractionSequence(((1, 1),))
     with pytest.raises(ValueError, match="bad pair"):
         ContractionSequence(((0, 2),))
+    for labels in ((1.5, 2.9), ("1", "2")):
+        with pytest.raises(ValueError, match="step 0: non-integer label"):
+            ContractionSequence((labels,))
 
 
 def test_replay_survivor_labels():
