@@ -14,6 +14,7 @@ from stww import (
     estimate_bounds,
     greedy_sequence,
     incidence_graph,
+    serialize_dimacs,
     solve_bwmc,
     verify,
 )
@@ -21,7 +22,9 @@ from stww import (
 # (x1 or x2) and (not x1 or x3) and (not x2 or not x3)
 formula = Formula(3, ({1, 2}, {-1, 3}, {-2, -3}))
 weights = WeightFunction({1: Fraction(1, 2), -1: 1, 2: 2, -2: 1, 3: Fraction(-1, 3)})
-print("formula:", formula.clauses)
+# each clause holds its literals sorted by variable, as DIMACS writes them
+print("formula, as DIMACS text:")
+print(serialize_dimacs(formula, weights), end="")
 
 graph = incidence_graph(formula)
 print(f"incidence graph: {graph.num_vertices} vertices, {graph.num_edges()} edges")

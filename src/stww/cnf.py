@@ -5,12 +5,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import neg
+from itertools import accumulate, chain, islice
+from operator import lt
 from typing import Iterator, Mapping
 
 # An assignment is a total map variable -> {0, 1}.
 Assignment = Mapping[int, int]
+# A clause is a tuple of distinct literals sorted by variable (see Formula).
+Clause = tuple[int, ...]
 
 _ONE = Fraction(1)
 
@@ -31,55 +33,85 @@ def _literal_key(lit: int) -> tuple[int, bool]:
     return (abs(lit), lit < 0)
 
 
-def _clause_key(clause: frozenset[int]) -> tuple[tuple[int, bool], ...]:
-    return tuple(_literal_key(lit) for lit in sorted(clause, key=_literal_key))
+def _clause_key(clause: Clause) -> tuple[tuple[int, bool], ...]:
+    return tuple(map(_literal_key, clause))
+
+
+def _is_canonical(clauses: tuple, num_vars: int) -> bool:
+    """True iff every clause is a tuple of int literals in range, strictly
+    increasing in |lit| (so with no repeat and no complementary pair), and
+    no two clauses are equal.
+
+    One flat pass: |lit| < |next| is read for every adjacent pair of the
+    concatenated clauses, with the pairs that straddle a clause boundary
+    masked.  Reads anything without raising.
+    """
+    if not set(map(type, clauses)) <= {tuple}:
+        return False
+    # the type check reads every literal: 1.0 == 1 would pass the rest
+    if not set(map(type, chain.from_iterable(clauses))) <= {int}:
+        return False
+    keys = list(map(abs, chain.from_iterable(clauses)))
+    if keys and not (0 < min(keys) and max(keys) <= num_vars):
+        return False
+    increasing = bytearray(map(lt, keys, islice(keys, 1, None)))
+    increasing.append(1)
+    for end in accumulate(map(len, clauses)):
+        increasing[end - 1] = 1
+    return 0 not in increasing and len(set(clauses)) == len(clauses)
+
+
+def _sorted_clauses(sets: tuple[frozenset[int], ...]) -> tuple[Clause, ...]:
+    return tuple(tuple(sorted(clause, key=abs)) for clause in sets)
+
+
+def _check_clauses(sets: tuple[frozenset[int], ...], num_vars: int) -> None:
+    """The per-literal loop: raise the ValueError of the first bad clause."""
+    seen: set[frozenset[int]] = set()
+    for idx, clause in enumerate(sets):
+        for lit in clause:
+            if not isinstance(lit, int) or lit == 0 or abs(lit) > num_vars:
+                raise ValueError(f"clause {idx}: literal {lit!r} out of range")
+            if -lit in clause:
+                raise ValueError(f"clause {idx}: complementary pair on variable {abs(lit)}")
+        if clause in seen:
+            raise ValueError(f"clause {idx}: duplicate clause")
+        seen.add(clause)
 
 
 @dataclass(frozen=True)
 class Formula:
     """A CNF formula over variables 1..num_vars.
 
-    Clauses are frozensets of nonzero literals: the literal v stands for the
-    variable v, -v for its negation.  Enforced invariants: every literal's
-    variable lies in [1, num_vars], no clause contains a complementary pair,
-    and no two clauses are equal as literal sets.  Variables occurring in no
-    clause are allowed.  Two passes apply the same checks: a few
-    whole-formula set operations accept a valid formula, and only when one of
-    them fails does the per-literal loop run, to name the first bad clause.
+    Each clause is a tuple of distinct nonzero literals sorted by variable,
+    the order DIMACS text writes them in: the literal v stands for the
+    variable v, -v for its negation.  The order is total, because a
+    complementary pair is rejected: a tautology is an error here, never
+    dropped (`parse_dimacs` drops one with a warning).  Enforced
+    invariants: every literal's variable lies in [1, num_vars], no clause
+    contains a complementary pair, and no two clauses are equal as literal
+    sets.  Variables occurring in no clause are allowed.
+
+    Any iterables of literals are accepted.  Input already in that form is
+    accepted by one flat pass over its literals, with no sort.  Otherwise
+    each clause is read as a set (repeated literals collapse), the
+    per-literal loop checks the sets and names the first bad clause, and
+    each set is then sorted.
     """
 
     num_vars: int
-    clauses: tuple[frozenset[int], ...] = ()
+    clauses: tuple[Clause, ...] = ()
     name: str | None = None
 
     def __post_init__(self) -> None:
-        clauses = tuple(map(frozenset, self.clauses))
-        object.__setattr__(self, "clauses", clauses)
         if self.num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        # the type check reads every literal: 1.0 == 1 would hide in a set
-        if set(map(type, chain.from_iterable(clauses))) <= {int}:
-            literals = set().union(*clauses)
-            if (
-                0 not in literals
-                and -self.num_vars <= min(literals, default=0)
-                and max(literals, default=0) <= self.num_vars
-                and all(clause.isdisjoint(map(neg, clause)) for clause in clauses)
-                and len(set(clauses)) == len(clauses)
-            ):
-                return
-        seen: set[frozenset[int]] = set()
-        for idx, clause in enumerate(self.clauses):
-            for lit in clause:
-                if not isinstance(lit, int) or lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"clause {idx}: literal {lit!r} out of range")
-                if -lit in clause:
-                    raise ValueError(
-                        f"clause {idx}: complementary pair on variable {abs(lit)}"
-                    )
-            if clause in seen:
-                raise ValueError(f"clause {idx}: duplicate clause")
-            seen.add(clause)
+        clauses = tuple(self.clauses)
+        if not _is_canonical(clauses, self.num_vars):
+            sets = tuple(map(frozenset, clauses))
+            _check_clauses(sets, self.num_vars)
+            clauses = _sorted_clauses(sets)
+        object.__setattr__(self, "clauses", clauses)
 
     @property
     def num_clauses(self) -> int:
@@ -89,7 +121,8 @@ class Formula:
         return range(1, self.num_vars + 1)
 
     def normalized(self) -> Formula:
-        """Copy with clauses in canonical order (sorted literal tuples)."""
+        """Copy with clauses in canonical order: by (variable, sign) of each
+        literal in turn."""
         return Formula(self.num_vars, tuple(sorted(self.clauses, key=_clause_key)), self.name)
 
 
@@ -108,7 +141,7 @@ class WeightFunction:
             lit = int(lit)
             if lit == 0:
                 raise ValueError("0 is not a literal")
-            table[lit] = Fraction(value)
+            table[lit] = value if type(value) is Fraction else Fraction(value)
         self._by_literal = table
 
     @classmethod
@@ -179,7 +212,7 @@ def parse_dimacs(text: str | bytes, name: str | None = None) -> tuple[Formula, W
     num_vars: int | None = None
     declared_clauses = 0
     weight_entries: list[tuple[int, Fraction, int]] = []
-    raw_clauses: list[tuple[frozenset[int], int]] = []
+    raw_clauses: list[tuple[list[int], int]] = []
     pending: list[int] = []
     pending_line = 0
     lineno = 0
@@ -227,7 +260,7 @@ def parse_dimacs(text: str | bytes, name: str | None = None) -> tuple[Formula, W
             except ValueError:
                 raise ParseError(f"bad token {token!r}", lineno) from None
             if lit == 0:
-                raw_clauses.append((frozenset(pending), pending_line or lineno))
+                raw_clauses.append((pending, pending_line or lineno))
                 pending = []
                 pending_line = 0
             else:
@@ -248,14 +281,16 @@ def parse_dimacs(text: str | bytes, name: str | None = None) -> tuple[Formula, W
             stacklevel=2,
         )
 
-    clauses: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for clause, line in raw_clauses:
-        if any(-lit in clause for lit in clause):
+    clauses: list[Clause] = []
+    seen: set[Clause] = set()
+    for lits, line in raw_clauses:
+        unique = set(lits)
+        if len(set(map(abs, unique))) < len(unique):
             warnings.warn(
                 f"line {line}: tautological clause dropped", FormulaWarning, stacklevel=2
             )
             continue
+        clause = tuple(sorted(unique, key=abs))
         if clause in seen:
             warnings.warn(
                 f"line {line}: duplicate clause dropped", FormulaWarning, stacklevel=2
@@ -279,7 +314,7 @@ def serialize_dimacs(formula: Formula, weights: WeightFunction | None = None) ->
     if weights is not None:
         for lit, value in weights.items():
             lines.append(f"c p weight {lit} {value} 0")
-    # Formula forbids complementary pairs, so |lit| alone gives (|lit|, sign) order
+    # a clause already holds its literals in DIMACS order
     for clause in formula.clauses:
-        lines.append(" ".join(map(str, sorted(clause, key=abs))) + " 0")
+        lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"

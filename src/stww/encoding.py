@@ -59,19 +59,23 @@ class ExactResult:
 class _Builder:
     """Allocates variables and collects clauses, dropping exact duplicates.
 
+    Each clause is keyed by its literals sorted by variable, the clause form
+    `Formula` holds, so the finished clauses pass to it with no second sort.
+    The literals of every rule name distinct variables, so two rules give
+    equal keys exactly when they give equal literal sets.
+
     Duplicates do occur: at d = 0 the degree counters of v and w both emit
     the unit clause -r(t,v,w) for their shared red variable.  (Each
     transitivity clause would come from all 3 rotations of its triple; that
-    rule emits only the first.)  Tautologies do not: the literals of every
-    rule name distinct variables, and Formula rejects a tautology loudly
-    should a change to the encoder ever build one.
+    rule emits only the first.)  Tautologies do not, and Formula rejects a
+    tautology loudly should a change to the encoder ever build one.
     """
 
     def __init__(self) -> None:
         self.count = 0
         self.legend: dict[int, tuple] = {}
         # clause -> None, kept in first-insertion order
-        self.clauses: dict[frozenset[int], None] = {}
+        self.clauses: dict[tuple[int, ...], None] = {}
 
     def new_var(self, role: tuple) -> int:
         self.count += 1
@@ -79,7 +83,7 @@ class _Builder:
         return self.count
 
     def add(self, *lits: int) -> None:
-        self.clauses[frozenset(lits)] = None
+        self.clauses[tuple(sorted(lits, key=abs))] = None
 
     def copy(self) -> _Builder:
         other = _Builder()

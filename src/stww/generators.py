@@ -219,12 +219,10 @@ def gen_random_ksat(
     if num_clauses > available:
         raise ValueError(f"only {available} distinct width-{clause_width} clauses exist")
     rng = random.Random(seed)
-    seen: set[frozenset[int]] = set()
-    clauses: list[list[int]] = []
+    # the variables are distinct, so a clause sorted by variable is its own
+    # set key; clause -> None, kept in first-insertion order
+    clauses: dict[tuple[int, ...], None] = {}
     while len(clauses) < num_clauses:
         vs = rng.sample(range(1, num_vars + 1), clause_width)
-        clause = frozenset(v if rng.random() < 0.5 else -v for v in vs)
-        if clause not in seen:
-            seen.add(clause)
-            clauses.append(sorted(clause, key=abs))
-    return Formula(num_vars, clauses)
+        clauses[tuple(sorted((v if rng.random() < 0.5 else -v for v in vs), key=abs))] = None
+    return Formula(num_vars, tuple(clauses))

@@ -29,15 +29,14 @@ def bwmc_oracle(formula: Formula, weights: WeightFunction, k: int) -> Fraction:
     if n > MAX_ORACLE_VARS:
         raise ValueError(f"oracle refuses {n} > {MAX_ORACLE_VARS} variables")
 
-    clauses = [tuple(clause) for clause in formula.clauses]
     # touched[v] lists (clause index, sign) for each occurrence of variable v.
     touched: dict[int, list[tuple[int, int]]] = {v: [] for v in formula.variables()}
-    for idx, clause in enumerate(clauses):
+    for idx, clause in enumerate(formula.clauses):
         for lit in clause:
             touched[abs(lit)].append((idx, 1 if lit > 0 else -1))
 
     bits = [0] * (n + 1)
-    sat_count = [sum(1 for lit in clause if lit < 0) for clause in clauses]
+    sat_count = [sum(1 for lit in clause if lit < 0) for clause in formula.clauses]
     num_unsat = sum(1 for count in sat_count if count == 0)
     ones_count = 0
 
@@ -80,13 +79,12 @@ def bsat_oracle(formula: Formula, k: int) -> bool:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    clauses = [tuple(clause) for clause in formula.clauses]
     assignment: dict[int, int] = {}
     used = 0
     # one frame per branch point: its untried literals and the one now set
     frames: list[list] = []
     while True:
-        free = _first_open_clause(clauses, assignment)
+        free = _first_open_clause(formula.clauses, assignment)
         if free == []:
             return True
         if free is not None:

@@ -256,7 +256,7 @@ def incidence_graph(formula: Formula) -> SignedTrigraph:
     for idx, clause in enumerate(formula.clauses):
         c = n + 1 + idx
         sides[c] = SIDE_CLA
-        for lit in sorted(clause, key=abs):
+        for lit in clause:
             edges.append((abs(lit), c, POS if lit > 0 else NEG))
     return SignedTrigraph(vertices, edges, sides)
 

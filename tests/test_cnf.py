@@ -24,13 +24,13 @@ def test_formula_basics():
     f = Formula(3, (frozenset({1, -2}), frozenset({2, 3})))
     assert f.num_clauses == 2
     assert list(f.variables()) == [1, 2, 3]
-    assert f.clauses[0] == frozenset({1, -2})
+    assert f.clauses[0] == (1, -2)
 
 
 def test_formula_allows_unused_variables_and_empty_clause():
     f = Formula(5, (frozenset(), frozenset({2})))
     assert f.num_vars == 5
-    assert frozenset() in f.clauses
+    assert () in f.clauses
 
 
 def test_formula_rejections():
@@ -94,10 +94,89 @@ def test_formula_checks_the_type_of_every_literal():
     assert Formula(2, (frozenset({True, 2}),)).num_clauses == 1
 
 
+@st.composite
+def clause_lists(draw):
+    """(num_vars, clauses, literal sets): distinct valid clauses, each given
+    as a frozenset, list or tuple in any order, lists and tuples with
+    repeated literals."""
+    n = draw(st.integers(1, 6))
+    signs = st.dictionaries(st.integers(1, n), st.booleans(), max_size=n)
+    sets = draw(
+        st.lists(signs.map(lambda c: frozenset(v if s else -v for v, s in c.items())),
+                 unique=True, max_size=8)
+    )
+    clauses = []
+    for lits in sets:
+        items = sorted(lits)
+        if items:
+            items += draw(st.lists(st.sampled_from(items), max_size=3))
+        items = draw(st.permutations(items))
+        clauses.append(draw(st.sampled_from((frozenset, list, tuple)))(items))
+    return n, clauses, sets
+
+
+def is_canonical(clause):
+    return type(clause) is tuple and all(abs(a) < abs(b) for a, b in zip(clause, clause[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(clause_lists(), st.randoms(use_true_random=False))
+def test_formula_holds_each_clause_sorted_by_variable(case, rnd):
+    n, clauses, sets = case
+    f = Formula(n, clauses)
+    assert all(map(is_canonical, f.clauses))
+    assert list(map(frozenset, f.clauses)) == sets
+    permuted = [rnd.sample(list(clause), len(clause)) for clause in clauses]
+    assert Formula(n, permuted) == f
+    # canonical input is taken as it is, with no second sort
+    assert Formula(n, f.clauses).clauses is f.clauses
+    # the text is what sorting each literal set by variable wrote before
+    old = [f"p cnf {n} {len(sets)}"]
+    old += [" ".join(map(str, sorted(frozenset(c), key=abs))) + " 0" for c in clauses]
+    text = serialize_dimacs(f)
+    assert text == "\n".join(old) + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parse_dimacs(text)[0] == f
+
+
+@settings(max_examples=150, deadline=None)
+@given(clause_lists(), st.data())
+def test_formula_rejects_a_sorted_complementary_pair(case, data):
+    n, _, sets = case
+    clauses = [tuple(sorted(lits, key=abs)) for lits in sets if lits]
+    if not clauses:
+        clauses = [(n,)]
+    idx = data.draw(st.integers(0, len(clauses) - 1))
+    clause = clauses[idx]
+    pos = data.draw(st.integers(0, len(clause) - 1))
+    # -lit right after lit: still sorted by |lit|, but not strictly
+    clauses[idx] = clause[: pos + 1] + (-clause[pos],) + clause[pos + 1 :]
+    with pytest.raises(ValueError) as expected:
+        reference_formula_check(n, clauses)
+    with pytest.raises(ValueError) as got:
+        Formula(n, clauses)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value) == f"clause {idx}: complementary pair on variable {abs(clause[pos])}"
+
+
+def test_formula_clause_form_examples():
+    for clause, variable in (((1, -1), 1), ((2, -2, 3), 2), ((-1, 1), 1)):
+        with pytest.raises(ValueError, match=f"clause 0: complementary pair on variable {variable}$"):
+            Formula(3, (clause,))
+    assert Formula(1, ((1, 1),)).clauses == ((1,),)
+    assert Formula(3, ([3, -1, 3, 2],)).clauses == ((-1, 2, 3),)
+    with pytest.raises(ValueError, match="clause 1: duplicate clause"):
+        Formula(3, ((1, 2), [2, 1, 2]))
+    # a literal abs() cannot read is named, never sorted
+    with pytest.raises(ValueError, match="clause 1: literal 'a' out of range"):
+        Formula(3, ((1,), ("a", 2)))
+
+
 def test_normalized_orders_clauses():
     f = Formula(2, (frozenset({2}), frozenset({-1}), frozenset({1})))
     ordered = f.normalized()
-    assert ordered.clauses == (frozenset({1}), frozenset({-1}), frozenset({2}))
+    assert ordered.clauses == ((1,), (-1,), (2,))
 
 
 def test_weight_function_defaults_and_equality():
@@ -134,7 +213,7 @@ c p weight -2 0.25 0
     f, w = parse_dimacs(text, name="demo")
     assert f.name == "demo"
     assert f.num_vars == 3
-    assert f.clauses == (frozenset({1, -2}), frozenset({2, 3}))
+    assert f.clauses == ((1, -2), (2, 3))
     assert w.of(1) == Fraction(2, 3)
     assert w.of(-2) == Fraction(1, 4)
     assert w.of(3) == 1
@@ -143,7 +222,7 @@ c p weight -2 0.25 0
 def test_parse_dimacs_multiline_and_percent_marker():
     text = "p cnf 3 1\n1\n2 3\n0\n%\nthis is ignored\n"
     f, _ = parse_dimacs(text)
-    assert f.clauses == (frozenset({1, 2, 3}),)
+    assert f.clauses == ((1, 2, 3),)
 
 
 def test_parse_dimacs_normalizations_warn():

@@ -7,10 +7,11 @@ import pytest
 
 from helpers import random_bipartite_graph
 from stww.bounds import exact_tww_bruteforce, greedy_sequence
-from stww.cnf import serialize_dimacs
+from stww.cnf import _is_canonical, serialize_dimacs
 from stww.encoding import (
     DecodeError,
     SolverUnavailableError,
+    _encode_prefix,
     decode,
     encode,
     exact_tww_via_solver,
@@ -55,6 +56,17 @@ def test_encoding_text_is_pinned():
             ]
             assert len(transitivity) == 2 * comb(graph.num_vertices, 3)
     assert digest.hexdigest() == "528d78efe95dc511ba0939630a05472c9b1a829c00693b3f7ba3760748bf5fd8"
+
+
+def test_encoding_clauses_are_literal_tuples():
+    # the builder hands Formula canonical clauses, which it keeps unsorted
+    prefix = _encode_prefix(incidence_graph(gen_random_ksat(5, 3, 9, 1)))
+    artifact = prefix.finish(3)
+    built = tuple(prefix.builder.clauses)
+    assert artifact.cnf.num_clauses == len(built) == 19412
+    assert all(type(clause) is tuple for clause in artifact.cnf.clauses)
+    assert _is_canonical(built, artifact.cnf.num_vars)
+    assert all(kept is own for kept, own in zip(artifact.cnf.clauses, built))
 
 
 def test_run_solver_parses_competition_output(tmp_path):

@@ -73,11 +73,7 @@ def test_subdivided_clique_structure():
 def test_hitting_set_reduction_shape():
     formula, k = gen_hitting_set_formula([1, 2, 3, 4], [[1, 2], [3, 4]], 2)
     assert k == 2
-    assert formula.clauses == (
-        frozenset({1, 2}),
-        frozenset({3, 4}),
-        frozenset({1, 2, 3, 4}),
-    )
+    assert formula.clauses == ((1, 2), (3, 4), (1, 2, 3, 4))
     # a set equal to the universe is not added twice
     full, _ = gen_hitting_set_formula([1, 2], [[1, 2]], 1)
     assert full.num_clauses == 1
