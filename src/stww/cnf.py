@@ -62,7 +62,9 @@ def _is_canonical(clauses: tuple, num_vars: int) -> bool:
 
 
 def _sorted_clauses(sets: tuple[frozenset[int], ...]) -> tuple[Clause, ...]:
-    return tuple(tuple(sorted(clause, key=abs)) for clause in sets)
+    """Each checked set as its plain-int literals sorted by variable, so a
+    bool or an IntEnum literal is stored, and written, as the int it equals."""
+    return tuple(tuple(sorted(map(int, clause), key=abs)) for clause in sets)
 
 
 def _check_clauses(sets: tuple[frozenset[int], ...], num_vars: int) -> None:
@@ -96,7 +98,8 @@ class Formula:
     accepted by one flat pass over its literals, with no sort.  Otherwise
     each clause is read as a set (repeated literals collapse), the
     per-literal loop checks the sets and names the first bad clause, and
-    each set is then sorted.
+    each set is then sorted, its literals stored as plain ints (a bool
+    True is stored as 1).
     """
 
     num_vars: int
@@ -308,13 +311,33 @@ def parse_dimacs(text: str | bytes, name: str | None = None) -> tuple[Formula, W
     return Formula(num_vars, tuple(clauses), name), WeightFunction(table)
 
 
+class _LiteralText(dict):
+    """Literal -> its DIMACS text, each converted once, on first use, so the
+    table holds only the literals that occur."""
+
+    def __missing__(self, lit: int) -> str:
+        text = self[lit] = str(lit)
+        return text
+
+
 def serialize_dimacs(formula: Formula, weights: WeightFunction | None = None) -> str:
-    """Render a formula (and optional weights) as DIMACS text."""
+    """Render a formula (and optional weights) as DIMACS text.
+
+    Raises:
+        ValueError: if a weight names a variable above ``formula.num_vars``,
+            which `parse_dimacs` would reject.
+    """
     lines = [f"p cnf {formula.num_vars} {formula.num_clauses}"]
     if weights is not None:
         for lit, value in weights.items():
+            if abs(lit) > formula.num_vars:
+                raise ValueError(
+                    f"weight for literal {lit} out of range for {formula.num_vars} variables"
+                )
             lines.append(f"c p weight {lit} {value} 0")
-    # a clause already holds its literals in DIMACS order
-    for clause in formula.clauses:
-        lines.append(" ".join(map(str, clause)) + " 0")
-    return "\n".join(lines) + "\n"
+    # a clause already holds its literals in DIMACS order; the final "" ends
+    # the text with a newline
+    text = _LiteralText().__getitem__
+    lines += [" ".join(map(text, clause)) + " 0" for clause in formula.clauses]
+    lines.append("")
+    return "\n".join(lines)

@@ -7,6 +7,22 @@ pair a,b carries a red edge.  Red variables are only implied, never fixed,
 so a model may overapproximate the red sets; the cardinality counters bound
 the overapproximation by d, which is what makes decoded sequences verify.
 
+Variables are numbered in blocks, in this order:
+
+- order o(u,v) for each vertex pair u < v, pairs in lexicographic order, so
+  for a fixed u the variable of the pair {u, x} grows with x;
+- parent p(u,v), by u and then v;
+- last(u), by u;
+- red r(t,a,b), by t first, so r(t,·) < r(u,·) exactly when t < u;
+- the registers of the degree counters, row by row, each allocated after
+  every literal it counts.
+
+Every rule writes its clause's literals in that order, sorted by variable,
+which is the clause form `Formula` holds and DIMACS text writes, so no
+clause is sorted after it is built.  Where the order depends on vertex ids
+the rule compares the vertices once per loop iteration outside its
+innermost loop.
+
 Soundness is never taken from the encoding alone: every satisfying model is
 decoded into a sequence and re-verified by replay.
 """
@@ -17,7 +33,7 @@ import shlex
 import subprocess
 import time
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .bounds import greedy_sequence
 from .cnf import Formula, serialize_dimacs
@@ -59,10 +75,13 @@ class ExactResult:
 class _Builder:
     """Allocates variables and collects clauses, dropping exact duplicates.
 
-    Each clause is keyed by its literals sorted by variable, the clause form
-    `Formula` holds, so the finished clauses pass to it with no second sort.
-    The literals of every rule name distinct variables, so two rules give
-    equal keys exactly when they give equal literal sets.
+    `add` takes a clause's literals already sorted by variable, the clause
+    form `Formula` holds, and keeps them as they are: nothing here sorts.
+    A rule that wrote a clause out of order would not be wrong, only slow,
+    as `Formula` would then sort every clause again; the encoding tests
+    check that it never has to.  The literals of every rule name distinct
+    variables, so two rules give equal clauses exactly when they give equal
+    literal sets.
 
     Duplicates do occur: at d = 0 the degree counters of v and w both emit
     the unit clause -r(t,v,w) for their shared red variable.  (Each
@@ -83,7 +102,7 @@ class _Builder:
         return self.count
 
     def add(self, *lits: int) -> None:
-        self.clauses[tuple(sorted(lits, key=abs))] = None
+        self.clauses[lits] = None
 
     def copy(self) -> _Builder:
         other = _Builder()
@@ -139,7 +158,8 @@ class _Prefix:
     builder: _Builder
     order: dict[tuple[int, int], int]
     parent: dict[tuple[int, int], int]
-    red: dict[tuple[int, int, int], int]
+    # red_of[t][a][c] is r(t,a,c) under either order of a and c
+    red_of: dict[int, dict[int, dict[int, int]]]
     cross_side: dict[int, list[int]]
 
     def copy(self) -> _Prefix:
@@ -148,13 +168,13 @@ class _Prefix:
     def finish(self, d: int) -> EncodingArtifact:
         """The encoding at d.  The counters go into this prefix's builder,
         so a prefix that serves several d is copied for each."""
-        b, red, vertices = self.builder, self.red, self.graph.vertices()
+        b, red_of, vertices = self.builder, self.red_of, self.graph.vertices()
         # after any step, every vertex has at most d red edges
         for t in vertices:
             for v in vertices:
                 if v == t:
                     continue
-                lits = [red[(t, v, w) if v < w else (t, w, v)] for w in self.cross_side[v] if w != t]
+                lits = [red_of[t][v][w] for w in self.cross_side[v] if w != t]
                 b.add_at_most(lits, d, ("deg", t, v))
         cnf = Formula(b.count, tuple(b.clauses))
         return EncodingArtifact(cnf, b.legend, self.graph, d, self.order, self.parent)
@@ -187,42 +207,58 @@ def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
         (u, v): b.new_var(("parent", u, v)) for u in vertices for v in same_side[u]
     }
     last = {u: b.new_var(("last", u)) for u in vertices}
-    red = {}
+    # red_of[t][a][c] is r(t,a,c) under either order of a and c; red_at[t]
+    # lists the pairs a < c of time t, each with t, a and c sorted
+    red_of: dict[int, dict[int, dict[int, int]]] = {
+        t: {a: {} for a in vertices} for t in vertices
+    }
+    red_at: dict[int, list[tuple[int, int, tuple[int, int, int], int]]] = {
+        t: [] for t in vertices
+    }
     for t in vertices:
-        for a, bb in combinations(vertices, 2):
-            if a != t and bb != t and graph.side(a) != graph.side(bb):
-                red[(t, a, bb)] = b.new_var(("red", t, a, bb))
-
-    def rlit(t: int, a: int, c: int) -> int:
-        return red[(t, a, c) if a < c else (t, c, a)]
+        for a, c in combinations(vertices, 2):
+            if a != t and c != t and graph.side(a) != graph.side(c):
+                var = b.new_var(("red", t, a, c))
+                red_of[t][a][c] = red_of[t][c][a] = var
+                red_at[t].append((a, c, tuple(sorted((t, a, c))), var))
 
     # total elimination order: the three rotations of (x, y, z) give the same
-    # clause, so emit the one starting at the smallest vertex, which comes
-    # first in permutation order; that leaves 2 clauses per vertex triple
-    for x, y, z in permutations(vertices, 3):
-        if x < y and x < z:
-            b.add(-olit(x, y), -olit(y, z), olit(x, z))
+    # clause, so emit only the one starting at the smallest vertex x, for the
+    # ordered pairs (y, z) of later vertices; that leaves 2 clauses per
+    # vertex triple.  o(x,·) precedes o(y,z), and o(x,y) precedes o(x,z)
+    # iff y < z
+    for i, x in enumerate(vertices):
+        later = vertices[i + 1 :]
+        for j, y in enumerate(later):
+            xy = order[(x, y)]
+            for z in later[:j]:
+                b.add(order[(x, z)], -xy, order[(z, y)])
+            for z in later[j + 1 :]:
+                b.add(-xy, order[(x, z)], -order[(y, z)])
 
     # last(u) <-> u comes after every same-side vertex
     for u in vertices:
         for v in same_side[u]:
-            b.add(-last[u], olit(v, u))
-        b.add(last[u], *(-olit(v, u) for v in same_side[u]))
+            b.add(olit(v, u), -last[u])
+        b.add(*(-olit(v, u) for v in same_side[u]), last[u])
 
     # survivors sit after every eliminated vertex, so the order guards in the
     # red-edge rules treat them as alive throughout (cross-side pairs only;
     # the same-side case is the definition of last above)
     for u in vertices:
         for w in cross_side[u]:
-            b.add(-last[w], last[u], olit(u, w))
+            if u < w:
+                b.add(olit(u, w), last[u], -last[w])
+            else:
+                b.add(olit(u, w), -last[w], last[u])
 
     # every eliminated vertex picks exactly one later same-side parent
     for u in vertices:
         candidates = same_side[u]
         if candidates:
-            b.add(last[u], *(parent[(u, v)] for v in candidates))
+            b.add(*(parent[(u, v)] for v in candidates), last[u])
         for v in candidates:
-            b.add(-parent[(u, v)], olit(u, v))
+            b.add(olit(u, v), -parent[(u, v)])
             b.add(-parent[(u, v)], -last[u])
         for v, w in combinations(candidates, 2):
             b.add(-parent[(u, v)], -parent[(u, w)])
@@ -232,43 +268,57 @@ def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
         for v in same_side[u]:
             for w in cross_side[u]:
                 if graph.edge(u, w) != graph.edge(v, w):
-                    b.add(-parent[(u, v)], -olit(u, w), rlit(u, v, w))
+                    b.add(-olit(u, w), -parent[(u, v)], red_of[u][v][w])
 
-    # not_before[u][w] is the literal -o(u,w): u is not eliminated before w
+    # In the two rules below, a time t and a vertex u fix guard[x], the order
+    # literal on the pair {u, x}: -o(t,u) for x = t, and otherwise -o(u,x),
+    # "u is not eliminated before x".  o(u,x) grows with x, so the guards
+    # sort as their vertices x do, and the red literals as their times:
+    # r(t,·) before r(u,·) iff t < u.
     not_before = {u: {w: -olit(u, w) for w in vertices if w != u} for u in vertices}
 
     # a red edge (u,w) alive at an earlier time t transfers to u's parent:
-    # -r(t,u,w) | -o(t,u) | -p(u,v) | -o(u,w) | r(u,v,w), with the literals
-    # that do not depend on v looked up once per (t, u)
+    # -o(t,u) | -o(u,w) | -p(u,v) | -r(t,u,w) | r(u,v,w), with the literals
+    # that do not depend on v looked up and ordered once per (t, u, w)
     for t in vertices:
         for u in vertices:
             if u == t:
                 continue
-            not_tu = not_before[t][u]
-            per_w = [(w, -rlit(t, u, w), not_before[u][w]) for w in cross_side[u] if w != t]
+            guard = {**not_before[u], t: not_before[t][u]}
+            per_w = [
+                (guard[min(t, w)], guard[max(t, w)], w, -red_of[t][u][w])
+                for w in cross_side[u]
+                if w != t
+            ]
             for v in same_side[u]:
                 if v == t:
                     continue
-                not_parent = -parent[(u, v)]
-                for w, not_red, not_uw in per_w:
-                    b.add(not_red, not_tu, not_parent, not_uw, rlit(u, v, w))
+                not_parent, red_uv = -parent[(u, v)], red_of[u][v]
+                if t < u:
+                    for o1, o2, w, not_red in per_w:
+                        b.add(o1, o2, not_parent, not_red, red_uv[w])
+                else:
+                    for o1, o2, w, not_red in per_w:
+                        b.add(o1, o2, not_parent, red_uv[w], not_red)
 
     # red edges persist while both endpoints stay alive:
-    # -r(t,a,c) | -o(t,u) | -o(u,a) | -o(u,c) | r(u,a,c)
-    red_at: dict[int, list[tuple[int, int, int]]] = {t: [] for t in vertices}
-    for (t, a, c), var in red.items():
-        red_at[t].append((a, c, -var))
+    # -o(t,u) | -o(u,a) | -o(u,c) | -r(t,a,c) | r(u,a,c), the three guards
+    # in the order of the sorted vertices x, y, z
     for t in vertices:
         for u in vertices:
             if u == t:
                 continue
-            not_tu, not_u = not_before[t][u], not_before[u]
-            for a, c, not_red in red_at[t]:
-                if a == u or c == u:
-                    continue
-                b.add(not_red, not_tu, not_u[a], not_u[c], rlit(u, a, c))
+            guard, red_u = {**not_before[u], t: not_before[t][u]}, red_of[u]
+            if t < u:
+                for a, c, (x, y, z), red_t in red_at[t]:
+                    if a != u and c != u:
+                        b.add(guard[x], guard[y], guard[z], -red_t, red_u[a][c])
+            else:
+                for a, c, (x, y, z), red_t in red_at[t]:
+                    if a != u and c != u:
+                        b.add(guard[x], guard[y], guard[z], red_u[a][c], -red_t)
 
-    return _Prefix(graph, b, order, parent, red, cross_side)
+    return _Prefix(graph, b, order, parent, red_of, cross_side)
 
 
 def decode(artifact: EncodingArtifact, model) -> ContractionSequence:

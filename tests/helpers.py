@@ -64,6 +64,18 @@ def reference_formula_check(num_vars, clauses):
         seen.add(clause)
 
 
+def reference_serialize_dimacs(formula, weights=None):
+    """Reference for serialize_dimacs: each clause's literals converted and
+    joined one clause at a time, so the empty clause is the line " 0"."""
+    lines = [f"p cnf {formula.num_vars} {formula.num_clauses}"]
+    if weights is not None:
+        for lit, value in weights.items():
+            lines.append(f"c p weight {lit} {value} 0")
+    for clause in formula.clauses:
+        lines.append(" ".join(map(str, clause)) + " 0")
+    return "\n".join(lines) + "\n"
+
+
 def random_bipartite_graph(rng, max_n=30, p=0.3, min_n=2):
     """Random sided signed graph, edges only across the two sides."""
     n = rng.randint(min_n, max_n)

@@ -1,12 +1,19 @@
 import random
+import tracemalloc
 import warnings
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_formula, random_weights, reference_formula_check
+from helpers import (
+    random_formula,
+    random_weights,
+    reference_formula_check,
+    reference_serialize_dimacs,
+)
 from stww.cnf import (
     Formula,
     FormulaWarning,
@@ -92,6 +99,17 @@ def test_formula_checks_the_type_of_every_literal():
     with pytest.raises(ValueError, match=r"clause 1: literal 1.0 out of range"):
         Formula(2, (frozenset({1}), frozenset({1.0, 2})))
     assert Formula(2, (frozenset({True, 2}),)).num_clauses == 1
+
+    class Literal(IntEnum):
+        ONE = 1
+
+    # a literal that only equals an int is stored, and written, as that int
+    for clause in ([True, 2], (True, 2), frozenset({True, 2}), [Literal.ONE, 2]):
+        f = Formula(2, [clause])
+        assert f.clauses == ((1, 2),)
+        assert [type(lit) for lit in f.clauses[0]] == [int, int]
+        assert serialize_dimacs(f).splitlines()[1] == "1 2 0"
+    assert serialize_dimacs(Formula(2, [[True, -2]])).splitlines()[1] == "1 -2 0"
 
 
 @st.composite
@@ -285,6 +303,74 @@ def test_serialize_orders_literals_by_variable_then_sign():
         "c p weight 2 2/3 0",
         "c p weight -2 1/3 0",
     ]
+
+
+def test_serialize_rejects_a_weight_out_of_range():
+    # such text would not parse back: parse_dimacs rejects the weight line
+    f = Formula(2, ((1, -2),))
+    for lit in (5, -3):
+        with pytest.raises(ValueError, match=f"weight for literal {lit} out of range"):
+            serialize_dimacs(f, WeightFunction({lit: Fraction(1, 2)}))
+    weights = WeightFunction({2: Fraction(1, 2), -2: 3})
+    g, u = parse_dimacs(serialize_dimacs(f, weights))
+    assert (g, u) == (f, weights)
+
+
+@st.composite
+def formulas_with_weights(draw):
+    """(formula, weights or None): any valid clauses over up to 6 variables,
+    the empty clause among them, with unused variables and none at all."""
+    n = draw(st.integers(0, 6))
+    signs = st.dictionaries(st.integers(1, max(n, 1)), st.booleans(), max_size=n)
+    sets = draw(st.lists(signs.map(lambda c: frozenset(v if s else -v for v, s in c.items())),
+                         unique=True, max_size=8))
+    formula = Formula(n + draw(st.integers(0, 3)), sets)
+    literals = [lit for v in formula.variables() for lit in (v, -v)]
+    if not literals or draw(st.booleans()):
+        return formula, None
+    table = draw(st.dictionaries(st.sampled_from(literals),
+                                 st.fractions(-3, 3, max_denominator=4), max_size=4))
+    return formula, WeightFunction(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas_with_weights())
+def test_serialize_matches_the_per_clause_reference(case):
+    f, w = case
+    text = serialize_dimacs(f, w)
+    assert text == reference_serialize_dimacs(f, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, u = parse_dimacs(text)
+    assert g == f and u == (w or WeightFunction())
+
+
+def test_serialize_edge_cases_match_the_reference():
+    weights = WeightFunction({1: 2, -4: Fraction(1, 3)})
+    for f, w in (
+        (Formula(0), None),
+        (Formula(3), None),
+        (Formula(4), weights),
+        (Formula(4, ((),)), None),
+        (Formula(4, ((1, -2), (), (3,))), weights),
+    ):
+        assert serialize_dimacs(f, w) == reference_serialize_dimacs(f, w)
+    assert serialize_dimacs(Formula(2, ((), (2,)))) == "p cnf 2 2\n 0\n2 0\n"
+    assert serialize_dimacs(Formula(0)) == "p cnf 0 0\n"
+
+
+def test_serialize_memory_follows_the_literals_that_occur():
+    # the literal table holds the literals of the clauses, not one entry
+    # per variable of the header
+    f = Formula(10**7, ((1, -2),))
+    tracemalloc.start()
+    try:
+        text = serialize_dimacs(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "p cnf 10000000 1\n1 -2 0\n"
+    assert peak < 2**20
 
 
 def test_serialize_without_weights_has_no_weight_lines():

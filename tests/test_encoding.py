@@ -58,15 +58,46 @@ def test_encoding_text_is_pinned():
     assert digest.hexdigest() == "528d78efe95dc511ba0939630a05472c9b1a829c00693b3f7ba3760748bf5fd8"
 
 
+def test_encoding_text_is_pinned_at_the_benchmark_shape():
+    # V = 14, the shape of the benchmark's widths workload
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        graph = incidence_graph(gen_random_ksat(5, 3, 9, seed))
+        for d in range(4):
+            digest.update(serialize_dimacs(encode(graph, d).cnf).encode())
+    assert digest.hexdigest() == "a725b726ae3b30841770db3511c1d16f4ea0676357f3ff7edbfe587042ff1c19"
+
+
 def test_encoding_clauses_are_literal_tuples():
-    # the builder hands Formula canonical clauses, which it keeps unsorted
-    prefix = _encode_prefix(incidence_graph(gen_random_ksat(5, 3, 9, 1)))
-    artifact = prefix.finish(3)
-    built = tuple(prefix.builder.clauses)
-    assert artifact.cnf.num_clauses == len(built) == 19412
-    assert all(type(clause) is tuple for clause in artifact.cnf.clauses)
-    assert _is_canonical(built, artifact.cnf.num_vars)
-    assert all(kept is own for kept, own in zip(artifact.cnf.clauses, built))
+    # every rule writes its clause sorted by variable and the builder keeps
+    # it as written, so Formula takes the builder's own tuples unsorted.
+    # V = 14 is the benchmark's shape; the last two graphs have a side with
+    # one vertex, which has no parent
+    for ksat in ((5, 3, 9, 1), (5, 3, 9, 2), (5, 3, 9, 3), (4, 3, 6, 2), (3, 2, 1, 1), (1, 1, 1, 1)):
+        graph = incidence_graph(gen_random_ksat(*ksat))
+        sides = [[v for v in graph.vertices() if graph.side(v) == side] for side in (0, 1)]
+        assert any(len(side) == 1 for side in sides) == (ksat[2] == 1)
+        prefix = _encode_prefix(graph)
+        for d in range(4):
+            own = prefix.copy()
+            artifact = own.finish(d)
+            built = tuple(own.builder.clauses)
+            assert artifact.cnf.num_clauses == len(built)
+            assert all(type(clause) is tuple for clause in artifact.cnf.clauses)
+            assert _is_canonical(built, artifact.cnf.num_vars)
+            assert all(kept is mine for kept, mine in zip(artifact.cnf.clauses, built))
+            assert artifact.cnf == encode(graph, d).cnf
+            if ksat == (5, 3, 9, 1) and d == 3:
+                assert len(built) == 19412
+            if d == 0:
+                # both degree counters of a red edge emit its unit clause;
+                # the builder keeps one
+                units = [c for c in built if len(c) == 1 and artifact.legend[abs(c[0])][0] == "red"]
+                reds = [var for var, role in artifact.legend.items() if role[0] == "red"]
+                assert sorted(units) == sorted((-var,) for var in reds)
+            for side in sides:
+                if len(side) == 1:
+                    assert all(role[:2] != ("parent", side[0]) for role in artifact.legend.values())
 
 
 def test_run_solver_parses_competition_output(tmp_path):
