@@ -347,14 +347,12 @@ def exact_tww_bruteforce(
     graph: SignedTrigraph,
     bipartite: bool = False,
     max_vertices: int = 10,
-    width_cap: int | None = None,
 ) -> tuple[int, ContractionSequence]:
     """Exact minimum width over all (bipartite) sequences, with a witness.
 
     Searches partition states with memoization, iteratively deepening a red
     degree cap so structured graphs stay cheap; pass max_vertices explicitly
-    to override the size guard.  With width_cap set, raises ValueError if
-    the true minimum exceeds the cap.  The witness is the lexicographically
+    to override the size guard.  The witness is the lexicographically
     smallest among minimum-width sequences.
     """
     n = graph.num_vertices
@@ -364,7 +362,6 @@ def exact_tww_bruteforce(
         _require_sides(graph, "bipartite search")
 
     initial = graph.max_red_degree()
-    top_cap = width_cap if width_cap is not None else max(n - 1, 0)
     infinity = float("inf")
 
     def make_solver(cap: int):
@@ -395,7 +392,8 @@ def exact_tww_bruteforce(
 
         return solve
 
-    for cap in range(initial, top_cap + 1):
+    # a cap of n - 1 admits every sequence, so the walk ends there at the latest
+    for cap in range(initial, max(n - 1, 0) + 1):
         solve = make_solver(cap)
         achieved = solve(graph)
         if achieved == infinity:
@@ -427,7 +425,7 @@ def exact_tww_bruteforce(
             declared_width=width,
             num_vertices=max(graph.vertices(), default=0),
         )
-    raise ValueError(f"no sequence within width cap {top_cap}")
+    raise AssertionError("no sequence within width cap n - 1")
 
 
 def _trace_path(

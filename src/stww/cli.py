@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -56,6 +57,17 @@ def _decimal(value: Fraction, places: int = 6) -> str:
 
 def _rational(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+
+
+def _seconds(text: str) -> float:
+    """A --timeout value: any float but NaN; inf means no limit."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"not a number of seconds: {text!r}")
+    return value
 
 
 def _read(path: str) -> str:
@@ -283,7 +295,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("exact", parents=[common], help="exact bipartite width via a SAT solver")
     p.add_argument("input", help="sided signed trigraph or CNF file")
     p.add_argument("--solver", help=f"solver command (default ${SOLVER_ENV})")
-    p.add_argument("--timeout", type=float, default=None, help="overall budget in seconds")
+    p.add_argument("--timeout", type=_seconds, default=None,
+                   help="overall budget in seconds; inf means no limit")
     p.add_argument("-o", "--output", help="write the witness sequence here")
     p.set_defaults(run=_cmd_exact)
 

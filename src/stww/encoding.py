@@ -13,7 +13,8 @@ Variables are numbered in blocks, in this order:
   for a fixed u the variable of the pair {u, x} grows with x;
 - parent p(u,v), by u and then v;
 - last(u), by u;
-- red r(t,a,b), by t first, so r(t,·) < r(u,·) exactly when t < u;
+- red r(t,a,b), by t and then by pair, so r(t,·) < r(u,·) exactly when
+  t < u; at d = 0 one unit clause -r per red variable forbids them all;
 - the registers of the degree counters, row by row, each allocated after
   every literal it counts.
 
@@ -21,7 +22,8 @@ Every rule writes its clause's literals in that order, sorted by variable,
 which is the clause form `Formula` holds and DIMACS text writes, so no
 clause is sorted after it is built.  Where the order depends on vertex ids
 the rule compares the vertices once per loop iteration outside its
-innermost loop.
+innermost loop.  Each clause is written once and kept as written, and
+`Formula` is the one duplicate guard.
 
 Soundness is never taken from the encoding alone: every satisfying model is
 decoded into a sequence and re-verified by replay.
@@ -29,10 +31,11 @@ decoded into a sequence and re-verified by replay.
 
 from __future__ import annotations
 
+import math
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from .bounds import greedy_sequence
@@ -56,10 +59,7 @@ class SolverUnavailableError(RuntimeError):
 @dataclass(frozen=True)
 class EncodingArtifact:
     cnf: Formula
-    # encoding variable -> semantic role, e.g. ("order", u, v) or ("red", t, a, b)
-    legend: dict[int, tuple]
     graph: SignedTrigraph
-    d: int
     order_vars: dict[tuple[int, int], int]
     parent_vars: dict[tuple[int, int], int]
 
@@ -73,57 +73,36 @@ class ExactResult:
 
 
 class _Builder:
-    """Allocates variables and collects clauses, dropping exact duplicates.
+    """Allocates variables from `count` on and collects clauses in a list.
 
     `add` takes a clause's literals already sorted by variable, the clause
-    form `Formula` holds, and keeps them as they are: nothing here sorts.
-    A rule that wrote a clause out of order would not be wrong, only slow,
-    as `Formula` would then sort every clause again; the encoding tests
-    check that it never has to.  The literals of every rule name distinct
-    variables, so two rules give equal clauses exactly when they give equal
-    literal sets.
-
-    Duplicates do occur: at d = 0 the degree counters of v and w both emit
-    the unit clause -r(t,v,w) for their shared red variable.  (Each
+    form `Formula` holds, and keeps them as they are: nothing here sorts or
+    deduplicates.  A rule that wrote a clause out of order would not be
+    wrong, only slow, as `Formula` would then sort every clause again; the
+    encoding tests check that it never has to.  A rule that wrote a clause
+    twice, or a tautology, is an error that `Formula` raises.  (Each
     transitivity clause would come from all 3 rotations of its triple; that
-    rule emits only the first.)  Tautologies do not, and Formula rejects a
-    tautology loudly should a change to the encoder ever build one.
+    rule writes only the first.)
     """
 
-    def __init__(self) -> None:
-        self.count = 0
-        self.legend: dict[int, tuple] = {}
-        # clause -> None, kept in first-insertion order
-        self.clauses: dict[tuple[int, ...], None] = {}
+    def __init__(self, count: int = 0) -> None:
+        self.count = count
+        self.clauses: list[tuple[int, ...]] = []
 
-    def new_var(self, role: tuple) -> int:
+    def new_var(self) -> int:
         self.count += 1
-        self.legend[self.count] = role
         return self.count
 
     def add(self, *lits: int) -> None:
-        self.clauses[lits] = None
+        self.clauses.append(lits)
 
-    def copy(self) -> _Builder:
-        other = _Builder()
-        other.count = self.count
-        other.legend = dict(self.legend)
-        other.clauses = dict(self.clauses)
-        return other
-
-    def add_at_most(self, lits: list[int], bound: int, tag: tuple) -> None:
-        """Sequential-counter cardinality constraint: at most `bound` true."""
+    def add_at_most(self, lits: list[int], bound: int) -> None:
+        """Sequential-counter cardinality constraint: at most `bound` true,
+        for a bound of at least 1."""
         m = len(lits)
         if bound >= m:
             return
-        if bound == 0:
-            for lit in lits:
-                self.add(-lit)
-            return
-        reg = [
-            [self.new_var(("card", *tag, i, j)) for j in range(bound)]
-            for i in range(m - 1)
-        ]
+        reg = [[self.new_var() for j in range(bound)] for i in range(m - 1)]
         self.add(-lits[0], reg[0][0])
         for j in range(1, bound):
             self.add(-reg[0][j])
@@ -149,35 +128,43 @@ def encode(graph: SignedTrigraph, d: int) -> EncodingArtifact:
 
 @dataclass(frozen=True)
 class _Prefix:
-    """Every clause of a graph's encoding but the degree counters.  Only the
-    counters depend on d, and they come last in both variable and clause
-    order, so the encoding at any d is this prefix with d's counters
-    appended."""
+    """Every clause of a graph's encoding but the degree counters, and their
+    variable count.  Only the counters depend on d, and they come last in
+    both variable and clause order, so the encoding at any d is this prefix
+    with d's counters appended; `finish` leaves the prefix as it is."""
 
     graph: SignedTrigraph
-    builder: _Builder
+    count: int
+    clauses: tuple[tuple[int, ...], ...]
     order: dict[tuple[int, int], int]
     parent: dict[tuple[int, int], int]
     # red_of[t][a][c] is r(t,a,c) under either order of a and c
     red_of: dict[int, dict[int, dict[int, int]]]
     cross_side: dict[int, list[int]]
 
-    def copy(self) -> _Prefix:
-        return replace(self, builder=self.builder.copy())
+    @property
+    def reds(self) -> range:
+        """The red variables: the prefix's last block, after `last`'s."""
+        first = len(self.order) + len(self.parent) + self.graph.num_vertices + 1
+        return range(first, self.count + 1)
 
     def finish(self, d: int) -> EncodingArtifact:
-        """The encoding at d.  The counters go into this prefix's builder,
-        so a prefix that serves several d is copied for each."""
-        b, red_of, vertices = self.builder, self.red_of, self.graph.vertices()
-        # after any step, every vertex has at most d red edges
-        for t in vertices:
-            for v in vertices:
-                if v == t:
-                    continue
-                lits = [red_of[t][v][w] for w in self.cross_side[v] if w != t]
-                b.add_at_most(lits, d, ("deg", t, v))
-        cnf = Formula(b.count, tuple(b.clauses))
-        return EncodingArtifact(cnf, b.legend, self.graph, d, self.order, self.parent)
+        """The encoding at d, its counters built in a builder of their own."""
+        b, red_of, vertices = _Builder(self.count), self.red_of, self.graph.vertices()
+        # after any step, every vertex has at most d red edges; at d = 0 that
+        # forbids every red edge, once each
+        if d == 0:
+            for r in self.reds:
+                b.add(-r)
+        else:
+            for t in vertices:
+                for v in vertices:
+                    if v == t:
+                        continue
+                    lits = [red_of[t][v][w] for w in self.cross_side[v] if w != t]
+                    b.add_at_most(lits, d)
+        cnf = Formula(b.count, (*self.clauses, *b.clauses))
+        return EncodingArtifact(cnf, self.graph, self.order, self.parent)
 
 
 def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
@@ -191,7 +178,7 @@ def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
             raise ValueError("the encoding starts from a red-free graph")
 
     b = _Builder()
-    order = {(u, v): b.new_var(("order", u, v)) for u, v in combinations(vertices, 2)}
+    order = {(u, v): b.new_var() for u, v in combinations(vertices, 2)}
 
     def olit(u: int, v: int) -> int:
         return order[(u, v)] if u < v else -order[(v, u)]
@@ -203,10 +190,8 @@ def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
     cross_side = {
         u: [v for v in vertices if graph.side(v) != graph.side(u)] for u in vertices
     }
-    parent = {
-        (u, v): b.new_var(("parent", u, v)) for u in vertices for v in same_side[u]
-    }
-    last = {u: b.new_var(("last", u)) for u in vertices}
+    parent = {(u, v): b.new_var() for u in vertices for v in same_side[u]}
+    last = {u: b.new_var() for u in vertices}
     # red_of[t][a][c] is r(t,a,c) under either order of a and c; red_at[t]
     # lists the pairs a < c of time t, each with t, a and c sorted
     red_of: dict[int, dict[int, dict[int, int]]] = {
@@ -218,7 +203,7 @@ def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
     for t in vertices:
         for a, c in combinations(vertices, 2):
             if a != t and c != t and graph.side(a) != graph.side(c):
-                var = b.new_var(("red", t, a, c))
+                var = b.new_var()
                 red_of[t][a][c] = red_of[t][c][a] = var
                 red_at[t].append((a, c, tuple(sorted((t, a, c))), var))
 
@@ -318,7 +303,7 @@ def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
                     if a != u and c != u:
                         b.add(guard[x], guard[y], guard[z], red_u[a][c], -red_t)
 
-    return _Prefix(graph, b, order, parent, red_of, cross_side)
+    return _Prefix(graph, b.count, tuple(b.clauses), order, parent, red_of, cross_side)
 
 
 def decode(artifact: EncodingArtifact, model) -> ContractionSequence:
@@ -377,8 +362,12 @@ def run_solver(
     The solver reads the problem on stdin and answers in SAT-competition
     format: an `s SATISFIABLE` / `s UNSATISFIABLE` status line and, when
     satisfiable, `v` lines of literals.  Returns one of ("sat", literals),
-    ("unsat", empty), ("unknown", empty) or ("timeout", empty).
+    ("unsat", empty), ("unknown", empty) or ("timeout", empty).  A timeout
+    longer than one poll can wait (24 days), `inf` included, means no limit.
     """
+    # subprocess polls the solver's pipes with a C int of milliseconds
+    if timeout is not None and timeout > (2**31 - 1) // 1000:
+        timeout = None
     try:
         args = shlex.split(command) if isinstance(command, str) else list(command)
     except ValueError as exc:
@@ -434,8 +423,10 @@ def exact_tww_via_solver(
     clauses that do not depend on d once; every satisfiable answer is
     decoded and re-verified before it is trusted.  On timeout or an unknown
     answer the best verified width so far is returned with exact=False (an
-    upper bound only).
+    upper bound only).  A NaN timeout is a ValueError.
     """
+    if timeout is not None and math.isnan(timeout):
+        raise ValueError("timeout is not a number")
     base = greedy_sequence(graph, bipartite=True)
     best_width = base.declared_width or 0
     best_seq = base
@@ -452,7 +443,7 @@ def exact_tww_via_solver(
                 return ExactResult(best_width, best_seq, False)
         if prefix is None:
             prefix = _encode_prefix(graph)
-        artifact = prefix.copy().finish(d)
+        artifact = prefix.finish(d)
         status, model = run_solver(serialize_dimacs(artifact.cnf), solver, remaining)
         if status == "sat":
             seq = decode(artifact, model)

@@ -298,6 +298,9 @@ def serialize_sequence(seq: ContractionSequence, num_vertices: int | None = None
         raise ValueError("number of vertices unknown; pass num_vertices")
     if len(seq.steps) > max(n - 1, 0):
         raise ValueError(f"{len(seq.steps)} steps impossible on {n} vertices")
+    top = max(map(max, seq.steps), default=0)
+    if top > n:
+        raise ValueError(f"vertex id {top} out of range 1..{n}")
     lines = [f"p tws {n} {len(seq.steps)}"]
     lines.extend(f"{keep} {merge}" for keep, merge in seq.steps)
     return "\n".join(lines) + "\n"

@@ -273,10 +273,14 @@ def serialize_graph(graph: SignedTrigraph) -> str:
 
     Format: a ``p stg <n> <m>`` header, optional ``s <vertex> <side>`` lines
     for sided vertices, then one ``u v +|-|r`` line per edge.  Vertex ids
-    must be 1..n for the file to round-trip.
+    must be 1..n, which is what the file reads back as; other ids raise
+    ValueError.
     """
-    lines = [f"p stg {graph.num_vertices} {graph.num_edges()}"]
-    for v in graph.vertices():
+    vertices = graph.vertices()
+    if vertices and vertices[-1] != len(vertices):
+        raise ValueError(f"vertex id {vertices[-1]} out of range 1..{len(vertices)}")
+    lines = [f"p stg {len(vertices)} {graph.num_edges()}"]
+    for v in vertices:
         if graph.side(v) is not None:
             lines.append(f"s {v} {graph.side(v)}")
     for u, v, kind in sorted(graph.edges()):

@@ -124,9 +124,6 @@ def test_exact_bruteforce_guards():
     no_sides = SignedTrigraph([1, 2])
     with pytest.raises(ValueError, match="side"):
         exact_tww_bruteforce(no_sides, bipartite=True)
-    mixed = SignedTrigraph([1, 2, 3], [(3, 1, POS), (3, 2, NEG)])
-    with pytest.raises(ValueError, match="cap"):
-        exact_tww_bruteforce(mixed, width_cap=0)
 
 
 def test_exact_bruteforce_matches_plain_recursion_bipartite():

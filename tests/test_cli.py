@@ -293,6 +293,27 @@ def test_exact_with_bundled_solver(capsys, monkeypatch, tmp_path, mini_solver_cm
     assert report.failure is None and report.width == 2
 
 
+@pytest.mark.parametrize("timeout, code, printed", [
+    ("inf", EX_OK, "2\n"),  # no limit
+    ("1e9", EX_OK, "2\n"),  # longer than one poll can wait: no limit
+    ("nan", EX_USAGE, ""),
+    ("-1", EX_OK, "*2\n"),  # spent before the first query: the greedy bound
+])
+def test_exact_timeout_values(capsys, tmp_path, mini_solver_cmd, timeout, code, printed):
+    grid = tmp_path / "grid.stg"
+    run(capsys, "gen", "grid", "2", "3", "-o", str(grid))
+    argv = ["exact", str(grid), "--solver", shlex.join(mini_solver_cmd), f"--timeout={timeout}"]
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, printed)
+    assert "Traceback" not in captured.err
+    if code == EX_USAGE:
+        assert captured.err.splitlines()[-1].endswith("not a number of seconds: 'nan'")
+
+
 def test_usage_errors_exit_64(capsys, or_cnf):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

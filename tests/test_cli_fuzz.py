@@ -12,13 +12,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stww.bounds import greedy_sequence
 from stww.cli import EX_DATA, EX_ENV, EX_INVALID_SEQUENCE, EX_OK, EX_USAGE, main
 from stww.cnf import Formula, WeightFunction, parse_dimacs, serialize_dimacs
-from stww.generators import SIGN_POLICIES
+from stww.generators import SIGN_POLICIES, gen_grid
 from stww.sequence import ContractionSequence, serialize_sequence
 from stww.trigraph import NEG, POS, RED, SignedTrigraph, incidence_graph, parse_graph, serialize_graph
 
@@ -30,6 +30,8 @@ TOKENS = ["p", "cnf", "stg", "tws", "c", "s", "0", "-1", "+", "-", "r", "x", "1/
           "\n", "é", "\x00", "\udcff", "p cnf 1 1", "p stg 2 1", "p tws 2 1"]
 # single-character replacements, none of them a digit
 CHARS = " \n\t-+/.prscx\x00é"
+# greedy width 2 and exact width 2: exact queries the solver at d = 1
+GRID = serialize_graph(gen_grid(2, 3))
 
 
 @st.composite
@@ -137,7 +139,9 @@ def invocation(draw):
         argv = ["greedy", source, "--tie-break", draw(st.sampled_from(("smallest", "largest")))]
         argv += draw(st.sampled_from(([], ["--bipartite"])))
     elif command == "exact":
-        argv = ["exact", source, "--timeout", "20", "-o", "out.tws"]
+        # 1e9 s is longer than one poll can wait, and NaN is a usage error
+        timeout = draw(st.sampled_from(("20", "0", "-1", "1e9", "inf", "nan")))
+        argv = ["exact", source, f"--timeout={timeout}", "-o", "out.tws"]
     elif command == "bwmc":
         argv = ["bwmc", "cnf.cnf", "seq.tws", "-k", draw(small)] + draw(st.sampled_from(([], ["--stats"])))
     elif command == "oracle":
@@ -169,6 +173,8 @@ def _run(argv, files, capsys, solver):
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture,
                                                                   HealthCheck.too_slow])
 @given(invocation())
+@example(case=(["exact", "in.stg", "--timeout=inf", "-o", "out.tws"], {"in.stg": GRID}))
+@example(case=(["exact", "in.stg", "--timeout=1e9", "-o", "out.tws"], {"in.stg": GRID}))
 def test_every_command_exits_with_a_documented_code(capsys, mini_solver_cmd, case):
     argv, files = case
     code, _out, err = _run(argv, files, capsys, shlex.join(mini_solver_cmd))

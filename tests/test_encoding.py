@@ -7,6 +7,7 @@ import pytest
 
 from helpers import random_bipartite_graph
 from stww.bounds import exact_tww_bruteforce, greedy_sequence
+import stww.cnf
 from stww.cnf import _is_canonical, serialize_dimacs
 from stww.encoding import (
     DecodeError,
@@ -41,8 +42,8 @@ def test_encode_guards():
 
 
 def test_encoding_text_is_pinned():
-    # d = 0 emits the same unit clause from two degree counters; the pin
-    # holds the clause order and the literal order within each line
+    # the pin holds the clause order, d = 0's one unit clause per red
+    # variable included, and the literal order within each line
     digest = hashlib.sha256()
     for seed in (1, 2, 3):
         graph = incidence_graph(gen_random_ksat(4, 3, 6, seed))
@@ -50,9 +51,10 @@ def test_encoding_text_is_pinned():
             artifact = encode(graph, d)
             digest.update(serialize_dimacs(artifact.cnf).encode())
             # transitivity is the only rule over order variables alone
+            order = set(artifact.order_vars.values())
             transitivity = [
                 clause for clause in artifact.cnf.clauses
-                if all(artifact.legend[abs(lit)][0] == "order" for lit in clause)
+                if all(abs(lit) in order for lit in clause)
             ]
             assert len(transitivity) == 2 * comb(graph.num_vertices, 3)
     assert digest.hexdigest() == "528d78efe95dc511ba0939630a05472c9b1a829c00693b3f7ba3760748bf5fd8"
@@ -68,36 +70,54 @@ def test_encoding_text_is_pinned_at_the_benchmark_shape():
     assert digest.hexdigest() == "a725b726ae3b30841770db3511c1d16f4ea0676357f3ff7edbfe587042ff1c19"
 
 
-def test_encoding_clauses_are_literal_tuples():
+def test_encoding_clauses_are_literal_tuples(monkeypatch):
     # every rule writes its clause sorted by variable and the builder keeps
-    # it as written, so Formula takes the builder's own tuples unsorted.
-    # V = 14 is the benchmark's shape; the last two graphs have a side with
-    # one vertex, which has no parent
+    # it as written, so Formula accepts the clauses in its one flat pass and
+    # never reaches the per-literal loop.  V = 14 is the benchmark's shape;
+    # the last two graphs have a side with one vertex, which has no parent
+    def per_literal_loop(sets, num_vars):
+        raise AssertionError("Formula fell back to its per-literal loop")
+
+    monkeypatch.setattr(stww.cnf, "_check_clauses", per_literal_loop)
     for ksat in ((5, 3, 9, 1), (5, 3, 9, 2), (5, 3, 9, 3), (4, 3, 6, 2), (3, 2, 1, 1), (1, 1, 1, 1)):
         graph = incidence_graph(gen_random_ksat(*ksat))
         sides = [[v for v in graph.vertices() if graph.side(v) == side] for side in (0, 1)]
         assert any(len(side) == 1 for side in sides) == (ksat[2] == 1)
         prefix = _encode_prefix(graph)
+        # the red variables are one contiguous block, last in the prefix
+        reds = {var for t in prefix.red_of.values() for by_c in t.values() for var in by_c.values()}
+        assert reds == set(prefix.reds) and prefix.reds.stop == prefix.count + 1
         for d in range(4):
-            own = prefix.copy()
-            artifact = own.finish(d)
-            built = tuple(own.builder.clauses)
-            assert artifact.cnf.num_clauses == len(built)
-            assert all(type(clause) is tuple for clause in artifact.cnf.clauses)
-            assert _is_canonical(built, artifact.cnf.num_vars)
-            assert all(kept is mine for kept, mine in zip(artifact.cnf.clauses, built))
+            artifact = prefix.finish(d)
+            clauses = artifact.cnf.clauses
+            assert all(type(clause) is tuple for clause in clauses)
+            assert _is_canonical(clauses, artifact.cnf.num_vars)
             assert artifact.cnf == encode(graph, d).cnf
             if ksat == (5, 3, 9, 1) and d == 3:
-                assert len(built) == 19412
+                assert len(clauses) == 19412
             if d == 0:
-                # both degree counters of a red edge emit its unit clause;
-                # the builder keeps one
-                units = [c for c in built if len(c) == 1 and artifact.legend[abs(c[0])][0] == "red"]
-                reds = [var for var, role in artifact.legend.items() if role[0] == "red"]
-                assert sorted(units) == sorted((-var,) for var in reds)
+                # no red edge at all: one unit clause per red variable, in
+                # the block's order, and no counter variable
+                assert clauses[len(prefix.clauses):] == tuple((-var,) for var in prefix.reds)
+                assert artifact.cnf.num_vars == prefix.count
             for side in sides:
                 if len(side) == 1:
-                    assert all(role[:2] != ("parent", side[0]) for role in artifact.legend.values())
+                    assert all(u != side[0] for u, _ in artifact.parent_vars)
+
+
+def test_finish_leaves_the_prefix_as_it_is():
+    # one prefix serves every d, in any order; the digest is of the texts
+    # the encoder wrote when each d had a copy of the prefix of its own
+    graph = incidence_graph(gen_random_ksat(4, 3, 6, 2))
+    prefix = _encode_prefix(graph)
+    count, clauses = prefix.count, prefix.clauses
+    digest = hashlib.sha256()
+    for d in (3, 0, 2, 1, 3):
+        text = serialize_dimacs(prefix.finish(d).cnf)
+        assert text == serialize_dimacs(encode(graph, d).cnf)
+        assert prefix.count == count and prefix.clauses == clauses
+        digest.update(text.encode())
+    assert digest.hexdigest() == "837a3a82995e23a753154eebae629e85b82419782f6c08a3d6b27880b16ecc00"
 
 
 def test_run_solver_parses_competition_output(tmp_path):

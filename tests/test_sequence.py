@@ -111,6 +111,13 @@ def test_tws_round_trip():
         serialize_sequence(ContractionSequence(((3, 1),)))
     with pytest.raises(ValueError, match="impossible"):
         serialize_sequence(ContractionSequence(((1, 2), (1, 3))), num_vertices=2)
+    # an id above n would write a file that parse_sequence rejects
+    with pytest.raises(ValueError, match=r"vertex id 5 out of range 1\.\.2"):
+        serialize_sequence(ContractionSequence(((1, 5),)), 2)
+    with pytest.raises(ValueError, match=r"vertex id 5 out of range 1\.\.4"):
+        serialize_sequence(ContractionSequence(((1, 5),), num_vertices=4))
+    text = serialize_sequence(ContractionSequence(((1, 5),)), 5)
+    assert parse_sequence(text).steps == ((1, 5),)
 
 
 @pytest.mark.parametrize(

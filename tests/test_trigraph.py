@@ -152,6 +152,11 @@ def test_serialize_parse_round_trip():
     )
     h = parse_graph(serialize_graph(g))
     assert h == g
+    # ids other than 1..n would read back as other vertices
+    for sparse in (SignedTrigraph([1, 5]), SignedTrigraph([2, 3], [(2, 3, POS)])):
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            serialize_graph(sparse)
+    assert parse_graph(serialize_graph(SignedTrigraph([]))) == SignedTrigraph([])
 
 
 def test_parse_graph_without_header_and_errors():
