@@ -5,8 +5,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice
-from operator import lt
+from itertools import chain, compress, islice
+from operator import lt, mod
 from typing import Iterator, Mapping
 
 # An assignment is a total map variable -> {0, 1}.
@@ -43,22 +43,25 @@ def _is_canonical(clauses: tuple, num_vars: int) -> bool:
     no two clauses are equal.
 
     One flat pass: |lit| < |next| is read for every adjacent pair of the
-    concatenated clauses, with the pairs that straddle a clause boundary
-    masked.  Reads anything without raising.
+    concatenated clauses, and `compress` keeps the pairs that lie inside a
+    clause, selected by one byte pattern per clause length; neither stream
+    is buffered.  Reads anything without raising.
     """
     if not set(map(type, clauses)) <= {tuple}:
         return False
     # the type check reads every literal: 1.0 == 1 would pass the rest
     if not set(map(type, chain.from_iterable(clauses))) <= {int}:
         return False
+    # before the literal list exists, so the two never take memory at once
+    if len(set(clauses)) != len(clauses):
+        return False
     keys = list(map(abs, chain.from_iterable(clauses)))
     if keys and not (0 < min(keys) and max(keys) <= num_vars):
         return False
-    increasing = bytearray(map(lt, keys, islice(keys, 1, None)))
-    increasing.append(1)
-    for end in accumulate(map(len, clauses)):
-        increasing[end - 1] = 1
-    return 0 not in increasing and len(set(clauses)) == len(clauses)
+    # 1 at each literal but a clause's last: the pair it starts must rise
+    pattern = {k: b"\x01" * (k - 1) + b"\x00" if k else b"" for k in set(map(len, clauses))}
+    inside = chain.from_iterable(map(pattern.__getitem__, map(len, clauses)))
+    return all(compress(map(lt, keys, islice(keys, 1, None)), inside))
 
 
 def _sorted_clauses(sets: tuple[frozenset[int], ...]) -> tuple[Clause, ...]:
@@ -311,15 +314,6 @@ def parse_dimacs(text: str | bytes, name: str | None = None) -> tuple[Formula, W
     return Formula(num_vars, tuple(clauses), name), WeightFunction(table)
 
 
-class _LiteralText(dict):
-    """Literal -> its DIMACS text, each converted once, on first use, so the
-    table holds only the literals that occur."""
-
-    def __missing__(self, lit: int) -> str:
-        text = self[lit] = str(lit)
-        return text
-
-
 def serialize_dimacs(formula: Formula, weights: WeightFunction | None = None) -> str:
     """Render a formula (and optional weights) as DIMACS text.
 
@@ -335,9 +329,12 @@ def serialize_dimacs(formula: Formula, weights: WeightFunction | None = None) ->
                     f"weight for literal {lit} out of range for {formula.num_vars} variables"
                 )
             lines.append(f"c p weight {lit} {value} 0")
-    # a clause already holds its literals in DIMACS order; the final "" ends
-    # the text with a newline
-    text = _LiteralText().__getitem__
-    lines += [" ".join(map(text, clause)) + " 0" for clause in formula.clauses]
+    # a clause already holds its literals, plain ints, in DIMACS order, so
+    # one format per clause length writes it: "%d %d 0", and " 0" for the
+    # empty clause.  The final "" ends the text with a newline
+    clauses = formula.clauses
+    lengths = list(map(len, clauses))
+    line_of = {k: " ".join(["%d"] * k) + " 0" for k in set(lengths)}
+    lines += map(mod, map(line_of.__getitem__, lengths), clauses)
     lines.append("")
     return "\n".join(lines)

@@ -22,8 +22,8 @@ Every rule writes its clause's literals in that order, sorted by variable,
 which is the clause form `Formula` holds and DIMACS text writes, so no
 clause is sorted after it is built.  Where the order depends on vertex ids
 the rule compares the vertices once per loop iteration outside its
-innermost loop.  Each clause is written once and kept as written, and
-`Formula` is the one duplicate guard.
+innermost loop.  Each rule appends its clause tuple straight to a list,
+once, and it is kept as written; `Formula` is the one duplicate guard.
 
 Soundness is never taken from the encoding alone: every satisfying model is
 decoded into a sequence and re-verified by replay.
@@ -37,6 +37,7 @@ import subprocess
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from operator import neg
 
 from .bounds import greedy_sequence
 from .cnf import Formula, serialize_dimacs
@@ -75,14 +76,14 @@ class ExactResult:
 class _Builder:
     """Allocates variables from `count` on and collects clauses in a list.
 
-    `add` takes a clause's literals already sorted by variable, the clause
-    form `Formula` holds, and keeps them as they are: nothing here sorts or
-    deduplicates.  A rule that wrote a clause out of order would not be
-    wrong, only slow, as `Formula` would then sort every clause again; the
-    encoding tests check that it never has to.  A rule that wrote a clause
-    twice, or a tautology, is an error that `Formula` raises.  (Each
-    transitivity clause would come from all 3 rotations of its triple; that
-    rule writes only the first.)
+    The rules append each clause to `clauses` themselves, with the list's
+    own `append`, as a tuple of literals already sorted by variable, the
+    clause form `Formula` holds: nothing here sorts or deduplicates.  A rule
+    that wrote a clause out of order would not be wrong, only slow, as
+    `Formula` would then sort every clause again; the encoding tests check
+    that it never has to.  A rule that wrote a clause twice, or a tautology,
+    is an error that `Formula` raises.  (Each transitivity clause would come
+    from all 3 rotations of its triple; that rule writes only the first.)
     """
 
     def __init__(self, count: int = 0) -> None:
@@ -93,9 +94,6 @@ class _Builder:
         self.count += 1
         return self.count
 
-    def add(self, *lits: int) -> None:
-        self.clauses.append(lits)
-
     def add_at_most(self, lits: list[int], bound: int) -> None:
         """Sequential-counter cardinality constraint: at most `bound` true,
         for a bound of at least 1."""
@@ -103,17 +101,18 @@ class _Builder:
         if bound >= m:
             return
         reg = [[self.new_var() for j in range(bound)] for i in range(m - 1)]
-        self.add(-lits[0], reg[0][0])
+        append = self.clauses.append
+        append((-lits[0], reg[0][0]))
         for j in range(1, bound):
-            self.add(-reg[0][j])
+            append((-reg[0][j],))
         for i in range(1, m - 1):
-            self.add(-lits[i], reg[i][0])
-            self.add(-reg[i - 1][0], reg[i][0])
+            append((-lits[i], reg[i][0]))
+            append((-reg[i - 1][0], reg[i][0]))
             for j in range(1, bound):
-                self.add(-lits[i], -reg[i - 1][j - 1], reg[i][j])
-                self.add(-reg[i - 1][j], reg[i][j])
-            self.add(-lits[i], -reg[i - 1][bound - 1])
-        self.add(-lits[m - 1], -reg[m - 2][bound - 1])
+                append((-lits[i], -reg[i - 1][j - 1], reg[i][j]))
+                append((-reg[i - 1][j], reg[i][j]))
+            append((-lits[i], -reg[i - 1][bound - 1]))
+        append((-lits[m - 1], -reg[m - 2][bound - 1]))
 
 
 def encode(graph: SignedTrigraph, d: int) -> EncodingArtifact:
@@ -152,10 +151,9 @@ class _Prefix:
         """The encoding at d, its counters built in a builder of their own."""
         b, red_of, vertices = _Builder(self.count), self.red_of, self.graph.vertices()
         # after any step, every vertex has at most d red edges; at d = 0 that
-        # forbids every red edge, once each
+        # forbids every red edge, by one unit clause (-r,) each
         if d == 0:
-            for r in self.reds:
-                b.add(-r)
+            b.clauses.extend(zip(map(neg, self.reds)))
         else:
             for t in vertices:
                 for v in vertices:
@@ -178,6 +176,7 @@ def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
             raise ValueError("the encoding starts from a red-free graph")
 
     b = _Builder()
+    append = b.clauses.append
     order = {(u, v): b.new_var() for u, v in combinations(vertices, 2)}
 
     def olit(u: int, v: int) -> int:
@@ -217,15 +216,15 @@ def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
         for j, y in enumerate(later):
             xy = order[(x, y)]
             for z in later[:j]:
-                b.add(order[(x, z)], -xy, order[(z, y)])
+                append((order[(x, z)], -xy, order[(z, y)]))
             for z in later[j + 1 :]:
-                b.add(-xy, order[(x, z)], -order[(y, z)])
+                append((-xy, order[(x, z)], -order[(y, z)]))
 
     # last(u) <-> u comes after every same-side vertex
     for u in vertices:
         for v in same_side[u]:
-            b.add(olit(v, u), -last[u])
-        b.add(*(-olit(v, u) for v in same_side[u]), last[u])
+            append((olit(v, u), -last[u]))
+        append((*(-olit(v, u) for v in same_side[u]), last[u]))
 
     # survivors sit after every eliminated vertex, so the order guards in the
     # red-edge rules treat them as alive throughout (cross-side pairs only;
@@ -233,27 +232,27 @@ def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
     for u in vertices:
         for w in cross_side[u]:
             if u < w:
-                b.add(olit(u, w), last[u], -last[w])
+                append((olit(u, w), last[u], -last[w]))
             else:
-                b.add(olit(u, w), -last[w], last[u])
+                append((olit(u, w), -last[w], last[u]))
 
     # every eliminated vertex picks exactly one later same-side parent
     for u in vertices:
         candidates = same_side[u]
         if candidates:
-            b.add(*(parent[(u, v)] for v in candidates), last[u])
+            append((*(parent[(u, v)] for v in candidates), last[u]))
         for v in candidates:
-            b.add(olit(u, v), -parent[(u, v)])
-            b.add(-parent[(u, v)], -last[u])
+            append((olit(u, v), -parent[(u, v)]))
+            append((-parent[(u, v)], -last[u]))
         for v, w in combinations(candidates, 2):
-            b.add(-parent[(u, v)], -parent[(u, w)])
+            append((-parent[(u, v)], -parent[(u, w)]))
 
     # merging u into v makes (v,w) red when the original symbols disagree
     for u in vertices:
         for v in same_side[u]:
             for w in cross_side[u]:
                 if graph.edge(u, w) != graph.edge(v, w):
-                    b.add(-olit(u, w), -parent[(u, v)], red_of[u][v][w])
+                    append((-olit(u, w), -parent[(u, v)], red_of[u][v][w]))
 
     # In the two rules below, a time t and a vertex u fix guard[x], the order
     # literal on the pair {u, x}: -o(t,u) for x = t, and otherwise -o(u,x),
@@ -281,10 +280,10 @@ def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
                 not_parent, red_uv = -parent[(u, v)], red_of[u][v]
                 if t < u:
                     for o1, o2, w, not_red in per_w:
-                        b.add(o1, o2, not_parent, not_red, red_uv[w])
+                        append((o1, o2, not_parent, not_red, red_uv[w]))
                 else:
                     for o1, o2, w, not_red in per_w:
-                        b.add(o1, o2, not_parent, red_uv[w], not_red)
+                        append((o1, o2, not_parent, red_uv[w], not_red))
 
     # red edges persist while both endpoints stay alive:
     # -o(t,u) | -o(u,a) | -o(u,c) | -r(t,a,c) | r(u,a,c), the three guards
@@ -297,11 +296,11 @@ def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
             if t < u:
                 for a, c, (x, y, z), red_t in red_at[t]:
                     if a != u and c != u:
-                        b.add(guard[x], guard[y], guard[z], -red_t, red_u[a][c])
+                        append((guard[x], guard[y], guard[z], -red_t, red_u[a][c]))
             else:
                 for a, c, (x, y, z), red_t in red_at[t]:
                     if a != u and c != u:
-                        b.add(guard[x], guard[y], guard[z], red_u[a][c], -red_t)
+                        append((guard[x], guard[y], guard[z], red_u[a][c], -red_t))
 
     return _Prefix(graph, b.count, tuple(b.clauses), order, parent, red_of, cross_side)
 
@@ -314,13 +313,12 @@ def decode(artifact: EncodingArtifact, model) -> ContractionSequence:
     assignment does not satisfy the encoding or is internally inconsistent.
     """
     true_vars = {lit for lit in model if lit > 0}
-
-    def val(lit: int) -> bool:
-        return (lit in true_vars) if lit > 0 else (-lit not in true_vars)
-
-    for idx, clause in enumerate(artifact.cnf.clauses):
-        if not any(val(lit) for lit in clause):
-            raise DecodeError(f"assignment falsifies encoding clause {idx}")
+    # the literals the assignment makes true: a falsified clause has none
+    negatives = range(-artifact.cnf.num_vars, 0)
+    true_lits = true_vars.union(negatives).difference(map(neg, true_vars))
+    falsified = list(map(true_lits.isdisjoint, artifact.cnf.clauses))
+    if True in falsified:
+        raise DecodeError(f"assignment falsifies encoding clause {falsified.index(True)}")
 
     graph = artifact.graph
     vertices = graph.vertices()
@@ -328,7 +326,7 @@ def decode(artifact: EncodingArtifact, model) -> ContractionSequence:
     def olit(u: int, v: int) -> int:
         return artifact.order_vars[(u, v)] if u < v else -artifact.order_vars[(v, u)]
 
-    rank = {u: sum(1 for v in vertices if v != u and val(olit(v, u))) for u in vertices}
+    rank = {u: sum(1 for v in vertices if v != u and olit(v, u) in true_lits) for u in vertices}
     by_rank = sorted(vertices, key=lambda u: rank[u])
     if sorted(rank.values()) != list(range(len(vertices))):
         raise DecodeError("order variables do not describe a total order")
@@ -346,7 +344,7 @@ def decode(artifact: EncodingArtifact, model) -> ContractionSequence:
         parents = [
             v
             for (uu, v), var in artifact.parent_vars.items()
-            if uu == u and val(var)
+            if uu == u and var in true_lits
         ]
         if len(parents) != 1:
             raise DecodeError(f"vertex {u} has {len(parents)} parents in the model")
@@ -363,8 +361,11 @@ def run_solver(
     format: an `s SATISFIABLE` / `s UNSATISFIABLE` status line and, when
     satisfiable, `v` lines of literals.  Returns one of ("sat", literals),
     ("unsat", empty), ("unknown", empty) or ("timeout", empty).  A timeout
-    longer than one poll can wait (24 days), `inf` included, means no limit.
+    longer than one poll can wait (24 days), `inf` included, means no limit;
+    a NaN timeout is a ValueError, raised before any process starts.
     """
+    if timeout is not None and math.isnan(timeout):
+        raise ValueError("timeout is not a number")
     # subprocess polls the solver's pipes with a C int of milliseconds
     if timeout is not None and timeout > (2**31 - 1) // 1000:
         timeout = None

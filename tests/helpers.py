@@ -64,6 +64,22 @@ def reference_formula_check(num_vars, clauses):
         seen.add(clause)
 
 
+def reference_is_canonical(clauses, num_vars):
+    """Reference for cnf._is_canonical, one clause and one literal at a
+    time: every clause a tuple of plain int literals with |lit| in
+    [1, num_vars], strictly increasing in |lit|, and no two clauses equal."""
+    for clause in clauses:
+        if type(clause) is not tuple:
+            return False
+        for lit in clause:
+            if type(lit) is not int or not 0 < abs(lit) <= num_vars:
+                return False
+        for a, b in zip(clause, clause[1:]):
+            if abs(a) >= abs(b):
+                return False
+    return len(set(clauses)) == len(clauses)
+
+
 def reference_serialize_dimacs(formula, weights=None):
     """Reference for serialize_dimacs: each clause's literals converted and
     joined one clause at a time, so the empty clause is the line " 0"."""

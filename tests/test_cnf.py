@@ -12,6 +12,7 @@ from helpers import (
     random_formula,
     random_weights,
     reference_formula_check,
+    reference_is_canonical,
     reference_serialize_dimacs,
 )
 from stww.cnf import (
@@ -19,6 +20,7 @@ from stww.cnf import (
     FormulaWarning,
     ParseError,
     WeightFunction,
+    _is_canonical,
     assignment_weight,
     ones,
     parse_dimacs,
@@ -110,6 +112,96 @@ def test_formula_checks_the_type_of_every_literal():
         assert [type(lit) for lit in f.clauses[0]] == [int, int]
         assert serialize_dimacs(f).splitlines()[1] == "1 2 0"
     assert serialize_dimacs(Formula(2, [[True, -2]])).splitlines()[1] == "1 -2 0"
+
+
+def canonical_case(rng):
+    """(num_vars, clauses, defect): distinct clauses, each a tuple sorted by
+    variable, so a clause often starts below the one before it, then
+    one defect or none."""
+    n = rng.randint(1, 8)
+    clauses = []
+    for _ in range(rng.randint(0, 6)):
+        chosen = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        clause = tuple(v if rng.random() < 0.5 else -v for v in chosen)
+        if clause not in clauses:
+            clauses.append(clause)
+    # one empty clause, at the start, in the middle or at the end
+    if rng.random() < 0.4:
+        clauses.insert(rng.choice((0, len(clauses) // 2, len(clauses))), ())
+    defect = rng.choice(("none", "tie", "descent", "zero", "out of range", "float", "bool",
+                         "list", "duplicate"))
+    where = [i for i, clause in enumerate(clauses) if len(clause) >= (2 if defect == "descent" else 1)]
+    if not where:
+        return n, tuple(clauses), "none"
+    i = rng.choice(where)
+    lits = list(clauses[i])
+    j = rng.randrange(len(lits) - (defect == "descent"))
+    if defect == "tie":
+        lits.insert(j + 1, rng.choice((lits[j], -lits[j])))
+    elif defect == "descent":
+        lits[j], lits[j + 1] = lits[j + 1], lits[j]
+    elif defect == "zero":
+        lits[j] = 0
+    elif defect == "out of range":
+        lits[-1] = rng.choice((n + 1, -(n + 1)))
+    elif defect == "float":
+        lits[j] = float(lits[j])
+    elif defect == "bool":
+        # True is the literal 1: in place of ±1, or before a larger variable
+        if abs(lits[0]) == 1:
+            lits[0] = True
+        else:
+            lits.insert(0, True)
+    if defect == "list":
+        clauses[i] = lits
+    elif defect == "duplicate":
+        clauses.insert(rng.randint(0, len(clauses)), clauses[i])
+    else:
+        clauses[i] = tuple(lits)
+    return n, tuple(clauses), defect
+
+
+def test_canonical_check_matches_the_reference_predicate():
+    seen = set()
+    for seed in range(3000):
+        n, clauses, defect = canonical_case(random.Random(seed))
+        verdict = _is_canonical(clauses, n)
+        assert verdict == reference_is_canonical(clauses, n), (seed, clauses)
+        assert verdict == (defect == "none"), (seed, defect, clauses)
+        if verdict:
+            # accepted by the flat pass as it is, not by the sorting fallback
+            assert Formula(n, clauses).clauses is clauses
+        boundaries = [(a[-1], b[0]) for a, b in zip(clauses, clauses[1:]) if a and b]
+        seen.add((defect, () in clauses, any(abs(x) >= abs(y) for x, y in boundaries)))
+    # every defect occurs beside an empty clause and beside a clause that
+    # starts at or below the variable the clause before it ends with
+    for defect in ("none", "tie", "descent", "zero", "out of range", "float", "bool", "list",
+                   "duplicate"):
+        assert {(defect, True, False), (defect, False, True)} <= seen, defect
+    for n, clauses, verdict in (
+        (1, (), True),
+        (1, ((),), True),
+        (1, ((), ()), False),
+        (2, ((), (1, 2)), True),
+        (2, ((1, 2), (), (1,)), True),
+        (2, ((1, 2), ()), True),
+        (3, ((3,), (-1, 2)), True),
+        (3, ((2, 3), (-2, 3)), True),
+        (2, ((1, 1),), False),
+        (2, ((1, -1),), False),
+        (2, ((2, 1),), False),
+        (2, ((1, 2), (-2, -1)), False),
+        (2, ((0,),), False),
+        (2, ((3,),), False),
+        (2, ((-3,),), False),
+        (2, ((1.0,),), False),
+        (2, ((1.0, 2),), False),
+        (2, ((True,),), False),
+        (2, ((True, 2),), False),
+        (2, ([1, 2],), False),
+        (2, ((1,), [1]), False),
+    ):
+        assert _is_canonical(clauses, n) == reference_is_canonical(clauses, n) == verdict, clauses
 
 
 @st.composite
@@ -360,8 +452,8 @@ def test_serialize_edge_cases_match_the_reference():
 
 
 def test_serialize_memory_follows_the_literals_that_occur():
-    # the literal table holds the literals of the clauses, not one entry
-    # per variable of the header
+    # the text takes memory for the literals of the clauses, not for each
+    # variable the header declares
     f = Formula(10**7, ((1, -2),))
     tracemalloc.start()
     try:

@@ -1,11 +1,11 @@
 import hashlib
 import random
 import sys
-from math import comb
+from math import comb, nan
 
 import pytest
 
-from helpers import random_bipartite_graph
+from helpers import random_bipartite_graph, reference_serialize_dimacs
 from stww.bounds import exact_tww_bruteforce, greedy_sequence
 import stww.cnf
 from stww.cnf import _is_canonical, serialize_dimacs
@@ -120,6 +120,29 @@ def test_finish_leaves_the_prefix_as_it_is():
     assert digest.hexdigest() == "837a3a82995e23a753154eebae629e85b82419782f6c08a3d6b27880b16ecc00"
 
 
+def one_large_side(seed, large=21):
+    """A sided graph with `large` vertices on one side and 2 on the other,
+    every cross pair joined by a random sign: the `last` and `parent`
+    rules then write clauses of up to large + 1 literals."""
+    rng = random.Random(seed)
+    small = [large + 1, large + 2]
+    edges = [(u, v, rng.choice((POS, NEG))) for u in range(1, large + 1) for v in small]
+    sides = {v: int(v in small) for v in range(1, large + 3)}
+    return SignedTrigraph(list(range(1, large + 3)), edges, sides=sides)
+
+
+def test_serialized_encoding_matches_the_per_clause_reference():
+    # each clause length has its own line format; lengths run from the
+    # unit clauses of d = 0 and d >= 2 to past 20 literals
+    graph = one_large_side(1)
+    lengths = set()
+    for d in range(4):
+        cnf = encode(graph, d).cnf
+        lengths.update(map(len, cnf.clauses))
+        assert serialize_dimacs(cnf) == reference_serialize_dimacs(cnf)
+    assert min(lengths) == 1 and max(lengths) > 20
+
+
 def test_run_solver_parses_competition_output(tmp_path):
     sat = tmp_path / "sat.sh"
     sat.write_text("#!/bin/sh\necho 'c hello'\necho 's SATISFIABLE'\necho 'v 1 -2 0'\n")
@@ -152,6 +175,18 @@ def test_run_solver_unavailable_and_garbage(tmp_path):
         run_solver("p cnf 1 0\n", str(silent))
 
 
+def test_run_solver_rejects_a_nan_timeout_before_starting_the_solver(tmp_path):
+    marker = tmp_path / "started"
+    solver = tmp_path / "solver.sh"
+    solver.write_text(f"#!/bin/sh\ntouch {marker}\necho 's UNSATISFIABLE'\n")
+    solver.chmod(0o755)
+    assert run_solver("p cnf 1 0\n", str(solver), timeout=1.0)[0] == "unsat"
+    marker.unlink()
+    with pytest.raises(ValueError, match="^timeout is not a number$"):
+        run_solver("p cnf 1 0\n", str(solver), timeout=nan)
+    assert not marker.exists()
+
+
 def test_exact_via_solver_matches_bruteforce(mini_solver_cmd):
     for seed in range(8):
         rng = random.Random(seed)
@@ -182,6 +217,35 @@ def test_decode_rejects_falsifying_model(mini_solver_cmd):
     assert verify(g, seq, require_bipartite=True).ok
     with pytest.raises(DecodeError):
         decode(artifact, set())  # the empty assignment falsifies the encoding
+
+
+def first_falsified_clause(clauses, model):
+    """Reference for decode's clause check, one literal at a time."""
+    true_vars = {lit for lit in model if lit > 0}
+    for idx, clause in enumerate(clauses):
+        if not any((lit in true_vars) if lit > 0 else (-lit not in true_vars) for lit in clause):
+            return idx
+    return None
+
+
+def test_decode_names_the_first_falsified_clause(mini_solver_cmd):
+    graph = incidence_graph(gen_random_ksat(3, 2, 5, 2))
+    artifact = encode(graph, 2)
+    status, model = run_solver(serialize_dimacs(artifact.cnf), mini_solver_cmd)
+    assert status == "sat"
+    decode(artifact, model)
+    rng = random.Random(1)
+    falsified = 0
+    for var in rng.sample(range(1, artifact.cnf.num_vars + 1), 60):
+        # flip var; a model that leaves var out makes it false
+        flipped = (model - {var, -var}) | ({-var} if var in model else {var})
+        expected = first_falsified_clause(artifact.cnf.clauses, flipped)
+        if expected is None:
+            continue
+        falsified += 1
+        with pytest.raises(DecodeError, match=f"^assignment falsifies encoding clause {expected}$"):
+            decode(artifact, flipped)
+    assert falsified >= 10
 
 
 def test_timeout_returns_upper_bound(mini_solver_cmd):
