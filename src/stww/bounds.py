@@ -10,8 +10,9 @@ neighbours and the new vertex, so it re-scores only the pairs with an
 endpoint there.  The scores, the label tie-break and hence the emitted
 sequences are exactly those of contracting every candidate pair and
 measuring the result.  The exact search contracts immutable
-SignedTrigraphs, which its memo needs; the subdivided-clique construction
-grows one sequence.ContractionLog in place.
+SignedTrigraphs, one graph per branch, only so that it can backtrack: its
+memo is keyed by the partition into bags, a frozenset of bags.  The
+subdivided-clique construction grows one sequence.ContractionLog in place.
 """
 
 from __future__ import annotations

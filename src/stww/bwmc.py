@@ -38,17 +38,23 @@ holds no 1, and adds its all-zero weight and the clauses it satisfies
 once per split.
 
 Inside the memo a region's record is a table grouped by ones: each ones
-count maps the states (has_one, mixed, satisfied) to their values, the
-three sets as int bitsets over vertex ids (bit v is vertex v); the region
-is the memo key.  A table already holds every black edge inside its
-region, so a parent widens a child's states only by the clauses of other
-components, and reads the child's table in place when there are none and
-no has_one split filters it.  `Profile`s are built only where records
-leave the module.  `solve_bwmc` counts in integers: each
-variable's weight pair (w(v), w(-v)) is scaled by D_v, the lcm of its two
-denominators, and since every assignment takes one weight of each pair,
-every term carries the same factor Π D_v, divided out once at the end.
-The same code runs on the caller's `Fraction` weights in `dp_records`.
+count maps the states to their values, a state being one int with three
+bits per label slot.  The vertex that answers to label s
+(`ContractionLog.label`) owns bits 3s, 3s + 1 and 3s + 2: its has_one,
+mixed and satisfied bits.  A vertex keeps its label while it exists, and
+the vertices of one level answer to distinct labels, so a child's states
+already read as the parent's and no bit ever moves: the merge of x and y
+folds y's slot into x's, which z inherits with x's label.  Input ids are
+1..V, so a state has at most 3(V + 1) bits.  The region is the memo key.
+A table already holds every black edge inside its region, so a parent
+widens a child's states only by the clauses of other components, and reads
+the child's table in place when there are none and no has_one split
+filters it.  `Profile`s are built only where records leave the module.
+`solve_bwmc` counts in integers: each variable's weight pair
+(w(v), w(-v)) is scaled by D_v, the lcm of its two denominators, and since
+every assignment takes one weight of each pair, every term carries the
+same factor Π D_v, divided out once at the end.  The same code runs on the
+caller's `Fraction` weights in `dp_records`.
 """
 
 from __future__ import annotations
@@ -76,11 +82,12 @@ class Profile(NamedTuple):
 
 
 Record = dict[Profile, int | Fraction]
-# states grouped by ones, {ones: {(has_one, mixed, satisfied): value}}, the
-# three sets as vertex bitsets
-Table = dict[int, dict[tuple[int, int, int], int | Fraction]]
-# the table of a lone clause vertex: the empty state of weight 1
-_UNIT_TABLE: Table = {0: {(0, 0, 0): _ONE}}
+# states grouped by ones, {ones: {state: value}}; a state is one int whose
+# bits 3s, 3s + 1 and 3s + 2 are the has_one, mixed and satisfied bits of
+# the vertex answering to label s
+Table = dict[int, dict[int, int | Fraction]]
+# the table of a lone clause vertex: the empty state, 0, of weight 1
+_UNIT_TABLE: Table = {0: {0: _ONE}}
 
 
 @dataclass(frozen=True)
@@ -200,9 +207,10 @@ def base_record(graph: SignedTrigraph, weights: WeightFunction) -> Record:
     A variable vertex carries its two assignments; a clause vertex carries
     the empty assignment, whose weight is the empty product 1.
     """
+    log = ContractionLog(graph)
     record: Record = {}
-    for v in graph.vertices():
-        record.update(_profiles(frozenset((v,)), _singleton_record(graph, v, weights)))
+    for v in log.vertices():
+        record.update(_profiles(log, frozenset((v,)), _singleton_record(log, v, weights)))
     return record
 
 
@@ -257,83 +265,89 @@ def _region_record(
     return memo[region]
 
 
-def _singleton_record(graph: SignedTrigraph, v: int, weights: WeightFunction) -> Table:
-    if graph.side(v) == SIDE_VAR:
-        return {0: {(0, 0, 0): weights.of(-v)}, 1: {(1 << v, 0, 0): weights.of(v)}}
-    return {0: {(0, 0, 0): _ONE}}
+def _singleton_record(log: ContractionLog, v: int, weights: WeightFunction) -> Table:
+    # an input vertex answers to its own id
+    if log.side(v) == SIDE_VAR:
+        return {0: {0: weights.of(-v)}, 1: {1 << 3 * v: weights.of(v)}}
+    return _UNIT_TABLE
 
 
-def _members(region: frozenset[int], bits: int) -> frozenset[int]:
-    return frozenset(v for v in region if bits >> v & 1)
-
-
-def _profiles(region: frozenset[int], table: Table) -> Record:
-    """The public form of a region's table: one Profile per state."""
+def _profiles(log: ContractionLog, region: frozenset[int], table: Table) -> Record:
+    """The public form of a region's table: one Profile per state, its
+    sets decoded from the slots of the region's labels."""
+    slots = [(v, 3 * log.label(v)) for v in region]
     return {
-        Profile(region, _members(region, has_one), _members(region, mixed), ones,
-                _members(region, sat)): value
+        Profile(region,
+                frozenset(v for v, s in slots if key >> s & 1),
+                frozenset(v for v, s in slots if key >> s & 2),
+                ones,
+                frozenset(v for v, s in slots if key >> s & 4)): value
         for ones, row in table.items()
-        for (has_one, mixed, sat), value in row.items()
+        for key, value in row.items()
     }
 
 
 def _component_entries(
     log: ContractionLog,
     comp: frozenset[int],
-    region_clauses: list[int],
+    region_clauses: list[tuple[int, int]],
     table: Table,
     split_has_one: int | None,
     stats: dict,
 ) -> Table:
-    """States of one red component, each with its satisfied set widened by
+    """States of one red component, each with its satisfied bits widened by
     the region clauses outside the component that it satisfies through
     uniform black edges: a black edge pins every bagged literal pair to one
     sign, so a 1 behind a positive edge, or a 0 behind a negative one,
     satisfies every clause bagged at the endpoint.  That is the positive
     clauses of the has_one variables plus the negative clauses of the
     variables whose bag holds a 0 (not in has_one, or mixed); each
-    variable's two clause masks are read once per call.  A clause inside
-    the component needs no widening: a region's table already holds the
-    black edges inside the region, since it was folded from children
-    widened across all the clauses of its expansion, and the z rule carries
-    x's and y's uniform edges over to z.  Under a has_one split only the
-    states whose has_one is the split's, within the component, are kept.
-    With neither a split nor a black edge out of the component the table
-    itself is returned, uncopied; otherwise `entries_copied` counts the
-    child states the copy takes."""
+    variable's two masks of satisfied bits are read once per call, from
+    `region_clauses`, the (clause, satisfied bit) pairs of the expansion.
+    A clause inside the component needs no widening: a region's table
+    already holds the black edges inside the region, since it was folded
+    from children widened across all the clauses of its expansion, and the
+    z rule carries x's and y's uniform edges over to z.  Under a has_one
+    split only the states whose has_one bits are the split's, within the
+    component, are kept.  With neither a split nor a black edge out of the
+    component the table itself is returned, uncopied; otherwise
+    `entries_copied` counts the child states the copy takes."""
     reach = []
+    comp_ones = 0
     for u in comp:
         if log.side(u) != SIDE_VAR:
             continue
+        one = 1 << 3 * log.label(u)
+        comp_ones |= one
         pos = neg = 0
-        for c in region_clauses:
+        for c, sat in region_clauses:
             if c in comp:
                 continue
             kind = log.edge(u, c)
             if kind == POS:
-                pos |= 1 << c
+                pos |= sat
             elif kind == NEG:
-                neg |= 1 << c
+                neg |= sat
         if pos or neg:
-            reach.append((1 << u, pos, pos | neg, neg))
+            reach.append((one, one << 1, pos, pos | neg, neg))
     if split_has_one is None and not reach:
         return table
-    want = None if split_has_one is None else split_has_one & sum(1 << u for u in comp)
+    want = None if split_has_one is None else split_has_one & comp_ones
     out: Table = {}
     copied = 0
     for ones, row in table.items():
-        widened: dict[tuple[int, int, int], int | Fraction] = {}
-        for (has_one, mixed, sat), value in row.items():
-            if want is not None and has_one != want:
+        widened: dict[int, int | Fraction] = {}
+        for key, value in row.items():
+            if want is not None and key & comp_ones != want:
                 continue
-            for bit, pos, both, neg in reach:
-                if has_one & bit:
-                    sat |= both if mixed & bit else pos
+            for one, mixed, pos, both, neg in reach:
+                if key & one:
+                    key |= both if key & mixed else pos
                 else:
-                    sat |= neg
+                    key |= neg
             # the new bits are clauses outside the component, so no two
             # states of the table meet
-            widened[has_one, mixed, sat] = value
+            widened[key] = value
         if widened:
             out[ones] = widened
             copied += len(widened)
@@ -348,8 +362,8 @@ def _splits(log: ContractionLog, expanded: frozenset[int], max_region: int, budg
     Normally one split: the red components of `expanded`, read whole
     (has_one None), nothing outside.  When a component is too large to
     have a record, `expanded` is one component of a capped region plus its
-    merged pair, and it splits by its has_one set S, a bitset of at most
-    `budget` variable vertices: each assignment has exactly one, so it
+    merged pair, and it splits by its has_one set S, the has_one bits of at
+    most `budget` variable vertices: each assignment has exactly one, so it
     counts under exactly one split.  The vertices within red distance 2 of
     S, the ball, number at most |S|(d² + 1), and each red component of the
     ball is read at its states with has_one S.  Every vertex outside the
@@ -373,7 +387,7 @@ def _splits(log: ContractionLog, expanded: frozenset[int], max_region: int, budg
                 frontier = {w for u in frontier for w in log.red_neighbors(u) & expanded} - ball
                 ball |= frontier
             assert len(ball) <= max_region, "a red ball of radius 2 exceeds the cap"
-            has_one = sum(1 << u for u in sources)
+            has_one = sum(1 << 3 * log.label(u) for u in sources)
             splits.append((has_one, _red_components(log, ball), expanded - ball))
     return splits
 
@@ -399,19 +413,24 @@ def _recompute_region(
     clause vertex, whose only entry is the empty state of weight 1, is
     skipped.  One pass then merges x and y into z in each folded state,
     which sees x and y together even when they lie in different
-    components: a variable z has a 1 if x or y has one, and is mixed if it
-    also has a 0; a clause z is satisfied if x and y both are; x and y are
-    dropped.  The same pass adds each state into the table, where the
-    splits, whose has_one sets are disjoint, add up.
+    components.  z answers to x's label, so the pass folds y's slot into
+    x's and clears y's: a variable z has a 1 if x or y has one, and is
+    mixed if it also has a 0; a clause z is satisfied if x and y both are.
+    The same pass adds each state into the table, where the splits, whose
+    has_one sets are disjoint, add up.
     """
     stats["regions_evaluated"] += 1
     x, y, z = log.steps[level - 1]
     expanded = (region - {z}) | {x, y}
-    region_clauses = [c for c in expanded if log.side(c) == SIDE_CLA]
+    region_clauses = [(c, 4 << 3 * log.label(c)) for c in expanded if log.side(c) == SIDE_CLA]
     z_is_var = log.side(x) == SIDE_VAR
-    pair = 1 << x | 1 << y
-    drop = ~pair
-    z_bit = 1 << z
+    # x's and y's has_one bits, or their satisfied bits for a clause pair
+    bit = 1 if z_is_var else 4
+    x_slot, y_slot = 3 * log.label(x), 3 * log.label(y)
+    x_bit = bit << x_slot
+    pair = x_bit | bit << y_slot
+    x_mixed, pair_mixed = x_bit << 1, pair << 1
+    clear_y, clear_pair = ~(7 << y_slot), ~pair
     # an all-zero variable's weight and the clauses its negative edges satisfy
     all_zero: dict[int, tuple[int | Fraction, int]] = {}
     if splits[0][0] is not None:
@@ -419,7 +438,7 @@ def _recompute_region(
         stats["has_one_splits"] += len(splits)
         for v in expanded:
             if log.side(v) == SIDE_VAR:
-                neg = sum(1 << c for c in region_clauses if log.edge(v, c) == NEG)
+                neg = sum(sat for c, sat in region_clauses if log.edge(v, c) == NEG)
                 all_zero[v] = (math.prod((weights.of(-u) for u in log.bag(v)), start=_ONE), neg)
     out: Table = {}
     for split_has_one, components, outside in splits:
@@ -430,7 +449,7 @@ def _recompute_region(
                 weight *= zero_weight
                 outside_sat |= neg
             elif _all_zero_red_satisfied(log, v, expanded, split_has_one):
-                outside_sat |= 1 << v
+                outside_sat |= 4 << 3 * log.label(v)
         folds = []
         for comp in components:
             table = memo[comp]
@@ -440,7 +459,7 @@ def _recompute_region(
         if len(folds) > 1:
             folds.sort(key=lambda entries: sum(map(len, entries.values())))
         *inner, last = folds or [_UNIT_TABLE]
-        partial: Table = {0: {(0, 0, outside_sat): weight}}
+        partial: Table = {0: {outside_sat: weight}}
         for entries in inner:
             partial = _product(partial, entries, budget)
             stats["fold_states"] += sum(map(len, partial.values()))
@@ -448,17 +467,15 @@ def _recompute_region(
             row = out.get(ones)
             if row is None:
                 row = out[ones] = {}
-            for (has_one, mixed, sat), value in states.items():
-                if z_is_var:
-                    if has_one & pair:
-                        if has_one & pair != pair or mixed & pair:
-                            mixed = (mixed | z_bit) & drop
-                        has_one = (has_one | z_bit) & drop
-                elif sat & pair:
-                    if sat & pair == pair:
-                        sat |= z_bit
-                    sat &= drop
-                key = (has_one, mixed, sat)
+            for key, value in states.items():
+                seen = key & pair
+                if seen:
+                    if z_is_var:
+                        if seen != pair or key & pair_mixed:
+                            key |= x_mixed
+                        key = (key | x_bit) & clear_y
+                    else:
+                        key &= clear_y if seen == pair else clear_pair
                 row[key] = row.get(key, _ZERO) + value
     size = sum(map(len, out.values()))
     stats["fold_states"] += size
@@ -467,11 +484,11 @@ def _recompute_region(
 
 
 def _product(partial: Table, entries: Table, budget: int) -> Table:
-    """Fold one component's entries into the partial states: has_one, mixed
-    and satisfied are unions, ones adds up within the budget (a pair of
-    ones rows whose total passes it is skipped whole), and equal states
-    sum.  Folded into the unit state, the entries are returned as they
-    are, read in place."""
+    """Fold one component's entries into the partial states: the state
+    ints are or-ed, which unites has_one, mixed and satisfied slot by slot,
+    ones adds up within the budget (a pair of ones rows whose total passes
+    it is skipped whole), and equal states sum.  Folded into the unit
+    state, the entries are returned as they are, read in place."""
     if partial == _UNIT_TABLE:
         return entries
     folded: Table = {}
@@ -484,10 +501,10 @@ def _product(partial: Table, entries: Table, budget: int) -> Table:
             row = folded.get(total)
             if row is None:
                 row = folded[total] = {}
-            for (has_one, mixed, sat), value in states.items():
-                for (e_has_one, e_mixed, e_sat), e_value in group.items():
-                    key = (has_one | e_has_one, mixed | e_mixed, sat | e_sat)
-                    row[key] = row.get(key, _ZERO) + value * e_value
+            for key, value in states.items():
+                for e_key, e_value in group.items():
+                    both = key | e_key
+                    row[both] = row.get(both, _ZERO) + value * e_value
     return folded
 
 
@@ -500,7 +517,8 @@ def _all_zero_red_satisfied(
     # in a bipartite sequence a clause's red neighbours are variable vertices
     zero_sources = log.red_neighbors(c) & expanded
     for u in zero_sources:
-        assert not has_one >> u & 1, "red neighbour of a clause outside the ball has a 1"
+        assert not has_one >> 3 * log.label(u) & 1, \
+            "red neighbour of a clause outside the ball has a 1"
     for orig in log.bag(c):
         hit = False
         for u in zero_sources:
@@ -656,7 +674,8 @@ def _scaled_count(
     counters = stats if stats is not None else {}
     record: Record = {}
     for region in _red_components(log, log.vertices()):
-        record.update(_profiles(region, _region_record(log, region, weights, budget, memo, counters)))
+        table = _region_record(log, region, weights, budget, memo, counters)
+        record.update(_profiles(log, region, table))
     return finalize(record, log, k)
 
 
@@ -690,7 +709,7 @@ def dp_records(
         record: Record = {}
         for region in enumerate_red_connected(graph, max_region):
             table = _region_record(log, region, weights, budget, memo, stats)
-            record.update(_profiles(region, table))
+            record.update(_profiles(log, region, table))
         yield graph, record
 
 

@@ -72,13 +72,17 @@ class ContractionLog:
     whether every step stayed on one side, and the first failure of seq,
     where replay stops: an unknown label or, with require_bipartite, a
     cross-side step.  For every vertex ever created it keeps side, bag,
-    birth level (0 for input vertices, i + 1 for step i's z) and edges.  The
-    edge between two vertices never changes while both exist, so side, bag,
-    edge and red_neighbors answer for any level at which the queried
-    vertices all exist; red_neighbors holds every vertex ever red-adjacent,
-    and the dynamic program, which intersects it with coexisting vertices,
-    reads a log wherever it reads a graph.  vertices, vertex, neighbors and
-    red_degree answer only for the last level.
+    birth level (0 for input vertices, i + 1 for step i's z), label and
+    edges.  label(v) is the label v answers to: an input vertex answers to
+    its own id, and step (x, y, z) gives z the label of x, so the vertices
+    of one level answer to distinct labels and a vertex keeps its label for
+    as long as it exists.  The edge between two vertices never changes
+    while both exist, so side, bag, label, edge and red_neighbors answer
+    for any level at which the queried vertices all exist; red_neighbors
+    holds every vertex ever red-adjacent, and the dynamic program, which
+    intersects it with coexisting vertices, reads a log wherever it reads a
+    graph.  vertices, vertex, neighbors and red_degree answer only for the
+    last level.
     """
 
     def __init__(
@@ -99,6 +103,8 @@ class ContractionLog:
         self._top = self.width = max(degree.values(), default=0)
         # label -> the current vertex answering to it
         self._vertex_of = {v: v for v in adj}
+        # vertex -> the label it answers to, for every vertex ever created
+        self._label = {v: v for v in adj}
         for idx, (keep, merge) in enumerate(seq.steps if seq is not None else ()):
             unknown = [label for label in (keep, merge) if label not in self._vertex_of]
             if unknown:
@@ -140,6 +146,7 @@ class ContractionLog:
         side[z] = side[x] if side[x] == side[y] else None
         self.bipartite = self.bipartite and side[z] is not None
         self._vertex_of[keep] = z
+        self._label[z] = keep
         return z
 
     def check(self) -> ContractionLog:
@@ -163,6 +170,9 @@ class ContractionLog:
 
     def side(self, v: int) -> int | None:
         return self._side[v]
+
+    def label(self, v: int) -> int:
+        return self._label[v]
 
     def birth(self, v: int) -> int:
         return max(v - self._last_input, 0)

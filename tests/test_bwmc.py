@@ -21,7 +21,7 @@ from stww.bwmc import (
 from stww.cnf import Formula, WeightFunction
 from stww.generators import gen_random_ksat
 from stww.oracle import bwmc_oracle
-from stww.sequence import ContractionSequence, final_graph, verify
+from stww.sequence import ContractionLog, ContractionSequence, final_graph, verify
 from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
 EMPTY = frozenset()
@@ -403,6 +403,27 @@ def test_long_chains_count_exactly(n):
     assert solve_bwmc(implication_chain(n), w, 2, zip_sequence(n)) == expected
 
 
+@pytest.mark.parametrize("n, k", [(250, 2), (60, 3)])
+def test_zip_chains_match_the_bounded_ones_reference(n, k):
+    w = random_weights(random.Random(100 + n), n)
+    f = implication_chain(n)
+    assert solve_bwmc(f, w, k, zip_sequence(n)) == bounded_ones_count(f, w, k)
+
+
+def test_state_keys_stay_within_three_bits_per_input_vertex():
+    # a state holds three bits per label slot, and labels are input ids,
+    # so no key grows with the fresh ids of contracted vertices (about 2V)
+    n, k = 200, 3
+    graph = incidence_graph(implication_chain(n))
+    log = ContractionLog(graph, zip_sequence(n), require_bipartite=True).check()
+    memo = {}
+    for region in bwmc._red_components(log, log.vertices()):
+        bwmc._region_record(log, region, WeightFunction(), k, memo, {})
+    widest = max(key.bit_length() for table in memo.values() for row in table.values()
+                 for key in row)
+    assert widest <= 3 * (graph.num_vertices + 1)
+
+
 def test_long_chain_with_prime_denominators_counts_exactly():
     # every variable's pair has its own denominators, so the integer
     # dynamic program carries a scale of about 18,500 bits
@@ -543,8 +564,9 @@ def record_folds(monkeypatch):
     """Record every split the region evaluator folds, one dict each: whether
     the merged pair is a variable pair, whether x and y lie in different
     components of more than one vertex, how many components are lone
-    clause vertices and how many are not, the split's has_one bitset (None
-    off the capped path), and the variable vertices outside its components."""
+    clause vertices and how many are not, the split's has_one set (None off
+    the capped path) as a slot bitset, bit 3s for the vertex answering to
+    label s, and the variable vertices outside its components."""
     shapes = []
     evaluate = bwmc._recompute_region
 
@@ -629,6 +651,50 @@ def test_has_one_split_folds_its_ball_and_outside(monkeypatch):
     assert any(shape["has_one"] and shape["others"] and shape["outside_variables"]
                for shape in shapes)
     assert_counts_and_records(f, prime_weights(random.Random(4), 5, zeros=False), seq, (1,))
+
+
+def keep_larger_labels(seq):
+    """The same contractions, each step keeping the larger of its two
+    labels; later steps name the merged vertex by that label."""
+    alias = {}
+    steps = []
+    for keep, merge in seq.steps:
+        a, b = alias.get(keep, keep), alias.pop(merge, merge)
+        alias[keep] = max(a, b)
+        steps.append((max(a, b), min(a, b)))
+    return ContractionSequence(tuple(steps), num_vertices=seq.num_vertices)
+
+
+def test_counts_and_records_do_not_depend_on_the_surviving_label():
+    # a vertex's state bits sit at the slot of its label; keeping the larger
+    # label moves a merged vertex's slot off the smallest id in its bag
+    cases = [(gen_random_ksat(10, 3, 20, seed), "smallest", (1, 2, 3)) for seed in range(5)]
+    cases.append((LARGE_BRANCH_FORMULA, "largest", (1,)))
+    for seed, (f, tie_break, ks) in enumerate(cases):
+        w = prime_weights(random.Random(seed), f.num_vars, zeros=False)
+        seq = greedy_for(f, tie_break)
+        renamed = keep_larger_labels(seq)
+        graph = incidence_graph(f)
+        before, after = (ContractionLog(graph, s).check() for s in (seq, renamed))
+        # the same vertices merge at every step, under other labels
+        assert [{x, y, z} for x, y, z in before.steps] == [{x, y, z} for x, y, z in after.steps]
+        assert any(before.label(z) != after.label(z) for *_, z in before.steps)
+        for k in ks:
+            value = solve_bwmc(f, w, k, renamed)
+            assert value == solve_bwmc(f, w, k, seq) == bounded_ones_count(f, w, k), (seed, k)
+    # the records of a renamed sequence pass the record checks, capped path
+    # included, with as many entries as those of the original
+    for f, w, tie_break, entries in [(LARGE_BRANCH_FORMULA, CAPPED_REGION_WEIGHTS, "largest", 252),
+                                     (*capped_formula(83), "smallest", 2716)]:
+        seq = keep_larger_labels(greedy_for(f, tie_break))
+        initial = incidence_graph(f)
+        threshold = estimate_bounds(0, 1, verify(initial, seq).width).max_region_size
+        stats = {}
+        checked = 0
+        for graph, record in dp_records(f, w, 1, seq, stats=stats):
+            checked += check_record(initial, graph, record, w, 1, threshold)
+        assert stats["large_regions"] == 1
+        assert checked == entries
 
 
 # -- past the oracle: the bounded-ones reference ---------------------------------
