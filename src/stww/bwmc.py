@@ -14,20 +14,24 @@ carry satisfaction and the ones budget across contractions:
 
 A record maps profiles to the total weight of the assignments realizing
 them; a profile is realizable iff it is present (the value may be 0 when
-weights vanish or cancel).  Records are built per region on demand: the
-red components of the final two-vertex graph, one variable vertex a and
-one clause vertex c, are evaluated children first off a stack, each
-region planned once and evaluated once, which keeps the work proportional
-to the regions actually touched instead of every red-connected set of
-every level.  A region's children fold one after another, smallest
-first, skipping lone clause vertices, whose record is the empty state
-alone; one pass then applies the contraction's merge of x and y into z
-to the folded states and adds them into the region's table.  `finalize`
+weights vanish or cancel).  Records are built per region on demand, in
+two passes.  A planning walk goes down from the roots, the red components
+of the final two-vertex graph (one variable vertex a and one clause vertex
+c), and records each region it reaches once, with the splits its record
+is read from and a count of the regions that read it; so the work is
+proportional to the regions actually touched instead of every
+red-connected set of every level.  The regions are then evaluated
+children first, and a table is dropped once its last reader is built, so
+only the tables still waiting for a reader are held.  A region's children
+fold one after another, smallest first, skipping lone clause vertices,
+whose record is the empty state alone; one pass then applies the
+contraction's merge of x and y into z to the folded states and adds them
+into the region's table.  `finalize`
 reads the count off the records by one rule: the weight of the profiles
 with at most k ones under which c is satisfied, read from {a, c} when the
 final edge is red and from a's own profiles across a black edge.
-`dp_records` reads the same memoized records for every red-connected
-region of every level, for cross-checking against `realizes`.
+`dp_records` plans and evaluates every red-connected region of every
+level as a root, for cross-checking against `realizes`.
 
 No record is kept for a region past the cap k(d² + 1).  When a merge
 would grow a capped region past it, the expansion splits by its has_one
@@ -37,7 +41,7 @@ ball has a record, read at its entries with has_one S; every other vertex
 holds no 1, and adds its all-zero weight and the clauses it satisfies
 once per split.
 
-Inside the memo a region's record is a table grouped by ones: each ones
+Inside the DP a region's record is a table grouped by ones: each ones
 count maps the states to their values, a state being one int with three
 bits per label slot.  The vertex that answers to label s
 (`ContractionLog.label`) owns bits 3s, 3s + 1 and 3s + 2: its has_one,
@@ -45,7 +49,7 @@ mixed and satisfied bits.  A vertex keeps its label while it exists, and
 the vertices of one level answer to distinct labels, so a child's states
 already read as the parent's and no bit ever moves: the merge of x and y
 folds y's slot into x's, which z inherits with x's label.  Input ids are
-1..V, so a state has at most 3(V + 1) bits.  The region is the memo key.
+1..V, so a state has at most 3(V + 1) bits.  Tables are held by region.
 A table already holds every black edge inside its region, so a parent
 widens a child's states only by the clauses of other components, and reads
 the child's table in place when there are none and no has_one split
@@ -61,12 +65,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
 from .cnf import Assignment, Formula, WeightFunction
-from .sequence import ContractionLog, ContractionSequence
+from .sequence import ContractionLog, ContractionSequence, replay
 from .trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
 _ZERO = 0
@@ -214,55 +219,61 @@ def base_record(graph: SignedTrigraph, weights: WeightFunction) -> Record:
     return record
 
 
-def _region_record(
+def _region_tables(
     log: ContractionLog,
-    region: frozenset[int],
+    roots,
     weights: WeightFunction,
     budget: int,
-    memo: dict[frozenset[int], Table],
     stats: dict,
-) -> Table:
-    """Table of a region of some level of `log`, memoized in `memo`.
+) -> dict[frozenset[int], Table]:
+    """The tables of `roots`, regions of any levels of `log`, by region.
 
     A region's record holds from the step that creates its youngest vertex
-    until one of its vertices is contracted away, so records are memoized
-    by region alone and computed at that step, from the records of the
-    regions its expansion splits into; those come first, off a stack.  Each
-    region is planned once: its level and splits wait in `plans` while the
-    children it is missing are computed.
+    until one of its vertices is contracted away, so it is computed at that
+    step, from the records of the regions its expansion splits into.  A
+    walk down from the roots plans each region once, its level and splits,
+    and counts the readers of each table: one per split component that
+    names it, and one for each root, so a root's table is kept.  The walk
+    builds the tables of input vertices, singletons, as it reaches them;
+    they would sort first anyway.  The other regions
+    are then evaluated in the order of their youngest vertex, which puts
+    every child first, since birth levels grow with vertex ids and a
+    child's vertices all predate the parent's z.  A table is dropped when
+    its last reader has been built.
     """
     for key in ("regions_evaluated", "large_regions", "has_one_splits", "fold_states",
                 "largest_table", "entries_copied"):
         stats.setdefault(key, 0)
     max_region = _region_threshold(budget, log.width)
+    readers = Counter(roots)
     plans: dict[frozenset[int], tuple] = {}
-    stack = [region]
+    tables: dict[frozenset[int], Table] = {}
+    stack = list(readers)
     while stack:
-        top = stack[-1]
-        if top in memo:
-            stack.pop()
+        region = stack.pop()
+        if region in plans or region in tables:
             continue
-        plan = plans.pop(top, None)
-        if plan is None:
-            # birth levels grow with vertex ids
-            level = log.birth(max(top))
-            if level == 0:
-                assert len(top) == 1, "regions of input vertices are singletons"
-                (v,) = top
-                memo[top] = _singleton_record(log, v, weights)
-                continue
-            x, y, z = log.steps[level - 1]
-            splits = _splits(log, (top - {z}) | {x, y}, max_region, budget)
-            plan = (level, splits)
-            missing = [comp for _, components, _ in splits for comp in components
-                       if comp not in memo]
-            if missing:
-                plans[top] = plan
-                stack.extend(missing)
-                continue
-        level, splits = plan
-        memo[top] = _recompute_region(log, level, top, splits, weights, budget, memo, stats)
-    return memo[region]
+        level = log.birth(max(region))
+        if not level:
+            (v,) = region
+            tables[region] = _singleton_record(log, v, weights)
+            continue
+        x, y, z = log.steps[level - 1]
+        splits = _splits(log, (region - {z}) | {x, y}, max_region, budget)
+        for _, components, _ in splits:
+            readers.update(components)
+            stack.extend(components)
+        plans[region] = (level, splits)
+    for region in sorted(plans, key=max):
+        level, splits = plans.pop(region)
+        tables[region] = _recompute_region(log, level, region, splits, weights, budget,
+                                           tables, stats)
+        for _, components, _ in splits:
+            for comp in components:
+                readers[comp] -= 1
+                if not readers[comp]:
+                    del tables[comp]
+    return tables
 
 
 def _singleton_record(log: ContractionLog, v: int, weights: WeightFunction) -> Table:
@@ -399,7 +410,7 @@ def _recompute_region(
     splits,
     weights: WeightFunction,
     budget: int,
-    memo: Mapping[frozenset[int], Table],
+    tables: Mapping[frozenset[int], Table],
     stats: dict,
 ) -> Table:
     """Table of `region`, born at step `level`, from the tables of its splits.
@@ -452,7 +463,7 @@ def _recompute_region(
                 outside_sat |= 4 << 3 * log.label(v)
         folds = []
         for comp in components:
-            table = memo[comp]
+            table = tables[comp]
             entries = _component_entries(log, comp, region_clauses, table, split_has_one, stats)
             if entries != _UNIT_TABLE:
                 folds.append(entries)
@@ -670,12 +681,11 @@ def _scaled_count(
         estimate = estimate_bounds(graph.num_vertices, budget, log.width)
         stats["estimate"] = estimate
         stats["width"] = log.width
-    memo: dict[frozenset[int], Table] = {}
-    counters = stats if stats is not None else {}
+    roots = _red_components(log, log.vertices())
+    tables = _region_tables(log, roots, weights, budget, stats if stats is not None else {})
     record: Record = {}
-    for region in _red_components(log, log.vertices()):
-        table = _region_record(log, region, weights, budget, memo, counters)
-        record.update(_profiles(log, region, table))
+    for region in roots:
+        record.update(_profiles(log, region, tables[region]))
     return finalize(record, log, k)
 
 
@@ -690,9 +700,10 @@ def dp_records(
 
     Each yielded record holds every realizable profile of every
     red-connected region up to the size threshold, read through the region
-    evaluation `solve_bwmc` runs, with one memo across the levels.  Meant
-    for validation on small inputs; the full enumeration grows quickly
-    with the threshold.
+    evaluation `solve_bwmc` runs: the regions of all levels are the roots
+    of one planned evaluation, which runs before the first level is
+    yielded.  Meant for validation on small inputs; the full enumeration
+    grows quickly with the threshold.
     """
     if k <= 0:
         raise ValueError("record enumeration needs a positive ones budget")
@@ -700,16 +711,14 @@ def dp_records(
     log = _validated_log(graph, seq)
     budget = min(k, formula.num_vars)
     max_region = _region_threshold(budget, log.width)
-    memo: dict[frozenset[int], Table] = {}
-    if stats is None:
-        stats = {}
-    for level in range(len(log.steps) + 1):
-        if level:
-            graph = graph.contract(*log.steps[level - 1][:2])
+    graphs = [graph] + [step.after for step in replay(graph, seq)]
+    levels = [enumerate_red_connected(graph, max_region) for graph in graphs]
+    roots = itertools.chain.from_iterable(levels)
+    tables = _region_tables(log, roots, weights, budget, stats if stats is not None else {})
+    for graph, regions in zip(graphs, levels):
         record: Record = {}
-        for region in enumerate_red_connected(graph, max_region):
-            table = _region_record(log, region, weights, budget, memo, stats)
-            record.update(_profiles(log, region, table))
+        for region in regions:
+            record.update(_profiles(log, region, tables[region]))
         yield graph, record
 
 

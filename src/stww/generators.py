@@ -101,6 +101,8 @@ def gen_hitting_set_formula(
     at most k (the universe clause only rules out the empty selection when
     no set would).
     """
+    if k < 0:
+        raise ValueError("the ones budget k must be nonnegative")
     ground = sorted(set(universe))
     if not ground or any(u <= 0 for u in ground):
         raise ValueError("universe must be a nonempty set of positive ints")

@@ -410,18 +410,62 @@ def test_zip_chains_match_the_bounded_ones_reference(n, k):
     assert solve_bwmc(f, w, k, zip_sequence(n)) == bounded_ones_count(f, w, k)
 
 
-def test_state_keys_stay_within_three_bits_per_input_vertex():
+def watch_region_tables(monkeypatch):
+    """Wrap the region evaluator; each call appends a pair to the returned
+    list: how many regions born by a step have a table among those passed
+    in, and the table the call returns."""
+    calls = []
+    evaluate = bwmc._recompute_region
+
+    def watching(log, level, region, splits, weights, budget, tables, stats):
+        live = sum(log.birth(max(r)) > 0 for r in tables)
+        table = evaluate(log, level, region, splits, weights, budget, tables, stats)
+        calls.append((live, table))
+        return table
+
+    monkeypatch.setattr(bwmc, "_recompute_region", watching)
+    return calls
+
+
+def test_state_keys_stay_within_three_bits_per_input_vertex(monkeypatch):
     # a state holds three bits per label slot, and labels are input ids,
     # so no key grows with the fresh ids of contracted vertices (about 2V)
     n, k = 200, 3
     graph = incidence_graph(implication_chain(n))
     log = ContractionLog(graph, zip_sequence(n), require_bipartite=True).check()
-    memo = {}
-    for region in bwmc._red_components(log, log.vertices()):
-        bwmc._region_record(log, region, WeightFunction(), k, memo, {})
-    widest = max(key.bit_length() for table in memo.values() for row in table.values()
+    calls = watch_region_tables(monkeypatch)
+    roots = bwmc._red_components(log, log.vertices())
+    tables = bwmc._region_tables(log, roots, WeightFunction(), k, {})
+    checked = [table for _, table in calls] + [tables[root] for root in roots]
+    widest = max(key.bit_length() for table in checked for row in table.values()
                  for key in row)
     assert widest <= 3 * (graph.num_vertices + 1)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_tables_are_dropped_after_their_last_reader(monkeypatch, n):
+    # each region of the zip chain is read only by the next region along
+    # the chain, so at most two tables of contracted regions are ever held;
+    # keeping every table until the run ends held 2n - 4 at the last step
+    calls = watch_region_tables(monkeypatch)
+    # the models with <= 3 ones: all-false and the three shortest suffixes
+    assert solve_bwmc(implication_chain(n), WeightFunction(), 3, zip_sequence(n)) == 4
+    assert max(live for live, _ in calls) <= 2
+
+
+def test_shared_tables_outlive_every_planned_reader():
+    # the capped region's has_one splits read the same ball components
+    # several times, so each table must wait for its last planned reader:
+    # a table dropped early would be missing, and one dropped and built
+    # again would raise regions_evaluated above 148
+    f = gen_random_ksat(20, 3, 40, 0)
+    w = random_weights(random.Random(20), f.num_vars, zeros=False)
+    seq = greedy_for(f)
+    stats = {}
+    assert solve_bwmc(f, w, 1, seq, stats=stats) == bwmc_oracle(f, w, 1)
+    assert stats["regions_evaluated"] == 148 and stats["large_regions"] == 1
+    # k = 1 counts 0 here, so k = 2 checks a nonzero count too
+    assert solve_bwmc(f, w, 2, seq) == bwmc_oracle(f, w, 2) != 0
 
 
 def test_long_chain_with_prime_denominators_counts_exactly():

@@ -227,6 +227,9 @@ def test_gen_families_parse_back(capsys, tmp_path):
     assert out.splitlines()[0] == "c k 1"
     formula, _w = parse_dimacs(out)
     assert formula.num_clauses == 3
+    # a negative budget is one that bwmc and oracle refuse, so it is not written
+    code, out, err = run(capsys, "gen", "hitset", "--universe", "3", "--set", "1,2", "-k", "-1")
+    assert code == EX_DATA and out == "" and "nonnegative" in err
 
     code, out, _err = run(capsys, "gen", "partclique",
                           "--part", "1,2", "--part", "3,4", "--edge", "1,3")

@@ -83,6 +83,8 @@ def test_hitting_set_reduction_shape():
         gen_hitting_set_formula([1, 2], [[]], 1)
     with pytest.raises(ValueError, match="subsets"):
         gen_hitting_set_formula([1, 2], [[3]], 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gen_hitting_set_formula([1, 2], [[1]], -1)
 
 
 def test_hitting_set_matches_brute_force():
