@@ -10,7 +10,6 @@ from .bounds import exact_tww_bruteforce, greedy_sequence, subdivided_clique_seq
 from .bwmc import (
     ComplexityEstimate,
     Profile,
-    base_record,
     dp_records,
     enumerate_red_connected,
     estimate_bounds,

@@ -38,8 +38,11 @@ would grow a capped region past it, the expansion splits by its has_one
 set S, which holds at most k variable vertices.  The vertices within red
 distance 2 of S number at most k(d² + 1), so each red component of that
 ball has a record, read at its entries with has_one S; every other vertex
-holds no 1, and adds its all-zero weight and the clauses it satisfies
-once per split.
+holds no 1.  The plan works out once per vertex what it adds with an
+all-zero bag, its zero weight and the clauses it satisfies, and gives
+each split the total over its outside vertices as a constant that starts
+its fold.  An uncapped split's constant is weight 1 and no bits, so the
+evaluator has one path for both.
 
 Inside the DP a region's record is a table grouped by ones: each ones
 count maps the states to their values, a state being one int with three
@@ -74,9 +77,6 @@ from .cnf import Assignment, Formula, WeightFunction
 from .sequence import ContractionLog, ContractionSequence, replay
 from .trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
-_ZERO = 0
-_ONE = 1
-
 
 class Profile(NamedTuple):
     region: frozenset[int]
@@ -92,7 +92,7 @@ Record = dict[Profile, int | Fraction]
 # the vertex answering to label s
 Table = dict[int, dict[int, int | Fraction]]
 # the table of a lone clause vertex: the empty state, 0, of weight 1
-_UNIT_TABLE: Table = {0: {0: _ONE}}
+_UNIT_TABLE: Table = {0: {0: 1}}
 
 
 @dataclass(frozen=True)
@@ -206,19 +206,6 @@ def _original_clause_satisfied(
     return False
 
 
-def base_record(graph: SignedTrigraph, weights: WeightFunction) -> Record:
-    """Record of the uncontracted incidence graph: all regions are singletons.
-
-    A variable vertex carries its two assignments; a clause vertex carries
-    the empty assignment, whose weight is the empty product 1.
-    """
-    log = ContractionLog(graph)
-    record: Record = {}
-    for v in log.vertices():
-        record.update(_profiles(log, frozenset((v,)), _singleton_record(log, v, weights)))
-    return record
-
-
 def _region_tables(
     log: ContractionLog,
     roots,
@@ -259,16 +246,15 @@ def _region_tables(
             tables[region] = _singleton_record(log, v, weights)
             continue
         x, y, z = log.steps[level - 1]
-        splits = _splits(log, (region - {z}) | {x, y}, max_region, budget)
-        for _, components, _ in splits:
+        splits = _splits(log, (region - {z}) | {x, y}, max_region, budget, weights)
+        for _, components, _, _ in splits:
             readers.update(components)
             stack.extend(components)
         plans[region] = (level, splits)
     for region in sorted(plans, key=max):
         level, splits = plans.pop(region)
-        tables[region] = _recompute_region(log, level, region, splits, weights, budget,
-                                           tables, stats)
-        for _, components, _ in splits:
+        tables[region] = _recompute_region(log, level, region, splits, budget, tables, stats)
+        for _, components, _, _ in splits:
             for comp in components:
                 readers[comp] -= 1
                 if not readers[comp]:
@@ -277,9 +263,8 @@ def _region_tables(
 
 
 def _singleton_record(log: ContractionLog, v: int, weights: WeightFunction) -> Table:
-    # an input vertex answers to its own id
     if log.side(v) == SIDE_VAR:
-        return {0: {0: weights.of(-v)}, 1: {1 << 3 * v: weights.of(v)}}
+        return {0: {0: weights.of(-v)}, 1: {1 << 3 * log.label(v): weights.of(v)}}
     return _UNIT_TABLE
 
 
@@ -366,28 +351,57 @@ def _component_entries(
     return out
 
 
-def _splits(log: ContractionLog, expanded: frozenset[int], max_region: int, budget: int):
+def _splits(
+    log: ContractionLog,
+    expanded: frozenset[int],
+    max_region: int,
+    budget: int,
+    weights: WeightFunction,
+):
     """How the record of a merge over `expanded` is assembled: a list of
-    (has_one or None, red components with records, outside vertices).
+    (has_one or None, red components with records, weight, satisfied
+    bits), the last two the constant that the vertices outside the
+    components add to every state.
 
     Normally one split: the red components of `expanded`, read whole
-    (has_one None), nothing outside.  When a component is too large to
-    have a record, `expanded` is one component of a capped region plus its
-    merged pair, and it splits by its has_one set S, the has_one bits of at
-    most `budget` variable vertices: each assignment has exactly one, so it
-    counts under exactly one split.  The vertices within red distance 2 of
-    S, the ball, number at most |S|(d² + 1), and each red component of the
-    ball is read at its states with has_one S.  Every vertex outside the
-    ball holds no 1.  A clause of the ball lies at red distance 1 from S,
-    so its red neighbours lie in the ball too, and the component records
-    decide it; a clause outside sees only all-zero bags across its red
-    edges.
+    (has_one None), nothing outside, so the constant is (1, 0).  When a
+    component is too large to have a record, `expanded` is one component
+    of a capped region plus its merged pair, and it splits by its has_one
+    set S, the has_one bits of at most `budget` variable vertices: each
+    assignment has exactly one, so it counts under exactly one split.  The
+    vertices within red distance 2 of S, the ball, number at most
+    |S|(d² + 1), and each red component of the ball is read at its states
+    with has_one S.  Every vertex outside the ball holds no 1, and what it
+    adds with an all-zero bag is worked out once per vertex: a variable
+    adds the product of its zero weights and the clauses behind its
+    negative black edges; a clause is satisfied when every original clause
+    in its bag has a negative edge into its red neighbours' bags.  A
+    clause of the ball lies at red distance 1 from S, so its red
+    neighbours lie in the ball too, and the component records decide it; a
+    clause outside sees only all-zero bags across its red edges.
     """
     components = _red_components(log, expanded)
     if all(len(comp) <= max_region for comp in components):
         assert len(components) <= log.width + 2, "component count exceeds red-degree bound"
-        return [(None, components, frozenset())]
+        return [(None, components, 1, 0)]
     assert len(components) == 1 and len(expanded) == max_region + 1
+    clauses = [(c, 4 << 3 * log.label(c)) for c in expanded if log.side(c) == SIDE_CLA]
+    # each vertex's all-zero constant: its weight, its satisfied bits and
+    # the has_one bits that must be clear for them to hold, its own for a
+    # variable and its red neighbours' for a clause
+    all_zero = {}
+    for v in expanded:
+        if log.side(v) == SIDE_VAR:
+            neg = sum(sat for c, sat in clauses if log.edge(v, c) == NEG)
+            weight = math.prod((weights.of(-u) for u in log.bag(v)), start=1)
+            all_zero[v] = (weight, neg, 1 << 3 * log.label(v))
+        else:
+            # in a bipartite sequence a clause's red neighbours are variable vertices
+            reds = log.red_neighbors(v) & expanded
+            hit = all(any(log.edge(var, orig) == NEG for u in reds for var in log.bag(u))
+                      for orig in log.bag(v))
+            all_zero[v] = (1, 4 << 3 * log.label(v) if hit else 0,
+                           sum(1 << 3 * log.label(u) for u in reds))
     variables = sorted(v for v in expanded if log.side(v) == SIDE_VAR)
     splits = []
     for size in range(budget + 1):
@@ -399,7 +413,13 @@ def _splits(log: ContractionLog, expanded: frozenset[int], max_region: int, budg
                 ball |= frontier
             assert len(ball) <= max_region, "a red ball of radius 2 exceeds the cap"
             has_one = sum(1 << 3 * log.label(u) for u in sources)
-            splits.append((has_one, _red_components(log, ball), expanded - ball))
+            weight, satisfied = 1, 0
+            for v in expanded - ball:
+                zero_weight, sat, clear = all_zero[v]
+                assert not has_one & clear, "a vertex outside the ball has a 1"
+                weight *= zero_weight
+                satisfied |= sat
+            splits.append((has_one, _red_components(log, ball), weight, satisfied))
     return splits
 
 
@@ -408,29 +428,29 @@ def _recompute_region(
     level: int,
     region: frozenset[int],
     splits,
-    weights: WeightFunction,
     budget: int,
     tables: Mapping[frozenset[int], Table],
     stats: dict,
 ) -> Table:
     """Table of `region`, born at step `level`, from the tables of its splits.
 
-    A split's vertices outside its components have all-zero bags: a
-    variable adds the product of its zero weights and satisfies the region
-    clauses behind its negative black edges, worked out once per region; a
-    clause is satisfied when `_all_zero_red_satisfied` says so.  That part
-    starts the fold.  The components, widened by `_component_entries`,
-    fold into it one at a time through `_product`, smallest first; a lone
-    clause vertex, whose only entry is the empty state of weight 1, is
-    skipped.  One pass then merges x and y into z in each folded state,
-    which sees x and y together even when they lie in different
-    components.  z answers to x's label, so the pass folds y's slot into
-    x's and clears y's: a variable z has a 1 if x or y has one, and is
-    mixed if it also has a 0; a clause z is satisfied if x and y both are.
-    The same pass adds each state into the table, where the splits, whose
-    has_one sets are disjoint, add up.
+    Each split starts its fold at one state, the constant of its vertices
+    outside the components: the satisfied bits they add, at their weight.
+    The components, widened by `_component_entries`, fold into it one at a
+    time through `_product`, smallest first; a lone clause vertex, whose
+    only entry is the empty state of weight 1, is skipped.  One pass then
+    merges x and y into z in each folded state, which sees x and y
+    together even when they lie in different components.  z answers to x's
+    label, so the pass folds y's slot into x's and clears y's: a variable
+    z has a 1 if x or y has one, and is mixed if it also has a 0; a clause
+    z is satisfied if x and y both are.  The same pass adds each state
+    into the table, where the splits, whose has_one sets are disjoint, add
+    up.
     """
     stats["regions_evaluated"] += 1
+    if splits[0][0] is not None:
+        stats["large_regions"] += 1
+        stats["has_one_splits"] += len(splits)
     x, y, z = log.steps[level - 1]
     expanded = (region - {z}) | {x, y}
     region_clauses = [(c, 4 << 3 * log.label(c)) for c in expanded if log.side(c) == SIDE_CLA]
@@ -442,25 +462,8 @@ def _recompute_region(
     pair = x_bit | bit << y_slot
     x_mixed, pair_mixed = x_bit << 1, pair << 1
     clear_y, clear_pair = ~(7 << y_slot), ~pair
-    # an all-zero variable's weight and the clauses its negative edges satisfy
-    all_zero: dict[int, tuple[int | Fraction, int]] = {}
-    if splits[0][0] is not None:
-        stats["large_regions"] += 1
-        stats["has_one_splits"] += len(splits)
-        for v in expanded:
-            if log.side(v) == SIDE_VAR:
-                neg = sum(sat for c, sat in region_clauses if log.edge(v, c) == NEG)
-                all_zero[v] = (math.prod((weights.of(-u) for u in log.bag(v)), start=_ONE), neg)
     out: Table = {}
-    for split_has_one, components, outside in splits:
-        weight, outside_sat = _ONE, 0
-        for v in outside:
-            if log.side(v) == SIDE_VAR:
-                zero_weight, neg = all_zero[v]
-                weight *= zero_weight
-                outside_sat |= neg
-            elif _all_zero_red_satisfied(log, v, expanded, split_has_one):
-                outside_sat |= 4 << 3 * log.label(v)
+    for split_has_one, components, weight, satisfied in splits:
         folds = []
         for comp in components:
             table = tables[comp]
@@ -470,7 +473,7 @@ def _recompute_region(
         if len(folds) > 1:
             folds.sort(key=lambda entries: sum(map(len, entries.values())))
         *inner, last = folds or [_UNIT_TABLE]
-        partial: Table = {0: {outside_sat: weight}}
+        partial: Table = {0: {satisfied: weight}}
         for entries in inner:
             partial = _product(partial, entries, budget)
             stats["fold_states"] += sum(map(len, partial.values()))
@@ -487,7 +490,7 @@ def _recompute_region(
                         key = (key | x_bit) & clear_y
                     else:
                         key &= clear_y if seen == pair else clear_pair
-                row[key] = row.get(key, _ZERO) + value
+                row[key] = row.get(key, 0) + value
     size = sum(map(len, out.values()))
     stats["fold_states"] += size
     stats["largest_table"] = max(stats["largest_table"], size)
@@ -515,30 +518,8 @@ def _product(partial: Table, entries: Table, budget: int) -> Table:
             for key, value in states.items():
                 for e_key, e_value in group.items():
                     both = key | e_key
-                    row[both] = row.get(both, _ZERO) + value * e_value
+                    row[both] = row.get(both, 0) + value * e_value
     return folded
-
-
-def _all_zero_red_satisfied(
-    log: ContractionLog,
-    c: int,
-    expanded: frozenset[int],
-    has_one: int,
-) -> bool:
-    # in a bipartite sequence a clause's red neighbours are variable vertices
-    zero_sources = log.red_neighbors(c) & expanded
-    for u in zero_sources:
-        assert not has_one >> 3 * log.label(u) & 1, \
-            "red neighbour of a clause outside the ball has a 1"
-    for orig in log.bag(c):
-        hit = False
-        for u in zero_sources:
-            if any(log.edge(var, orig) == NEG for var in log.bag(u)):
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
 
 
 def _region_threshold(k: int, d: int) -> int:
@@ -547,11 +528,11 @@ def _region_threshold(k: int, d: int) -> int:
 
 def _budget_poly(weights: WeightFunction, variables, cap: int) -> list[int | Fraction]:
     """Coefficient j = total weight of assignments with exactly j ones."""
-    poly = [_ONE]
+    poly = [1]
     for v in variables:
         w0 = weights.of(-v)
         w1 = weights.of(v)
-        nxt = [_ZERO] * min(len(poly) + 1, cap + 1)
+        nxt = [0] * min(len(poly) + 1, cap + 1)
         for i, coeff in enumerate(poly):
             nxt[i] += coeff * w0
             if i + 1 <= cap:
@@ -577,7 +558,7 @@ def finalize(record: Record, graph: SignedTrigraph, k: int) -> int | Fraction:
         raise ValueError("expected a fully contracted graph: one variable and one clause vertex")
     a, c = sorted(vertices, key=graph.side)
     kind = graph.edge(a, c)
-    total = _ZERO
+    total = 0
     for profile, value in record.items():
         if profile.ones > k:
             continue
@@ -660,17 +641,17 @@ def _scaled_count(
 ) -> int:
     """solve_bwmc's count times the weights' scale, all in integers."""
     if any(not clause for clause in formula.clauses):
-        return _ZERO
+        return 0
     budget = min(k, formula.num_vars)
     if formula.num_clauses == 0:
-        return sum(_budget_poly(weights, list(formula.variables()), budget), _ZERO)
+        return sum(_budget_poly(weights, list(formula.variables()), budget), 0)
     if budget == 0:
         if all(any(lit < 0 for lit in clause) for clause in formula.clauses):
-            total = _ONE
+            total = 1
             for v in formula.variables():
                 total *= weights.of(-v)
             return total
-        return _ZERO
+        return 0
 
     if len(log.steps) != graph.num_vertices - 2:
         raise ValueError(

@@ -80,24 +80,51 @@ class CliqueWidthExpression:
     vertex_ids: dict[str, int]
 
 
-def _walk(node: CwNode):
-    yield node
+def _children(node: CwNode) -> tuple[CwNode, ...]:
     if isinstance(node, CwUnion):
-        yield from _walk(node.left)
-        yield from _walk(node.right)
-    elif isinstance(node, (CwRelabel, CwEdge)):
-        yield from _walk(node.child)
+        return (node.left, node.right)
+    if isinstance(node, CwLeaf):
+        return ()
+    return (node.child,)
+
+
+def _tour(root: CwNode):
+    """(node, True) on entering each node and (node, False) on leaving it,
+    its children visited in order in between, on an explicit stack, so an
+    expression of any depth is walked without recursion."""
+    stack = [(root, True)]
+    while stack:
+        node, entering = stack.pop()
+        yield node, entering
+        if entering:
+            stack.append((node, False))
+            stack.extend((child, True) for child in reversed(_children(node)))
+
+
+def _fold(root: CwNode, visit):
+    """visit(node, *children's results) for every node, children first and
+    left before right; returns the root's result."""
+    results: list = []
+    for node, entering in _tour(root):
+        if not entering:
+            arity = len(_children(node))
+            args = results[len(results) - arity:]
+            del results[len(results) - arity:]
+            results.append(visit(node, *args))
+    return results[0]
 
 
 def expression(root: CwNode) -> CliqueWidthExpression:
     """Wrap a node tree, assigning vertex ids and the label universe."""
-    names: list[str] = []
+    names: dict[str, None] = {}
     max_label = 0
-    for node in _walk(root):
+    for node, entering in _tour(root):
+        if not entering:
+            continue
         if isinstance(node, CwLeaf):
             if node.name in names:
                 raise ValueError(f"duplicate vertex name {node.name!r}")
-            names.append(node.name)
+            names[node.name] = None
             max_label = max(max_label, node.label)
         elif isinstance(node, CwRelabel):
             max_label = max(max_label, node.old, node.new)
@@ -112,6 +139,15 @@ def expression(root: CwNode) -> CliqueWidthExpression:
     else:
         ids = {name: idx for idx, name in enumerate(names, start=1)}
     return CliqueWidthExpression(root, max_label, ids)
+
+
+_BUILDERS = {
+    "leaf": CwLeaf,
+    "un": CwUnion,
+    "rl": CwRelabel,
+    "ep": lambda a, b, child: CwEdge(a, b, POS, child),
+    "en": lambda a, b, child: CwEdge(a, b, NEG, child),
+}
 
 
 def parse_cw(text: str | bytes) -> CliqueWidthExpression:
@@ -139,28 +175,35 @@ def parse_cw(text: str | bytes) -> CliqueWidthExpression:
         except ValueError:
             raise ParseError(f"expected {what}, got {tok!r}", line) from None
 
-    def parse_node() -> CwNode:
-        tok, line = take("a node kind")
+    def build(kind: str, line: int, *args) -> CwNode:
         try:
-            if tok == "leaf":
-                label = take_int("a label")
-                name, _ = take("a vertex name")
-                return CwLeaf(label, name)
-            if tok == "un":
-                return CwUnion(parse_node(), parse_node())
-            if tok == "rl":
-                old = take_int("a label")
-                new = take_int("a label")
-                return CwRelabel(old, new, parse_node())
-            if tok in ("ep", "en"):
-                a = take_int("a label")
-                b = take_int("a label")
-                return CwEdge(a, b, POS if tok == "ep" else NEG, parse_node())
+            return _BUILDERS[kind](*args)
         except ValueError as exc:
             raise ParseError(str(exc), line) from None
-        raise ParseError(f"unknown node kind {tok!r}", line)
 
-    root = parse_node()
+    # the inner nodes still missing a child: kind, line, arguments so far
+    pending: list[tuple[str, int, list]] = []
+    while True:
+        tok, line = take("a node kind")
+        if tok == "leaf":
+            node = build(tok, line, take_int("a label"), take("a vertex name")[0])
+        elif tok in _BUILDERS:
+            args = [] if tok == "un" else [take_int("a label"), take_int("a label")]
+            pending.append((tok, line, args))
+            continue
+        else:
+            raise ParseError(f"unknown node kind {tok!r}", line)
+        # a finished node completes every pending node it was the last child of
+        while pending:
+            kind, kind_line, args = pending[-1]
+            args.append(node)
+            if kind == "un" and len(args) == 1:
+                break
+            pending.pop()
+            node = build(kind, kind_line, *args)
+        else:
+            break
+    root = node
     if pos != len(tokens):
         raise ParseError(f"trailing tokens after expression: {tokens[pos][0]!r}", tokens[pos][1])
     try:
@@ -170,17 +213,28 @@ def parse_cw(text: str | bytes) -> CliqueWidthExpression:
 
 
 def serialize_cw(expr: CliqueWidthExpression) -> str:
-    def render(node: CwNode) -> str:
+    """Prefix text of the expression, each child in parentheses."""
+    pieces: list[str] = []
+    depth = 0
+    for node, entering in _tour(expr.root):
+        if not entering:
+            depth -= 1
+            if depth:
+                pieces.append(")")
+            continue
+        if depth:
+            pieces.append(" (")
+        depth += 1
         if isinstance(node, CwLeaf):
-            return f"leaf {node.label} {node.name}"
-        if isinstance(node, CwUnion):
-            return f"un ({render(node.left)}) ({render(node.right)})"
-        if isinstance(node, CwRelabel):
-            return f"rl {node.old} {node.new} ({render(node.child)})"
-        op = "ep" if node.sign == POS else "en"
-        return f"{op} {node.label_a} {node.label_b} ({render(node.child)})"
-
-    return render(expr.root) + "\n"
+            pieces.append(f"leaf {node.label} {node.name}")
+        elif isinstance(node, CwUnion):
+            pieces.append("un")
+        elif isinstance(node, CwRelabel):
+            pieces.append(f"rl {node.old} {node.new}")
+        else:
+            op = "ep" if node.sign == POS else "en"
+            pieces.append(f"{op} {node.label_a} {node.label_b}")
+    return "".join(pieces) + "\n"
 
 
 def evaluate(expr: CliqueWidthExpression) -> SignedTrigraph:
@@ -191,22 +245,20 @@ def evaluate(expr: CliqueWidthExpression) -> SignedTrigraph:
     """
     ids = expr.vertex_ids
 
-    def walk(node: CwNode) -> tuple[dict[int, int], dict[tuple[int, int], str]]:
+    def visit(node: CwNode, *children):
         if isinstance(node, CwLeaf):
             return {ids[node.name]: node.label}, {}
         if isinstance(node, CwUnion):
-            labels_l, edges_l = walk(node.left)
-            labels_r, edges_r = walk(node.right)
+            (labels_l, edges_l), (labels_r, edges_r) = children
             labels_l.update(labels_r)
             edges_l.update(edges_r)
             return labels_l, edges_l
+        ((labels, edges),) = children
         if isinstance(node, CwRelabel):
-            labels, edges = walk(node.child)
             for v, label in labels.items():
                 if label == node.old:
                     labels[v] = node.new
             return labels, edges
-        labels, edges = walk(node.child)
         group_a = [v for v, label in labels.items() if label == node.label_a]
         group_b = [v for v, label in labels.items() if label == node.label_b]
         for x in group_a:
@@ -220,7 +272,7 @@ def evaluate(expr: CliqueWidthExpression) -> SignedTrigraph:
                 edges[pair] = node.sign
         return labels, edges
 
-    labels, edges = walk(expr.root)
+    labels, edges = _fold(expr.root, visit)
     return SignedTrigraph(
         sorted(labels), [(u, v, sign) for (u, v), sign in sorted(edges.items())]
     )
@@ -240,28 +292,26 @@ def cw_to_sequence(expr: CliqueWidthExpression) -> tuple[SignedTrigraph, Contrac
     ids = expr.vertex_ids
     steps: list[tuple[int, int]] = []
 
-    def process(node: CwNode) -> dict[int, int]:
+    def visit(node: CwNode, *children) -> dict[int, int]:
         if isinstance(node, CwLeaf):
             return {node.label: ids[node.name]}
         if isinstance(node, CwUnion):
-            reps = process(node.left)
-            for label, rep in sorted(process(node.right).items()):
+            reps, right = children
+            for label, rep in sorted(right.items()):
                 if label in reps:
                     steps.append((reps[label], rep))
                 else:
                     reps[label] = rep
             return reps
-        if isinstance(node, CwRelabel):
-            reps = process(node.child)
-            if node.old in reps:
-                if node.new in reps:
-                    steps.append((reps[node.new], reps.pop(node.old)))
-                else:
-                    reps[node.new] = reps.pop(node.old)
-            return reps
-        return process(node.child)
+        (reps,) = children
+        if isinstance(node, CwRelabel) and node.old in reps:
+            if node.new in reps:
+                steps.append((reps[node.new], reps.pop(node.old)))
+            else:
+                reps[node.new] = reps.pop(node.old)
+        return reps
 
-    reps = process(expr.root)
+    reps = _fold(expr.root, visit)
     order = sorted(reps)
     for label in order[1:]:
         steps.append((reps[order[0]], reps[label]))

@@ -299,6 +299,8 @@ def parse_graph(text: str | bytes) -> SignedTrigraph:
     n: int | None = None
     sides: dict[int, int | None] = {}
     edges: list[tuple[int, int, str]] = []
+    # each vertex pair with an edge, and the line of that edge
+    pairs: dict[tuple[int, int], int] = {}
     # the largest id seen, and the first line naming it
     max_seen, max_line = 0, 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -326,6 +328,8 @@ def parse_graph(text: str | bytes) -> SignedTrigraph:
                 s = int(fields[2])
             except ValueError:
                 raise ParseError("non-integer side line", lineno) from None
+            if v < 1:
+                raise ParseError(f"vertex id {v} must be positive", lineno)
             if s not in (SIDE_VAR, SIDE_CLA):
                 raise ParseError(f"bad side {s}", lineno)
             if sides.setdefault(v, s) != s:
@@ -338,6 +342,14 @@ def parse_graph(text: str | bytes) -> SignedTrigraph:
                 ids = (int(fields[0]), int(fields[1]))
             except ValueError:
                 raise ParseError("non-integer vertex id", lineno) from None
+            if min(ids) < 1:
+                raise ParseError(f"vertex id {min(ids)} must be positive", lineno)
+            if ids[0] == ids[1]:
+                raise ParseError(f"loop at vertex {ids[0]}", lineno)
+            pair = (min(ids), max(ids))
+            if pair in pairs:
+                raise ParseError(f"edge ({ids[0]},{ids[1]}) repeats line {pairs[pair]}", lineno)
+            pairs[pair] = lineno
             edges.append((*ids, fields[2]))
         if max(ids) > max_seen:
             max_seen, max_line = max(ids), lineno
@@ -345,4 +357,8 @@ def parse_graph(text: str | bytes) -> SignedTrigraph:
         n = max_seen
     if max_seen > n:
         raise ParseError(f"vertex id {max_seen} exceeds declared count {n}", max_line)
+    for u, v, _ in edges:
+        if sides.get(u) is not None and sides.get(u) == sides.get(v):
+            raise ParseError(f"edge ({u},{v}) joins two side-{sides[u]} vertices",
+                             pairs[min(u, v), max(u, v)])
     return SignedTrigraph(range(1, n + 1), edges, sides)

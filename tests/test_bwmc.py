@@ -10,7 +10,6 @@ from stww import bwmc
 from stww.bounds import greedy_sequence
 from stww.bwmc import (
     Profile,
-    base_record,
     dp_records,
     enumerate_red_connected,
     estimate_bounds,
@@ -86,9 +85,12 @@ def test_enumerate_red_connected_counts_each_set_once():
 
 
 def test_base_record_entries():
+    # the first level dp_records yields is the uncontracted incidence graph,
+    # whose regions are all singletons
     f = or_clause()
     w = WeightFunction({1: 3, -1: 5, 2: 7, -2: 11})
-    record = base_record(incidence_graph(f), w)
+    graph, record = next(dp_records(f, w, 2, greedy_for(f)))
+    assert graph == incidence_graph(f)
     assert record[Profile(fs(1), fs(1), EMPTY, 1, EMPTY)] == 3
     assert record[Profile(fs(1), EMPTY, EMPTY, 0, EMPTY)] == 5
     assert record[Profile(fs(2), fs(2), EMPTY, 1, EMPTY)] == 7
@@ -417,9 +419,9 @@ def watch_region_tables(monkeypatch):
     calls = []
     evaluate = bwmc._recompute_region
 
-    def watching(log, level, region, splits, weights, budget, tables, stats):
+    def watching(log, level, region, splits, budget, tables, stats):
         live = sum(log.birth(max(r)) > 0 for r in tables)
-        table = evaluate(log, level, region, splits, weights, budget, tables, stats)
+        table = evaluate(log, level, region, splits, budget, tables, stats)
         calls.append((live, table))
         return table
 
@@ -615,8 +617,10 @@ def record_folds(monkeypatch):
     evaluate = bwmc._recompute_region
 
     def recording(log, level, region, splits, *rest):
-        x, y, _z = log.steps[level - 1]
-        for has_one, components, outside in splits:
+        x, y, z = log.steps[level - 1]
+        expanded = (region - {z}) | {x, y}
+        for has_one, components, _weight, _satisfied in splits:
+            outside = expanded.difference(*components)
             comp_x, comp_y = (next((c for c in components if v in c), None) for v in (x, y))
             units = sum(all(log.side(u) == SIDE_CLA for u in comp) for comp in components)
             shapes.append({

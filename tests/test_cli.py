@@ -350,6 +350,15 @@ def test_data_errors_exit_65(capsys, tmp_path):
     code, out, err = run(capsys, "greedy", str(stg))
     assert (code, out) == (EX_DATA, "")
     assert err == "stww: line 3: non-integer vertex id\n"
+    for text, message in [
+        ("0 1 +\n", "line 1: vertex id 0 must be positive"),
+        ("s 0 1\n", "line 1: vertex id 0 must be positive"),
+        ("1 1 +\n", "line 1: loop at vertex 1"),
+        ("1 2 +\n2 1 -\n", "line 2: edge (2,1) repeats line 1"),
+    ]:
+        stg.write_text(text)
+        code, out, err = run(capsys, "greedy", str(stg))
+        assert (code, out, err) == (EX_DATA, "", f"stww: {message}\n")
     stg.write_text("p foo 1 2\n")
     code, out, err = run(capsys, "greedy", str(stg))
     assert (code, out) == (EX_DATA, "")

@@ -118,3 +118,40 @@ def test_random_expressions_meet_bound_and_match_reference():
         vertices, edges = evaluate_cw_text(serialize_cw(expr))
         assert vertices == set(graph.vertices())
         assert {(u, v): kind for u, v, kind in graph.edges()} == edges
+
+
+def caterpillar(n):
+    """A path on vertices 1..n as one deep expression: each step unions a
+    new vertex at label 2 with the path so far, joins it to the path's end
+    at label 1, parks the old end at label 3 and makes the new vertex the
+    end.  The node tree is about 4n deep."""
+    steps = " ".join(f"rl 2 1 rl 1 3 ep 1 2 un leaf 2 {v}" for v in range(n, 1, -1))
+    return steps + " leaf 1 1"
+
+
+def test_deep_expressions_parse_serialize_and_transform_without_recursion():
+    # each label-2 leaf joined to every earlier vertex: K_n, so only parsed
+    n = 5000
+    clique = " ".join(f"rl 2 1 ep 1 2 un leaf 2 v{i}" for i in range(n, 1, -1)) + " leaf 1 v1"
+    expr = parse_cw(clique)
+    assert len(expr.vertex_ids) == n and expr.num_labels == 2
+    text = serialize_cw(expr)
+    assert serialize_cw(parse_cw(text)) == text
+
+    expr = parse_cw(caterpillar(n))
+    text = serialize_cw(expr)
+    assert serialize_cw(parse_cw(text)) == text
+    graph, seq = cw_to_sequence(expr)
+    assert {(u, v) for u, v, _ in graph.edges()} == {(v, v + 1) for v in range(1, n)}
+    report = verify(graph, seq)
+    assert report.ok and report.width <= 2 * expr.num_labels
+
+
+def test_deep_node_trees_wrap_and_evaluate_without_recursion():
+    # the caterpillar's path, built as nodes instead of parsed
+    node = CwLeaf(1, "1")
+    for v in range(2, 1001):
+        node = CwRelabel(2, 1, CwRelabel(1, 3, CwEdge(1, 2, POS, CwUnion(CwLeaf(2, str(v)), node))))
+    expr = expression(node)
+    assert expr.num_labels == 3 and len(expr.vertex_ids) == 1000
+    assert sum(1 for _ in evaluate(expr).edges()) == 999

@@ -181,6 +181,12 @@ def test_parse_graph_without_header_and_errors():
         ("s 5 0\np stg 3 0\n", "line 1: vertex id 5 exceeds declared count 3"),
         ("p stg 3 1\n1 2 +\np stg 9 1\n", "line 3: duplicate header"),
         ("p stg 2 1\ns 1 0\ns 2 1\ns 1 1\n1 2 +\n", "line 4: vertex 1 given sides 0 and 1"),
+        # ids below 1, loops and repeated pairs name their line too
+        ("p stg 2 1\n0 1 +\n", "line 2: vertex id 0 must be positive"),
+        ("c side\ns 0 1\n", "line 2: vertex id 0 must be positive"),
+        ("1 2 +\n1 1 +\n", "line 2: loop at vertex 1"),
+        ("1 2 +\nc again\n2 1 -\n", "line 3: edge (2,1) repeats line 1"),
+        ("1 2 +\ns 1 0\ns 2 0\n", "line 1: edge (1,2) joins two side-0 vertices"),
     ],
 )
 def test_parse_graph_rejects_malformed_input(text, message):
