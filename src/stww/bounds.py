@@ -9,9 +9,10 @@ found so far.  A contraction of u and v changes the masks only of their
 neighbours and the new vertex, so it re-scores only the pairs with an
 endpoint there.  The scores, the label tie-break and hence the emitted
 sequences are exactly those of contracting every candidate pair and
-measuring the result.  The exact search contracts immutable
-SignedTrigraphs, one graph per branch, only so that it can backtrack: its
-memo is keyed by the partition into bags, a frozenset of bags.  The
+measuring the result.  The exact search runs one depth-first search per
+red degree cap and contracts immutable SignedTrigraphs, one graph per
+branch, only so that it can backtrack; the partitions it has found dead
+under a cap are keyed by their bags, a frozenset of bags.  The
 subdivided-clique construction grows one sequence.ContractionLog in place.
 """
 
@@ -351,10 +352,18 @@ def exact_tww_bruteforce(
 ) -> tuple[int, ContractionSequence]:
     """Exact minimum width over all (bipartite) sequences, with a witness.
 
-    Searches partition states with memoization, iteratively deepening a red
-    degree cap so structured graphs stay cheap; pass max_vertices explicitly
-    to override the size guard.  The witness is the lexicographically
-    smallest among minimum-width sequences.
+    Runs one depth-first search per red degree cap, the caps ascending from
+    0.  At each partition it tries the candidate pairs in sorted-label
+    order (a vertex's label is the smallest input id in its bag), skips a
+    pair whose contraction has max red degree above the cap, and marks the
+    partition dead once every pair has failed.  The first cap c at which a
+    search contracts down to no candidate pair is the least possible
+    largest red degree after a step; the width is max(initial red degree,
+    c), and the steps that search took are the witness: the
+    lexicographically smallest of the sequences whose largest red degree
+    after a step is least.  When the input's own red degree exceeds c, that
+    can differ from the smallest among all minimum-width sequences.  Pass
+    max_vertices explicitly to override the size guard.
     """
     n = graph.num_vertices
     if n > max_vertices:
@@ -362,70 +371,41 @@ def exact_tww_bruteforce(
     if bipartite:
         _require_sides(graph, "bipartite search")
 
-    initial = graph.max_red_degree()
-    infinity = float("inf")
+    steps: list[tuple[int, int]] = []
 
-    def make_solver(cap: int):
-        memo: dict[frozenset[frozenset[int]], int | float] = {}
-
-        def solve(g: SignedTrigraph) -> int | float:
-            parts = frozenset(g.bag(v) for v in g.vertices())
-            hit = memo.get(parts)
-            if hit is not None:
-                return hit
-            pairs = _candidate_pairs(g, bipartite)
-            if not pairs:
-                memo[parts] = 0
-                return 0
-            best: int | float = infinity
-            for u, v in pairs:
-                h = g.contract(u, v)
-                m = h.max_red_degree()
-                if m > cap:
-                    continue
-                value = max(m, solve(h))
-                if value < best:
-                    best = value
-                    if best == 0:
-                        break
-            memo[parts] = best
-            return best
-
-        return solve
+    def search(g: SignedTrigraph, cap: int, dead: set[frozenset[frozenset[int]]]) -> bool:
+        """Append to steps a contraction of g within cap down to no
+        candidate pair and return True, or leave steps as they were and
+        return False."""
+        parts = frozenset(g.bag(v) for v in g.vertices())
+        if parts in dead:
+            return False
+        label = {v: min(g.bag(v)) for v in g.vertices()}
+        pairs = sorted(
+            (tuple(sorted((label[u], label[v]))), u, v) for u, v in _candidate_pairs(g, bipartite)
+        )
+        if not pairs:
+            return True
+        for step, u, v in pairs:
+            h = g.contract(u, v)
+            if h.max_red_degree() > cap:
+                continue
+            steps.append(step)
+            if search(h, cap, dead):
+                return True
+            steps.pop()
+        dead.add(parts)
+        return False
 
     # a cap of n - 1 admits every sequence, so the walk ends there at the latest
-    for cap in range(initial, max(n - 1, 0) + 1):
-        solve = make_solver(cap)
-        achieved = solve(graph)
-        if achieved == infinity:
-            continue
-        width = max(initial, int(achieved))
-        # Reconstruct the lexicographically smallest witness: at each state
-        # take the smallest label pair that still meets the achieved value.
-        # A vertex's label is the smallest input id in its bag.
-        g = graph
-        steps: list[tuple[int, int]] = []
-        while True:
-            pairs = _candidate_pairs(g, bipartite)
-            if not pairs:
-                break
-            label = {v: min(g.bag(v)) for v in g.vertices()}
-            for u, v in sorted(pairs, key=lambda p: sorted((label[p[0]], label[p[1]]))):
-                h = g.contract(u, v)
-                m = h.max_red_degree()
-                if m > achieved:
-                    continue
-                if max(m, solve(h)) <= achieved:
-                    steps.append(tuple(sorted((label[u], label[v]))))
-                    g = h
-                    break
-            else:
-                raise AssertionError("witness reconstruction lost the optimum")
-        return width, ContractionSequence(
-            tuple(steps),
-            declared_width=width,
-            num_vertices=max(graph.vertices(), default=0),
-        )
+    for cap in range(max(n - 1, 0) + 1):
+        if search(graph, cap, set()):
+            width = max(graph.max_red_degree(), cap)
+            return width, ContractionSequence(
+                tuple(steps),
+                declared_width=width,
+                num_vertices=max(graph.vertices(), default=0),
+            )
     raise AssertionError("no sequence within width cap n - 1")
 
 

@@ -17,6 +17,7 @@ leaf order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Union
 
 from .cnf import ParseError
@@ -26,8 +27,26 @@ from .trigraph import NEG, POS, SignedTrigraph
 CwNode = Union["CwLeaf", "CwUnion", "CwRelabel", "CwEdge"]
 
 
-@dataclass(frozen=True)
-class CwLeaf:
+class _Node:
+    """Equality and hashing of expression trees, node by node in prefix
+    order on an explicit stack, so trees of any depth compare and hash
+    without recursion.  Each node kind has a fixed arity, so two trees are
+    equal exactly when their prefix sequences of (kind, non-child fields)
+    are."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return all(a == b for a, b in zip_longest(_prefix(self), _prefix(other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_prefix(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class CwLeaf(_Node):
     label: int
     name: str
 
@@ -38,14 +57,14 @@ class CwLeaf:
             raise ValueError("empty vertex name")
 
 
-@dataclass(frozen=True)
-class CwUnion:
+@dataclass(frozen=True, eq=False)
+class CwUnion(_Node):
     left: CwNode
     right: CwNode
 
 
-@dataclass(frozen=True)
-class CwRelabel:
+@dataclass(frozen=True, eq=False)
+class CwRelabel(_Node):
     old: int
     new: int
     child: CwNode
@@ -57,8 +76,8 @@ class CwRelabel:
             raise ValueError(f"relabel {self.old}->{self.new} is a no-op")
 
 
-@dataclass(frozen=True)
-class CwEdge:
+@dataclass(frozen=True, eq=False)
+class CwEdge(_Node):
     label_a: int
     label_b: int
     sign: str
@@ -99,6 +118,13 @@ def _tour(root: CwNode):
         if entering:
             stack.append((node, False))
             stack.extend((child, True) for child in reversed(_children(node)))
+
+
+def _prefix(root: CwNode):
+    """(kind, fields other than children) of every node, in prefix order."""
+    for node, entering in _tour(root):
+        if entering:
+            yield type(node), *(value for value in vars(node).values() if not isinstance(value, _Node))
 
 
 def _fold(root: CwNode, visit):
@@ -237,45 +263,70 @@ def serialize_cw(expr: CliqueWidthExpression) -> str:
     return "".join(pieces) + "\n"
 
 
+def _classes(expr: CliqueWidthExpression):
+    """Fold the expression once, keeping each label's class of vertices as
+    (representative, members).
+
+    Returns the evaluation graph, cw_to_sequence's steps before its final
+    merges of the root's labels, and the root's classes.  A merge keeps the
+    representative of the class it merges into and extends the larger
+    member list by the smaller, so the fold takes O(n log n) time plus one
+    step per vertex pair an edge node joins.
+    """
+    ids = expr.vertex_ids
+    edges: dict[tuple[int, int], str] = {}
+    steps: list[tuple[int, int]] = []
+
+    def merge(into: tuple[int, list[int]], other: tuple[int, list[int]]) -> tuple[int, list[int]]:
+        (rep, members), (other_rep, other_members) = into, other
+        steps.append((rep, other_rep))
+        if len(members) < len(other_members):
+            members, other_members = other_members, members
+        members.extend(other_members)
+        return rep, members
+
+    def visit(node: CwNode, *children) -> dict[int, tuple[int, list[int]]]:
+        if isinstance(node, CwLeaf):
+            v = ids[node.name]
+            return {node.label: (v, [v])}
+        if isinstance(node, CwUnion):
+            classes, right = children
+            for label, cls in sorted(right.items()):
+                classes[label] = merge(classes[label], cls) if label in classes else cls
+            return classes
+        (classes,) = children
+        if isinstance(node, CwRelabel):
+            if node.old in classes:
+                cls = classes.pop(node.old)
+                classes[node.new] = merge(classes[node.new], cls) if node.new in classes else cls
+            return classes
+        if node.label_a in classes and node.label_b in classes:
+            for x in classes[node.label_a][1]:
+                for y in classes[node.label_b][1]:
+                    pair = (x, y) if x < y else (y, x)
+                    existing = edges.get(pair)
+                    if existing is not None and existing != node.sign:
+                        raise ValueError(
+                            f"edge {pair} inserted with both signs by the expression"
+                        )
+                    edges[pair] = node.sign
+        return classes
+
+    classes = _fold(expr.root, visit)
+    graph = SignedTrigraph(
+        sorted(v for _, members in classes.values() for v in members),
+        [(u, v, sign) for (u, v), sign in sorted(edges.items())],
+    )
+    return graph, steps, classes
+
+
 def evaluate(expr: CliqueWidthExpression) -> SignedTrigraph:
     """Evaluation graph of the expression.
 
     Inserting an edge over a pair that already carries the opposite sign is
     an error; re-inserting the same sign is a no-op.
     """
-    ids = expr.vertex_ids
-
-    def visit(node: CwNode, *children):
-        if isinstance(node, CwLeaf):
-            return {ids[node.name]: node.label}, {}
-        if isinstance(node, CwUnion):
-            (labels_l, edges_l), (labels_r, edges_r) = children
-            labels_l.update(labels_r)
-            edges_l.update(edges_r)
-            return labels_l, edges_l
-        ((labels, edges),) = children
-        if isinstance(node, CwRelabel):
-            for v, label in labels.items():
-                if label == node.old:
-                    labels[v] = node.new
-            return labels, edges
-        group_a = [v for v, label in labels.items() if label == node.label_a]
-        group_b = [v for v, label in labels.items() if label == node.label_b]
-        for x in group_a:
-            for y in group_b:
-                pair = (x, y) if x < y else (y, x)
-                existing = edges.get(pair)
-                if existing is not None and existing != node.sign:
-                    raise ValueError(
-                        f"edge {pair} inserted with both signs by the expression"
-                    )
-                edges[pair] = node.sign
-        return labels, edges
-
-    labels, edges = _fold(expr.root, visit)
-    return SignedTrigraph(
-        sorted(labels), [(u, v, sign) for (u, v), sign in sorted(edges.items())]
-    )
+    return _classes(expr)[0]
 
 
 def cw_to_sequence(expr: CliqueWidthExpression) -> tuple[SignedTrigraph, ContractionSequence]:
@@ -288,33 +339,9 @@ def cw_to_sequence(expr: CliqueWidthExpression) -> tuple[SignedTrigraph, Contrac
     insertions contract nothing.  Leftover root labels are merged into the
     smallest one at the end, so the sequence always ends at one vertex.
     """
-    graph = evaluate(expr)
-    ids = expr.vertex_ids
-    steps: list[tuple[int, int]] = []
-
-    def visit(node: CwNode, *children) -> dict[int, int]:
-        if isinstance(node, CwLeaf):
-            return {node.label: ids[node.name]}
-        if isinstance(node, CwUnion):
-            reps, right = children
-            for label, rep in sorted(right.items()):
-                if label in reps:
-                    steps.append((reps[label], rep))
-                else:
-                    reps[label] = rep
-            return reps
-        (reps,) = children
-        if isinstance(node, CwRelabel) and node.old in reps:
-            if node.new in reps:
-                steps.append((reps[node.new], reps.pop(node.old)))
-            else:
-                reps[node.new] = reps.pop(node.old)
-        return reps
-
-    reps = _fold(expr.root, visit)
-    order = sorted(reps)
-    for label in order[1:]:
-        steps.append((reps[order[0]], reps[label]))
+    graph, steps, classes = _classes(expr)
+    reps = [rep for _, (rep, _) in sorted(classes.items())]
+    steps.extend((reps[0], rep) for rep in reps[1:])
     if len(steps) != graph.num_vertices - 1:
         raise AssertionError(
             f"transform produced {len(steps)} steps for {graph.num_vertices} vertices"

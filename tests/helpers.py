@@ -127,6 +127,35 @@ def brute_min_bipartite_width(graph):
     return max(graph.max_red_degree(), best(graph))
 
 
+def reference_exact_witness(graph, bipartite=False):
+    """Reference for exact_tww_bruteforce: every full (same-side) sequence,
+    enumerated by plain recursion in sorted-label order, with no memo and
+    no cap.  Returns (width, steps) for the first sequence whose largest
+    red degree after a step is least; the width also counts the input's
+    own red degree.  A vertex's label is the smallest input id in its bag.
+    """
+    best = None
+
+    def walk(g, steps, worst):
+        nonlocal best
+        label = {v: min(g.bag(v)) for v in g.vertices()}
+        pairs = sorted(
+            (tuple(sorted((label[u], label[v]))), u, v)
+            for u, v in itertools.combinations(g.vertices(), 2)
+            if not bipartite or g.side(u) == g.side(v)
+        )
+        if not pairs:
+            if best is None or worst < best[0]:
+                best = (worst, tuple(steps))
+            return
+        for step, u, v in pairs:
+            h = g.contract(u, v)
+            walk(h, steps + [step], max(worst, h.max_red_degree()))
+
+    walk(graph, [], 0)
+    return max(graph.max_red_degree(), best[0]), best[1]
+
+
 def reference_greedy(graph, bipartite=False, tie_break="smallest"):
     """Reference greedy: contract every candidate pair and measure the result.
 

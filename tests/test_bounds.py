@@ -5,7 +5,12 @@ import random
 
 import pytest
 
-from helpers import brute_min_bipartite_width, random_bipartite_graph, reference_greedy
+from helpers import (
+    brute_min_bipartite_width,
+    random_bipartite_graph,
+    reference_exact_witness,
+    reference_greedy,
+)
 from stww.bounds import _WorkingGraph, exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
 from stww.generators import gen_grid, gen_random_ksat, gen_subdivided_clique
 from stww.sequence import replay, serialize_sequence, verify
@@ -134,6 +139,40 @@ def test_exact_bruteforce_matches_plain_recursion_bipartite():
         assert width == brute_min_bipartite_width(g)
         report = verify(g, seq, require_bipartite=True)
         assert report.ok and report.width == width
+
+
+def test_exact_bruteforce_witness_is_the_first_least_sequence():
+    # the witness rule against plain enumeration, with red input edges
+    # in half the graphs (so the input's red degree can exceed the least)
+    for seed in range(30):
+        rng = random.Random(400 + seed)
+        g = random_bipartite_graph(rng, max_n=6)
+        if seed % 2:
+            sides = {v: g.side(v) for v in g.vertices()}
+            edges = [(u, v, RED if rng.random() < 0.4 else kind) for u, v, kind in g.edges()]
+            g = SignedTrigraph(g.vertices(), edges, sides=sides)
+        for bipartite in (False, True):
+            width, seq = exact_tww_bruteforce(g, bipartite=bipartite)
+            assert (width, seq.steps) == reference_exact_witness(g, bipartite), (seed, bipartite)
+            assert seq.declared_width == width
+
+
+def test_exact_bruteforce_work_is_bounded(monkeypatch):
+    # one search per cap, stopping at its first witness, and each dead
+    # partition expanded at most once under a cap
+    calls = 0
+    contract = SignedTrigraph.contract
+
+    def counting(self, u, v):
+        nonlocal calls
+        calls += 1
+        return contract(self, u, v)
+
+    monkeypatch.setattr(SignedTrigraph, "contract", counting)
+    g = incidence_graph(gen_random_ksat(4, 2, 7, 1))
+    width, _ = exact_tww_bruteforce(g, bipartite=True, max_vertices=11)
+    assert width == 3
+    assert calls <= 1000
 
 
 def test_bipartite_optimum_within_two_of_unrestricted():

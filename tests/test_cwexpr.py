@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -155,3 +156,27 @@ def test_deep_node_trees_wrap_and_evaluate_without_recursion():
     expr = expression(node)
     assert expr.num_labels == 3 and len(expr.vertex_ids) == 1000
     assert sum(1 for _ in evaluate(expr).edges()) == 999
+
+
+def test_deep_caterpillar_converts_in_near_linear_time():
+    # each label keeps its class as a member list, merged smaller into
+    # larger, so no node scans every vertex
+    n = 20000
+    expr = parse_cw(caterpillar(n))
+    start = time.perf_counter()
+    graph, seq = cw_to_sequence(expr)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5, f"cw_to_sequence took {elapsed:.1f} s at n = {n}"
+    assert {(u, v) for u, v, _ in graph.edges()} == {(v, v + 1) for v in range(1, n)}
+    assert len(seq) == n - 1
+
+
+def test_deep_trees_compare_and_hash_without_recursion():
+    n = 5000
+    expr = parse_cw(caterpillar(n))
+    again = parse_cw(serialize_cw(expr))
+    assert again.root == expr.root
+    assert hash(again.root) == hash(expr.root)
+    # the same tree but for one leaf's name
+    renamed = parse_cw(caterpillar(n).replace(f"leaf 2 {n // 2} ", f"leaf 2 x{n // 2} "))
+    assert renamed.root != expr.root
