@@ -19,7 +19,7 @@ from pathlib import Path
 from .bipartize import bipartize
 from .bounds import greedy_sequence
 from .bwmc import solve_bwmc
-from .cnf import Formula, ParseError, WeightFunction, parse_dimacs, serialize_dimacs
+from .cnf import Formula, ParseError, WeightFunction, parse_dimacs, serialize_dimacs, token_lines
 from .encoding import DecodeError, SolverError, SolverUnavailableError, exact_tww_via_solver
 from .generators import (
     SIGN_POLICIES,
@@ -77,9 +77,8 @@ def _read(path: str) -> str:
 def _sniff(text: str) -> tuple[str, int]:
     """The problem line's format token and its 1-based line number.  Text
     without one is read as `stg`, the one format whose header is optional."""
-    for number, line in enumerate(text.splitlines(), 1):
-        tokens = line.split()
-        if tokens and tokens[0] == "p" and len(tokens) > 1:
+    for number, tokens in token_lines(text):
+        if tokens[0] == "p" and len(tokens) > 1:
             return tokens[1], number
     return "stg", 1
 
@@ -360,6 +359,12 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # an exact count or a weight may pass the interpreter's limit on int <->
+    # str conversion (4300 digits by default; 0 is no limit, and 3.10.0 to
+    # 3.10.6 have none): lift it while the command runs, then restore it
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return args.run(args)
     except (SolverUnavailableError, SolverError, DecodeError) as exc:
@@ -371,6 +376,9 @@ def main(argv=None) -> int:
     except (ParseError, OSError, ValueError) as exc:
         print(f"stww: {exc}", file=sys.stderr)
         return EX_DATA
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

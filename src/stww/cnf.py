@@ -6,7 +6,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice
-from operator import lt, mod
+from operator import itemgetter, lt, mod
 from typing import Iterator, Mapping
 
 # An assignment is a total map variable -> {0, 1}.
@@ -23,6 +23,32 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int) -> None:
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def token_lines(text: str | bytes) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, tokens) of each line that holds a token, the
+    reader of the three line formats (.cnf, .tws, .stg); bytes are decoded
+    as UTF-8."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    return filter(itemgetter(1), enumerate(map(str.split, text.splitlines()), 1))
+
+
+def header_counts(fields: list[str], line: int, usage: str, seen: bool) -> tuple[int, int]:
+    """The two counts of a problem line, which must read as usage, such as
+    'p cnf <vars> <clauses>', with two nonnegative integers; seen says a
+    problem line came before."""
+    if seen:
+        raise ParseError("duplicate header", line)
+    if len(fields) != 4 or fields[1] != usage.split()[1]:
+        raise ParseError(f"expected header '{usage}'", line)
+    try:
+        counts = int(fields[2]), int(fields[3])
+    except ValueError:
+        raise ParseError("non-integer counts in header", line) from None
+    if min(counts) < 0:
+        raise ParseError("negative counts in header", line)
+    return counts
 
 
 class FormulaWarning(UserWarning):
@@ -212,9 +238,6 @@ def parse_dimacs(text: str | bytes, name: str | None = None) -> tuple[Formula, W
         ParseError: on a malformed header, a bad token, a literal out of
             range, or a clause missing its 0 terminator.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-
     num_vars: int | None = None
     declared_clauses = 0
     weight_entries: list[tuple[int, Fraction, int]] = []
@@ -223,15 +246,11 @@ def parse_dimacs(text: str | bytes, name: str | None = None) -> tuple[Formula, W
     pending_line = 0
     lineno = 0
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line == "%":
+    for lineno, fields in token_lines(text):
+        if fields == ["%"]:
             # SATLIB-style end marker; ignore anything after it.
             break
-        if line.startswith("c"):
-            fields = line.split()
+        if fields[0][0] == "c":
             if fields[:3] == ["c", "p", "weight"]:
                 if len(fields) != 6 or fields[5] != "0":
                     raise ParseError("expected 'c p weight <lit> <weight> 0'", lineno)
@@ -244,23 +263,14 @@ def parse_dimacs(text: str | bytes, name: str | None = None) -> tuple[Formula, W
                     raise ParseError("weight for literal 0", lineno)
                 weight_entries.append((lit, value, lineno))
             continue
-        if line.startswith("p"):
-            if num_vars is not None:
-                raise ParseError("duplicate header", lineno)
-            fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise ParseError("expected header 'p cnf <vars> <clauses>'", lineno)
-            try:
-                num_vars = int(fields[2])
-                declared_clauses = int(fields[3])
-            except ValueError:
-                raise ParseError("non-integer counts in header", lineno) from None
-            if num_vars < 0 or declared_clauses < 0:
-                raise ParseError("negative counts in header", lineno)
+        if fields[0] == "p":
+            num_vars, declared_clauses = header_counts(
+                fields, lineno, "p cnf <vars> <clauses>", num_vars is not None
+            )
             continue
         if num_vars is None:
             raise ParseError("clause data before 'p cnf' header", lineno)
-        for token in line.split():
+        for token in fields:
             try:
                 lit = int(token)
             except ValueError:

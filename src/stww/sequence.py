@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .cnf import ParseError
+from .cnf import ParseError, header_counts, token_lines
 from .trigraph import RED, SignedTrigraph, merge_edges
 
 
@@ -250,29 +250,15 @@ def final_graph(graph: SignedTrigraph, seq: ContractionSequence) -> SignedTrigra
 
 def parse_sequence(text: str | bytes) -> ContractionSequence:
     """Parse a .tws file: 'p tws <n> <steps>' then one 'keep merge' per line."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     n: int | None = None
     expected = 0
     steps: list[tuple[int, int]] = []
     lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for lineno, fields in token_lines(text):
+        if fields[0][0] == "c":
             continue
-        fields = line.split()
         if fields[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(fields) != 4 or fields[1] != "tws":
-                raise ParseError("expected header 'p tws <n> <steps>'", lineno)
-            try:
-                n = int(fields[2])
-                expected = int(fields[3])
-            except ValueError:
-                raise ParseError("non-integer counts in header", lineno) from None
-            if n < 0 or expected < 0:
-                raise ParseError("negative counts in header", lineno)
+            n, expected = header_counts(fields, lineno, "p tws <n> <steps>", n is not None)
             if expected > max(n - 1, 0):
                 raise ParseError(f"{expected} steps impossible on {n} vertices", lineno)
             continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .cnf import Formula, ParseError
+from .cnf import Formula, ParseError, header_counts, token_lines
 
 POS = "+"
 NEG = "-"
@@ -293,32 +293,22 @@ def parse_graph(text: str | bytes) -> SignedTrigraph:
 
     The header is optional: without it, vertices are inferred as 1..max id
     seen in edge or side lines (isolated vertices then need side lines).
+    With it, the file must hold as many edge lines as it declares.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     n: int | None = None
+    declared_edges, header_line = 0, 0
     sides: dict[int, int | None] = {}
     edges: list[tuple[int, int, str]] = []
     # each vertex pair with an edge, and the line of that edge
     pairs: dict[tuple[int, int], int] = {}
     # the largest id seen, and the first line naming it
     max_seen, max_line = 0, 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for lineno, fields in token_lines(text):
+        if fields[0][0] == "c":
             continue
-        fields = line.split()
         if fields[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(fields) != 4 or fields[1] != "stg":
-                raise ParseError("expected header 'p stg <n> <m>'", lineno)
-            try:
-                n = int(fields[2])
-            except ValueError:
-                raise ParseError("non-integer vertex count", lineno) from None
-            if n < 0:
-                raise ParseError("negative vertex count", lineno)
+            n, declared_edges = header_counts(fields, lineno, "p stg <n> <m>", n is not None)
+            header_line = lineno
             continue
         if fields[0] == "s":
             if len(fields) != 3:
@@ -355,6 +345,8 @@ def parse_graph(text: str | bytes) -> SignedTrigraph:
             max_seen, max_line = max(ids), lineno
     if n is None:
         n = max_seen
+    elif len(edges) != declared_edges:
+        raise ParseError(f"header declares {declared_edges} edges, file has {len(edges)}", header_line)
     if max_seen > n:
         raise ParseError(f"vertex id {max_seen} exceeds declared count {n}", max_line)
     for u, v, _ in edges:

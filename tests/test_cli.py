@@ -1,14 +1,18 @@
+import contextlib
 import json
 import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from stww.bwmc import solve_bwmc
 from stww.cli import EX_DATA, EX_ENV, EX_INVALID_SEQUENCE, EX_OK, EX_USAGE, main
 from stww.cnf import parse_dimacs
+from stww.oracle import bwmc_oracle
 from stww.sequence import parse_sequence, verify
 from stww.trigraph import incidence_graph, parse_graph
 
@@ -200,6 +204,16 @@ def test_gen_grid_parses_back_and_bipartize(capsys, tmp_path):
     assert report.failure is None
 
 
+def test_a_graph_file_cut_at_a_line_is_a_data_error(capsys, tmp_path):
+    grid = tmp_path / "g.stg"
+    code, _out, _err = run(capsys, "gen", "grid", "2", "4", "--signs", "random", "-o", str(grid))
+    assert code == EX_OK
+    cut = tmp_path / "t.stg"
+    cut.write_text("".join(grid.read_text().splitlines(keepends=True)[:-1]))
+    code, out, err = run(capsys, "greedy", str(cut))
+    assert (code, out, err) == (EX_DATA, "", "stww: line 1: header declares 24 edges, file has 23\n")
+
+
 def test_bipartize_reports_widths(capsys, tmp_path):
     grid = tmp_path / "grid.stg"
     run(capsys, "gen", "grid", "2", "3", "-o", str(grid))
@@ -363,6 +377,56 @@ def test_data_errors_exit_65(capsys, tmp_path):
     code, out, err = run(capsys, "greedy", str(stg))
     assert (code, out) == (EX_DATA, "")
     assert err == f"stww: line 1: unsupported problem line 'p foo' in {stg}\n"
+
+
+def int_digit_limit():
+    """The interpreter's int <-> str digit limit, None where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    limit = int_digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_counts_past_the_int_digit_limit(capsys, tmp_path, flags):
+    # two exact counts whose denominators pass 4300 digits, the default
+    # limit on int <-> str conversion: 800 variables with 7-digit weight
+    # denominators, counted by the DP, and 3 variables with 2,002-digit
+    # ones, counted by the oracle
+    n = 800
+    many = tmp_path / "long.cnf"
+    many.write_text(f"p cnf {n} 1\n" + "".join(
+        f"c p weight {v} {1 + v % 2}/1000003 0\nc p weight {-v} {2 - v % 2}/1000003 0\n"
+        for v in range(1, n + 1)) + "1 2 0\n")
+    seq = tmp_path / "long.tws"
+    seq.write_text(f"p tws {n + 1} {n - 1}\n" + "".join(f"1 {v}\n" for v in range(2, n + 1)))
+    wide = tmp_path / "wide.cnf"
+    wide.write_text("p cnf 3 1\n" + "".join(
+        f"c p weight {lit} {i + 1}/{10**2001 + 2 * i + 1} 0\n"
+        for i, lit in enumerate((1, -1, 2, -2, 3, -3))) + "1 2 3 0\n")
+    limit = int_digit_limit()
+    printed = []
+    for argv in (["bwmc", str(many), str(seq)], ["oracle", "bwmc", str(wide)]):
+        code, out, err = run(capsys, *argv, "-k", "2", *flags)
+        assert (code, err) == (EX_OK, "")
+        # the caller's setting is back once main returns
+        assert int_digit_limit() == limit
+        printed.append(json.loads(out)["count"] if flags else out.splitlines()[0])
+    with unlimited_int_digits():
+        formula, weights = parse_dimacs(many.read_text())
+        expected = [solve_bwmc(formula, weights, 2, parse_sequence(seq.read_text())),
+                    bwmc_oracle(*parse_dimacs(wide.read_text()), 2)]
+        assert [Fraction(text) for text in printed] == expected
+        assert min(len(str(value.denominator)) for value in expected) > 4300
 
 
 def test_recursion_limit_is_an_env_error(capsys, monkeypatch, tmp_path, or_cnf):

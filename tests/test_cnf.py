@@ -27,6 +27,8 @@ from stww.cnf import (
     satisfies,
     serialize_dimacs,
 )
+from stww.sequence import parse_sequence
+from stww.trigraph import parse_graph
 
 
 def test_formula_basics():
@@ -365,6 +367,34 @@ def test_parse_dimacs_normalizations_warn():
 def test_parse_dimacs_errors(text, match):
     with pytest.raises(ParseError, match=match):
         parse_dimacs(text)
+
+
+@pytest.mark.parametrize(
+    "parse, usage",
+    [
+        (parse_dimacs, "p cnf <vars> <clauses>"),
+        (parse_sequence, "p tws <n> <steps>"),
+        (parse_graph, "p stg <n> <m>"),
+    ],
+)
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["p {fmt} 2 1", "p {fmt} 2 1"], "line 3: duplicate header"),
+        (["p {fmt} 2"], "line 2: expected header '{usage}'"),
+        (["p {fmt} 2 1 0"], "line 2: expected header '{usage}'"),
+        (["p {fmt} x 1"], "line 2: non-integer counts in header"),
+        (["p {fmt} 2 banana"], "line 2: non-integer counts in header"),
+        (["p {fmt} -3 0"], "line 2: negative counts in header"),
+        (["p {fmt} 2 -3"], "line 2: negative counts in header"),
+    ],
+)
+def test_one_header_rule_for_the_three_line_formats(parse, usage, lines, message):
+    fmt = usage.split()[1]
+    text = "c the header is on line 2\n" + "".join(line.format(fmt=fmt) + "\n" for line in lines)
+    with pytest.raises(ParseError) as raised:
+        parse(text)
+    assert str(raised.value) == message.format(usage=usage)
 
 
 def test_parse_error_carries_line_number():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import random_bipartite_graph, random_formula
 from stww.cnf import Formula, ParseError
+from stww.generators import gen_grid
 from stww.trigraph import (
     NEG,
     POS,
@@ -193,6 +194,30 @@ def test_parse_graph_rejects_malformed_input(text, message):
     with pytest.raises(ParseError) as raised:
         parse_graph(text)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p stg 2 5\n1 2 +\n", "line 1: header declares 5 edges, file has 1"),
+        ("c two\np stg 3 1\n1 2 +\n2 3 -\n", "line 2: header declares 1 edges, file has 2"),
+    ],
+)
+def test_parse_graph_checks_the_declared_edge_count(text, message):
+    # a non-integer or negative count is checked with the other formats' in test_cnf.py
+    with pytest.raises(ParseError) as raised:
+        parse_graph(text)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_graph_rejects_a_file_cut_at_a_line(seed):
+    text = serialize_graph(gen_grid(2, 4, "random", seed))
+    assert parse_graph(text).num_edges() == 24
+    cut = text[:text.rindex("\n", 0, -1) + 1]
+    with pytest.raises(ParseError) as raised:
+        parse_graph(cut)
+    assert str(raised.value) == "line 1: header declares 24 edges, file has 23"
 
 
 def test_parse_graph_accepts_a_repeated_side():
