@@ -11,10 +11,10 @@ from stww import (
     gen_grid,
     gen_subdivided_clique,
     greedy_sequence,
-    replay,
     subdivided_clique_sequence,
     verify,
 )
+from stww.sequence import ContractionLog
 
 # a 3x3 grid with alternating signs
 grid = gen_grid(2, 3, signs="alternating")
@@ -27,10 +27,12 @@ assert verify(grid, witness).width == exact
 graph, clique = gen_subdivided_clique(4, [1, 2, 0, 1, 2, 1])
 seq = subdivided_clique_sequence(graph, clique)
 d = len(clique)
+# grow the schedule on a log and read every level's total degrees off it
 worst = max(len(graph.neighbors(v)) for v in graph.vertices())
-for step in replay(graph, seq):
-    degrees = [len(step.after.neighbors(v)) for v in step.after.vertices()]
-    worst = max(worst, max(degrees, default=0))
+log = ContractionLog(graph)
+for keep, merge in seq.steps:
+    log.contract(keep, merge)
+    worst = max(worst, max((len(log.neighbors(v)) for v in log.vertices()), default=0))
 print(
     f"subdivided K_{d}: {graph.num_vertices} vertices, "
     f"schedule width {verify(graph, seq).width}, max total degree {worst} (≤ {d - 1})"

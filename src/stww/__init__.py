@@ -66,7 +66,6 @@ from .sequence import (
     VerificationReport,
     final_graph,
     parse_sequence,
-    replay,
     serialize_sequence,
     verify,
     width_of,

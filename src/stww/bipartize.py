@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .sequence import ContractionLog, ContractionSequence
-from .trigraph import RED, SIDE_VAR, SignedTrigraph
+from .trigraph import RED, SIDE_VAR, SignedTrigraph, require_sides
 
 
 class HalfDegreeError(AssertionError):
@@ -50,9 +50,7 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
     The input graph must be bipartite with every vertex carrying a side
     tag; the input sequence may contract across sides freely.
     """
-    for v in graph.vertices():
-        if graph.side(v) is None:
-            raise ValueError(f"vertex {v} has no side; bipartize needs a sided graph")
+    require_sides(graph, "bipartize")
 
     log = ContractionLog(graph, seq).check()
     # the half-degree check below is against the input sequence's width d

@@ -10,10 +10,10 @@ neighbours and the new vertex, so it re-scores only the pairs with an
 endpoint there.  The scores, the label tie-break and hence the emitted
 sequences are exactly those of contracting every candidate pair and
 measuring the result.  The exact search runs one depth-first search per
-red degree cap and contracts immutable SignedTrigraphs, one graph per
-branch, only so that it can backtrack; the partitions it has found dead
-under a cap are keyed by their bags, a frozenset of bags.  The
-subdivided-clique construction grows one sequence.ContractionLog in place.
+red degree cap on one sequence.ContractionLog, contracting forward and
+backtracking with undo(); the partitions it has found dead under a cap are
+keyed by their bags, a frozenset of bags.  The subdivided-clique
+construction grows one ContractionLog in place.
 """
 
 from __future__ import annotations
@@ -21,23 +21,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .sequence import ContractionLog, ContractionSequence
-from .trigraph import NEG, POS, RED, SignedTrigraph
-
-
-def _require_sides(graph: SignedTrigraph, what: str) -> None:
-    for v in graph.vertices():
-        if graph.side(v) is None:
-            raise ValueError(f"{what} needs every vertex on a side; {v} has none")
-
-
-def _candidate_pairs(graph: SignedTrigraph, bipartite: bool) -> list[tuple[int, int]]:
-    if not bipartite:
-        return list(combinations(graph.vertices(), 2))
-    return [
-        (u, v)
-        for u, v in combinations(graph.vertices(), 2)
-        if graph.side(u) == graph.side(v)
-    ]
+from .trigraph import NEG, POS, RED, SignedTrigraph, require_sides
 
 
 class _WorkingGraph:
@@ -326,7 +310,7 @@ def greedy_sequence(
     if tie_break not in ("smallest", "largest"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     if bipartite:
-        _require_sides(graph, "bipartite greedy")
+        require_sides(graph, "bipartite greedy")
     work = _WorkingGraph(graph, bipartite)
     vertices = graph.vertices()
     steps: list[tuple[int, int]] = []
@@ -353,57 +337,56 @@ def exact_tww_bruteforce(
     """Exact minimum width over all (bipartite) sequences, with a witness.
 
     Runs one depth-first search per red degree cap, the caps ascending from
-    0.  At each partition it tries the candidate pairs in sorted-label
-    order (a vertex's label is the smallest input id in its bag), skips a
-    pair whose contraction has max red degree above the cap, and marks the
-    partition dead once every pair has failed.  The first cap c at which a
-    search contracts down to no candidate pair is the least possible
-    largest red degree after a step; the width is max(initial red degree,
-    c), and the steps that search took are the witness: the
-    lexicographically smallest of the sequences whose largest red degree
-    after a step is least.  When the input's own red degree exceeds c, that
-    can differ from the smallest among all minimum-width sequences.  Pass
-    max_vertices explicitly to override the size guard.
+    0, on one ContractionLog that it contracts and undoes.  At each
+    partition it tries the candidate pairs in sorted-label order (a
+    vertex's label is the id of the input vertex that it answers to, and
+    each step keeps the smaller label), skips a pair whose contraction has
+    max red degree above the cap, and marks the partition dead once every
+    pair has failed.  The first cap c at which a search contracts down to
+    no candidate pair is the least possible largest red degree after a
+    step; the width is max(initial red degree, c), and the steps that
+    search took are the witness: the lexicographically smallest of the
+    sequences whose largest red degree after a step is least.  When the
+    input's own red degree exceeds c, that can differ from the smallest
+    among all minimum-width sequences.  Pass max_vertices explicitly to
+    override the size guard.
     """
     n = graph.num_vertices
     if n > max_vertices:
         raise ValueError(f"{n} vertices exceeds the brute-force guard {max_vertices}")
     if bipartite:
-        _require_sides(graph, "bipartite search")
+        require_sides(graph, "bipartite brute force")
+    log = ContractionLog(graph)
 
-    steps: list[tuple[int, int]] = []
-
-    def search(g: SignedTrigraph, cap: int, dead: set[frozenset[frozenset[int]]]) -> bool:
-        """Append to steps a contraction of g within cap down to no
-        candidate pair and return True, or leave steps as they were and
-        return False."""
-        parts = frozenset(g.bag(v) for v in g.vertices())
+    def search(cap: int, dead: set[frozenset[frozenset[int]]]) -> bool:
+        """Contract the log within cap down to no candidate pair and return
+        True, or leave it as it was and return False."""
+        vertices = log.vertices()
+        parts = frozenset(log.bag(v) for v in vertices)
         if parts in dead:
             return False
-        label = {v: min(g.bag(v)) for v in g.vertices()}
-        pairs = sorted(
-            (tuple(sorted((label[u], label[v]))), u, v) for u, v in _candidate_pairs(g, bipartite)
-        )
+        labelled = sorted((log.label(v), log.side(v)) for v in vertices)
+        pairs = [
+            (keep, merge)
+            for (keep, side), (merge, other) in combinations(labelled, 2)
+            if not bipartite or side == other
+        ]
         if not pairs:
             return True
-        for step, u, v in pairs:
-            h = g.contract(u, v)
-            if h.max_red_degree() > cap:
-                continue
-            steps.append(step)
-            if search(h, cap, dead):
+        for keep, merge in pairs:
+            log.contract(keep, merge)
+            if log.per_step_max_red[-1] <= cap and search(cap, dead):
                 return True
-            steps.pop()
+            log.undo()
         dead.add(parts)
         return False
 
     # a cap of n - 1 admits every sequence, so the walk ends there at the latest
     for cap in range(max(n - 1, 0) + 1):
-        if search(graph, cap, set()):
-            width = max(graph.max_red_degree(), cap)
-            return width, ContractionSequence(
-                tuple(steps),
-                declared_width=width,
+        if search(cap, set()):
+            return log.width, ContractionSequence(
+                tuple((log.label(x), log.label(y)) for x, y, _ in log.steps),
+                declared_width=log.width,
                 num_vertices=max(graph.vertices(), default=0),
             )
     raise AssertionError("no sequence within width cap n - 1")

@@ -74,7 +74,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
 from .cnf import Assignment, Formula, WeightFunction
-from .sequence import ContractionLog, ContractionSequence, replay
+from .sequence import ContractionLog, ContractionSequence
 from .trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
 
@@ -692,7 +692,11 @@ def dp_records(
     log = _validated_log(graph, seq)
     budget = min(k, formula.num_vars)
     max_region = _region_threshold(budget, log.width)
-    graphs = [graph] + [step.after for step in replay(graph, seq)]
+    # each level's graph, a snapshot of a log grown one step at a time
+    grown, graphs = ContractionLog(graph), [graph]
+    for keep, merge in seq.steps:
+        grown.contract(keep, merge)
+        graphs.append(grown.snapshot())
     levels = [enumerate_red_connected(graph, max_region) for graph in graphs]
     roots = itertools.chain.from_iterable(levels)
     tables = _region_tables(log, roots, weights, budget, stats if stats is not None else {})

@@ -26,7 +26,7 @@ innermost loop.  Each rule appends its clause tuple straight to a list,
 once, and it is kept as written; `Formula` is the one duplicate guard.
 
 Soundness is never taken from the encoding alone: every satisfying model is
-decoded into a sequence and re-verified by replay.
+decoded into a sequence and re-verified by `verify`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from operator import neg
 from .bounds import greedy_sequence
 from .cnf import Formula, serialize_dimacs
 from .sequence import ContractionSequence, verify
-from .trigraph import RED, SignedTrigraph
+from .trigraph import RED, SignedTrigraph, require_sides
 
 
 class DecodeError(ValueError):
@@ -168,9 +168,7 @@ class _Prefix:
 def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
     """The clauses of `encode` that do not depend on d, in its order."""
     vertices = graph.vertices()
-    for v in vertices:
-        if graph.side(v) is None:
-            raise ValueError(f"vertex {v} has no side; the encoding is bipartite-only")
+    require_sides(graph, "the encoding")
     for _, _, kind in graph.edges():
         if kind == RED:
             raise ValueError("the encoding starts from a red-free graph")
@@ -428,6 +426,7 @@ def exact_tww_via_solver(
     """
     if timeout is not None and math.isnan(timeout):
         raise ValueError("timeout is not a number")
+    require_sides(graph, "the exact search")
     base = greedy_sequence(graph, bipartite=True)
     best_width = base.declared_width or 0
     best_seq = base

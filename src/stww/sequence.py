@@ -1,9 +1,10 @@
-"""Contraction sequences: replay, verification, width, and .tws files.
+"""Contraction sequences: the one contraction, verification, width, and .tws files.
 
 A sequence step is a (keep, merge) pair in survivor-id convention: both ids
 refer to original vertices, and after the step the merged bag keeps
 answering to the keep id.  Internally each contraction creates a fresh
-vertex; ContractionLog maintains the label-to-vertex translation.
+vertex; ContractionLog maintains the label-to-vertex translation, and
+undo() takes its last step back.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .cnf import ParseError, header_counts, token_lines
 from .trigraph import RED, SignedTrigraph, merge_edges
@@ -51,29 +51,18 @@ class VerificationReport:
         return self.failure is None
 
 
-@dataclass(frozen=True)
-class ReplayStep:
-    index: int
-    keep_label: int
-    merge_label: int
-    keep_vertex: int
-    merge_vertex: int
-    new_vertex: int
-    before: SignedTrigraph
-    after: SignedTrigraph
-
-
 class ContractionLog:
     """One in-place contraction on a mutable adjacency, with no graph copies.
 
     ContractionLog(graph, seq) replays seq through contract(keep, merge);
-    ContractionLog(graph) starts an empty log for a builder to grow.  Records
+    ContractionLog(graph) starts an empty log for a builder to grow, and
+    undo() takes the last step back, so a search can backtrack.  Records
     each step's (x, y, z) vertex ids, the maximum red degree after it,
     whether every step stayed on one side, and the first failure of seq,
     where replay stops: an unknown label or, with require_bipartite, a
-    cross-side step.  For every vertex ever created it keeps side, bag,
-    birth level (0 for input vertices, i + 1 for step i's z), label and
-    edges.  label(v) is the label v answers to: an input vertex answers to
+    cross-side step.  For every vertex created and not undone it keeps
+    side, bag, birth level (0 for input vertices, i + 1 for step i's z),
+    label and edges.  label(v) is the label v answers to: an input vertex answers to
     its own id, and step (x, y, z) gives z the label of x, so the vertices
     of one level answer to distinct labels and a vertex keeps its label for
     as long as it exists.  The edge between two vertices never changes
@@ -97,6 +86,9 @@ class ContractionLog:
         self.per_step_max_red: list[int] = []
         self.bipartite = True
         self.failure: tuple[int, str] | None = None
+        # per step, what undo restores: x's and y's red degrees, _top, width
+        # and bipartite as they were before it
+        self._before: list[tuple[int, int, int, int, bool]] = []
         # current vertex -> red degree, and how many current vertices have each
         degree = self._red_degree = {v: len(self._red[v]) for v in adj}
         self._count = Counter(degree.values())
@@ -122,6 +114,7 @@ class ContractionLog:
         adj, red, side, degree, count = self._adj, self._red, self._side, self._red_degree, self._count
         x, y = self._vertex_of[keep], self._vertex_of.pop(merge)
         z = self._last_input + len(self.steps) + 1
+        self._before.append((degree[x], degree[y], self._top, self.width, self.bipartite))
         count[degree.pop(x)] -= 1
         count[degree.pop(y)] -= 1
         adj[z] = {w: kind for w, kind in merge_edges(adj[x], adj[y]).items() if w in degree}
@@ -148,6 +141,28 @@ class ContractionLog:
         self._vertex_of[keep] = z
         self._label[z] = keep
         return z
+
+    def undo(self) -> None:
+        """Take back the last contract: z and its edges go, x and y answer
+        to their labels again, and every red degree, the maxima and the
+        side flag are as they were before that step."""
+        adj, red, degree, count = self._adj, self._red, self._red_degree, self._count
+        x, y, z = self.steps.pop()
+        self.per_step_max_red.pop()
+        degree[x], degree[y], self._top, self.width, self.bipartite = self._before.pop()
+        count[degree.pop(z)] -= 1
+        count[degree[x]] += 1
+        count[degree[y]] += 1
+        for w, kind in adj.pop(z).items():
+            del adj[w][z]
+            red[w].discard(z)
+            count[degree[w]] -= 1
+            degree[w] -= (kind == RED) - (adj[x].get(w) == RED) - (adj[y].get(w) == RED)
+            count[degree[w]] += 1
+        del red[z], self._side[z]
+        self._bag.pop(z, None)
+        self._vertex_of[self._label.pop(z)] = x
+        self._vertex_of[self._label[y]] = y
 
     def check(self) -> ContractionLog:
         """The log itself, or ValueError('step i: reason') at its failure."""
@@ -196,20 +211,15 @@ class ContractionLog:
             self._bag[v] = frozenset(parts)
         return self._bag[v]
 
-
-def replay(graph: SignedTrigraph, seq: ContractionSequence) -> Iterator[ReplayStep]:
-    """Replay a sequence, yielding one ReplayStep per contraction.
-
-    After yielding every valid step, raises ValueError naming the step index
-    if a label is unknown (already merged away or never present).
-    """
-    log = ContractionLog(graph, seq)
-    current = graph
-    for idx, (x, y, z) in enumerate(log.steps):
-        after = current.contract(x, y)
-        yield ReplayStep(idx, *seq.steps[idx], x, y, z, current, after)
-        current = after
-    log.check()
+    def snapshot(self) -> SignedTrigraph:
+        """The last level as an immutable SignedTrigraph on the same ids."""
+        current = self.vertices()
+        return SignedTrigraph(
+            current,
+            [(u, w, kind) for u in current for w, kind in self.neighbors(u).items() if u < w],
+            sides={v: self._side[v] for v in current},
+            bags={v: self.bag(v) for v in current},
+        )
 
 
 def verify(
@@ -234,18 +244,11 @@ def width_of(graph: SignedTrigraph, seq: ContractionSequence) -> int:
 
 
 def final_graph(graph: SignedTrigraph, seq: ContractionSequence) -> SignedTrigraph:
-    """The last graph of the replay, built once from a ContractionLog.
+    """The last graph of the replay, a snapshot of one ContractionLog.
 
-    Raises the same ValueError as replay if a label is unknown.
+    Raises the log's ValueError('step i: reason') if a label is unknown.
     """
-    log = ContractionLog(graph, seq).check()
-    current = log.vertices()
-    return SignedTrigraph(
-        current,
-        [(u, w, kind) for u in current for w, kind in log.neighbors(u).items() if u < w],
-        sides={v: log.side(v) for v in current},
-        bags={v: log.bag(v) for v in current},
-    )
+    return ContractionLog(graph, seq).check().snapshot()
 
 
 def parse_sequence(text: str | bytes) -> ContractionSequence:

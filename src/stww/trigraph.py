@@ -1,9 +1,12 @@
-"""Signed trigraphs: positive, negative, and red edges, plus contraction.
+"""Signed trigraphs: immutable graph values with positive, negative and red
+edges, signed incidence graphs, and the .stg edge-list format.
 
 A trigraph vertex may carry a side tag (SIDE_VAR or SIDE_CLA) so that
 bipartite contraction sequences can be enforced; plain vertices have side
 None.  Every vertex owns a bag: the set of original vertices contracted
-into it.
+into it.  Contraction itself happens in sequence.ContractionLog; a
+SignedTrigraph is an input, a snapshot of a log's last level, or a
+generator's output.
 """
 
 from __future__ import annotations
@@ -32,15 +35,14 @@ def merge_edges(nu: Mapping[int, str], nv: Mapping[int, str]) -> dict[int, str]:
 
 
 class SignedTrigraph:
-    """Immutable signed trigraph; contract() returns a new graph.
+    """Immutable signed trigraph.
 
     Edges are stored as adjacency maps vertex -> neighbor -> kind, with red
     neighborhoods additionally indexed per vertex for cheap red-degree
-    queries.  A contraction's merged vertex always receives a fresh id
-    (one past the current maximum), so ids never clash across a sequence.
+    queries.
     """
 
-    __slots__ = ("_adj", "_red", "_side", "_bag", "_next_id")
+    __slots__ = ("_adj", "_red", "_side", "_bag")
 
     def __init__(
         self,
@@ -91,7 +93,6 @@ class SignedTrigraph:
         self._red = red
         self._side = side
         self._bag = bag
-        self._next_id = max(adj, default=0) + 1
 
     # -- queries ---------------------------------------------------------
 
@@ -132,98 +133,8 @@ class SignedTrigraph:
     def num_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
-    def fresh_id(self) -> int:
-        """Id the next contraction's merged vertex will receive."""
-        return self._next_id
-
     def max_red_degree(self) -> int:
         return max((len(nbrs) for nbrs in self._red.values()), default=0)
-
-    # -- construction ----------------------------------------------------
-
-    def contract(self, u: int, v: int) -> SignedTrigraph:
-        """Merge u and v into a fresh vertex whose edges follow merge_edges."""
-        if u == v:
-            raise ValueError("cannot contract a vertex with itself")
-        if u not in self._adj or v not in self._adj:
-            raise ValueError(f"cannot contract ({u},{v}): vertex missing")
-
-        w = self._next_id
-        merged = merge_edges(self._adj[u], self._adj[v])
-        merged.pop(u, None)
-        merged.pop(v, None)
-
-        new = SignedTrigraph.__new__(SignedTrigraph)
-        adj = {x: dict(nbrs) for x, nbrs in self._adj.items() if x != u and x != v}
-        red = {x: set(nbrs) for x, nbrs in self._red.items() if x != u and x != v}
-        for x in adj:
-            adj[x].pop(u, None)
-            adj[x].pop(v, None)
-            red[x].discard(u)
-            red[x].discard(v)
-        adj[w] = merged
-        red[w] = set()
-        for x, kind in merged.items():
-            adj[x][w] = kind
-            if kind == RED:
-                red[x].add(w)
-                red[w].add(x)
-        side = {x: s for x, s in self._side.items() if x != u and x != v}
-        side[w] = self._side[u] if self._side[u] == self._side[v] else None
-        bag = {x: b for x, b in self._bag.items() if x != u and x != v}
-        bag[w] = self._bag[u] | self._bag[v]
-
-        new._adj = adj
-        new._red = red
-        new._side = side
-        new._bag = bag
-        new._next_id = w + 1
-        return new
-
-    def partition_view(self, partition: Iterable[Iterable[int]]) -> SignedTrigraph:
-        """Quotient trigraph under a partition of the vertex set.
-
-        Bags X != Y are joined by POS (NEG) iff every cross pair is POS
-        (NEG), non-adjacent iff every cross pair is non-adjacent, and RED
-        otherwise.  Each part is represented by its minimum vertex id, so
-        the identity partition returns a graph equal to this one.
-        """
-        parts = [sorted(set(p)) for p in partition]
-        covered: set[int] = set()
-        for part in parts:
-            if not part:
-                raise ValueError("empty part in partition")
-            for x in part:
-                if x not in self._adj:
-                    raise ValueError(f"partition references unknown vertex {x}")
-                if x in covered:
-                    raise ValueError(f"vertex {x} appears in two parts")
-                covered.add(x)
-        if covered != set(self._adj):
-            missing = sorted(set(self._adj) - covered)
-            raise ValueError(f"partition misses vertices {missing}")
-
-        reps = [part[0] for part in parts]
-        sides: dict[int, int | None] = {}
-        bags: dict[int, frozenset[int]] = {}
-        for rep, part in zip(reps, parts):
-            part_sides = {self._side[x] for x in part}
-            sides[rep] = part_sides.pop() if len(part_sides) == 1 else None
-            bags[rep] = frozenset().union(*(self._bag[x] for x in part))
-        edges: list[tuple[int, int, str]] = []
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                kinds = {self._adj[x].get(y) for x in parts[i] for y in parts[j]}
-                if kinds == {POS}:
-                    kind = POS
-                elif kinds == {NEG}:
-                    kind = NEG
-                elif kinds == {None}:
-                    continue
-                else:
-                    kind = RED
-                edges.append((reps[i], reps[j], kind))
-        return SignedTrigraph(reps, edges, sides, bags)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedTrigraph):
@@ -239,6 +150,13 @@ class SignedTrigraph:
             f"SignedTrigraph({self.num_vertices} vertices, "
             f"{self.num_edges()} edges, max red degree {self.max_red_degree()})"
         )
+
+
+def require_sides(graph: SignedTrigraph, what: str) -> None:
+    """ValueError naming `what` unless every vertex of graph has a side."""
+    for v in graph.vertices():
+        if graph.side(v) is None:
+            raise ValueError(f"{what} needs every vertex on a side; {v} has none")
 
 
 def incidence_graph(formula: Formula) -> SignedTrigraph:

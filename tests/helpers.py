@@ -105,6 +105,27 @@ def random_bipartite_graph(rng, max_n=30, p=0.3, min_n=2):
     return SignedTrigraph(range(1, n + 1), edges, sides=sides)
 
 
+def contracted(g, u, v):
+    """Reference contraction, copy-on-contract: (h, w), where h is a new
+    SignedTrigraph in which u and v are one vertex w, one past the largest
+    id of g, and g is left as it was.  Toward every other vertex, w's edge
+    is POS (NEG) when u's and v's edges there are both POS (NEG), absent
+    when neither has one, and RED otherwise; w keeps the side u and v share
+    (else none) and holds both bags."""
+    w = max(g.vertices()) + 1
+    rest = [x for x in g.vertices() if x != u and x != v]
+    edges = [(a, b, kind) for a, b, kind in g.edges() if {a, b}.isdisjoint((u, v))]
+    for x in rest:
+        ku, kv = g.edge(u, x), g.edge(v, x)
+        if ku is not None or kv is not None:
+            edges.append((w, x, ku if ku == kv else RED))
+    sides = {x: g.side(x) for x in rest}
+    sides[w] = g.side(u) if g.side(u) == g.side(v) else None
+    bags = {x: g.bag(x) for x in rest}
+    bags[w] = g.bag(u) | g.bag(v)
+    return SignedTrigraph(rest + [w], edges, sides, bags), w
+
+
 def brute_min_bipartite_width(graph):
     """Reference exact bipartite twin-width: plain recursion, no memo tricks."""
 
@@ -118,7 +139,7 @@ def brute_min_bipartite_width(graph):
             return 0
         result = None
         for u, v in pairs:
-            h = g.contract(u, v)
+            h, _ = contracted(g, u, v)
             value = max(h.max_red_degree(), best(h))
             if result is None or value < result:
                 result = value
@@ -132,13 +153,13 @@ def reference_exact_witness(graph, bipartite=False):
     enumerated by plain recursion in sorted-label order, with no memo and
     no cap.  Returns (width, steps) for the first sequence whose largest
     red degree after a step is least; the width also counts the input's
-    own red degree.  A vertex's label is the smallest input id in its bag.
+    own red degree.  A vertex's label is the input vertex id it answers
+    to, and each step keeps the smaller label.
     """
     best = None
 
-    def walk(g, steps, worst):
+    def walk(g, label, steps, worst):
         nonlocal best
-        label = {v: min(g.bag(v)) for v in g.vertices()}
         pairs = sorted(
             (tuple(sorted((label[u], label[v]))), u, v)
             for u, v in itertools.combinations(g.vertices(), 2)
@@ -149,10 +170,11 @@ def reference_exact_witness(graph, bipartite=False):
                 best = (worst, tuple(steps))
             return
         for step, u, v in pairs:
-            h = g.contract(u, v)
-            walk(h, steps + [step], max(worst, h.max_red_degree()))
+            h, w = contracted(g, u, v)
+            rest = {x: name for x, name in label.items() if x != u and x != v}
+            walk(h, {**rest, w: step[0]}, steps + [step], max(worst, h.max_red_degree()))
 
-    walk(graph, [], 0)
+    walk(graph, {v: v for v in graph.vertices()}, [], 0)
     return max(graph.max_red_degree(), best[0]), best[1]
 
 
@@ -177,16 +199,16 @@ def reference_greedy(graph, bipartite=False, tie_break="smallest"):
             break
         best = None
         for u, v in pairs:
-            h = g.contract(u, v)
+            h, w = contracted(g, u, v)
             red_edges = sum(1 for _, _, kind in h.edges() if kind == RED)
             low, high = sorted((labels[u], labels[v]))
             tie = (low, high) if tie_break == "smallest" else (-low, -high)
             key = (h.max_red_degree(), red_edges, tie)
             if best is None or key < best[0]:
-                best = (key, u, v, h)
-        _, u, v, h = best
+                best = (key, u, v, h, w)
+        _, u, v, h, w = best
         keep, merge = sorted((labels[u], labels[v]))
-        labels[g.fresh_id()] = keep
+        labels[w] = keep
         del labels[u], labels[v]
         steps.append((keep, merge))
         g = h
@@ -195,7 +217,7 @@ def reference_greedy(graph, bipartite=False, tie_break="smallest"):
 
 
 def reference_verify(graph, seq, require_bipartite=False):
-    """Reference verify: contract SignedTrigraphs with a private label map.
+    """Reference verify: copy-on-contract with a private label map.
 
     Returns (width, per_step_max_red, is_bipartite_sequence, failure,
     step_ids), where step_ids holds (keep vertex, merge vertex, new vertex)
@@ -217,8 +239,7 @@ def reference_verify(graph, seq, require_bipartite=False):
             if require_bipartite:
                 failure = (idx, f"cross-side contraction ({keep},{merge})")
                 break
-        new = g.fresh_id()
-        g = g.contract(u, v)
+        g, new = contracted(g, u, v)
         labels[keep] = new
         step_ids.append((u, v, new))
         per_step.append(g.max_red_degree())
@@ -248,10 +269,9 @@ def reference_bipartize(graph, seq):
             if p is None or q is None:
                 merged.append(q if p is None else p)
                 continue
-            new = out.fresh_id()
+            out, new = contracted(out, p, q)
             keep, merge = sorted((labels.pop(p), labels.pop(q)))
             labels[new] = keep
-            out = out.contract(p, q)
             index_map[len(steps)] = index
             steps.append((keep, merge))
             output_width = max(output_width, out.max_red_degree())

@@ -47,7 +47,7 @@ from stww.generators import (
     is_partitioned_clique_shape,
 )
 from stww.oracle import bsat_oracle, bwmc_oracle
-from stww.sequence import ContractionSequence, replay, verify
+from stww.sequence import ContractionLog, ContractionSequence, verify
 from stww.trigraph import POS, SignedTrigraph, incidence_graph
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -157,9 +157,10 @@ def test_criterion_5_subdivided_cliques():
                 seq = subdivided_clique_sequence(g, clique)
                 assert verify(g, seq).failure is None
                 worst = max(len(g.neighbors(v)) for v in g.vertices())
-                for step in replay(g, seq):
-                    after = step.after
-                    degrees = (len(after.neighbors(v)) for v in after.vertices())
+                log = ContractionLog(g)
+                for keep, merge in seq.steps:
+                    log.contract(keep, merge)
+                    degrees = (len(log.neighbors(v)) for v in log.vertices())
                     worst = max(worst, max(degrees, default=0))
                 assert worst <= d - 1, (d, counts)
         under(60, start)
@@ -266,10 +267,15 @@ def quotient_is_subdivided_clique(formula, parts):
         pair = tuple(sorted((part_of[negatives[0]], part_of[negatives[1]])))
         groups.setdefault(pair, []).append(n + 1 + idx)
     blocks.extend(groups.values())
-    quotient = incidence_graph(formula).partition_view(blocks)
+    # each block contracted into its smallest id, which it answers to
+    log = ContractionLog(incidence_graph(formula))
+    for block in blocks:
+        for merge in block[1:]:
+            log.contract(block[0], merge)
+    quotient = log.vertices()
     unsigned = SignedTrigraph(
-        quotient.vertices(),
-        [(u, v, POS) for u, v, _kind in quotient.edges()],
+        [log.label(v) for v in quotient],
+        [(log.label(u), log.label(w), POS) for u in quotient for w in log.neighbors(u) if u < w],
     )
     reps = [min(block) for block in blocks[:d]]
     seq = subdivided_clique_sequence(unsigned, reps)  # validates the shape

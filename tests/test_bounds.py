@@ -13,7 +13,7 @@ from helpers import (
 )
 from stww.bounds import _WorkingGraph, exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
 from stww.generators import gen_grid, gen_random_ksat, gen_subdivided_clique
-from stww.sequence import replay, serialize_sequence, verify
+from stww.sequence import ContractionLog, ContractionSequence, final_graph, serialize_sequence, verify
 from stww.trigraph import NEG, POS, RED, SignedTrigraph, incidence_graph
 
 
@@ -161,18 +161,39 @@ def test_exact_bruteforce_work_is_bounded(monkeypatch):
     # one search per cap, stopping at its first witness, and each dead
     # partition expanded at most once under a cap
     calls = 0
-    contract = SignedTrigraph.contract
+    contract = ContractionLog.contract
 
-    def counting(self, u, v):
+    def counting(self, keep, merge):
         nonlocal calls
         calls += 1
-        return contract(self, u, v)
+        return contract(self, keep, merge)
 
-    monkeypatch.setattr(SignedTrigraph, "contract", counting)
+    monkeypatch.setattr(ContractionLog, "contract", counting)
     g = incidence_graph(gen_random_ksat(4, 2, 7, 1))
     width, _ = exact_tww_bruteforce(g, bipartite=True, max_vertices=11)
     assert width == 3
-    assert calls <= 1000
+    assert 0 < calls <= 1000
+
+
+def test_exact_bruteforce_witness_names_vertex_ids():
+    # h's vertex 5 holds the bag {3, 4}: a step names it 5, not 3
+    g = SignedTrigraph([1, 2, 3, 4], [(1, 3, POS), (2, 3, NEG), (2, 4, POS)])
+    h = final_graph(g, ContractionSequence(((3, 4),)))
+    assert h.vertices() == [1, 2, 5] and h.bag(5) == frozenset({3, 4})
+    width, seq = exact_tww_bruteforce(h)
+    assert (width, seq.steps) == (2, ((1, 2), (1, 5))) == reference_exact_witness(h)
+    assert verify(h, seq).width == width
+    sided = SignedTrigraph(
+        [1, 2, 3, 4, 5],
+        [(1, 3, POS), (2, 3, NEG), (2, 4, POS), (1, 5, NEG)],
+        sides={1: 0, 2: 0, 3: 1, 4: 1, 5: 1},
+    )
+    h = final_graph(sided, ContractionSequence(((3, 4),)))
+    for bipartite in (False, True):
+        width, seq = exact_tww_bruteforce(h, bipartite=bipartite)
+        assert (width, seq.steps) == reference_exact_witness(h, bipartite), bipartite
+        report = verify(h, seq, require_bipartite=bipartite)
+        assert report.ok and report.width == width, bipartite
 
 
 def test_bipartite_optimum_within_two_of_unrestricted():
@@ -198,9 +219,10 @@ def test_subdivided_clique_sequence_bound():
     report = verify(graph, seq)
     assert report.ok
     assert report.width <= 3
-    for step in replay(graph, seq):
-        worst = max(len(step.after.neighbors(v)) for v in step.after.vertices())
-        assert worst <= 3
+    log = ContractionLog(graph)
+    for keep, merge in seq.steps:
+        log.contract(keep, merge)
+        assert max(len(log.neighbors(v)) for v in log.vertices()) <= 3
 
 
 def test_subdivided_clique_recovers_vertices_from_degrees():
@@ -221,7 +243,7 @@ def test_subdivided_clique_triangle_needs_hint():
 def test_subdivided_clique_rejects_bad_inputs():
     graph, clique = gen_subdivided_clique(3, [1, 1, 1])
     with pytest.raises(ValueError, match="red"):
-        subdivided_clique_sequence(graph.contract(1, 2))
+        subdivided_clique_sequence(final_graph(graph, ContractionSequence(((1, 2),))))
     with pytest.raises(ValueError, match="degree"):
         subdivided_clique_sequence(graph, [1, 2])  # wrong classification
     path = SignedTrigraph([1, 2, 3], [(1, 2, POS), (2, 3, POS)])

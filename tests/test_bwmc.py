@@ -103,7 +103,7 @@ def test_base_record_entries():
 def test_realizes_semantics():
     f = or_clause()
     g = incidence_graph(f)
-    merged = g.contract(1, 2)  # variable twins -> vertex 4
+    merged = final_graph(g, ContractionSequence(((1, 2),)))  # variable twins -> vertex 4
     both_zero = Profile(fs(4), EMPTY, EMPTY, 0, EMPTY)
     assert realizes(both_zero, {1: 0, 2: 0}, g, merged)
     assert not realizes(both_zero, {1: 1, 2: 0}, g, merged)

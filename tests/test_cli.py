@@ -310,6 +310,14 @@ def test_exact_with_bundled_solver(capsys, monkeypatch, tmp_path, mini_solver_cm
     assert report.failure is None and report.width == 2
 
 
+def test_exact_on_an_unsided_graph_names_the_exact_search(capsys, tmp_path, mini_solver_cmd):
+    graph = tmp_path / "unsided.stg"
+    graph.write_text("p stg 2 1\n1 2 +\n")
+    code, out, err = run(capsys, "exact", str(graph), "--solver", shlex.join(mini_solver_cmd))
+    assert (code, out) == (EX_DATA, "")
+    assert err == "stww: the exact search needs every vertex on a side; 1 has none\n"
+
+
 @pytest.mark.parametrize("timeout, code, printed", [
     ("inf", EX_OK, "2\n"),  # no limit
     ("1e9", EX_OK, "2\n"),  # longer than one poll can wait: no limit

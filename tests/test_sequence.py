@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import random_bipartite_graph, reference_verify
+from helpers import contracted, random_bipartite_graph, reference_verify
 from test_acceptance import implication_chain, zip_sequence
 from stww.bounds import greedy_sequence
 from stww.cnf import ParseError
@@ -11,7 +11,6 @@ from stww.sequence import (
     ContractionSequence,
     final_graph,
     parse_sequence,
-    replay,
     serialize_sequence,
     verify,
     width_of,
@@ -35,17 +34,17 @@ def test_sequence_validation():
             ContractionSequence((labels,))
 
 
-def test_replay_survivor_labels():
+def test_log_survivor_labels():
     g = path4()
-    steps = list(replay(g, ContractionSequence(((2, 1), (2, 3)))))
-    first, second = steps
-    assert (first.keep_label, first.merge_label) == (2, 1)
-    assert (first.keep_vertex, first.merge_vertex, first.new_vertex) == (2, 1, 5)
-    # the label 2 now answers for the merged vertex 5
-    assert (second.keep_vertex, second.merge_vertex, second.new_vertex) == (5, 3, 6)
-    assert second.after.bag(6) == frozenset({1, 2, 3})
-    with pytest.raises(ValueError, match="unknown vertex id 1"):
-        list(replay(g, ContractionSequence(((2, 1), (1, 3)))))
+    log = ContractionLog(g, ContractionSequence(((2, 1), (2, 3))))
+    # the label 2 answers for the merged vertex 5, which step two merges
+    assert log.steps == [(2, 1, 5), (5, 3, 6)]
+    assert [log.label(v) for v in (5, 6)] == [2, 2]
+    assert log.bag(6) == frozenset({1, 2, 3})
+    bad = ContractionLog(g, ContractionSequence(((2, 1), (1, 3))))
+    assert bad.steps == [(2, 1, 5)]
+    with pytest.raises(ValueError, match="step 1: unknown vertex id 1"):
+        bad.check()
 
 
 def test_verify_reports_width_and_per_step():
@@ -177,7 +176,7 @@ def random_sequence_case(rng):
     return graph, ContractionSequence(tuple(steps))
 
 
-def test_verify_and_replay_match_reference_contractions():
+def test_verify_and_a_grown_log_match_reference_contractions():
     seen = set()
     for seed in range(300):
         graph, seq = random_sequence_case(random.Random(seed))
@@ -189,29 +188,55 @@ def test_verify_and_replay_match_reference_contractions():
             if failure is not None:
                 seen.add((strict, failure[1].split()[0]))
         width, per_step, bipartite, failure, step_ids = reference_verify(graph, seq)
-        yielded, last = [], graph
-        grown, grown_width = ContractionLog(graph), graph.max_red_degree()
-        try:
-            for step in replay(graph, seq):
-                yielded.append((step.keep_vertex, step.merge_vertex, step.new_vertex))
-                last = step.after
-                # a log grown one contract at a time tracks every snapshot
-                assert grown.contract(step.keep_label, step.merge_label) == step.new_vertex
-                assert grown.vertices() == last.vertices(), seed
-                for v in last.vertices():
-                    assert grown.neighbors(v) == last.neighbors(v), seed
-                    assert grown.red_degree(v) == last.red_degree(v), seed
-                grown_width = max(grown_width, last.max_red_degree())
-                assert grown.width == grown_width, seed
-        except ValueError as exc:
-            assert failure is not None and str(exc) == f"step {failure[0]}: {failure[1]}", seed
+        # a log grown one contract at a time tracks every reference snapshot
+        grown, last = ContractionLog(graph), graph
+        for (keep, merge), (x, y, z) in zip(seq.steps, step_ids):
+            assert (grown.vertex(keep), grown.vertex(merge)) == (x, y), seed
+            last, new = contracted(last, x, y)
+            assert grown.contract(keep, merge) == new == z, seed
+            assert grown.snapshot() == last, seed
+            for v in last.vertices():
+                assert grown.red_degree(v) == last.red_degree(v), seed
+        assert grown.width == max([graph.max_red_degree(), *per_step]), seed
+        if failure is not None:
             with pytest.raises(ValueError) as raised:
                 final_graph(graph, seq)
-            assert str(raised.value) == str(exc), seed
+            assert str(raised.value) == f"step {failure[0]}: {failure[1]}", seed
         else:
-            assert failure is None, seed
-            final = final_graph(graph, seq)
-            assert (final, final.fresh_id()) == (last, last.fresh_id()), seed
-        assert yielded == step_ids, seed
+            assert final_graph(graph, seq) == last, seed
     # both failure kinds occur, the cross-side one only when it is required
     assert seen == {(False, "unknown"), (True, "unknown"), (True, "cross-side")}
+
+
+def random_red_sided_graph(rng):
+    """Random sided graph, each cross edge POS, NEG or RED."""
+    graph = random_bipartite_graph(rng, max_n=10, p=0.5)
+    edges = [(u, v, RED if rng.random() < 0.3 else kind) for u, v, kind in graph.edges()]
+    return SignedTrigraph(graph.vertices(), edges, {v: graph.side(v) for v in graph.vertices()})
+
+
+def log_state(log):
+    """Every field of a log, with the bag of every vertex it holds gathered."""
+    for v in log._adj:
+        log.bag(v)
+    return vars(log)
+
+
+def test_undo_restores_the_log_of_the_remaining_prefix():
+    undone = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        graph = random_red_sided_graph(rng)
+        log, prefix = ContractionLog(graph), []
+        for _ in range(30):
+            labels = [log.label(v) for v in log.vertices()]
+            if prefix and (len(labels) < 2 or rng.random() < 0.4):
+                log.undo()
+                prefix.pop()
+                undone += 1
+            else:
+                prefix.append(tuple(rng.sample(labels, 2)))
+                log.contract(*prefix[-1])
+            fresh = ContractionLog(graph, ContractionSequence(tuple(prefix)))
+            assert log_state(log) == log_state(fresh), (seed, prefix)
+    assert undone > 1000

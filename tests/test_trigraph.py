@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import random_bipartite_graph, random_formula
 from stww.cnf import Formula, ParseError
 from stww.generators import gen_grid
+from stww.sequence import ContractionLog
 from stww.trigraph import (
     NEG,
     POS,
@@ -41,7 +42,6 @@ def test_queries():
     assert g.bag(2) == frozenset({2})
     assert g.side(1) is None
     assert sorted(g.edges()) == [(1, 2, POS), (1, 3, RED), (2, 3, NEG)]
-    assert g.fresh_id() == 4
 
 
 @pytest.mark.parametrize(
@@ -78,15 +78,12 @@ def test_contract_sign_rules():
             (1, 6, POS),                          # present vs absent
         ],
     )
-    h = g.contract(1, 2)
-    w = 7
-    assert not h.has_vertex(1) and not h.has_vertex(2)
-    assert h.edge(w, 3) == POS
-    assert h.edge(w, 4) == NEG
-    assert h.edge(w, 5) == RED
-    assert h.edge(w, 6) == RED
-    assert h.bag(w) == frozenset({1, 2})
-    assert h.red_neighbors(5) == frozenset({w})
+    log = ContractionLog(g)
+    w = log.contract(1, 2)
+    assert w == 7 and log.vertices() == [3, 4, 5, 6, 7]
+    assert log.neighbors(w) == {3: POS, 4: NEG, 5: RED, 6: RED}
+    assert log.bag(w) == frozenset({1, 2})
+    assert log.red_degree(5) == 1 and w in log.red_neighbors(5)
     assert g.edge(1, 3) == POS  # original untouched
 
 
@@ -94,40 +91,26 @@ def test_contract_red_absorbs_and_sides():
     g = SignedTrigraph(
         [1, 2, 3], [(1, 3, RED), (2, 3, RED)], sides={1: 0, 2: 0, 3: 1}
     )
-    h = g.contract(1, 2)
-    assert h.edge(4, 3) == RED
-    assert h.side(4) == 0
-    cross = SignedTrigraph([1, 2], sides={1: 0, 2: 1})
-    merged = cross.contract(1, 2)
-    assert merged.side(3) is None
+    log = ContractionLog(g)
+    assert log.contract(1, 2) == 4
+    assert log.edge(4, 3) == RED
+    assert log.side(4) == 0
+    cross = ContractionLog(SignedTrigraph([1, 2], sides={1: 0, 2: 1}))
+    assert cross.contract(1, 2) == 3
+    assert cross.side(3) is None
 
 
-def test_contract_errors():
-    g = triangle()
-    with pytest.raises(ValueError):
-        g.contract(1, 1)
-    with pytest.raises(ValueError):
-        g.contract(1, 9)
-
-
-def test_partition_view_identity_and_quotient():
+def test_block_contraction_on_a_log():
     g = SignedTrigraph(
         [1, 2, 3, 4],
         [(1, 3, POS), (2, 3, POS), (1, 4, NEG), (2, 4, POS)],
     )
-    assert g.partition_view([[1], [2], [3], [4]]) == g
-    q = g.partition_view([[1, 2], [3], [4]])
-    assert q.edge(1, 3) == POS     # both cross pairs positive
-    assert q.edge(1, 4) == RED     # mixed signs
-    assert q.bag(1) == frozenset({1, 2})
-    with pytest.raises(ValueError, match="empty part"):
-        g.partition_view([[], [1, 2, 3, 4]])
-    with pytest.raises(ValueError, match="two parts"):
-        g.partition_view([[1, 2], [2, 3, 4]])
-    with pytest.raises(ValueError, match="misses"):
-        g.partition_view([[1, 2]])
-    with pytest.raises(ValueError, match="unknown"):
-        g.partition_view([[1, 2, 3, 4, 9]])
+    log = ContractionLog(g)
+    block = log.contract(1, 2)
+    assert log.edge(block, 3) == POS     # both cross pairs positive
+    assert log.edge(block, 4) == RED     # mixed signs
+    assert log.bag(block) == frozenset({1, 2})
+    assert log.label(block) == 1
 
 
 def test_incidence_graph_layout():
@@ -232,13 +215,13 @@ def test_random_round_trip_and_contraction_invariants(seed):
     g = random_bipartite_graph(rng, max_n=12)
     assert parse_graph(serialize_graph(g)) == g
 
-    h = g
-    while h.num_vertices > 1:
-        vs = h.vertices()
+    log = ContractionLog(g)
+    while len(log.vertices()) > 1:
+        vs = log.vertices()
         u, v = rng.sample(vs, 2)
-        before_bags = [h.bag(x) for x in vs]
-        new = h.fresh_id()
-        h = h.contract(u, v)
+        before_bags = [log.bag(x) for x in vs]
+        new = log.contract(log.label(u), log.label(v))
+        h = log.snapshot()
         # bags partition the original vertex set at every level
         bags = [h.bag(x) for x in h.vertices()]
         assert sorted(x for b in bags for x in b) == sorted(
