@@ -692,11 +692,12 @@ def dp_records(
     log = _validated_log(graph, seq)
     budget = min(k, formula.num_vars)
     max_region = _region_threshold(budget, log.width)
-    # each level's graph, a snapshot of a log grown one step at a time
-    grown, graphs = ContractionLog(graph), [graph]
-    for keep, merge in seq.steps:
-        grown.contract(keep, merge)
-        graphs.append(grown.snapshot())
+    # each level's graph, a snapshot of the log at that level's vertices
+    level, graphs = set(graph.vertices()), [graph]
+    for x, y, z in log.steps:
+        level -= {x, y}
+        level.add(z)
+        graphs.append(log.snapshot(level))
     levels = [enumerate_red_connected(graph, max_region) for graph in graphs]
     roots = itertools.chain.from_iterable(levels)
     tables = _region_tables(log, roots, weights, budget, stats if stats is not None else {})

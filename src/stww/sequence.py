@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .cnf import ParseError, header_counts, token_lines
@@ -98,21 +99,33 @@ class ContractionLog:
         # vertex -> the label it answers to, for every vertex ever created
         self._label = {v: v for v in adj}
         for idx, (keep, merge) in enumerate(seq.steps if seq is not None else ()):
-            unknown = [label for label in (keep, merge) if label not in self._vertex_of]
-            if unknown:
-                self.failure = (idx, f"unknown vertex id {unknown[0]}")
+            try:
+                if require_bipartite:
+                    x, y = self._pair(keep, merge)
+                    if side[x] is None or side[x] != side[y]:
+                        raise ValueError(f"cross-side contraction ({keep},{merge})")
+                self.contract(keep, merge)
+            except ValueError as err:
+                self.failure = (idx, str(err))
                 return
-            x, y = self._vertex_of[keep], self._vertex_of[merge]
-            if require_bipartite and (side[x] is None or side[x] != side[y]):
-                self.failure = (idx, f"cross-side contraction ({keep},{merge})")
-                return
-            self.contract(keep, merge)
+
+    def _pair(self, keep: int, merge: int) -> tuple[int, int]:
+        """The current vertices answering to keep and merge, or ValueError."""
+        for label in (keep, merge):
+            if label not in self._vertex_of:
+                raise ValueError(f"unknown vertex id {label}")
+        if keep == merge:
+            raise ValueError(f"cannot contract {keep} with itself")
+        return self._vertex_of[keep], self._vertex_of[merge]
 
     def contract(self, keep: int, merge: int) -> int:
         """Merge the vertices answering to labels keep and merge into a
-        fresh vertex z, which answers to keep from now on; return z."""
+        fresh vertex z, which answers to keep from now on; return z.
+        Raises ValueError, leaving the log as it was, when a label is
+        unknown or the two labels are equal."""
         adj, red, side, degree, count = self._adj, self._red, self._side, self._red_degree, self._count
-        x, y = self._vertex_of[keep], self._vertex_of.pop(merge)
+        x, y = self._pair(keep, merge)
+        del self._vertex_of[merge]
         z = self._last_input + len(self.steps) + 1
         self._before.append((degree[x], degree[y], self._top, self.width, self.bipartite))
         count[degree.pop(x)] -= 1
@@ -211,12 +224,14 @@ class ContractionLog:
             self._bag[v] = frozenset(parts)
         return self._bag[v]
 
-    def snapshot(self) -> SignedTrigraph:
-        """The last level as an immutable SignedTrigraph on the same ids."""
-        current = self.vertices()
+    def snapshot(self, level: Iterable[int] | None = None) -> SignedTrigraph:
+        """A level as an immutable SignedTrigraph on the same ids: the last
+        level, or the earlier one whose vertices are given."""
+        current = self.vertices() if level is None else sorted(level)
+        alive = set(current)
         return SignedTrigraph(
             current,
-            [(u, w, kind) for u in current for w, kind in self.neighbors(u).items() if u < w],
+            [(u, w, kind) for u in current for w, kind in self._adj[u].items() if u < w and w in alive],
             sides={v: self._side[v] for v in current},
             bags={v: self.bag(v) for v in current},
         )

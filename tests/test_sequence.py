@@ -189,14 +189,18 @@ def test_verify_and_a_grown_log_match_reference_contractions():
                 seen.add((strict, failure[1].split()[0]))
         width, per_step, bipartite, failure, step_ids = reference_verify(graph, seq)
         # a log grown one contract at a time tracks every reference snapshot
-        grown, last = ContractionLog(graph), graph
+        grown, last, levels = ContractionLog(graph), graph, [graph]
         for (keep, merge), (x, y, z) in zip(seq.steps, step_ids):
             assert (grown.vertex(keep), grown.vertex(merge)) == (x, y), seed
             last, new = contracted(last, x, y)
+            levels.append(last)
             assert grown.contract(keep, merge) == new == z, seed
             assert grown.snapshot() == last, seed
             for v in last.vertices():
                 assert grown.red_degree(v) == last.red_degree(v), seed
+        # every earlier level, read off the last log by its vertices
+        for reference in levels:
+            assert grown.snapshot(reference.vertices()) == reference, seed
         assert grown.width == max([graph.max_red_degree(), *per_step]), seed
         if failure is not None:
             with pytest.raises(ValueError) as raised:

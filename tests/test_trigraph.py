@@ -85,6 +85,15 @@ def test_contract_sign_rules():
     assert log.bag(w) == frozenset({1, 2})
     assert log.red_degree(5) == 1 and w in log.red_neighbors(5)
     assert g.edge(1, 3) == POS  # original untouched
+    # a label contracted with itself or answering to no vertex leaves the log as it was
+    before = (log.vertices(), log.steps[:], {v: log.neighbors(v) for v in log.vertices()})
+    for keep, merge, message in [(3, 3, "cannot contract 3 with itself"), (1, 9, "unknown vertex id 9"),
+                                 (9, 3, "unknown vertex id 9"), (3, 2, "unknown vertex id 2")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            log.contract(keep, merge)
+        assert (log.vertices(), log.steps, {v: log.neighbors(v) for v in log.vertices()}) == before
+        assert (log.vertex(1), log.vertex(3)) == (7, 3)
+    assert log.contract(1, 3) == 8
 
 
 def test_contract_red_absorbs_and_sides():
@@ -228,10 +237,16 @@ def test_random_round_trip_and_contraction_invariants(seed):
             x for b in before_bags for x in b
         )
         assert h.bag(new) == g_bag_union(before_bags, vs, u, v)
-        # red adjacency is symmetric and matches edge kinds
-        for x in h.vertices():
-            for y in h.red_neighbors(x):
-                assert h.edge(x, y) == RED and x in h.red_neighbors(y)
+        # the log's own red index is symmetric and matches its edge kinds,
+        # and its edges are symmetric, at the current level
+        current = log.vertices()
+        for x in current:
+            assert log.red_degree(x) == len(log.red_neighbors(x) & set(current))
+            for y in log.red_neighbors(x) & set(current):
+                assert log.edge(x, y) == RED and x in log.red_neighbors(y)
+            for y in current:
+                assert log.edge(x, y) == log.edge(y, x)
+                assert (log.edge(x, y) == RED) == (y in log.red_neighbors(x))
 
 
 def g_bag_union(before_bags, vs, u, v):
