@@ -68,7 +68,6 @@ from .sequence import (
     parse_sequence,
     serialize_sequence,
     verify,
-    width_of,
 )
 from .trigraph import (
     NEG,

@@ -1,69 +1,78 @@
 """Brute-force reference answers for bounded-ones model counting.
 
 These exist to check the dynamic-programming engine, so they share no code
-with it: bwmc_oracle enumerates assignments in Gray-code order with
-incremental clause-satisfaction counters, and bsat_oracle is a separate
-branching search with budget pruning.
+with it: bwmc_oracle walks the sets of at most k variables set to 1, depth
+first with incremental clause-satisfaction counters, and bsat_oracle is a
+separate branching search with budget pruning.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, prod
 
 from .cnf import Formula, WeightFunction
 
-# Full enumeration above this many variables is not worth waiting for.
-MAX_ORACLE_VARS = 24
+# Enumerating more sets of ones than this is not worth waiting for.
+MAX_ORACLE_SETS = 1 << 24
 
 
 def bwmc_oracle(formula: Formula, weights: WeightFunction, k: int) -> Fraction:
     """Sum of assignment weights over models with at most k ones.
 
-    Enumerates all 2^n assignments via Gray code, maintaining per-clause
-    counts of currently-true literals, and recomputes the weight product
-    only for assignments that are counted.
+    Visits the sum over i <= min(k, n) of C(n, i) sets of variables set to
+    1, depth first from the all-zero assignment, setting variables to 1 in
+    increasing order.  Each clause's count of true literals and the number
+    of unsatisfied clauses follow every flip and its undo, and the weight
+    product is computed only for assignments that are counted.  Refuses
+    more than MAX_ORACLE_SETS sets before any work.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     n = formula.num_vars
-    if n > MAX_ORACLE_VARS:
-        raise ValueError(f"oracle refuses {n} > {MAX_ORACLE_VARS} variables")
+    # no need to sum past i = 25: 25 ones among n >= 25 variables already
+    # make more than 2^24 sets, so the search is never deeper than 24
+    if sum(comb(n, i) for i in range(min(k, n, 25) + 1)) > MAX_ORACLE_SETS:
+        raise ValueError(f"oracle refuses to visit more than {MAX_ORACLE_SETS} sets "
+                         f"of at most {k} ones among {n} variables")
 
-    # touched[v] lists (clause index, sign) for each occurrence of variable v.
-    touched: dict[int, list[tuple[int, int]]] = {v: [] for v in formula.variables()}
+    # positive[v] and negative[v] list the clauses where v occurs as v and
+    # as -v, so setting v to 1 makes a literal true in the first and false
+    # in the second
+    positive: list[list[int]] = [[] for _ in range(n + 1)]
+    negative: list[list[int]] = [[] for _ in range(n + 1)]
     for idx, clause in enumerate(formula.clauses):
         for lit in clause:
-            touched[abs(lit)].append((idx, 1 if lit > 0 else -1))
-
+            (positive if lit > 0 else negative)[abs(lit)].append(idx)
+    true_count = [sum(1 for lit in clause if lit < 0) for clause in formula.clauses]
+    unsat = true_count.count(0)
     bits = [0] * (n + 1)
-    sat_count = [sum(1 for lit in clause if lit < 0) for clause in formula.clauses]
-    num_unsat = sum(1 for count in sat_count if count == 0)
-    ones_count = 0
-
-    def current_weight() -> Fraction:
-        total = Fraction(1)
-        for v in range(1, n + 1):
-            total *= weights.of(v if bits[v] else -v)
-        return total
-
     total = Fraction(0)
-    if num_unsat == 0 and ones_count <= k:
-        total += current_weight()
-    for step in range(1, 1 << n):
-        v = (step & -step).bit_length()  # variable to flip, 1-based
-        new_value = bits[v] ^ 1
-        bits[v] = new_value
-        ones_count += 1 if new_value else -1
-        for idx, sign in touched[v]:
-            gained = (sign > 0) == bool(new_value)
-            before = sat_count[idx]
-            sat_count[idx] = before + (1 if gained else -1)
-            if gained and before == 0:
-                num_unsat -= 1
-            elif not gained and before == 1:
-                num_unsat += 1
-        if num_unsat == 0 and ones_count <= k:
-            total += current_weight()
+
+    def visit(first: int, ones_left: int) -> None:
+        # the variables from first on are all 0
+        nonlocal total, unsat
+        if unsat == 0:
+            total += prod(weights.of(v if bits[v] else -v) for v in range(1, n + 1))
+        if ones_left:
+            for v in range(first, n + 1):
+                bits[v] = 1
+                for idx in positive[v]:
+                    unsat -= not true_count[idx]
+                    true_count[idx] += 1
+                for idx in negative[v]:
+                    true_count[idx] -= 1
+                    unsat += not true_count[idx]
+                visit(v + 1, ones_left - 1)
+                for idx in positive[v]:
+                    true_count[idx] -= 1
+                    unsat += not true_count[idx]
+                for idx in negative[v]:
+                    unsat -= not true_count[idx]
+                    true_count[idx] += 1
+                bits[v] = 0
+
+    visit(1, min(k, n))
     return total
 
 

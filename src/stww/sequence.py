@@ -253,11 +253,6 @@ def verify(
     )
 
 
-def width_of(graph: SignedTrigraph, seq: ContractionSequence) -> int:
-    """Width of one verified sequence (an upper bound on the twin-width)."""
-    return ContractionLog(graph, seq).check().width
-
-
 def final_graph(graph: SignedTrigraph, seq: ContractionSequence) -> SignedTrigraph:
     """The last graph of the replay, a snapshot of one ContractionLog.
 

@@ -286,50 +286,6 @@ def reference_bipartize(graph, seq):
     return tuple(steps), index_map, frozenset(doubled), input_width, output_width
 
 
-def bounded_ones_count(formula, weights, k):
-    """Σ w(π) over models π of `formula` with at most k ones, by enumerating
-    the Σ_{i≤k} C(n, i) sets of variables set to 1 (n^k work, not 2^n).
-
-    Starts from the all-zero assignment, where the unsatisfied clauses are
-    exactly the all-positive ones, and sets variables to 1 in increasing
-    order, depth first, keeping each clause's count of true literals and the
-    number of unsatisfied clauses up to date on every flip and its undo.
-    """
-    n = formula.num_vars
-    clauses = [tuple(clause) for clause in formula.clauses]
-    occurrences = defaultdict(list)
-    for idx, clause in enumerate(clauses):
-        for lit in clause:
-            occurrences[abs(lit)].append((idx, lit > 0))
-    true_count = [sum(1 for lit in clause if lit < 0) for clause in clauses]
-    unsat = sum(1 for count in true_count if count == 0)
-    # zeros_from[v] = product of w(-u) over u >= v
-    zeros_from = [Fraction(1)] * (n + 2)
-    for v in range(n, 0, -1):
-        zeros_from[v] = weights.of(-v) * zeros_from[v + 1]
-
-    def flip(v, delta):
-        nonlocal unsat
-        for idx, positive in occurrences[v]:
-            before = true_count[idx]
-            true_count[idx] = after = before + (delta if positive else -delta)
-            unsat += (after == 0) - (before == 0)
-
-    def extend(last, weight, ones_left):
-        # weight covers variables 1..last; all later variables are still 0
-        total = weight * zeros_from[last + 1] if unsat == 0 else Fraction(0)
-        if ones_left:
-            gap = Fraction(1)
-            for v in range(last + 1, n + 1):
-                flip(v, 1)
-                total += extend(v, weight * gap * weights.of(v), ones_left - 1)
-                flip(v, -1)
-                gap *= weights.of(-v)
-        return total
-
-    return extend(0, Fraction(1), min(k, n))
-
-
 def brute_hitting_set_exists(universe, sets, k):
     """Is there a ≤ k element subset of the universe meeting every set?"""
     for size in range(0, k + 1):

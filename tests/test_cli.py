@@ -273,6 +273,21 @@ def test_oracle_bsat_on_a_long_chain(capsys, tmp_path):
     assert out.strip() == "true"
 
 
+def test_oracle_bwmc_past_24_variables(capsys, tmp_path):
+    # the oracle walks the 821 sets of at most 2 ones out of 40 variables;
+    # at k = 7 there are more than 2^24 such sets, past its bound
+    cnf = tmp_path / "wide.cnf"
+    code, _out, _err = run(capsys, "gen", "ksat", "40", "3", "40", "5", "-o", str(cnf))
+    assert code == EX_OK
+    seq = greedy_to_file(capsys, tmp_path, str(cnf))
+    code, dp_out, _err = run(capsys, "bwmc", str(cnf), seq, "-k", "2")
+    assert code == EX_OK and dp_out.splitlines()[0] == "52"
+    assert run(capsys, "oracle", "bwmc", str(cnf), "-k", "2") == (EX_OK, dp_out, "")
+    code, out, err = run(capsys, "oracle", "bwmc", str(cnf), "-k", "7")
+    assert (code, out) == (EX_DATA, "")
+    assert err.startswith("stww: oracle refuses ") and err.count("\n") == 1
+
+
 def test_exact_without_solver_is_an_env_error(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("TWW_SOLVER", raising=False)
     grid = tmp_path / "grid.stg"

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import random_formula, random_weights
 from stww.cnf import Formula, WeightFunction, assignment_weight, ones, satisfies
-from stww.oracle import MAX_ORACLE_VARS, bsat_oracle, bwmc_oracle
+from stww.oracle import bsat_oracle, bwmc_oracle
 
 
 def test_single_or_clause_counts():
@@ -39,14 +39,19 @@ def test_edge_formulas():
     assert bsat_oracle(unconstrained, 0)
 
 
-def test_input_guards():
+def test_input_guards(monkeypatch):
     f = Formula(1, ())
     with pytest.raises(ValueError):
         bwmc_oracle(f, WeightFunction(), -1)
     with pytest.raises(ValueError):
         bsat_oracle(f, -1)
+    wide = Formula(25, ())
+    # the guard counts the sets of ones before it weighs a single assignment
+    monkeypatch.setattr(WeightFunction, "of", lambda self, literal: pytest.fail("enumerated"))
     with pytest.raises(ValueError, match="refuses"):
-        bwmc_oracle(Formula(MAX_ORACLE_VARS + 1, ()), WeightFunction(), 1)
+        bwmc_oracle(wide, WeightFunction(), 25)  # 2^25 sets of ones
+    monkeypatch.undo()
+    assert bwmc_oracle(wide, WeightFunction(), 1) == 26  # the empty set and 25 singletons
 
 
 def brute_count(formula, weights, k):
@@ -68,6 +73,14 @@ def test_oracles_match_direct_enumeration():
         assert bwmc_oracle(f, w, k) == expected
         positive = brute_count(f, WeightFunction(), k)
         assert bsat_oracle(f, k) == (positive > 0)
+    # clause widths 2-4 with zero and negative weights, at every budget up
+    # to one past the number of variables
+    for seed in range(100):
+        rng = random.Random(seed)
+        f = random_formula(rng, max_vars=10, max_clauses=12, widths=(2, 3, 4))
+        w = random_weights(rng, f.num_vars, zeros=True, negatives=True)
+        for k in range(f.num_vars + 2):
+            assert bwmc_oracle(f, w, k) == brute_count(f, w, k), (seed, k)
 
 
 def test_bwmc_monotone_in_k_for_nonnegative_weights():

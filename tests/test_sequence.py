@@ -13,7 +13,6 @@ from stww.sequence import (
     parse_sequence,
     serialize_sequence,
     verify,
-    width_of,
 )
 from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
@@ -55,7 +54,7 @@ def test_verify_reports_width_and_per_step():
     assert report.width == max(report.per_step_max_red)
     assert len(report.per_step_max_red) == 3
     assert report.width == 1
-    assert width_of(g, ContractionSequence(((1, 2), (3, 4), (1, 3)))) == 1
+    assert ContractionLog(g, ContractionSequence(((1, 2), (3, 4), (1, 3)))).check().width == 1
 
 
 def test_verify_counts_initial_red_edges():
@@ -70,7 +69,7 @@ def test_verify_failures():
     assert not report.ok
     assert report.failure[0] == 0 and "unknown" in report.failure[1]
     with pytest.raises(ValueError, match="step 0"):
-        width_of(g, ContractionSequence(((1, 9),)))
+        ContractionLog(g, ContractionSequence(((1, 9),))).check().width
 
     sided = SignedTrigraph([1, 2, 3], [(1, 2, POS)], sides={1: 0, 2: 1, 3: 0})
     cross = ContractionSequence(((1, 2),))
