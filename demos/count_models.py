@@ -11,9 +11,9 @@ from stww import (
     Formula,
     WeightFunction,
     bwmc_oracle,
-    estimate_bounds,
     greedy_sequence,
     incidence_graph,
+    region_cap,
     serialize_dimacs,
     solve_bwmc,
     verify,
@@ -35,11 +35,7 @@ report = verify(graph, seq, require_bipartite=True)
 print(f"greedy bipartite sequence: {len(seq.steps)} steps, width {report.width}")
 
 for k in range(0, 4):
-    bound = estimate_bounds(graph.num_vertices, k, report.width)
     value = solve_bwmc(formula, weights, k, seq)
     check = bwmc_oracle(formula, weights, k)
     assert value == check
-    print(
-        f"k={k}: count {value}  "
-        f"(region cap {bound.max_region_size}, profile bound {bound.profile_count_bound})"
-    )
+    print(f"k={k}: count {value}  (region cap {region_cap(k, report.width)})")

@@ -8,13 +8,11 @@ counting over a provided contraction sequence.
 from .bipartize import BipartizationResult, HalfDegreeError, bipartize
 from .bounds import exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
 from .bwmc import (
-    ComplexityEstimate,
     Profile,
     dp_records,
     enumerate_red_connected,
-    estimate_bounds,
     finalize,
-    realizes,
+    region_cap,
     solve_bwmc,
 )
 from .cnf import (
@@ -58,13 +56,11 @@ from .generators import (
     gen_partitioned_clique_formula,
     gen_random_ksat,
     gen_subdivided_clique,
-    is_partitioned_clique_shape,
 )
 from .oracle import bsat_oracle, bwmc_oracle
 from .sequence import (
     ContractionSequence,
     VerificationReport,
-    final_graph,
     parse_sequence,
     serialize_sequence,
     verify,

@@ -31,18 +31,19 @@ reads the count off the records by one rule: the weight of the profiles
 with at most k ones under which c is satisfied, read from {a, c} when the
 final edge is red and from a's own profiles across a black edge.
 `dp_records` plans and evaluates every red-connected region of every
-level as a root, for cross-checking against `realizes`.
+level as a root, so that every level's full record can be refereed.
 
-No record is kept for a region past the cap k(d² + 1).  When a merge
-would grow a capped region past it, the expansion splits by its has_one
-set S, which holds at most k variable vertices.  The vertices within red
-distance 2 of S number at most k(d² + 1), so each red component of that
-ball has a record, read at its entries with has_one S; every other vertex
-holds no 1.  The plan works out once per vertex what it adds with an
-all-zero bag, its zero weight and the clauses it satisfies, and gives
-each split the total over its outside vertices as a constant that starts
-its fold.  An uncapped split's constant is weight 1 and no bits, so the
-evaluator has one path for both.
+No record is kept for a region past the cap k(d² + 1), `region_cap`.
+When a merge would grow a capped region past it, the expansion splits by
+its has_one set S, which holds at most k variable vertices.  The
+vertices within red distance 2 of S number at most k(d² + 1), so each
+red component of that ball has a record, read at its entries with
+has_one S; every other vertex holds no 1.  The plan works out once per
+vertex what it adds with an all-zero bag, its zero weight and the
+clauses it satisfies, and gives each split the total over its outside
+vertices as a constant that starts its fold.  An uncapped split's
+constant is weight 1 and no bits, so the evaluator has one path for
+both.
 
 Inside the DP a region's record is a table grouped by ones: each ones
 count maps the states to their values, a state being one int with three
@@ -69,11 +70,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
-from .cnf import Assignment, Formula, WeightFunction
+from .cnf import Formula, WeightFunction
 from .sequence import ContractionLog, ContractionSequence
 from .trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
@@ -93,15 +93,6 @@ Record = dict[Profile, int | Fraction]
 Table = dict[int, dict[int, int | Fraction]]
 # the table of a lone clause vertex: the empty state, 0, of weight 1
 _UNIT_TABLE: Table = {0: {0: 1}}
-
-
-@dataclass(frozen=True)
-class ComplexityEstimate:
-    """Closed-form size bounds for the profile dynamic program."""
-
-    max_region_size: int
-    profile_count_bound: int
-    tuple_count_bound: int
 
 
 def enumerate_red_connected(graph: SignedTrigraph, max_size: int) -> list[frozenset[int]]:
@@ -151,61 +142,6 @@ def _red_components(graph: SignedTrigraph, vertex_set) -> list[frozenset[int]]:
     return components
 
 
-def realizes(
-    profile: Profile,
-    assignment: Assignment,
-    initial: SignedTrigraph,
-    current: SignedTrigraph,
-) -> bool:
-    """Reference semantics: does the assignment induce exactly this profile?
-
-    The assignment must cover all original variables bagged in the region's
-    variable vertices.  Used by tests as the ground truth the record values
-    are checked against; the solver itself never calls it.
-    """
-    region_vars = [u for u in profile.region if current.side(u) == SIDE_VAR]
-    region_clauses = [u for u in profile.region if current.side(u) == SIDE_CLA]
-    if not profile.mixed <= profile.has_one <= frozenset(region_vars):
-        return False
-    if not profile.satisfied <= frozenset(region_clauses):
-        return False
-
-    scope: set[int] = set()
-    for u in region_vars:
-        scope.update(current.bag(u))
-    if sum(1 for v in scope if assignment[v]) != profile.ones:
-        return False
-    for u in region_vars:
-        bag = current.bag(u)
-        saw_one = any(assignment[v] for v in bag)
-        saw_zero = any(not assignment[v] for v in bag)
-        if (u in profile.has_one) != saw_one:
-            return False
-        if saw_one and (u in profile.mixed) != saw_zero:
-            return False
-    for c in region_clauses:
-        sat = all(
-            _original_clause_satisfied(initial, orig, assignment, scope)
-            for orig in current.bag(c)
-        )
-        if (c in profile.satisfied) != sat:
-            return False
-    return True
-
-
-def _original_clause_satisfied(
-    initial: SignedTrigraph, clause_vertex: int, assignment: Assignment, scope
-) -> bool:
-    for v, kind in initial.neighbors(clause_vertex).items():
-        if v not in scope:
-            continue
-        if kind == POS and assignment[v]:
-            return True
-        if kind == NEG and not assignment[v]:
-            return True
-    return False
-
-
 def _region_tables(
     log: ContractionLog,
     roots,
@@ -231,7 +167,7 @@ def _region_tables(
     for key in ("regions_evaluated", "large_regions", "has_one_splits", "fold_states",
                 "largest_table", "entries_copied"):
         stats.setdefault(key, 0)
-    max_region = _region_threshold(budget, log.width)
+    max_region = region_cap(budget, log.width)
     readers = Counter(roots)
     plans: dict[frozenset[int], tuple] = {}
     tables: dict[frozenset[int], Table] = {}
@@ -522,7 +458,9 @@ def _product(partial: Table, entries: Table, budget: int) -> Table:
     return folded
 
 
-def _region_threshold(k: int, d: int) -> int:
+def region_cap(k: int, d: int) -> int:
+    """k(d² + 1), the most vertices of a region that keeps a record under a
+    ones budget k along a sequence of width d."""
     return k * (d * d + 1)
 
 
@@ -599,7 +537,7 @@ def solve_bwmc(
     budget the count has a closed form.  `stats`, when given, collects
     region counters, the fold counters (`fold_states`, the partial and
     output states the folds build, and `largest_table`, the most states of
-    one evaluated region) and the size estimates for the run.
+    one evaluated region), the sequence's `width` and its `region_cap`.
     """
     if k < 0:
         raise ValueError("the ones budget k must be nonnegative")
@@ -659,8 +597,7 @@ def _scaled_count(
             "one variable vertex and one clause vertex"
         )
     if stats is not None:
-        estimate = estimate_bounds(graph.num_vertices, budget, log.width)
-        stats["estimate"] = estimate
+        stats["region_cap"] = region_cap(budget, log.width)
         stats["width"] = log.width
     roots = _red_components(log, log.vertices())
     tables = _region_tables(log, roots, weights, budget, stats if stats is not None else {})
@@ -691,7 +628,7 @@ def dp_records(
     graph = incidence_graph(formula)
     log = _validated_log(graph, seq)
     budget = min(k, formula.num_vars)
-    max_region = _region_threshold(budget, log.width)
+    max_region = region_cap(budget, log.width)
     # each level's graph, a snapshot of the log at that level's vertices
     level, graphs = set(graph.vertices()), [graph]
     for x, y, z in log.steps:
@@ -707,17 +644,3 @@ def dp_records(
             record.update(_profiles(log, region, tables[region]))
         yield graph, record
 
-
-def estimate_bounds(n: int, k: int, d: int) -> ComplexityEstimate:
-    """Closed-form feasibility estimates for an n-vertex run.
-
-    max_region_size t = k(d²+1); the profile count bound is
-    n·(d^(2t-2)+1)·C(t,k)·2^(k+t)·(k+1) and the per-transition tuple bound
-    is C(t+1,k)·2^(k+t+1)·(k+1)^(d+2), both as exact integers (the exponent
-    2t-2 is clamped at 0 for degenerate budgets).
-    """
-    t = _region_threshold(k, d)
-    exponent = max(2 * t - 2, 0)
-    profiles = n * (d**exponent + 1) * math.comb(t, k) * 2 ** (k + t) * (k + 1)
-    tuples = math.comb(t + 1, k) * 2 ** (k + t + 1) * (k + 1) ** (d + 2)
-    return ComplexityEstimate(t, profiles, tuples)

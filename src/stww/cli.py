@@ -31,7 +31,7 @@ from .generators import (
 )
 from .oracle import bsat_oracle, bwmc_oracle
 from .sequence import ContractionSequence, parse_sequence, serialize_sequence, verify
-from .trigraph import SignedTrigraph, incidence_graph, parse_graph, serialize_graph
+from .trigraph import SignedTrigraph, incidence_graph, parse_graph, require_sides, serialize_graph
 
 EX_OK = 0
 EX_INVALID_SEQUENCE = 2
@@ -53,10 +53,6 @@ def _decimal(value: Fraction, places: int = 6) -> str:
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     return f"{sign}{scaled // 10**places}.{scaled % 10**places:0{places}d}"
-
-
-def _rational(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
 def _seconds(text: str) -> float:
@@ -115,17 +111,19 @@ def _emit(text: str, out: str | None) -> None:
 
 def _print_count(value: Fraction, as_json: bool, extra: dict | None = None) -> None:
     if as_json:
-        payload = {"count": _rational(value), "decimal": _decimal(value)}
+        payload = {"count": str(value), "decimal": _decimal(value)}
         payload.update(extra or {})
         print(json.dumps(payload))
     else:
-        print(_rational(value))
+        print(value)
         print(_decimal(value))
 
 
 def _cmd_verify(args) -> int:
     graph, _f, _w = _load_graph(args.input)
     seq = _load_sequence(args.seq)
+    if args.bipartite:
+        require_sides(graph, "bipartite verification")
     report = verify(graph, seq, require_bipartite=args.bipartite)
     failure = report.failure
     if failure is None and args.width is not None and report.width > args.width:
@@ -200,19 +198,17 @@ def _cmd_bwmc(args) -> int:
     stats: dict | None = {} if args.stats else None
     value = solve_bwmc(formula, weights, args.k, seq, stats=stats)
     if stats is not None:
-        estimate = stats.get("estimate")
-        if estimate is None:
+        if "region_cap" not in stats:
             print("stats: solved in closed form, no dynamic program ran", file=sys.stderr)
         else:
             print(
-                f"stats: width {stats['width']}, region size cap {estimate.max_region_size}, "
+                f"stats: width {stats['width']}, region size cap {stats['region_cap']}, "
                 f"{stats.get('regions_evaluated', 0)} regions evaluated "
                 f"({stats.get('large_regions', 0)} at the cap, "
                 f"{stats.get('has_one_splits', 0)} has_one splits), "
                 f"{stats.get('fold_states', 0)} fold states, "
                 f"largest table {stats.get('largest_table', 0)}, "
-                f"{stats.get('entries_copied', 0)} entries copied, "
-                f"profile bound {estimate.profile_count_bound}",
+                f"{stats.get('entries_copied', 0)} entries copied",
                 file=sys.stderr,
             )
     _print_count(value, args.json, {"k": args.k})
@@ -304,7 +300,7 @@ def _build_parser() -> _Parser:
     p.add_argument("seq", help="bipartite contraction sequence (.tws)")
     p.add_argument("-k", type=int, required=True, help="ones budget")
     p.add_argument("--stats", action="store_true",
-                   help="report region and fold counts and size bounds on stderr")
+                   help="report the width, region cap and region and fold counts on stderr")
     p.set_defaults(run=_cmd_bwmc)
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force reference answers")

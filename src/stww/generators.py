@@ -164,50 +164,6 @@ def gen_partitioned_clique_formula(
     return Formula(max(all_vertices), clauses), len(parts)
 
 
-def is_partitioned_clique_shape(formula: Formula, parts: Sequence[Sequence[int]]) -> bool:
-    """Check the incidence graph contracts, part by part and non-edge group
-    by non-edge group, into a K_d with every edge subdivided exactly once
-    (the per-part clauses are the d pendant vertices set aside first).
-
-    Works directly on the clause structure: every clause must be either one
-    part (all positive) or carry exactly two negative literals from two
-    different parts with the matching positive remainder, and every part
-    pair must contribute at least one such clause.
-    """
-    part_sets = [frozenset(p) for p in parts]
-    part_of = {v: i for i, p in enumerate(parts) for v in p}
-    d = len(parts)
-    pending_parts = set(range(d))
-    pair_groups: set[tuple[int, int]] = set()
-    for clause in formula.clauses:
-        negatives = sorted(-lit for lit in clause if lit < 0)
-        positives = frozenset(lit for lit in clause if lit > 0)
-        if not negatives:
-            try:
-                idx = part_sets.index(positives)
-            except ValueError:
-                return False
-            if idx not in pending_parts:
-                return False
-            pending_parts.discard(idx)
-            continue
-        if len(negatives) != 2:
-            return False
-        u, v = negatives
-        if u not in part_of or v not in part_of:
-            return False
-        i, j = sorted((part_of[u], part_of[v]))
-        if i == j:
-            return False
-        expected = (part_sets[part_of[u]] - {u}) | (part_sets[part_of[v]] - {v})
-        if positives != expected:
-            return False
-        pair_groups.add((i, j))
-    if pending_parts:
-        return False
-    return pair_groups == set(itertools.combinations(range(d), 2))
-
-
 def gen_random_ksat(
     num_vars: int, clause_width: int, num_clauses: int, seed: int
 ) -> Formula:

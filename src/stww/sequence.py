@@ -253,14 +253,6 @@ def verify(
     )
 
 
-def final_graph(graph: SignedTrigraph, seq: ContractionSequence) -> SignedTrigraph:
-    """The last graph of the replay, a snapshot of one ContractionLog.
-
-    Raises the log's ValueError('step i: reason') if a label is unknown.
-    """
-    return ContractionLog(graph, seq).check().snapshot()
-
-
 def parse_sequence(text: str | bytes) -> ContractionSequence:
     """Parse a .tws file: 'p tws <n> <steps>' then one 'keep merge' per line."""
     n: int | None = None

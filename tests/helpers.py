@@ -1,8 +1,10 @@
 """Shared random-instance builders and brute-force referees.
 
 Everything here is deliberately independent of the solver internals: the
-record referee recomputes profile weights straight from the definitions, so
-the dynamic program and the tests can only agree by both being right.
+record referee recomputes profile weights straight from the definitions,
+and `realizes` states what a profile means, so the dynamic program and the
+tests can only agree by both being right.  `is_partitioned_clique_shape`
+checks the clause structure of the partitioned-clique reduction.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 
-from stww.bwmc import Profile, enumerate_red_connected, realizes
+from stww.bwmc import Profile, enumerate_red_connected
 from stww.cnf import Formula, WeightFunction
 from stww.cwexpr import CliqueWidthExpression, CwEdge, CwLeaf, CwRelabel, CwUnion, expression
 from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph
@@ -327,6 +329,50 @@ def random_partitioned_instance(rng, max_parts=3, max_size=3, ensure_nonedge=Fal
     return parts, edges
 
 
+def is_partitioned_clique_shape(formula, parts):
+    """Check the incidence graph contracts, part by part and non-edge group
+    by non-edge group, into a K_d with every edge subdivided exactly once
+    (the per-part clauses are the d pendant vertices set aside first).
+
+    Works directly on the clause structure: every clause must be either one
+    part (all positive) or carry exactly two negative literals from two
+    different parts with the matching positive remainder, and every part
+    pair must contribute at least one such clause.
+    """
+    part_sets = [frozenset(p) for p in parts]
+    part_of = {v: i for i, p in enumerate(parts) for v in p}
+    d = len(parts)
+    pending_parts = set(range(d))
+    pair_groups = set()
+    for clause in formula.clauses:
+        negatives = sorted(-lit for lit in clause if lit < 0)
+        positives = frozenset(lit for lit in clause if lit > 0)
+        if not negatives:
+            try:
+                idx = part_sets.index(positives)
+            except ValueError:
+                return False
+            if idx not in pending_parts:
+                return False
+            pending_parts.discard(idx)
+            continue
+        if len(negatives) != 2:
+            return False
+        u, v = negatives
+        if u not in part_of or v not in part_of:
+            return False
+        i, j = sorted((part_of[u], part_of[v]))
+        if i == j:
+            return False
+        expected = (part_sets[part_of[u]] - {u}) | (part_sets[part_of[v]] - {v})
+        if positives != expected:
+            return False
+        pair_groups.add((i, j))
+    if pending_parts:
+        return False
+    return pair_groups == set(itertools.combinations(range(d), 2))
+
+
 # -- profile record referee -------------------------------------------------
 
 
@@ -371,6 +417,40 @@ def profile_of(region, tau, initial, current):
         sum(1 for v in scope if tau[v]),
         frozenset(satisfied),
     )
+
+
+def realizes(profile, assignment, initial, current):
+    """Reference semantics: does the assignment induce exactly this profile?
+
+    The assignment must cover all original variables bagged in the region's
+    variable vertices.  The ground truth `check_record` checks each profile
+    it derives against; the solver never calls it.
+    """
+    region_vars = [u for u in profile.region if current.side(u) == SIDE_VAR]
+    region_clauses = [u for u in profile.region if current.side(u) == SIDE_CLA]
+    if not profile.mixed <= profile.has_one <= frozenset(region_vars):
+        return False
+    if not profile.satisfied <= frozenset(region_clauses):
+        return False
+
+    scope = set()
+    for u in region_vars:
+        scope.update(current.bag(u))
+    if sum(1 for v in scope if assignment[v]) != profile.ones:
+        return False
+    for u in region_vars:
+        bag = current.bag(u)
+        saw_one = any(assignment[v] for v in bag)
+        saw_zero = any(not assignment[v] for v in bag)
+        if (u in profile.has_one) != saw_one:
+            return False
+        if saw_one and (u in profile.mixed) != saw_zero:
+            return False
+    for c in region_clauses:
+        sat = all(_clause_satisfied(initial, orig, assignment, scope) for orig in current.bag(c))
+        if (c in profile.satisfied) != sat:
+            return False
+    return True
 
 
 def check_record(initial, current, record, weights, budget, max_region):

@@ -27,6 +27,7 @@ from helpers import (
     brute_multicolored_clique_exists,
     check_record,
     evaluate_cw_text,
+    is_partitioned_clique_shape,
     random_bipartite_graph,
     random_cw_expression,
     random_formula,
@@ -35,7 +36,7 @@ from helpers import (
 )
 from stww.bipartize import bipartize
 from stww.bounds import exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
-from stww.bwmc import dp_records, estimate_bounds, solve_bwmc
+from stww.bwmc import dp_records, region_cap, solve_bwmc
 from stww.cnf import Formula, parse_dimacs, serialize_dimacs
 from stww.cwexpr import cw_to_sequence, serialize_cw
 from stww.encoding import decode, encode, exact_tww_via_solver, run_solver
@@ -44,7 +45,6 @@ from stww.generators import (
     gen_hitting_set_formula,
     gen_partitioned_clique_formula,
     gen_subdivided_clique,
-    is_partitioned_clique_shape,
 )
 from stww.oracle import bsat_oracle, bwmc_oracle
 from stww.sequence import ContractionLog, ContractionSequence, verify
@@ -105,7 +105,7 @@ def test_criterion_2_record_soundness():
             seq = greedy_sequence(g, bipartite=True)
             budget = min(k, f.num_vars)
             width = verify(g, seq, require_bipartite=True).width
-            threshold = estimate_bounds(0, budget, width).max_region_size
+            threshold = region_cap(budget, width)
             for current, rec in dp_records(f, w, k, seq):
                 entries += check_record(g, current, rec, w, budget, threshold)
         assert entries > 0

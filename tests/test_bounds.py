@@ -13,7 +13,7 @@ from helpers import (
 )
 from stww.bounds import _WorkingGraph, exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
 from stww.generators import gen_grid, gen_random_ksat, gen_subdivided_clique
-from stww.sequence import ContractionLog, ContractionSequence, final_graph, serialize_sequence, verify
+from stww.sequence import ContractionLog, ContractionSequence, serialize_sequence, verify
 from stww.trigraph import NEG, POS, RED, SignedTrigraph, incidence_graph
 
 
@@ -178,7 +178,7 @@ def test_exact_bruteforce_work_is_bounded(monkeypatch):
 def test_exact_bruteforce_witness_names_vertex_ids():
     # h's vertex 5 holds the bag {3, 4}: a step names it 5, not 3
     g = SignedTrigraph([1, 2, 3, 4], [(1, 3, POS), (2, 3, NEG), (2, 4, POS)])
-    h = final_graph(g, ContractionSequence(((3, 4),)))
+    h = ContractionLog(g, ContractionSequence(((3, 4),))).check().snapshot()
     assert h.vertices() == [1, 2, 5] and h.bag(5) == frozenset({3, 4})
     width, seq = exact_tww_bruteforce(h)
     assert (width, seq.steps) == (2, ((1, 2), (1, 5))) == reference_exact_witness(h)
@@ -188,7 +188,7 @@ def test_exact_bruteforce_witness_names_vertex_ids():
         [(1, 3, POS), (2, 3, NEG), (2, 4, POS), (1, 5, NEG)],
         sides={1: 0, 2: 0, 3: 1, 4: 1, 5: 1},
     )
-    h = final_graph(sided, ContractionSequence(((3, 4),)))
+    h = ContractionLog(sided, ContractionSequence(((3, 4),))).check().snapshot()
     for bipartite in (False, True):
         width, seq = exact_tww_bruteforce(h, bipartite=bipartite)
         assert (width, seq.steps) == reference_exact_witness(h, bipartite), bipartite
@@ -243,7 +243,7 @@ def test_subdivided_clique_triangle_needs_hint():
 def test_subdivided_clique_rejects_bad_inputs():
     graph, clique = gen_subdivided_clique(3, [1, 1, 1])
     with pytest.raises(ValueError, match="red"):
-        subdivided_clique_sequence(final_graph(graph, ContractionSequence(((1, 2),))))
+        subdivided_clique_sequence(ContractionLog(graph, ContractionSequence(((1, 2),))).check().snapshot())
     with pytest.raises(ValueError, match="degree"):
         subdivided_clique_sequence(graph, [1, 2])  # wrong classification
     path = SignedTrigraph([1, 2, 3], [(1, 2, POS), (2, 3, POS)])

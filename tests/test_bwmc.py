@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import check_record, random_formula, random_weights
+from helpers import check_record, random_formula, random_weights, realizes
 from test_acceptance import implication_chain, zip_sequence
 from stww import bwmc
 from stww.bounds import greedy_sequence
@@ -12,15 +12,14 @@ from stww.bwmc import (
     Profile,
     dp_records,
     enumerate_red_connected,
-    estimate_bounds,
     finalize,
-    realizes,
+    region_cap,
     solve_bwmc,
 )
 from stww.cnf import Formula, WeightFunction
 from stww.generators import gen_random_ksat
 from stww.oracle import bwmc_oracle
-from stww.sequence import ContractionLog, ContractionSequence, final_graph, verify
+from stww.sequence import ContractionLog, ContractionSequence, verify
 from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
 EMPTY = frozenset()
@@ -103,7 +102,8 @@ def test_base_record_entries():
 def test_realizes_semantics():
     f = or_clause()
     g = incidence_graph(f)
-    merged = final_graph(g, ContractionSequence(((1, 2),)))  # variable twins -> vertex 4
+    # variable twins -> vertex 4
+    merged = ContractionLog(g, ContractionSequence(((1, 2),))).check().snapshot()
     both_zero = Profile(fs(4), EMPTY, EMPTY, 0, EMPTY)
     assert realizes(both_zero, {1: 0, 2: 0}, g, merged)
     assert not realizes(both_zero, {1: 1, 2: 0}, g, merged)
@@ -164,7 +164,8 @@ def test_red_final_edge_goes_through_the_dynamic_program():
     assert value == bwmc_oracle(f, WeightFunction(), 2) == 1
     assert stats["regions_evaluated"] > 0
     assert stats["width"] == 2
-    assert stats["estimate"].max_region_size == 10
+    assert stats["region_cap"] == 10 == region_cap(2, 2)
+    assert region_cap(1, 2) == 5 and region_cap(0, 0) == 0
 
 
 def test_one_clause_over_every_variable_goes_through_the_dynamic_program():
@@ -177,7 +178,7 @@ def test_one_clause_over_every_variable_goes_through_the_dynamic_program():
             w = prime_weights(rng, n)
             for tie_break in ("smallest", "largest"):
                 seq = greedy_for(f, tie_break)
-                final = final_graph(incidence_graph(f), seq)
+                final = ContractionLog(incidence_graph(f), seq).check().snapshot()
                 assert final.edge(*final.vertices()) == kind
                 for k in range(1, n + 2):
                     stats = {}
@@ -317,7 +318,7 @@ def test_dp_records_sound_on_one_instance():
     seq = greedy_for(f)
     budget = min(k, f.num_vars)
     width = seq.declared_width
-    threshold = estimate_bounds(0, budget, width).max_region_size
+    threshold = region_cap(budget, width)
     initial = incidence_graph(f)
     checked = 0
     for graph, record in dp_records(f, w, k, seq):
@@ -357,7 +358,7 @@ def test_dp_records_sound_on_capped_regions(seed, tie_break, entries):
     else:
         f, w = capped_formula(seed)
     seq = greedy_for(f, tie_break=tie_break)
-    threshold = estimate_bounds(0, 1, seq.declared_width).max_region_size
+    threshold = region_cap(1, seq.declared_width)
     initial = incidence_graph(f)
     stats = {}
     checked = 0
@@ -378,17 +379,6 @@ def test_dp_records_finalize_matches_solve():
         for graph, record in dp_records(f, w, k, seq):
             pass
         assert finalize(record, graph, k) == solve_bwmc(f, w, k, seq)
-
-
-def test_estimate_bounds_formulas():
-    est = estimate_bounds(5, 1, 2)
-    assert est.max_region_size == 5
-    assert est.profile_count_bound == 5 * (2**8 + 1) * math.comb(5, 1) * 2**6 * 2
-    assert est.tuple_count_bound == math.comb(6, 1) * 2**7 * 2**4
-    degenerate = estimate_bounds(1, 0, 0)
-    assert degenerate.max_region_size == 0
-    assert degenerate.profile_count_bound == 2
-    assert degenerate.tuple_count_bound == 2
 
 
 @pytest.mark.parametrize("n", [250, 2000])
@@ -645,7 +635,7 @@ def assert_counts_and_records(formula, weights, seq, ks):
     for k in ks:
         assert solve_bwmc(formula, weights, k, seq) == bwmc_oracle(formula, weights, k), k
         budget = min(k, formula.num_vars)
-        threshold = estimate_bounds(0, budget, width).max_region_size
+        threshold = region_cap(budget, width)
         checked = 0
         for graph, record in dp_records(formula, weights, k, seq):
             checked += check_record(initial, graph, record, weights, budget, threshold)
@@ -736,7 +726,7 @@ def test_counts_and_records_do_not_depend_on_the_surviving_label():
                                      (*capped_formula(83), "smallest", 2716)]:
         seq = keep_larger_labels(greedy_for(f, tie_break))
         initial = incidence_graph(f)
-        threshold = estimate_bounds(0, 1, verify(initial, seq).width).max_region_size
+        threshold = region_cap(1, verify(initial, seq).width)
         stats = {}
         checked = 0
         for graph, record in dp_records(f, w, 1, seq, stats=stats):

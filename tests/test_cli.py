@@ -66,9 +66,11 @@ def test_bwmc_weighted_json_and_stats(capsys, tmp_path):
     assert code == EX_OK
     payload = json.loads(out)
     assert payload["k"] == 2
-    assert err.startswith("stats: ")
-    assert "(0 at the cap, 0 has_one splits)" in err
-    assert "19 fold states, largest table 6, 8 entries copied, profile bound" in err
+    assert err == (
+        "stats: width 2, region size cap 10, 3 regions evaluated "
+        "(0 at the cap, 0 has_one splits), 19 fold states, largest table 6, "
+        "8 entries copied\n"
+    )
     # cross-check against the brute-force oracle subcommand
     code, out, _err = run(capsys, "oracle", "bwmc", str(cnf), "-k", "2")
     assert out.splitlines()[0] == payload["count"]
@@ -84,9 +86,11 @@ def test_bwmc_stats_count_the_has_one_splits(capsys, tmp_path):
     assert code == EX_OK
     code, out, err = run(capsys, "bwmc", str(cnf), str(seq), "-k", "1", "--stats")
     assert code == EX_OK
-    assert "region size cap 5, 11 regions evaluated (1 at the cap, 4 has_one splits)" in err
-    assert ("has_one splits), 55 fold states, largest table 4, 28 entries copied, "
-            "profile bound") in err
+    assert err == (
+        "stats: width 2, region size cap 5, 11 regions evaluated "
+        "(1 at the cap, 4 has_one splits), 55 fold states, largest table 4, "
+        "28 entries copied\n"
+    )
     code, oracle_out, _err = run(capsys, "oracle", "bwmc", str(cnf), "-k", "1")
     assert out == oracle_out
 
@@ -108,6 +112,21 @@ def test_verify_rejects_cross_side_step(capsys, tmp_path, or_cnf):
     code, _out, err = run(capsys, "verify", or_cnf, str(bad), "--bipartite")
     assert code == EX_INVALID_SEQUENCE
     assert "cross-side" in err
+
+
+def test_verify_bipartite_needs_sides(capsys, tmp_path):
+    # an .stg graph without sides: plain verification reads it, a bipartite
+    # one refuses it as a data error before any step is replayed
+    graph = tmp_path / "unsided.stg"
+    graph.write_text("1 2 +\n2 3 -\n")
+    seq = tmp_path / "unsided.tws"
+    code, _out, _err = run(capsys, "greedy", str(graph), "-o", str(seq))
+    assert code == EX_OK
+    code, out, _err = run(capsys, "verify", str(graph), str(seq))
+    assert (code, out) == (EX_OK, "width 1\n")
+    code, out, err = run(capsys, "verify", str(graph), str(seq), "--bipartite")
+    assert code == EX_DATA and out == ""
+    assert err == "stww: bipartite verification needs every vertex on a side; 1 has none\n"
 
 
 def test_bwmc_stats_at_zero_budget_name_the_closed_form(capsys, tmp_path, or_cnf):

@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     brute_hitting_set_exists,
     brute_multicolored_clique_exists,
+    is_partitioned_clique_shape,
     random_partitioned_instance,
 )
 from stww.cnf import Formula
@@ -15,7 +16,6 @@ from stww.generators import (
     gen_partitioned_clique_formula,
     gen_random_ksat,
     gen_subdivided_clique,
-    is_partitioned_clique_shape,
 )
 from stww.oracle import bsat_oracle
 from stww.trigraph import NEG, POS, incidence_graph

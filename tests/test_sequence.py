@@ -9,7 +9,6 @@ from stww.cnf import ParseError
 from stww.sequence import (
     ContractionLog,
     ContractionSequence,
-    final_graph,
     parse_sequence,
     serialize_sequence,
     verify,
@@ -81,12 +80,12 @@ def test_verify_failures():
 
 def test_final_graph():
     g = path4()
-    h = final_graph(g, ContractionSequence(((1, 2), (1, 3), (1, 4))))
+    h = ContractionLog(g, ContractionSequence(((1, 2), (1, 3), (1, 4)))).check().snapshot()
     assert h.num_vertices == 1
     assert h.bag(h.vertices()[0]) == frozenset({1, 2, 3, 4})
     # the zip schedule leaves one variable and one clause vertex, red-joined
     n = 2000
-    chain = final_graph(incidence_graph(implication_chain(n)), zip_sequence(n))
+    chain = ContractionLog(incidence_graph(implication_chain(n)), zip_sequence(n)).check().snapshot()
     cla, var = sorted(chain.vertices(), key=chain.side, reverse=True)
     assert (chain.side(var), chain.side(cla)) == (SIDE_VAR, SIDE_CLA)
     assert chain.bag(var) == frozenset(range(1, n + 1))
@@ -203,10 +202,10 @@ def test_verify_and_a_grown_log_match_reference_contractions():
         assert grown.width == max([graph.max_red_degree(), *per_step]), seed
         if failure is not None:
             with pytest.raises(ValueError) as raised:
-                final_graph(graph, seq)
+                ContractionLog(graph, seq).check().snapshot()
             assert str(raised.value) == f"step {failure[0]}: {failure[1]}", seed
         else:
-            assert final_graph(graph, seq) == last, seed
+            assert ContractionLog(graph, seq).check().snapshot() == last, seed
     # both failure kinds occur, the cross-side one only when it is required
     assert seen == {(False, "unknown"), (True, "unknown"), (True, "cross-side")}
 
