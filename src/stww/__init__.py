@@ -28,10 +28,6 @@ from .cnf import (
 )
 from .cwexpr import (
     CliqueWidthExpression,
-    CwEdge,
-    CwLeaf,
-    CwRelabel,
-    CwUnion,
     cw_to_sequence,
     evaluate,
     expression,

@@ -59,10 +59,6 @@ def _literal_key(lit: int) -> tuple[int, bool]:
     return (abs(lit), lit < 0)
 
 
-def _clause_key(clause: Clause) -> tuple[tuple[int, bool], ...]:
-    return tuple(map(_literal_key, clause))
-
-
 def _is_canonical(clauses: tuple, num_vars: int) -> bool:
     """True iff every clause is a tuple of int literals in range, strictly
     increasing in |lit| (so with no repeat and no complementary pair), and
@@ -151,11 +147,6 @@ class Formula:
 
     def variables(self) -> range:
         return range(1, self.num_vars + 1)
-
-    def normalized(self) -> Formula:
-        """Copy with clauses in canonical order: by (variable, sign) of each
-        literal in turn."""
-        return Formula(self.num_vars, tuple(sorted(self.clauses, key=_clause_key)), self.name)
 
 
 class WeightFunction:

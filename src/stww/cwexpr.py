@@ -12,178 +12,115 @@ Parentheses may be used for grouping but carry no meaning; the fixed
 arities make the prefix form unambiguous.  Vertex names that are all
 digits are used as vertex ids directly, otherwise ids are assigned in
 leaf order.
+
+An expression is held as that prefix sequence itself: a tuple of flat node
+tuples, ("leaf", label, name), ("un",) and (kind, i, j) for rl, ep and en.
+A tuple of flat tuples compares, hashes and iterates without recursion, so
+an expression of any depth does too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
-from typing import Union
 
-from .cnf import ParseError
+from .cnf import ParseError, token_lines
 from .sequence import ContractionSequence
 from .trigraph import NEG, POS, SignedTrigraph
 
-CwNode = Union["CwLeaf", "CwUnion", "CwRelabel", "CwEdge"]
-
-
-class _Node:
-    """Equality and hashing of expression trees, node by node in prefix
-    order on an explicit stack, so trees of any depth compare and hash
-    without recursion.  Each node kind has a fixed arity, so two trees are
-    equal exactly when their prefix sequences of (kind, non-child fields)
-    are."""
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Node):
-            return NotImplemented
-        return all(a == b for a, b in zip_longest(_prefix(self), _prefix(other)))
-
-    def __hash__(self) -> int:
-        return hash(tuple(_prefix(self)))
-
-
-@dataclass(frozen=True, eq=False)
-class CwLeaf(_Node):
-    label: int
-    name: str
-
-    def __post_init__(self) -> None:
-        if self.label < 1:
-            raise ValueError(f"label {self.label} must be positive")
-        if not self.name:
-            raise ValueError("empty vertex name")
-
-
-@dataclass(frozen=True, eq=False)
-class CwUnion(_Node):
-    left: CwNode
-    right: CwNode
-
-
-@dataclass(frozen=True, eq=False)
-class CwRelabel(_Node):
-    old: int
-    new: int
-    child: CwNode
-
-    def __post_init__(self) -> None:
-        if self.old < 1 or self.new < 1:
-            raise ValueError("labels must be positive")
-        if self.old == self.new:
-            raise ValueError(f"relabel {self.old}->{self.new} is a no-op")
-
-
-@dataclass(frozen=True, eq=False)
-class CwEdge(_Node):
-    label_a: int
-    label_b: int
-    sign: str
-    child: CwNode
-
-    def __post_init__(self) -> None:
-        if self.label_a < 1 or self.label_b < 1:
-            raise ValueError("labels must be positive")
-        if self.label_a == self.label_b:
-            raise ValueError("edge insertion needs two distinct labels")
-        if self.sign not in (POS, NEG):
-            raise ValueError(f"bad edge sign {self.sign!r}")
+# the number of children of each node kind
+_ARITY = {"leaf": 0, "un": 2, "rl": 1, "ep": 1, "en": 1}
+_SIGN = {"ep": POS, "en": NEG}
 
 
 @dataclass(frozen=True)
 class CliqueWidthExpression:
-    root: CwNode
+    nodes: tuple[tuple, ...]
     num_labels: int
     vertex_ids: dict[str, int]
 
 
-def _children(node: CwNode) -> tuple[CwNode, ...]:
-    if isinstance(node, CwUnion):
-        return (node.left, node.right)
-    if isinstance(node, CwLeaf):
-        return ()
-    return (node.child,)
+def _check(node: tuple) -> None:
+    """Raise ValueError unless node is a well-formed node tuple.  A leaf's
+    name must be one token of the text format: no whitespace, '(', ')' or
+    '#'."""
+    if not isinstance(node, tuple) or not node or node[0] not in _ARITY:
+        raise ValueError(f"unknown node {node!r}")
+    kind, *fields = node
+    labels = fields[:1] if kind == "leaf" else fields
+    if len(fields) != (0 if kind == "un" else 2) or any(type(label) is not int for label in labels):
+        raise ValueError(f"malformed node {node!r}")
+    if kind == "leaf":
+        label, name = fields
+        if label < 1:
+            raise ValueError(f"label {label} must be positive")
+        if not isinstance(name, str) or name.split() != [name] or set(name) & set("()#"):
+            raise ValueError(f"vertex name {name!r} is not one token without '(', ')' or '#'")
+    elif fields:
+        a, b = fields
+        if a < 1 or b < 1:
+            raise ValueError("labels must be positive")
+        if a == b and kind == "rl":
+            raise ValueError(f"relabel {a}->{b} is a no-op")
+        if a == b:
+            raise ValueError("edge insertion needs two distinct labels")
 
 
-def _tour(root: CwNode):
-    """(node, True) on entering each node and (node, False) on leaving it,
-    its children visited in order in between, on an explicit stack, so an
-    expression of any depth is walked without recursion."""
-    stack = [(root, True)]
-    while stack:
-        node, entering = stack.pop()
-        yield node, entering
-        if entering:
-            stack.append((node, False))
-            stack.extend((child, True) for child in reversed(_children(node)))
+def _walk(nodes):
+    """(node, depth, True) for each node in prefix order, and (node, depth,
+    False) once its last child is complete, on an explicit stack, so an
+    expression of any depth is walked without recursion.  Raises ValueError
+    on nodes after the end of the expression or an expression cut short."""
+    # each open node with the number of children it still misses
+    stack: list[list] = []
+    done = False
+    for node in nodes:
+        if done:
+            raise ValueError(f"trailing nodes after expression: {node!r}")
+        yield node, len(stack), True
+        stack.append([node, _ARITY[node[0]]])
+        while stack and not stack[-1][1]:
+            node = stack.pop()[0]
+            yield node, len(stack), False
+            if stack:
+                stack[-1][1] -= 1
+        done = not stack
+    if not done:
+        raise ValueError("unfinished expression")
 
 
-def _prefix(root: CwNode):
-    """(kind, fields other than children) of every node, in prefix order."""
-    for node, entering in _tour(root):
-        if entering:
-            yield type(node), *(value for value in vars(node).values() if not isinstance(value, _Node))
-
-
-def _fold(root: CwNode, visit):
-    """visit(node, *children's results) for every node, children first and
-    left before right; returns the root's result."""
-    results: list = []
-    for node, entering in _tour(root):
-        if not entering:
-            arity = len(_children(node))
-            args = results[len(results) - arity:]
-            del results[len(results) - arity:]
-            results.append(visit(node, *args))
-    return results[0]
-
-
-def expression(root: CwNode) -> CliqueWidthExpression:
-    """Wrap a node tree, assigning vertex ids and the label universe."""
+def expression(nodes) -> CliqueWidthExpression:
+    """Wrap node tuples given in prefix order, checking each, and assign the
+    vertex ids and the label universe."""
+    nodes = tuple(nodes)
     names: dict[str, None] = {}
     max_label = 0
-    for node, entering in _tour(root):
-        if not entering:
-            continue
-        if isinstance(node, CwLeaf):
-            if node.name in names:
-                raise ValueError(f"duplicate vertex name {node.name!r}")
-            names[node.name] = None
-            max_label = max(max_label, node.label)
-        elif isinstance(node, CwRelabel):
-            max_label = max(max_label, node.old, node.new)
-        elif isinstance(node, CwEdge):
-            max_label = max(max_label, node.label_a, node.label_b)
-    if not names:
-        raise ValueError("expression has no leaves")
+    for node in nodes:
+        _check(node)
+        if node[0] == "leaf":
+            if node[2] in names:
+                raise ValueError(f"duplicate vertex name {node[2]!r}")
+            names[node[2]] = None
+            max_label = max(max_label, node[1])
+        elif node[0] != "un":
+            max_label = max(max_label, node[1], node[2])
+    for _ in _walk(nodes):
+        pass
     if all(name.isdigit() for name in names):
         ids = {name: int(name) for name in names}
         if any(v < 1 for v in ids.values()) or len(set(ids.values())) != len(ids):
             raise ValueError("numeric vertex names must be distinct positive ids")
     else:
         ids = {name: idx for idx, name in enumerate(names, start=1)}
-    return CliqueWidthExpression(root, max_label, ids)
-
-
-_BUILDERS = {
-    "leaf": CwLeaf,
-    "un": CwUnion,
-    "rl": CwRelabel,
-    "ep": lambda a, b, child: CwEdge(a, b, POS, child),
-    "en": lambda a, b, child: CwEdge(a, b, NEG, child),
-}
+    return CliqueWidthExpression(nodes, max_label, ids)
 
 
 def parse_cw(text: str | bytes) -> CliqueWidthExpression:
     """Parse the prefix expression grammar described in the module docstring."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    tokens: list[tuple[str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].replace("(", " ").replace(")", " ")
-        tokens.extend((tok, lineno) for tok in line.split())
+    blanked = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    lines = token_lines(blanked.replace("(", " ").replace(")", " "))
+    tokens = [(tok, lineno) for lineno, fields in lines for tok in fields]
     pos = 0
 
     def take(what: str) -> tuple[str, int]:
@@ -201,39 +138,28 @@ def parse_cw(text: str | bytes) -> CliqueWidthExpression:
         except ValueError:
             raise ParseError(f"expected {what}, got {tok!r}", line) from None
 
-    def build(kind: str, line: int, *args) -> CwNode:
+    nodes: list[tuple] = []
+    needed = 1  # the children still missing, the root's place included
+    while needed:
+        kind, line = take("a node kind")
+        if kind not in _ARITY:
+            raise ParseError(f"unknown node kind {kind!r}", line)
+        if kind == "leaf":
+            node = (kind, take_int("a label"), take("a vertex name")[0])
+        elif kind == "un":
+            node = (kind,)
+        else:
+            node = (kind, take_int("a label"), take_int("a label"))
         try:
-            return _BUILDERS[kind](*args)
+            _check(node)
         except ValueError as exc:
             raise ParseError(str(exc), line) from None
-
-    # the inner nodes still missing a child: kind, line, arguments so far
-    pending: list[tuple[str, int, list]] = []
-    while True:
-        tok, line = take("a node kind")
-        if tok == "leaf":
-            node = build(tok, line, take_int("a label"), take("a vertex name")[0])
-        elif tok in _BUILDERS:
-            args = [] if tok == "un" else [take_int("a label"), take_int("a label")]
-            pending.append((tok, line, args))
-            continue
-        else:
-            raise ParseError(f"unknown node kind {tok!r}", line)
-        # a finished node completes every pending node it was the last child of
-        while pending:
-            kind, kind_line, args = pending[-1]
-            args.append(node)
-            if kind == "un" and len(args) == 1:
-                break
-            pending.pop()
-            node = build(kind, kind_line, *args)
-        else:
-            break
-    root = node
+        nodes.append(node)
+        needed += _ARITY[kind] - 1
     if pos != len(tokens):
         raise ParseError(f"trailing tokens after expression: {tokens[pos][0]!r}", tokens[pos][1])
     try:
-        return expression(root)
+        return expression(nodes)
     except ValueError as exc:
         raise ParseError(str(exc), 1) from None
 
@@ -241,31 +167,18 @@ def parse_cw(text: str | bytes) -> CliqueWidthExpression:
 def serialize_cw(expr: CliqueWidthExpression) -> str:
     """Prefix text of the expression, each child in parentheses."""
     pieces: list[str] = []
-    depth = 0
-    for node, entering in _tour(expr.root):
-        if not entering:
-            depth -= 1
-            if depth:
-                pieces.append(")")
-            continue
-        if depth:
-            pieces.append(" (")
-        depth += 1
-        if isinstance(node, CwLeaf):
-            pieces.append(f"leaf {node.label} {node.name}")
-        elif isinstance(node, CwUnion):
-            pieces.append("un")
-        elif isinstance(node, CwRelabel):
-            pieces.append(f"rl {node.old} {node.new}")
-        else:
-            op = "ep" if node.sign == POS else "en"
-            pieces.append(f"{op} {node.label_a} {node.label_b}")
+    for node, depth, entering in _walk(expr.nodes):
+        if entering:
+            text = " ".join(map(str, node))
+            pieces.append(f" ({text}" if depth else text)
+        elif depth:
+            pieces.append(")")
     return "".join(pieces) + "\n"
 
 
 def _classes(expr: CliqueWidthExpression):
-    """Fold the expression once, keeping each label's class of vertices as
-    (representative, members).
+    """Fold the expression once, children first, keeping each label's class
+    of vertices as (representative, members).
 
     Returns the evaluation graph, cw_to_sequence's steps before its final
     merges of the root's labels, and the root's classes.  A merge keeps the
@@ -285,34 +198,38 @@ def _classes(expr: CliqueWidthExpression):
         members.extend(other_members)
         return rep, members
 
-    def visit(node: CwNode, *children) -> dict[int, tuple[int, list[int]]]:
-        if isinstance(node, CwLeaf):
-            v = ids[node.name]
-            return {node.label: (v, [v])}
-        if isinstance(node, CwUnion):
-            classes, right = children
+    # the classes of each complete node whose parent is not yet complete
+    results: list[dict[int, tuple[int, list[int]]]] = []
+    for node, _, entering in _walk(expr.nodes):
+        if entering:
+            continue
+        kind = node[0]
+        if kind == "leaf":
+            v = ids[node[2]]
+            results.append({node[1]: (v, [v])})
+            continue
+        if kind == "un":
+            right = results.pop()
+            classes = results[-1]
             for label, cls in sorted(right.items()):
                 classes[label] = merge(classes[label], cls) if label in classes else cls
-            return classes
-        (classes,) = children
-        if isinstance(node, CwRelabel):
-            if node.old in classes:
-                cls = classes.pop(node.old)
-                classes[node.new] = merge(classes[node.new], cls) if node.new in classes else cls
-            return classes
-        if node.label_a in classes and node.label_b in classes:
-            for x in classes[node.label_a][1]:
-                for y in classes[node.label_b][1]:
+            continue
+        classes = results[-1]
+        _, a, b = node
+        if kind == "rl":
+            if a in classes:
+                cls = classes.pop(a)
+                classes[b] = merge(classes[b], cls) if b in classes else cls
+        elif a in classes and b in classes:
+            sign = _SIGN[kind]
+            for x in classes[a][1]:
+                for y in classes[b][1]:
                     pair = (x, y) if x < y else (y, x)
                     existing = edges.get(pair)
-                    if existing is not None and existing != node.sign:
-                        raise ValueError(
-                            f"edge {pair} inserted with both signs by the expression"
-                        )
-                    edges[pair] = node.sign
-        return classes
-
-    classes = _fold(expr.root, visit)
+                    if existing is not None and existing != sign:
+                        raise ValueError(f"edge {pair} inserted with both signs by the expression")
+                    edges[pair] = sign
+    (classes,) = results
     graph = SignedTrigraph(
         sorted(v for _, members in classes.values() for v in members),
         [(u, v, sign) for (u, v), sign in sorted(edges.items())],

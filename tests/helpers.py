@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from stww.bwmc import Profile, enumerate_red_connected
 from stww.cnf import Formula, WeightFunction
-from stww.cwexpr import CliqueWidthExpression, CwEdge, CwLeaf, CwRelabel, CwUnion, expression
+from stww.cwexpr import expression
 from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph
 
 
@@ -510,14 +510,14 @@ def random_cw_expression(rng, k, max_leaves=20):
         if n_leaves == 1:
             name = str(next(counter))
             label = rng.randint(1, k)
-            node = CwLeaf(label, name)
+            nodes = (("leaf", label, name),)
             labels = {int(name): label}
             edges = {}
         else:
             split = rng.randint(1, n_leaves - 1)
             left, lab_l, ed_l = build(split)
             right, lab_r, ed_r = build(n_leaves - split)
-            node = CwUnion(left, right)
+            nodes = (("un",), *left, *right)
             labels = {**lab_l, **lab_r}
             edges = {**ed_l, **ed_r}
         for _ in range(rng.randint(0, 3)):
@@ -535,16 +535,16 @@ def random_cw_expression(rng, k, max_leaves=20):
                     continue
                 for p in pairs:
                     edges[p] = sign
-                node = CwEdge(a, b, sign, node)
+                nodes = ("ep" if sign == POS else "en", a, b), *nodes
             else:
                 for v, lab in list(labels.items()):
                     if lab == a:
                         labels[v] = b
-                node = CwRelabel(a, b, node)
-        return node, labels, edges
+                nodes = ("rl", a, b), *nodes
+        return nodes, labels, edges
 
-    node, _, _ = build(rng.randint(1, max_leaves))
-    return expression(node)
+    nodes, _, _ = build(rng.randint(1, max_leaves))
+    return expression(nodes)
 
 
 def evaluate_cw_text(text):

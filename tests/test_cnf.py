@@ -285,12 +285,6 @@ def test_formula_clause_form_examples():
         Formula(3, ((1,), ("a", 2)))
 
 
-def test_normalized_orders_clauses():
-    f = Formula(2, (frozenset({2}), frozenset({-1}), frozenset({1})))
-    ordered = f.normalized()
-    assert ordered.clauses == ((1,), (-1,), (2,))
-
-
 def test_weight_function_defaults_and_equality():
     w = WeightFunction({1: "2/3", -1: 4, 2: Fraction(1, 2)})
     assert w.of(1) == Fraction(2, 3)

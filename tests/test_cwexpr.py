@@ -1,15 +1,15 @@
+import hashlib
+import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import evaluate_cw_text, random_cw_expression
 from stww.cnf import ParseError
 from stww.cwexpr import (
-    CwEdge,
-    CwLeaf,
-    CwRelabel,
-    CwUnion,
     cw_to_sequence,
     evaluate,
     expression,
@@ -54,46 +54,96 @@ def test_serialize_round_trip():
     for _ in range(25):
         expr = random_cw_expression(rng, k=rng.randint(1, 4), max_leaves=12)
         again = parse_cw(serialize_cw(expr))
-        assert again.root == expr.root
+        assert again.nodes == expr.nodes
         assert again.vertex_ids == expr.vertex_ids
 
 
 @pytest.mark.parametrize(
-    "text, match",
+    "text, match, line",
     [
-        ("", "unexpected end"),
-        ("un (leaf 1 a)", "unexpected end"),
-        ("leaf x a", "expected a label"),
-        ("frob 1 2", "unknown node kind"),
-        ("leaf 1 a leaf 1 b", "trailing"),
-        ("rl 1 1 (leaf 1 a)", "no-op"),
-        ("ep 1 1 (leaf 1 a)", "distinct"),
-        ("un (leaf 1 a) (leaf 1 a)", "duplicate vertex name"),
-        ("ep 1 2 (en 1 2 (un (leaf 1 1) (leaf 2 2)))", None),
+        ("", "unexpected end", 1),
+        ("un (leaf 1 a)", "unexpected end", 1),
+        ("leaf x a", "expected a label", 1),
+        ("frob 1 2", "unknown node kind", 1),
+        ("leaf 1 a leaf 1 b", "trailing", 1),
+        ("rl 1 1 (leaf 1 a)", "no-op", 1),
+        ("ep 1 1 (leaf 1 a)", "distinct", 1),
+        ("un (leaf 1 a) (leaf 1 a)", "duplicate vertex name", 1),
+        ("un # two leaves\n  (leaf 1 a)\n  (leaf 0 b)", "label 0 must be positive", 3),
+        ("ep 1 2 (en 1 2 (un (leaf 1 1) (leaf 2 2)))", None, None),
     ],
 )
-def test_parse_and_build_errors(text, match):
+def test_parse_and_build_errors(text, match, line):
     if match is None:
         # both signs on one pair is an evaluation-time error
         with pytest.raises(ValueError, match="both signs"):
             evaluate(parse_cw(text))
     else:
-        with pytest.raises(ParseError, match=match):
+        with pytest.raises(ParseError, match=match) as info:
             parse_cw(text)
+        assert info.value.line == line
 
 
 def test_node_and_expression_validations():
-    with pytest.raises(ValueError):
-        CwLeaf(0, "a")
-    with pytest.raises(ValueError):
-        CwLeaf(1, "")
-    with pytest.raises(ValueError):
-        CwRelabel(1, 1, CwLeaf(1, "a"))
-    with pytest.raises(ValueError):
-        CwEdge(1, 2, "?", CwLeaf(1, "a"))
-    # numeric names "1" and "01" collide as vertex ids
-    with pytest.raises(ValueError, match="distinct positive"):
-        expression(CwUnion(CwLeaf(1, "1"), CwLeaf(1, "01")))
+    for nodes, match in [
+        ([("leaf", 0, "a")], "label 0 must be positive"),
+        ([("rl", 1, 1), ("leaf", 1, "a")], "no-op"),
+        ([("ep", 0, 2), ("leaf", 1, "a")], "labels must be positive"),
+        ([("ep", 1, 1), ("leaf", 1, "a")], "distinct"),
+        ([("ex", 1, 2), ("leaf", 1, "a")], "unknown node"),
+        ([("rl", 1, "2"), ("leaf", 1, "a")], "malformed node"),
+        ([("un",), ("leaf", 1, "a")], "unfinished"),
+        ([], "unfinished"),
+        ([("leaf", 1, "a"), ("leaf", 1, "b")], "trailing"),
+        # numeric names "1" and "01" collide as vertex ids
+        ([("un",), ("leaf", 1, "1"), ("leaf", 1, "01")], "distinct positive"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            expression(nodes)
+
+
+def test_names_the_text_format_cannot_carry():
+    # each would serialize to text that parses differently or not at all
+    for name in ["a b", "x#y", "a(", ")", "", " a", "a\n"]:
+        with pytest.raises(ValueError, match="vertex name"):
+            expression([("un",), ("leaf", 1, name), ("leaf", 2, "z")])
+
+
+def test_outputs_are_pinned():
+    _, seq = cw_to_sequence(parse_cw(P4_TEXT))
+    assert seq.steps == ((1, 2), (3, 4), (3, 1))
+    # acceptance criterion 6's expressions: their text and their sequences
+    records = []
+    for seed in range(50):
+        rng = random.Random(6000 + seed)
+        k = rng.randint(1, 4)
+        expr = random_cw_expression(rng, k, max_leaves=20)
+        _, seq = cw_to_sequence(expr)
+        records.append([serialize_cw(expr), [list(step) for step in seq.steps]])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "3fc2eb454b18848a471006333f4cbfdbaeaa8b7994cf440d9e2cb5aa1fcbf98c"
+
+
+SOUP = ["leaf", "un", "rl", "ep", "en", "0", "1", "2", "-1", "a", "(", ")", "#", "\n"]
+
+
+@st.composite
+def mutated_text(draw):
+    """A serialized random expression with one character replaced."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    text = serialize_cw(random_cw_expression(rng, rng.randint(1, 4), max_leaves=8))
+    at = draw(st.integers(0, len(text) - 1))
+    return text[:at] + draw(st.sampled_from("leafunrlpn0123-a()# \n")) + text[at + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mutated_text(), st.lists(st.sampled_from(SOUP), max_size=30).map(" ".join)))
+def test_parse_raises_only_parse_errors_and_round_trips(text):
+    try:
+        expr = parse_cw(text)
+    except ParseError:
+        return
+    assert parse_cw(serialize_cw(expr)).nodes == expr.nodes
 
 
 def test_transform_width_bound_on_path():
@@ -149,11 +199,10 @@ def test_deep_expressions_parse_serialize_and_transform_without_recursion():
 
 
 def test_deep_node_trees_wrap_and_evaluate_without_recursion():
-    # the caterpillar's path, built as nodes instead of parsed
-    node = CwLeaf(1, "1")
-    for v in range(2, 1001):
-        node = CwRelabel(2, 1, CwRelabel(1, 3, CwEdge(1, 2, POS, CwUnion(CwLeaf(2, str(v)), node))))
-    expr = expression(node)
+    # the caterpillar's path, built as node tuples instead of parsed
+    step = (("rl", 2, 1), ("rl", 1, 3), ("ep", 1, 2), ("un",))
+    nodes = [node for v in range(1000, 1, -1) for node in (*step, ("leaf", 2, str(v)))]
+    expr = expression([*nodes, ("leaf", 1, "1")])
     assert expr.num_labels == 3 and len(expr.vertex_ids) == 1000
     assert sum(1 for _ in evaluate(expr).edges()) == 999
 
@@ -175,8 +224,8 @@ def test_deep_trees_compare_and_hash_without_recursion():
     n = 5000
     expr = parse_cw(caterpillar(n))
     again = parse_cw(serialize_cw(expr))
-    assert again.root == expr.root
-    assert hash(again.root) == hash(expr.root)
+    assert again.nodes == expr.nodes
+    assert hash(again.nodes) == hash(expr.nodes)
     # the same tree but for one leaf's name
     renamed = parse_cw(caterpillar(n).replace(f"leaf 2 {n // 2} ", f"leaf 2 x{n // 2} "))
-    assert renamed.root != expr.root
+    assert renamed.nodes != expr.nodes
