@@ -33,6 +33,23 @@ final edge is red and from a's own profiles across a black edge.
 `dp_records` plans and evaluates every red-connected region of every
 level as a root, so that every level's full record can be refereed.
 
+A clause vertex c of a region is closed when every neighbour c has at
+the region's level lies in the region.  Two vertices are adjacent exactly
+when their bags share an original edge, so every variable of c's bagged
+clauses then lies in the region and is decided there.  Widening reaches
+only the clauses outside a component, and a merged clause z is satisfied
+only when x and y both are, so a state that leaves a closed c unsatisfied
+adds 0 to `finalize` under every extension: it is dead.  c stays closed
+while the region lasts, since a vertex born next to c later is a merge of
+c's neighbours.  `solve_bwmc`'s tables drop dead states in the pass that
+merges x and y, and count them in `dead_states`.  A dropped table is not
+the full table filtered by this rule: a state reached only through a
+dead child state is missing, and a state into which a dead child state
+merged, say through a merge of c with an open clause, holds less; the
+weight lost is that of assignments that leave an original clause
+unsatisfied, which no count includes.  `dp_records` keeps every state,
+so that its records hold every realizable profile.
+
 No record is kept for a region past the cap k(d² + 1), `region_cap`.
 When a merge would grow a capped region past it, the expansion splits by
 its has_one set S, which holds at most k variable vertices.  The
@@ -148,6 +165,7 @@ def _region_tables(
     weights: WeightFunction,
     budget: int,
     stats: dict,
+    drop_dead: bool = True,
 ) -> dict[frozenset[int], Table]:
     """The tables of `roots`, regions of any levels of `log`, by region.
 
@@ -163,9 +181,14 @@ def _region_tables(
     every child first, since birth levels grow with vertex ids and a
     child's vertices all predate the parent's z.  A table is dropped when
     its last reader has been built.
+
+    With `drop_dead` each region is evaluated with its closed-clause mask:
+    the satisfied bit of each clause vertex of the region whose neighbours
+    at the region's level all lie in the region.  The evaluator drops the
+    states that leave one of them clear; without it every table is exact.
     """
     for key in ("regions_evaluated", "large_regions", "has_one_splits", "fold_states",
-                "largest_table", "entries_copied"):
+                "largest_table", "entries_copied", "dead_states"):
         stats.setdefault(key, 0)
     max_region = region_cap(budget, log.width)
     readers = Counter(roots)
@@ -189,7 +212,15 @@ def _region_tables(
         plans[region] = (level, splits)
     for region in sorted(plans, key=max):
         level, splits = plans.pop(region)
-        tables[region] = _recompute_region(log, level, region, splits, budget, tables, stats)
+        # built here, not kept in the plan: a mask at label slots is O(V)
+        # bits wide, and the walk holds every plan until it ends
+        closed = 0
+        if drop_dead:
+            for c in region:
+                if log.side(c) == SIDE_CLA and log.neighbors_at(c, level) <= region:
+                    closed |= 4 << 3 * log.label(c)
+        tables[region] = _recompute_region(log, level, region, splits, closed, budget, tables,
+                                           stats)
         for _, components, _, _ in splits:
             for comp in components:
                 readers[comp] -= 1
@@ -364,6 +395,7 @@ def _recompute_region(
     level: int,
     region: frozenset[int],
     splits,
+    closed: int,
     budget: int,
     tables: Mapping[frozenset[int], Table],
     stats: dict,
@@ -379,9 +411,10 @@ def _recompute_region(
     together even when they lie in different components.  z answers to x's
     label, so the pass folds y's slot into x's and clears y's: a variable
     z has a 1 if x or y has one, and is mixed if it also has a 0; a clause
-    z is satisfied if x and y both are.  The same pass adds each state
+    z is satisfied if x and y both are.  The same pass drops each state
+    that leaves a bit of `closed` clear, a dead state, and adds the others
     into the table, where the splits, whose has_one sets are disjoint, add
-    up.
+    up; a ones row left with no state is dropped.
     """
     stats["regions_evaluated"] += 1
     if splits[0][0] is not None:
@@ -399,6 +432,7 @@ def _recompute_region(
     x_mixed, pair_mixed = x_bit << 1, pair << 1
     clear_y, clear_pair = ~(7 << y_slot), ~pair
     out: Table = {}
+    dead = 0
     for split_has_one, components, weight, satisfied in splits:
         folds = []
         for comp in components:
@@ -426,7 +460,13 @@ def _recompute_region(
                         key = (key | x_bit) & clear_y
                     else:
                         key &= clear_y if seen == pair else clear_pair
+                if key & closed != closed:
+                    dead += 1
+                    continue
                 row[key] = row.get(key, 0) + value
+            if not row:
+                del out[ones]
+    stats["dead_states"] += dead
     size = sum(map(len, out.values()))
     stats["fold_states"] += size
     stats["largest_table"] = max(stats["largest_table"], size)
@@ -537,7 +577,9 @@ def solve_bwmc(
     budget the count has a closed form.  `stats`, when given, collects
     region counters, the fold counters (`fold_states`, the partial and
     output states the folds build, and `largest_table`, the most states of
-    one evaluated region), the sequence's `width` and its `region_cap`.
+    one evaluated region), `dead_states`, the merged states dropped
+    because they leave a closed clause unsatisfied, the sequence's `width`
+    and its `region_cap`.
     """
     if k < 0:
         raise ValueError("the ones budget k must be nonnegative")
@@ -637,7 +679,8 @@ def dp_records(
         graphs.append(log.snapshot(level))
     levels = [enumerate_red_connected(graph, max_region) for graph in graphs]
     roots = itertools.chain.from_iterable(levels)
-    tables = _region_tables(log, roots, weights, budget, stats if stats is not None else {})
+    tables = _region_tables(log, roots, weights, budget, stats if stats is not None else {},
+                            drop_dead=False)
     for graph, regions in zip(graphs, levels):
         record: Record = {}
         for region in regions:

@@ -206,7 +206,8 @@ def _cmd_bwmc(args) -> int:
                 f"{stats.get('regions_evaluated', 0)} regions evaluated "
                 f"({stats.get('large_regions', 0)} at the cap, "
                 f"{stats.get('has_one_splits', 0)} has_one splits), "
-                f"{stats.get('fold_states', 0)} fold states, "
+                f"{stats.get('fold_states', 0)} fold states "
+                f"({stats.get('dead_states', 0)} dead states dropped), "
                 f"largest table {stats.get('largest_table', 0)}, "
                 f"{stats.get('entries_copied', 0)} entries copied",
                 file=sys.stderr,

@@ -9,9 +9,10 @@ Expression text is prefix notation with five node kinds:
     en <i> <j> <e>          insert negative edges between labels i and j
 
 Parentheses may be used for grouping but carry no meaning; the fixed
-arities make the prefix form unambiguous.  Vertex names that are all
-digits are used as vertex ids directly, otherwise ids are assigned in
-leaf order.
+arities make the prefix form unambiguous.  When every vertex name is
+all ASCII digits, the names are used as vertex ids directly; otherwise
+ids are assigned in leaf order, so a name of other digits, such as "²"
+or "١٢", is a name like any other.
 
 An expression is held as that prefix sequence itself: a tuple of flat node
 tuples, ("leaf", label, name), ("un",) and (kind, i, j) for rl, ep and en.
@@ -105,7 +106,7 @@ def expression(nodes) -> CliqueWidthExpression:
             max_label = max(max_label, node[1], node[2])
     for _ in _walk(nodes):
         pass
-    if all(name.isdigit() for name in names):
+    if all(name.isascii() and name.isdigit() for name in names):
         ids = {name: int(name) for name in names}
         if any(v < 1 for v in ids.values()) or len(set(ids.values())) != len(ids):
             raise ValueError("numeric vertex names must be distinct positive ids")

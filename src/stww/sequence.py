@@ -63,7 +63,8 @@ class ContractionLog:
     where replay stops: an unknown label or, with require_bipartite, a
     cross-side step.  For every vertex created and not undone it keeps
     side, bag, birth level (0 for input vertices, i + 1 for step i's z),
-    label and edges.  label(v) is the label v answers to: an input vertex answers to
+    death level (i + 1 for step i's x and y), label and edges.  label(v)
+    is the label v answers to: an input vertex answers to
     its own id, and step (x, y, z) gives z the label of x, so the vertices
     of one level answer to distinct labels and a vertex keeps its label for
     as long as it exists.  The edge between two vertices never changes
@@ -71,7 +72,8 @@ class ContractionLog:
     for any level at which the queried vertices all exist; red_neighbors
     holds every vertex ever red-adjacent, and the dynamic program, which
     intersects it with coexisting vertices, reads a log wherever it reads a
-    graph.  vertices, vertex, neighbors and red_degree answer only for the
+    graph; neighbors_at(v, level) names v's neighbours that exist at a
+    level.  vertices, vertex, neighbors and red_degree answer only for the
     last level.
     """
 
@@ -98,6 +100,8 @@ class ContractionLog:
         self._vertex_of = {v: v for v in adj}
         # vertex -> the label it answers to, for every vertex ever created
         self._label = {v: v for v in adj}
+        # contracted vertex -> the level at which it no longer exists
+        self._death: dict[int, int] = {}
         for idx, (keep, merge) in enumerate(seq.steps if seq is not None else ()):
             try:
                 if require_bipartite:
@@ -149,6 +153,7 @@ class ContractionLog:
         self.per_step_max_red.append(top)
         self.width = max(self.width, top)
         self.steps.append((x, y, z))
+        self._death[x] = self._death[y] = len(self.steps)
         side[z] = side[x] if side[x] == side[y] else None
         self.bipartite = self.bipartite and side[z] is not None
         self._vertex_of[keep] = z
@@ -172,7 +177,7 @@ class ContractionLog:
             count[degree[w]] -= 1
             degree[w] -= (kind == RED) - (adj[x].get(w) == RED) - (adj[y].get(w) == RED)
             count[degree[w]] += 1
-        del red[z], self._side[z]
+        del red[z], self._side[z], self._death[x], self._death[y]
         self._bag.pop(z, None)
         self._vertex_of[self._label.pop(z)] = x
         self._vertex_of[self._label[y]] = y
@@ -204,6 +209,13 @@ class ContractionLog:
 
     def birth(self, v: int) -> int:
         return max(v - self._last_input, 0)
+
+    def neighbors_at(self, v: int, level: int) -> set[int]:
+        """v's neighbours that exist at `level`: born by it, not yet
+        contracted away."""
+        # ids are handed out in step order, so top is the last id born by level
+        top, death = self._last_input + level, self._death
+        return {w for w in self._adj[v] if w <= top and death.get(w, level + 1) > level}
 
     def edge(self, u: int, v: int) -> str | None:
         return self._adj[u].get(v)

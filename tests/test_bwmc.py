@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -409,9 +410,9 @@ def watch_region_tables(monkeypatch):
     calls = []
     evaluate = bwmc._recompute_region
 
-    def watching(log, level, region, splits, budget, tables, stats):
+    def watching(log, level, region, splits, closed, budget, tables, stats):
         live = sum(log.birth(max(r)) > 0 for r in tables)
-        table = evaluate(log, level, region, splits, budget, tables, stats)
+        table = evaluate(log, level, region, splits, closed, budget, tables, stats)
         calls.append((live, table))
         return table
 
@@ -565,21 +566,21 @@ def test_records_hold_the_black_edges_inside_their_region():
 
 
 DP_COUNTERS = ("regions_evaluated", "large_regions", "has_one_splits", "fold_states",
-               "largest_table")
+               "largest_table", "dead_states")
 
 
 @pytest.mark.parametrize(
     "ksat, k, counters, copied",
     [
-        ((12, 3, 24, 1), 2, (34, 0, 0, 1262, 77), 332),
-        ((12, 3, 24, 1), 3, (34, 0, 0, 3995, 284), 888),
-        (None, 3, (117, 0, 0, 1160, 9), 631),
-        ((20, 3, 40, 0), 1, (148, 1, 16, 1770, 20), 692),
+        ((12, 3, 24, 1), 2, (34, 0, 0, 209, 36, 53), 163),
+        ((12, 3, 24, 1), 3, (34, 0, 0, 602, 93, 151), 341),
+        (None, 3, (117, 0, 0, 585, 4, 174), 348),
+        ((20, 3, 40, 0), 1, (148, 1, 16, 899, 12, 84), 503),
     ],
     ids=["ksat-12-k2", "ksat-12-k3", "zip-chain-60", "ksat-20-capped"],
 )
 def test_dp_counters_are_pinned(ksat, k, counters, copied):
-    # the five region and fold counters pin the DP's work, so a change to
+    # the six region and fold counters pin the DP's work, so a change to
     # how tables are stored or read leaves them as they are; entries_copied
     # counts the child states read through a copy instead of in place
     if ksat is None:
@@ -770,3 +771,76 @@ def test_solve_matches_the_oracle_past_24_variables():
         checked += 1
         nonzero += value != 0
     assert 2 * nonzero >= checked
+
+
+# -- dead states: a closed clause left unsatisfied never counts ---------------
+
+
+def test_dropped_tables_hold_no_dead_state_and_only_realizable_ones():
+    # a clause vertex whose neighbours at the region's level all lie in the
+    # region is closed: its variables are all decided, so a state that
+    # leaves it unsatisfied adds 0 to every count.  solve_bwmc's tables drop
+    # those states; dp_records keeps every state.  The dropped tables are
+    # not the full tables filtered: a state reached only through a dead
+    # child state is missing, and a value into which a dead child state
+    # merged is smaller, so each dropped state is only checked to be a
+    # state of the full table
+    cases = []
+    for seed in range(30):
+        rng = random.Random(2000 + seed)
+        f = random_formula(rng, max_vars=8, max_clauses=8)
+        cases.append((f, random_weights(rng, f.num_vars), rng.randint(1, f.num_vars), "smallest"))
+    cases.append((LARGE_BRANCH_FORMULA, CAPPED_REGION_WEIGHTS, 1, "largest"))
+    kept = dead = 0
+    for f, w, k, tie_break in cases:
+        seq = greedy_for(f, tie_break)
+        log = ContractionLog(incidence_graph(f), seq, require_bipartite=True).check()
+        full = list(dp_records(f, w, k, seq))
+        levels = [enumerate_red_connected(graph, region_cap(min(k, f.num_vars), log.width))
+                  for graph, _ in full]
+        tables = bwmc._region_tables(log, itertools.chain.from_iterable(levels), w,
+                                     min(k, f.num_vars), {})
+        for (graph, record), regions in zip(full, levels):
+            for region in regions:
+                closed = {c for c in region
+                          if graph.side(c) == SIDE_CLA and set(graph.neighbors(c)) <= region}
+                for profile in bwmc._profiles(log, region, tables[region]):
+                    assert closed <= profile.satisfied, (profile, closed)
+                    assert profile in record, profile
+                    kept += 1
+                dead += sum(p.region == region and not closed <= p.satisfied for p in record)
+    # the full tables do hold dead states, and dropping them does some work
+    assert kept > 0 and dead > 0
+
+
+def mostly_negative_3cnf(rng, n, m):
+    """Random 3-clauses whose literals are negative with probability 0.6,
+    an all-positive clause drawn again, so that few ones often satisfy."""
+    clauses = []
+    while len(clauses) < m:
+        clause = frozenset(-v if rng.random() < 0.6 else v for v in rng.sample(range(1, n + 1), 3))
+        if any(lit < 0 for lit in clause):
+            clauses.append(clause)
+    return Formula(n, tuple(clauses))
+
+
+def test_dropping_dead_states_keeps_the_counts():
+    nonzero = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        f = mostly_negative_3cnf(rng, 24, 48)
+        w = random_weights(rng, f.num_vars, zeros=False)
+        seq = greedy_for(f)
+        for k in (2, 3, 4):
+            value = solve_bwmc(f, w, k, seq)
+            assert value == bwmc_oracle(f, w, k), (seed, k)
+            nonzero += value != 0
+    assert nonzero >= 15
+    # random 3-CNF at m = 2n has no model with few ones: almost every state
+    # of the wide tables is dead
+    for n, k in [(40, 3), (60, 3)]:
+        f = gen_random_ksat(n, 3, 2 * n, 1)
+        w = random_weights(random.Random(n), n, zeros=False)
+        stats = {}
+        assert solve_bwmc(f, w, k, greedy_for(f), stats=stats) == bwmc_oracle(f, w, k) == 0
+        assert stats["dead_states"] > 0

@@ -68,8 +68,8 @@ def test_bwmc_weighted_json_and_stats(capsys, tmp_path):
     assert payload["k"] == 2
     assert err == (
         "stats: width 2, region size cap 10, 3 regions evaluated "
-        "(0 at the cap, 0 has_one splits), 19 fold states, largest table 6, "
-        "8 entries copied\n"
+        "(0 at the cap, 0 has_one splits), 12 fold states (4 dead states dropped), "
+        "largest table 4, 8 entries copied\n"
     )
     # cross-check against the brute-force oracle subcommand
     code, out, _err = run(capsys, "oracle", "bwmc", str(cnf), "-k", "2")
@@ -88,8 +88,8 @@ def test_bwmc_stats_count_the_has_one_splits(capsys, tmp_path):
     assert code == EX_OK
     assert err == (
         "stats: width 2, region size cap 5, 11 regions evaluated "
-        "(1 at the cap, 4 has_one splits), 55 fold states, largest table 4, "
-        "28 entries copied\n"
+        "(1 at the cap, 4 has_one splits), 46 fold states (3 dead states dropped), "
+        "largest table 4, 28 entries copied\n"
     )
     code, oracle_out, _err = run(capsys, "oracle", "bwmc", str(cnf), "-k", "1")
     assert out == oracle_out

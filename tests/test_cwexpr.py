@@ -49,6 +49,21 @@ def test_named_leaves_get_sequential_ids():
     assert evaluate(expr).edge(1, 2) == POS
 
 
+def test_only_ascii_digit_names_are_vertex_ids():
+    # "²" and "١٢" are digits to str.isdigit, and "١٢" decimal to
+    # str.isdecimal, but they are names: ids follow leaf order
+    for name in ["\u00b2", "\u0661\u0662"]:
+        expr = parse_cw(f"leaf 1 {name}")
+        assert expr.vertex_ids == {name: 1}
+        assert evaluate(expr).vertices() == [1]
+        assert expression([("leaf", 1, name)]).vertex_ids == {name: 1}
+        expr = parse_cw(f"ep 1 2 (un (leaf 1 7) (leaf 2 {name}))")
+        assert expr.vertex_ids == {"7": 1, name: 2}
+        assert evaluate(expr).edge(1, 2) == POS
+    # ASCII digits alone still name their ids
+    assert parse_cw("un (leaf 1 7) (leaf 2 3)").vertex_ids == {"7": 7, "3": 3}
+
+
 def test_serialize_round_trip():
     rng = random.Random(11)
     for _ in range(25):

@@ -242,3 +242,34 @@ def test_undo_restores_the_log_of_the_remaining_prefix():
             fresh = ContractionLog(graph, ContractionSequence(tuple(prefix)))
             assert log_state(log) == log_state(fresh), (seed, prefix)
     assert undone > 1000
+
+
+def test_neighbors_at_names_the_neighbours_of_every_level():
+    # a log keeps the edges of every vertex it ever held; neighbors_at reads
+    # off them the neighbours born by a level and not yet contracted away
+    checked = 0
+    for seed in range(300):
+        graph, seq = random_sequence_case(random.Random(seed))
+        log = ContractionLog(graph, seq)
+        level, levels = graph, [graph]
+        for x, y, _z in log.steps:
+            level, _ = contracted(level, x, y)
+            levels.append(level)
+        for i, reference in enumerate(levels):
+            for v in reference.vertices():
+                assert log.neighbors_at(v, i) == set(reference.neighbors(v)), (seed, i, v)
+                checked += 1
+        # undo takes the last step's deaths back: after another pair merges
+        # in its place, the undone pair's survivors are neighbours again
+        if len(log.steps) and len(levels[-2].vertices()) > 2:
+            x, y, _z = log.steps[-1]
+            log.undo()
+            before = levels[-2]
+            u, w = next((u, w) for u in before.vertices() for w in before.vertices()
+                        if u < w and {u, w} != {x, y})
+            log.contract(log.label(u), log.label(w))
+            after, _ = contracted(before, u, w)
+            for v in after.vertices():
+                assert log.neighbors_at(v, len(log.steps)) == set(after.neighbors(v)), (seed, v)
+                checked += 1
+    assert checked > 1000
