@@ -30,9 +30,9 @@ d = verify(graph, free).width
 print(f"unrestricted greedy: {len(free.steps)} steps, width {d}")
 
 result = bipartize(graph, free)
-report = verify(graph, result.seq, require_bipartite=True)
-assert report.failure is None
-print(f"bipartized: {len(result.seq.steps)} steps, width {report.width} (≤ {d} + 2)")
+log = verify(graph, result.seq, require_bipartite=True)
+assert log.ok
+print(f"bipartized: {len(result.seq.steps)} steps, width {log.width} (≤ {d} + 2)")
 print(f"steps doubled into half-merges: {sorted(result.doubled_steps)}")
 for out_index, in_index in sorted(result.index_map.items()):
     print(f"  output step {out_index} <- input step {in_index}")

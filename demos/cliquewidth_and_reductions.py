@@ -25,10 +25,10 @@ en 1 2 (un
 """
 expr = parse_cw(P4)
 graph, seq = cw_to_sequence(expr)
-report = verify(graph, seq)
+log = verify(graph, seq)
 print(
     f"k-expression with {expr.num_labels} labels -> "
-    f"{graph.num_vertices} vertices, sequence width {report.width} "
+    f"{graph.num_vertices} vertices, sequence width {log.width} "
     f"(≤ {2 * expr.num_labels})"
 )
 

@@ -31,11 +31,11 @@ print(f"incidence graph: {graph.num_vertices} vertices, {graph.num_edges()} edge
 
 # variables may only merge with variables, clauses with clauses
 seq = greedy_sequence(graph, bipartite=True)
-report = verify(graph, seq, require_bipartite=True)
-print(f"greedy bipartite sequence: {len(seq.steps)} steps, width {report.width}")
+log = verify(graph, seq, require_bipartite=True)
+print(f"greedy bipartite sequence: {len(seq.steps)} steps, width {log.width}")
 
 for k in range(0, 4):
     value = solve_bwmc(formula, weights, k, seq)
     check = bwmc_oracle(formula, weights, k)
     assert value == check
-    print(f"k={k}: count {value}  (region cap {region_cap(k, report.width)})")
+    print(f"k={k}: count {value}  (region cap {region_cap(k, log.width)})")

@@ -56,7 +56,6 @@ from .generators import (
 from .oracle import bsat_oracle, bwmc_oracle
 from .sequence import (
     ContractionSequence,
-    VerificationReport,
     parse_sequence,
     serialize_sequence,
     verify,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sequence import ContractionLog, ContractionSequence
+from .sequence import ContractionLog, ContractionSequence, verify
 from .trigraph import RED, SIDE_VAR, SignedTrigraph, require_sides
 
 
@@ -52,7 +52,7 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
     """
     require_sides(graph, "bipartize")
 
-    log = ContractionLog(graph, seq).check()
+    log = verify(graph, seq).check()
     # the half-degree check below is against the input sequence's width d
     input_width = log.width
 

@@ -91,7 +91,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
 from .cnf import Formula, WeightFunction
-from .sequence import ContractionLog, ContractionSequence
+from .sequence import ContractionLog, ContractionSequence, verify
 from .trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
 
@@ -553,13 +553,6 @@ def finalize(record: Record, graph: SignedTrigraph, k: int) -> int | Fraction:
     return total
 
 
-def _validated_log(graph: SignedTrigraph, seq: ContractionSequence) -> ContractionLog:
-    try:
-        return ContractionLog(graph, seq, require_bipartite=True).check()
-    except ValueError as err:
-        raise ValueError(f"invalid contraction sequence: {err}") from None
-
-
 def solve_bwmc(
     formula: Formula,
     weights: WeightFunction,
@@ -586,7 +579,7 @@ def solve_bwmc(
     graph = incidence_graph(formula)
     if not graph.num_vertices and len(seq):
         raise ValueError("nonempty sequence for an empty incidence graph")
-    log = _validated_log(graph, seq)
+    log = verify(graph, seq, require_bipartite=True).check()
     scaled = _ScaledWeights(formula, weights)
     return Fraction(_scaled_count(formula, scaled, k, graph, log, stats), scaled.scale)
 
@@ -668,7 +661,7 @@ def dp_records(
     if k <= 0:
         raise ValueError("record enumeration needs a positive ones budget")
     graph = incidence_graph(formula)
-    log = _validated_log(graph, seq)
+    log = verify(graph, seq, require_bipartite=True).check()
     budget = min(k, formula.num_vars)
     max_region = region_cap(budget, log.width)
     # each level's graph, a snapshot of the log at that level's vertices

@@ -87,7 +87,7 @@ def _load_graph(path: str) -> tuple[SignedTrigraph, Formula | None, WeightFuncti
         formula, weights = parse_dimacs(text, name=path)
         return incidence_graph(formula), formula, weights
     if kind == "stg":
-        return parse_graph(text), None, WeightFunction.unit()
+        return parse_graph(text), None, WeightFunction()
     raise ParseError(f"unsupported problem line 'p {kind}' in {path}", number)
 
 
@@ -124,14 +124,14 @@ def _cmd_verify(args) -> int:
     seq = _load_sequence(args.seq)
     if args.bipartite:
         require_sides(graph, "bipartite verification")
-    report = verify(graph, seq, require_bipartite=args.bipartite)
-    failure = report.failure
-    if failure is None and args.width is not None and report.width > args.width:
+    log = verify(graph, seq, require_bipartite=args.bipartite)
+    failure = log.failure
+    if failure is None and args.width is not None and log.width > args.width:
         initial = graph.max_red_degree()
         if initial > args.width:
             failure = (0, f"input graph has red degree {initial}, which exceeds declared width {args.width}")
         else:
-            over, red = next((i, r) for i, r in enumerate(report.per_step_max_red) if r > args.width)
+            over, red = next((i, r) for i, r in enumerate(log.per_step_max_red) if r > args.width)
             failure = (over, f"red degree {red} exceeds declared width {args.width}")
     if failure is not None:
         step, reason = failure
@@ -141,9 +141,9 @@ def _cmd_verify(args) -> int:
             print(f"invalid sequence at step {step}: {reason}", file=sys.stderr)
         return EX_INVALID_SEQUENCE
     if args.json:
-        print(json.dumps({"ok": True, "width": report.width, "bipartite": report.is_bipartite_sequence}))
+        print(json.dumps({"ok": True, "width": log.width, "bipartite": log.bipartite}))
     else:
-        print(f"width {report.width}")
+        print(f"width {log.width}")
     return EX_OK
 
 

@@ -167,10 +167,6 @@ class WeightFunction:
             table[lit] = value if type(value) is Fraction else Fraction(value)
         self._by_literal = table
 
-    @classmethod
-    def unit(cls) -> WeightFunction:
-        return cls()
-
     def of(self, literal: int) -> Fraction:
         return self._by_literal.get(literal, _ONE)
 

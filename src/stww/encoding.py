@@ -447,13 +447,13 @@ def exact_tww_via_solver(
         status, model = run_solver(serialize_dimacs(artifact.cnf), solver, remaining)
         if status == "sat":
             seq = decode(artifact, model)
-            report = verify(graph, seq, require_bipartite=True)
-            if not report.ok or report.width > d:
+            log = verify(graph, seq, require_bipartite=True)
+            if not log.ok or log.width > d:
                 raise SolverError(
-                    f"decoded sequence fails verification at d={d}: {report.failure}"
+                    f"decoded sequence fails verification at d={d}: {log.failure}"
                 )
-            best_width, best_seq = report.width, seq
-            d = report.width - 1
+            best_width, best_seq = log.width, seq
+            d = log.width - 1
         elif status == "unsat":
             return ExactResult(best_width, best_seq, True)
         else:

@@ -4,7 +4,9 @@ A sequence step is a (keep, merge) pair in survivor-id convention: both ids
 refer to original vertices, and after the step the merged bag keeps
 answering to the keep id.  Internally each contraction creates a fresh
 vertex; ContractionLog maintains the label-to-vertex translation, and
-undo() takes its last step back.
+undo() takes its last step back.  verify is the one replay of a sequence:
+it grows a ContractionLog step by step and returns it, with its first
+failure recorded.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cnf import ParseError, header_counts, token_lines
-from .trigraph import RED, SignedTrigraph, merge_edges
+from .trigraph import RED, SignedTrigraph
 
 
 @dataclass(frozen=True)
@@ -40,49 +42,35 @@ class ContractionSequence:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    width: int
-    is_bipartite_sequence: bool
-    per_step_max_red: list[int] = field(default_factory=list)
-    failure: tuple[int, str] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
-
 class ContractionLog:
     """One in-place contraction on a mutable adjacency, with no graph copies.
 
-    ContractionLog(graph, seq) replays seq through contract(keep, merge);
-    ContractionLog(graph) starts an empty log for a builder to grow, and
-    undo() takes the last step back, so a search can backtrack.  Records
-    each step's (x, y, z) vertex ids, the maximum red degree after it,
-    whether every step stayed on one side, and the first failure of seq,
-    where replay stops: an unknown label or, with require_bipartite, a
-    cross-side step.  For every vertex created and not undone it keeps
-    side, bag, birth level (0 for input vertices, i + 1 for step i's z),
-    death level (i + 1 for step i's x and y), label and edges.  label(v)
-    is the label v answers to: an input vertex answers to
-    its own id, and step (x, y, z) gives z the label of x, so the vertices
-    of one level answer to distinct labels and a vertex keeps its label for
-    as long as it exists.  The edge between two vertices never changes
-    while both exist, so side, bag, label, edge and red_neighbors answer
-    for any level at which the queried vertices all exist; red_neighbors
-    holds every vertex ever red-adjacent, and the dynamic program, which
-    intersects it with coexisting vertices, reads a log wherever it reads a
-    graph; neighbors_at(v, level) names v's neighbours that exist at a
-    level.  vertices, vertex, neighbors and red_degree answer only for the
-    last level.
+    ContractionLog(graph) starts an empty log on graph's vertices; a
+    builder grows it with contract(keep, merge), verify(graph, seq) grows
+    one by replaying seq, and undo() takes the last step back, so a search
+    can backtrack.  Records each step's (x, y, z) vertex ids, the maximum
+    red degree after it, and whether every step stayed on one side; a log
+    that verify returns also holds seq's first failure, where replay
+    stopped (ok is False then), and check() raises it.  For every vertex
+    created and not undone it keeps side, bag, birth level (0 for input
+    vertices, i + 1 for step i's z), death level (i + 1 for step i's x and
+    y), label and edges.  label(v) is the label v answers to: an input
+    vertex answers to its own id, and step (x, y, z) gives z the label of
+    x, so the vertices of one level answer to distinct labels and a vertex
+    keeps its label for as long as it exists.  The edge between two
+    vertices never changes while both exist, so side, bag, label, edge and
+    red_neighbors answer for any level at which the queried vertices all
+    exist; red_neighbors holds every vertex ever red-adjacent, and the
+    dynamic program, which intersects it with coexisting vertices, reads a
+    log wherever it reads a graph; neighbors_at(v, level) names v's
+    neighbours that exist at a level.  vertices, vertex, neighbors and
+    red_degree answer only for the last level.
     """
 
-    def __init__(
-        self, graph: SignedTrigraph, seq: ContractionSequence | None = None, require_bipartite: bool = False
-    ) -> None:
+    def __init__(self, graph: SignedTrigraph) -> None:
         adj = self._adj = {v: dict(graph.neighbors(v)) for v in graph.vertices()}
         self._red = {v: set(graph.red_neighbors(v)) for v in adj}
-        side = self._side = {v: graph.side(v) for v in adj}
+        self._side = {v: graph.side(v) for v in adj}
         self._bag = {v: graph.bag(v) for v in adj}
         self._last_input = max(adj, default=0)
         self.steps: list[tuple[int, int, int]] = []
@@ -102,16 +90,6 @@ class ContractionLog:
         self._label = {v: v for v in adj}
         # contracted vertex -> the level at which it no longer exists
         self._death: dict[int, int] = {}
-        for idx, (keep, merge) in enumerate(seq.steps if seq is not None else ()):
-            try:
-                if require_bipartite:
-                    x, y = self._pair(keep, merge)
-                    if side[x] is None or side[x] != side[y]:
-                        raise ValueError(f"cross-side contraction ({keep},{merge})")
-                self.contract(keep, merge)
-            except ValueError as err:
-                self.failure = (idx, str(err))
-                return
 
     def _pair(self, keep: int, merge: int) -> tuple[int, int]:
         """The current vertices answering to keep and merge, or ValueError."""
@@ -134,7 +112,10 @@ class ContractionLog:
         self._before.append((degree[x], degree[y], self._top, self.width, self.bipartite))
         count[degree.pop(x)] -= 1
         count[degree.pop(y)] -= 1
-        adj[z] = {w: kind for w, kind in merge_edges(adj[x], adj[y]).items() if w in degree}
+        # a live neighbour keeps the sign x and y agree on; any other is red
+        ax, ay = adj[x], adj[y]
+        adj[z] = {w: ax.get(w) if ax.get(w) == ay.get(w) else RED
+                  for w in set(ax) | set(ay) if w in degree}
         red[z] = {w for w, kind in adj[z].items() if kind == RED}
         for w, kind in adj[z].items():
             adj[w][z] = kind
@@ -182,11 +163,16 @@ class ContractionLog:
         self._vertex_of[self._label.pop(z)] = x
         self._vertex_of[self._label[y]] = y
 
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
+
     def check(self) -> ContractionLog:
-        """The log itself, or ValueError('step i: reason') at its failure."""
+        """The log itself, or ValueError('invalid contraction sequence:
+        step i: reason') at its failure."""
         if self.failure is not None:
             idx, reason = self.failure
-            raise ValueError(f"step {idx}: {reason}")
+            raise ValueError(f"invalid contraction sequence: step {idx}: {reason}")
         return self
 
     def vertices(self) -> list[int]:
@@ -251,18 +237,27 @@ class ContractionLog:
 
 def verify(
     graph: SignedTrigraph, seq: ContractionSequence, require_bipartite: bool = False
-) -> VerificationReport:
-    """Replay seq on graph, recording red-degree maxima.
+) -> ContractionLog:
+    """Replay seq on graph and return the log it grew.
 
-    The reported width is the maximum red degree over the input graph and
-    every intermediate graph.  A step contracting two vertices that are not
-    on a common side counts as non-bipartite; with require_bipartite it is a
-    failure and replay halts there.
+    The log's width is the maximum red degree over the input graph and
+    every intermediate graph.  Replay stops at the first failure, which the
+    log records: an unknown label or, with require_bipartite, a step that
+    contracts two vertices not on a common side.  Without
+    require_bipartite such a step only clears the log's bipartite flag.
     """
-    log = ContractionLog(graph, seq, require_bipartite)
-    return VerificationReport(
-        log.width, log.bipartite and log.failure is None, log.per_step_max_red, log.failure
-    )
+    log = ContractionLog(graph)
+    for idx, (keep, merge) in enumerate(seq.steps):
+        try:
+            if require_bipartite:
+                x, y = log._pair(keep, merge)
+                if log.side(x) is None or log.side(x) != log.side(y):
+                    raise ValueError(f"cross-side contraction ({keep},{merge})")
+            log.contract(keep, merge)
+        except ValueError as err:
+            log.failure = (idx, str(err))
+            break
+    return log
 
 
 def parse_sequence(text: str | bytes) -> ContractionSequence:

@@ -24,16 +24,6 @@ SIDE_VAR = 0
 SIDE_CLA = 1
 
 
-def merge_edges(nu: Mapping[int, str], nv: Mapping[int, str]) -> dict[int, str]:
-    """Edges of the vertex contracted from u and v, given their neighbourhoods.
-
-    For every x adjacent to u or v the merged edge is POS if both ux and vx
-    are POS, NEG if both are NEG, and RED in every other case; x adjacent to
-    neither stays non-adjacent.
-    """
-    return {x: (nu.get(x) if nu.get(x) == nv.get(x) else RED) for x in set(nu) | set(nv)}
-
-
 class SignedTrigraph:
     """Immutable signed trigraph.
 

@@ -221,7 +221,7 @@ def reference_greedy(graph, bipartite=False, tie_break="smallest"):
 def reference_verify(graph, seq, require_bipartite=False):
     """Reference verify: copy-on-contract with a private label map.
 
-    Returns (width, per_step_max_red, is_bipartite_sequence, failure,
+    Returns (width, per_step_max_red, bipartite, failure,
     step_ids), where step_ids holds (keep vertex, merge vertex, new vertex)
     for every step contracted before the first failure.
     """

@@ -25,7 +25,7 @@ def test_cross_side_step_splits_into_halves():
     seq = greedy_sequence(g)
     result = bipartize(g, seq)
     report = verify(g, result.seq, require_bipartite=True)
-    assert report.ok and report.is_bipartite_sequence
+    assert report.ok and report.bipartite
     assert report.width == result.output_width
     assert result.output_width <= result.input_width + 2
     assert len(result.seq) <= 2 * len(seq)

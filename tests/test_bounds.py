@@ -178,7 +178,7 @@ def test_exact_bruteforce_work_is_bounded(monkeypatch):
 def test_exact_bruteforce_witness_names_vertex_ids():
     # h's vertex 5 holds the bag {3, 4}: a step names it 5, not 3
     g = SignedTrigraph([1, 2, 3, 4], [(1, 3, POS), (2, 3, NEG), (2, 4, POS)])
-    h = ContractionLog(g, ContractionSequence(((3, 4),))).check().snapshot()
+    h = verify(g, ContractionSequence(((3, 4),))).check().snapshot()
     assert h.vertices() == [1, 2, 5] and h.bag(5) == frozenset({3, 4})
     width, seq = exact_tww_bruteforce(h)
     assert (width, seq.steps) == (2, ((1, 2), (1, 5))) == reference_exact_witness(h)
@@ -188,7 +188,7 @@ def test_exact_bruteforce_witness_names_vertex_ids():
         [(1, 3, POS), (2, 3, NEG), (2, 4, POS), (1, 5, NEG)],
         sides={1: 0, 2: 0, 3: 1, 4: 1, 5: 1},
     )
-    h = ContractionLog(sided, ContractionSequence(((3, 4),))).check().snapshot()
+    h = verify(sided, ContractionSequence(((3, 4),))).check().snapshot()
     for bipartite in (False, True):
         width, seq = exact_tww_bruteforce(h, bipartite=bipartite)
         assert (width, seq.steps) == reference_exact_witness(h, bipartite), bipartite
@@ -243,12 +243,42 @@ def test_subdivided_clique_triangle_needs_hint():
 def test_subdivided_clique_rejects_bad_inputs():
     graph, clique = gen_subdivided_clique(3, [1, 1, 1])
     with pytest.raises(ValueError, match="red"):
-        subdivided_clique_sequence(ContractionLog(graph, ContractionSequence(((1, 2),))).check().snapshot())
+        subdivided_clique_sequence(verify(graph, ContractionSequence(((1, 2),))).check().snapshot())
     with pytest.raises(ValueError, match="degree"):
         subdivided_clique_sequence(graph, [1, 2])  # wrong classification
     path = SignedTrigraph([1, 2, 3], [(1, 2, POS), (2, 3, POS)])
     with pytest.raises(ValueError, match="at least two"):
         subdivided_clique_sequence(path, [1])
+
+
+def positive_graph(vertices, pairs):
+    return SignedTrigraph(vertices, [(u, v, POS) for u, v in pairs])
+
+
+K3, _ = gen_subdivided_clique(3, [1, 1, 1])  # clique 1, 2, 3; subdivision vertices 4, 5, 6
+K3_PAIRS = [(u, v) for u, v, _ in K3.edges()]
+
+
+@pytest.mark.parametrize(
+    "graph, clique, message",
+    [
+        (K3, [1, 2, 99], "clique vertex 99 not in graph"),
+        (positive_graph(range(1, 8), K3_PAIRS), [1, 2, 3], "subdivision vertex 7 has degree 0, want 2"),
+        # 1's two edges start one path, 1-4-5-1, which ends where it began
+        (positive_graph(range(1, 7), [(1, 4), (4, 5), (5, 1), (2, 6), (6, 3), (2, 3)]), [1, 2, 3],
+         "subdivision path loops back to 1"),
+        # every clique vertex has degree 3, but 1-2 and 3-4 are joined twice, 1-4 and 2-3 never
+        (positive_graph(range(1, 7), [(1, 2), (1, 5), (5, 2), (1, 3), (3, 4), (3, 6), (6, 4), (2, 4)]),
+         [1, 2, 3, 4], "clique pairs are not each joined by exactly one path"),
+        # a cycle 7-8-9 of degree-2 vertices that no clique vertex reaches
+        (positive_graph(range(1, 10), K3_PAIRS + [(7, 8), (8, 9), (9, 7)]), [1, 2, 3],
+         "some subdivision vertex lies on no (or several) paths"),
+    ],
+)
+def test_subdivided_clique_validation_names_each_defect(graph, clique, message):
+    with pytest.raises(ValueError) as raised:
+        subdivided_clique_sequence(graph, clique)
+    assert str(raised.value) == message
 
 
 def test_subdivided_clique_and_bruteforce_witnesses_are_pinned():

@@ -20,7 +20,7 @@ from stww.bwmc import (
 from stww.cnf import Formula, WeightFunction
 from stww.generators import gen_random_ksat
 from stww.oracle import bwmc_oracle
-from stww.sequence import ContractionLog, ContractionSequence, verify
+from stww.sequence import ContractionSequence, verify
 from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
 EMPTY = frozenset()
@@ -104,7 +104,7 @@ def test_realizes_semantics():
     f = or_clause()
     g = incidence_graph(f)
     # variable twins -> vertex 4
-    merged = ContractionLog(g, ContractionSequence(((1, 2),))).check().snapshot()
+    merged = verify(g, ContractionSequence(((1, 2),))).check().snapshot()
     both_zero = Profile(fs(4), EMPTY, EMPTY, 0, EMPTY)
     assert realizes(both_zero, {1: 0, 2: 0}, g, merged)
     assert not realizes(both_zero, {1: 1, 2: 0}, g, merged)
@@ -179,7 +179,7 @@ def test_one_clause_over_every_variable_goes_through_the_dynamic_program():
             w = prime_weights(rng, n)
             for tie_break in ("smallest", "largest"):
                 seq = greedy_for(f, tie_break)
-                final = ContractionLog(incidence_graph(f), seq).check().snapshot()
+                final = verify(incidence_graph(f), seq).check().snapshot()
                 assert final.edge(*final.vertices()) == kind
                 for k in range(1, n + 2):
                     stats = {}
@@ -425,7 +425,7 @@ def test_state_keys_stay_within_three_bits_per_input_vertex(monkeypatch):
     # so no key grows with the fresh ids of contracted vertices (about 2V)
     n, k = 200, 3
     graph = incidence_graph(implication_chain(n))
-    log = ContractionLog(graph, zip_sequence(n), require_bipartite=True).check()
+    log = verify(graph, zip_sequence(n), require_bipartite=True).check()
     calls = watch_region_tables(monkeypatch)
     roots = bwmc._red_components(log, log.vertices())
     tables = bwmc._region_tables(log, roots, WeightFunction(), k, {})
@@ -714,7 +714,7 @@ def test_counts_and_records_do_not_depend_on_the_surviving_label():
         seq = greedy_for(f, tie_break)
         renamed = keep_larger_labels(seq)
         graph = incidence_graph(f)
-        before, after = (ContractionLog(graph, s).check() for s in (seq, renamed))
+        before, after = (verify(graph, s).check() for s in (seq, renamed))
         # the same vertices merge at every step, under other labels
         assert [{x, y, z} for x, y, z in before.steps] == [{x, y, z} for x, y, z in after.steps]
         assert any(before.label(z) != after.label(z) for *_, z in before.steps)
@@ -794,7 +794,7 @@ def test_dropped_tables_hold_no_dead_state_and_only_realizable_ones():
     kept = dead = 0
     for f, w, k, tie_break in cases:
         seq = greedy_for(f, tie_break)
-        log = ContractionLog(incidence_graph(f), seq, require_bipartite=True).check()
+        log = verify(incidence_graph(f), seq, require_bipartite=True).check()
         full = list(dp_records(f, w, k, seq))
         levels = [enumerate_red_connected(graph, region_cap(min(k, f.num_vars), log.width))
                   for graph, _ in full]

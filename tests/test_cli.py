@@ -356,6 +356,7 @@ def test_exact_on_an_unsided_graph_names_the_exact_search(capsys, tmp_path, mini
     ("inf", EX_OK, "2\n"),  # no limit
     ("1e9", EX_OK, "2\n"),  # longer than one poll can wait: no limit
     ("nan", EX_USAGE, ""),
+    ("abc", EX_USAGE, ""),
     ("-1", EX_OK, "*2\n"),  # spent before the first query: the greedy bound
 ])
 def test_exact_timeout_values(capsys, tmp_path, mini_solver_cmd, timeout, code, printed):
@@ -370,7 +371,7 @@ def test_exact_timeout_values(capsys, tmp_path, mini_solver_cmd, timeout, code, 
     assert (got, captured.out) == (code, printed)
     assert "Traceback" not in captured.err
     if code == EX_USAGE:
-        assert captured.err.splitlines()[-1].endswith("not a number of seconds: 'nan'")
+        assert captured.err.splitlines()[-1].endswith(f"not a number of seconds: {timeout!r}")
 
 
 def test_usage_errors_exit_64(capsys, or_cnf):
@@ -419,6 +420,9 @@ def test_data_errors_exit_65(capsys, tmp_path):
     code, out, err = run(capsys, "greedy", str(stg))
     assert (code, out) == (EX_DATA, "")
     assert err == f"stww: line 1: unsupported problem line 'p foo' in {stg}\n"
+    partclique = ["gen", "partclique", "--part", "1,2", "--part", "3,4"]
+    code, out, err = run(capsys, *partclique, "--edge", "1,3,4")
+    assert (code, out, err) == (EX_DATA, "", "stww: each --edge needs exactly two vertices\n")
 
 
 def int_digit_limit():

@@ -391,6 +391,11 @@ def test_one_header_rule_for_the_three_line_formats(parse, usage, lines, message
     assert str(raised.value) == message.format(usage=usage)
 
 
+def test_parse_dimacs_reads_utf8_bytes():
+    text = "c caf\u00e9\np cnf 2 1\n1 -2 0\n"
+    assert parse_dimacs(text.encode("utf-8")) == parse_dimacs(text)
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as info:
         parse_dimacs("p cnf 2 1\n1 zz 0\n")

@@ -49,6 +49,12 @@ def test_named_leaves_get_sequential_ids():
     assert evaluate(expr).edge(1, 2) == POS
 
 
+def test_parse_cw_reads_utf8_bytes():
+    text = "ep 1 2 (un (leaf 1 caf\u00e9) (leaf 2 b))  # two leaves"
+    expr = parse_cw(text.encode("utf-8"))
+    assert expr == parse_cw(text) and expr.vertex_ids == {"caf\u00e9": 1, "b": 2}
+
+
 def test_only_ascii_digit_names_are_vertex_ids():
     # "²" and "١٢" are digits to str.isdigit, and "١٢" decimal to
     # str.isdecimal, but they are names: ids follow leaf order

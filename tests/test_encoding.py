@@ -11,6 +11,7 @@ import stww.cnf
 from stww.cnf import _is_canonical, serialize_dimacs
 from stww.encoding import (
     DecodeError,
+    SolverError,
     SolverUnavailableError,
     _encode_prefix,
     decode,
@@ -169,10 +170,11 @@ def test_run_solver_unavailable_and_garbage(tmp_path):
     silent = tmp_path / "silent.sh"
     silent.write_text("#!/bin/sh\necho nothing useful\n")
     silent.chmod(0o755)
-    from stww.encoding import SolverError
-
     with pytest.raises(SolverError, match="status"):
         run_solver("p cnf 1 0\n", str(silent))
+    garbled = [sys.executable, "-c", "print('s SATISFIABLE'); print('v 1 x 0')"]
+    with pytest.raises(SolverError, match="^bad literal 'x' in solver output$"):
+        run_solver("p cnf 1 0\n", garbled)
 
 
 def test_run_solver_rejects_a_nan_timeout_before_starting_the_solver(tmp_path):
@@ -185,6 +187,26 @@ def test_run_solver_rejects_a_nan_timeout_before_starting_the_solver(tmp_path):
     with pytest.raises(ValueError, match="^timeout is not a number$"):
         run_solver("p cnf 1 0\n", str(solver), timeout=nan)
     assert not marker.exists()
+
+
+def test_run_solver_times_out():
+    sleeper = [sys.executable, "-c", "import time; time.sleep(30)"]
+    assert run_solver("p cnf 1 0\n", sleeper, timeout=0.5) == ("timeout", set())
+
+
+def test_exact_via_solver_rejects_a_nan_timeout_first():
+    # the graph has no sides, so any later check would name something else
+    with pytest.raises(ValueError, match="^timeout is not a number$"):
+        exact_tww_via_solver(SignedTrigraph([1, 2]), [sys.executable, "-c", ""], timeout=nan)
+
+
+def test_an_unknown_answer_keeps_the_greedy_witness():
+    graph = incidence_graph(gen_random_ksat(3, 2, 5, 2))
+    greedy = greedy_sequence(graph, bipartite=True)
+    assert greedy.declared_width == 3
+    unknown = [sys.executable, "-c", "import sys; sys.stdin.read(); print('s UNKNOWN')"]
+    result = exact_tww_via_solver(graph, unknown)
+    assert (result.width, result.seq, result.exact) == (3, greedy, False)
 
 
 def test_exact_via_solver_matches_bruteforce(mini_solver_cmd):

@@ -138,6 +138,9 @@ def test_partitioned_clique_input_guards():
         gen_partitioned_clique_formula([[1, 2], [3, 4]], [(1, 2)])
     with pytest.raises(ValueError, match="part"):
         gen_partitioned_clique_formula([], [])
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="^vertices must be positive ints$"):
+            gen_partitioned_clique_formula([[bad, 1], [2, 3]], [])
 
 
 def test_ksat_pins():

@@ -34,14 +34,15 @@ def test_sequence_validation():
 
 def test_log_survivor_labels():
     g = path4()
-    log = ContractionLog(g, ContractionSequence(((2, 1), (2, 3))))
+    log = verify(g, ContractionSequence(((2, 1), (2, 3))))
     # the label 2 answers for the merged vertex 5, which step two merges
     assert log.steps == [(2, 1, 5), (5, 3, 6)]
     assert [log.label(v) for v in (5, 6)] == [2, 2]
     assert log.bag(6) == frozenset({1, 2, 3})
-    bad = ContractionLog(g, ContractionSequence(((2, 1), (1, 3))))
+    bad = verify(g, ContractionSequence(((2, 1), (1, 3))))
     assert bad.steps == [(2, 1, 5)]
-    with pytest.raises(ValueError, match="step 1: unknown vertex id 1"):
+    assert not bad.ok and bad.failure == (1, "unknown vertex id 1")
+    with pytest.raises(ValueError, match="^invalid contraction sequence: step 1: unknown vertex id 1$"):
         bad.check()
 
 
@@ -53,7 +54,7 @@ def test_verify_reports_width_and_per_step():
     assert report.width == max(report.per_step_max_red)
     assert len(report.per_step_max_red) == 3
     assert report.width == 1
-    assert ContractionLog(g, ContractionSequence(((1, 2), (3, 4), (1, 3)))).check().width == 1
+    assert verify(g, ContractionSequence(((1, 2), (3, 4), (1, 3)))).check().width == 1
 
 
 def test_verify_counts_initial_red_edges():
@@ -68,24 +69,26 @@ def test_verify_failures():
     assert not report.ok
     assert report.failure[0] == 0 and "unknown" in report.failure[1]
     with pytest.raises(ValueError, match="step 0"):
-        ContractionLog(g, ContractionSequence(((1, 9),))).check().width
+        verify(g, ContractionSequence(((1, 9),))).check().width
 
     sided = SignedTrigraph([1, 2, 3], [(1, 2, POS)], sides={1: 0, 2: 1, 3: 0})
     cross = ContractionSequence(((1, 2),))
     lax = verify(sided, cross)
-    assert lax.ok and not lax.is_bipartite_sequence
+    assert lax.ok and not lax.bipartite
     strict = verify(sided, cross, require_bipartite=True)
     assert not strict.ok and "cross-side" in strict.failure[1]
+    with pytest.raises(AttributeError):
+        strict.ok = True
 
 
 def test_final_graph():
     g = path4()
-    h = ContractionLog(g, ContractionSequence(((1, 2), (1, 3), (1, 4)))).check().snapshot()
+    h = verify(g, ContractionSequence(((1, 2), (1, 3), (1, 4)))).check().snapshot()
     assert h.num_vertices == 1
     assert h.bag(h.vertices()[0]) == frozenset({1, 2, 3, 4})
     # the zip schedule leaves one variable and one clause vertex, red-joined
     n = 2000
-    chain = ContractionLog(incidence_graph(implication_chain(n)), zip_sequence(n)).check().snapshot()
+    chain = verify(incidence_graph(implication_chain(n)), zip_sequence(n)).check().snapshot()
     cla, var = sorted(chain.vertices(), key=chain.side, reverse=True)
     assert (chain.side(var), chain.side(cla)) == (SIDE_VAR, SIDE_CLA)
     assert chain.bag(var) == frozenset(range(1, n + 1))
@@ -126,6 +129,7 @@ def test_tws_round_trip():
         ("p tws 3 1\n1 1\n", "itself"),
         ("p tws 3 1\n1 7\n", "out of range"),
         ("p tws 3 1\n1\n", "step line"),
+        ("p tws 3 2\n1 2\nc note\n1 x\n", "^line 4: non-integer vertex id$"),
         ("p tws 3 9\n", "impossible"),
         ("p tws 3 1\np tws 3 1\n", "duplicate"),
         ("", "missing"),
@@ -142,7 +146,7 @@ def test_random_greedy_sequences_round_trip_and_verify():
         g = random_bipartite_graph(rng, max_n=14)
         seq = greedy_sequence(g, bipartite=True)
         report = verify(g, seq, require_bipartite=True)
-        assert report.ok and report.is_bipartite_sequence
+        assert report.ok and report.bipartite
         assert report.width == seq.declared_width
         back = parse_sequence(serialize_sequence(seq))
         assert back.steps == seq.steps
@@ -182,7 +186,7 @@ def test_verify_and_a_grown_log_match_reference_contractions():
             width, per_step, bipartite, failure, step_ids = reference_verify(graph, seq, strict)
             report = verify(graph, seq, require_bipartite=strict)
             assert (report.width, report.per_step_max_red) == (width, per_step), seed
-            assert (report.is_bipartite_sequence, report.failure) == (bipartite, failure), seed
+            assert (report.bipartite and report.ok, report.failure) == (bipartite, failure), seed
             if failure is not None:
                 seen.add((strict, failure[1].split()[0]))
         width, per_step, bipartite, failure, step_ids = reference_verify(graph, seq)
@@ -202,10 +206,12 @@ def test_verify_and_a_grown_log_match_reference_contractions():
         assert grown.width == max([graph.max_red_degree(), *per_step]), seed
         if failure is not None:
             with pytest.raises(ValueError) as raised:
-                ContractionLog(graph, seq).check().snapshot()
-            assert str(raised.value) == f"step {failure[0]}: {failure[1]}", seed
+                verify(graph, seq).check().snapshot()
+            assert str(raised.value) == (
+                f"invalid contraction sequence: step {failure[0]}: {failure[1]}"
+            ), seed
         else:
-            assert ContractionLog(graph, seq).check().snapshot() == last, seed
+            assert verify(graph, seq).check().snapshot() == last, seed
     # both failure kinds occur, the cross-side one only when it is required
     assert seen == {(False, "unknown"), (True, "unknown"), (True, "cross-side")}
 
@@ -239,7 +245,7 @@ def test_undo_restores_the_log_of_the_remaining_prefix():
             else:
                 prefix.append(tuple(rng.sample(labels, 2)))
                 log.contract(*prefix[-1])
-            fresh = ContractionLog(graph, ContractionSequence(tuple(prefix)))
+            fresh = verify(graph, ContractionSequence(tuple(prefix)))
             assert log_state(log) == log_state(fresh), (seed, prefix)
     assert undone > 1000
 
@@ -250,7 +256,7 @@ def test_neighbors_at_names_the_neighbours_of_every_level():
     checked = 0
     for seed in range(300):
         graph, seq = random_sequence_case(random.Random(seed))
-        log = ContractionLog(graph, seq)
+        log = verify(graph, seq)
         level, levels = graph, [graph]
         for x, y, _z in log.steps:
             level, _ = contracted(level, x, y)

@@ -177,6 +177,7 @@ def test_parse_graph_without_header_and_errors():
         # ids below 1, loops and repeated pairs name their line too
         ("p stg 2 1\n0 1 +\n", "line 2: vertex id 0 must be positive"),
         ("c side\ns 0 1\n", "line 2: vertex id 0 must be positive"),
+        ("p stg 2 0\nc note\ns 1 x\n", "line 3: non-integer side line"),
         ("1 2 +\n1 1 +\n", "line 2: loop at vertex 1"),
         ("1 2 +\nc again\n2 1 -\n", "line 3: edge (2,1) repeats line 1"),
         ("1 2 +\ns 1 0\ns 2 0\n", "line 1: edge (1,2) joins two side-0 vertices"),
