@@ -33,6 +33,9 @@ result = bipartize(graph, free)
 log = verify(graph, result.seq, require_bipartite=True)
 assert log.ok
 print(f"bipartized: {len(result.seq.steps)} steps, width {log.width} (≤ {d} + 2)")
-print(f"steps doubled into half-merges: {sorted(result.doubled_steps)}")
+# an input step that merges two halves on each side makes two output steps
+index_map = result.index_map
+doubled = [i for i in index_map if index_map[i] == index_map.get(i + 1)]
+print(f"steps doubled into half-merges: {doubled}")
 for out_index, in_index in sorted(result.index_map.items()):
     print(f"  output step {out_index} <- input step {in_index}")

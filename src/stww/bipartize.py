@@ -36,10 +36,10 @@ class HalfDegreeError(AssertionError):
 class BipartizationResult:
     seq: ContractionSequence
     # output step index -> input step index (0-based, monotone non-decreasing;
-    # an input index appears twice exactly for double steps)
+    # an input index appears twice exactly for double steps: the graph after
+    # output step i is a double step's intermediate when index_map[i] ==
+    # index_map[i + 1]); seq declares the output width
     index_map: dict[int, int]
-    # output indices after which the graph is the intermediate of a double step
-    doubled_steps: frozenset[int]
     input_width: int
     output_width: int
 
@@ -62,9 +62,7 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
         v: ((v, None) if graph.side(v) == SIDE_VAR else (None, v))
         for v in graph.vertices()
     }
-    steps: list[tuple[int, int]] = []
     index_map: dict[int, int] = {}
-    doubled: set[int] = set()
 
     # output vertex -> the input vertex it is a half of
     owner = {v: v for v in graph.vertices()}
@@ -84,7 +82,6 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
     for x in halves:
         check_halves(x)
     for index, (x, y, z) in enumerate(log.steps):
-        first = len(steps)
         merged = []
         created = []
         # side 0 first, so a double step's intermediate graph has merged
@@ -92,16 +89,13 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
         for p, q in zip(halves.pop(x), halves.pop(y)):
             if p is not None and q is not None:
                 p, q = sorted((p, q))
+                index_map[len(out.steps)] = index
                 created.append(out.contract(p, q))
-                index_map[len(steps)] = index
-                steps.append((p, q))
             merged.append(q if p is None else p)
         halves[z] = tuple(merged)
         for half in merged:
             if half is not None:
                 owner[out.vertex(half)] = z
-        if len(steps) - first == 2:
-            doubled.add(first)
         # only z's halves and the output neighbours of this step's merged
         # vertices can have changed red degree or sibling
         recheck = {z}
@@ -110,11 +104,4 @@ def bipartize(graph: SignedTrigraph, seq: ContractionSequence) -> BipartizationR
         for r in recheck:
             check_halves(r)
 
-    n = max(graph.vertices(), default=0)
-    return BipartizationResult(
-        ContractionSequence(tuple(steps), num_vertices=n),
-        index_map,
-        frozenset(doubled),
-        input_width,
-        out.width,
-    )
+    return BipartizationResult(out.sequence(), index_map, input_width, out.width)

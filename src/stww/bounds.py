@@ -384,11 +384,7 @@ def exact_tww_bruteforce(
     # a cap of n - 1 admits every sequence, so the walk ends there at the latest
     for cap in range(max(n - 1, 0) + 1):
         if search(cap, set()):
-            return log.width, ContractionSequence(
-                tuple((log.label(x), log.label(y)) for x, y, _ in log.steps),
-                declared_width=log.width,
-                num_vertices=max(graph.vertices(), default=0),
-            )
+            return log.width, log.sequence()
     raise AssertionError("no sequence within width cap n - 1")
 
 
@@ -400,10 +396,9 @@ def _trace_path(
     prev, cur = start, first
     while cur not in clique:
         path.append(cur)
-        nexts = [x for x in graph.neighbors(cur) if x != prev]
-        if len(nexts) != 1:
-            raise ValueError(f"vertex {cur} does not continue a subdivision path")
-        prev, cur = cur, nexts[0]
+        # the caller has checked that every path vertex has degree 2
+        (nxt,) = (x for x in graph.neighbors(cur) if x != prev)
+        prev, cur = cur, nxt
     return cur, path
 
 
@@ -467,7 +462,6 @@ def subdivided_clique_sequence(
     d = len(set(clique_vertices))
 
     out = ContractionLog(graph)
-    steps: list[tuple[int, int]] = []
     # clique and subdividers by label; a subdivider is contracted only once
     # picked, so until then its label is its vertex id
     clique = set(clique_vertices)
@@ -496,16 +490,10 @@ def subdivided_clique_sequence(
         clique.remove(pick[0])
         clique.add(keep)
         out.contract(keep, merge)
-        steps.append((keep, merge))
         check_degrees()
     while len(clique) > 1:
         keep, merge = sorted(clique)[:2]
         clique.remove(merge)
         out.contract(keep, merge)
-        steps.append((keep, merge))
         check_degrees()
-    return ContractionSequence(
-        tuple(steps),
-        declared_width=out.width,
-        num_vertices=max(graph.vertices(), default=0),
-    )
+    return out.sequence()

@@ -256,7 +256,6 @@ def _component_entries(
     region_clauses: list[tuple[int, int]],
     table: Table,
     split_has_one: int | None,
-    stats: dict,
 ) -> Table:
     """States of one red component, each with its satisfied bits widened by
     the region clauses outside the component that it satisfies through
@@ -273,8 +272,7 @@ def _component_entries(
     z rule carries x's and y's uniform edges over to z.  Under a has_one
     split only the states whose has_one bits are the split's, within the
     component, are kept.  With neither a split nor a black edge out of the
-    component the table itself is returned, uncopied; otherwise
-    `entries_copied` counts the child states the copy takes."""
+    component the table itself is returned, uncopied."""
     reach = []
     comp_ones = 0
     for u in comp:
@@ -297,7 +295,6 @@ def _component_entries(
         return table
     want = None if split_has_one is None else split_has_one & comp_ones
     out: Table = {}
-    copied = 0
     for ones, row in table.items():
         widened: dict[int, int | Fraction] = {}
         for key, value in row.items():
@@ -313,8 +310,6 @@ def _component_entries(
             widened[key] = value
         if widened:
             out[ones] = widened
-            copied += len(widened)
-    stats["entries_copied"] += copied
     return out
 
 
@@ -437,7 +432,9 @@ def _recompute_region(
         folds = []
         for comp in components:
             table = tables[comp]
-            entries = _component_entries(log, comp, region_clauses, table, split_has_one, stats)
+            entries = _component_entries(log, comp, region_clauses, table, split_has_one)
+            if entries is not table:
+                stats["entries_copied"] += sum(map(len, entries.values()))
             if entries != _UNIT_TABLE:
                 folds.append(entries)
         if len(folds) > 1:
@@ -577,8 +574,6 @@ def solve_bwmc(
     if k < 0:
         raise ValueError("the ones budget k must be nonnegative")
     graph = incidence_graph(formula)
-    if not graph.num_vertices and len(seq):
-        raise ValueError("nonempty sequence for an empty incidence graph")
     log = verify(graph, seq, require_bipartite=True).check()
     scaled = _ScaledWeights(formula, weights)
     return Fraction(_scaled_count(formula, scaled, k, graph, log, stats), scaled.scale)
@@ -616,14 +611,10 @@ def _scaled_count(
     if any(not clause for clause in formula.clauses):
         return 0
     budget = min(k, formula.num_vars)
-    if formula.num_clauses == 0:
-        return sum(_budget_poly(weights, list(formula.variables()), budget), 0)
-    if budget == 0:
+    if formula.num_clauses == 0 or budget == 0:
+        # at budget 0 only the all-zero assignment counts
         if all(any(lit < 0 for lit in clause) for clause in formula.clauses):
-            total = 1
-            for v in formula.variables():
-                total *= weights.of(-v)
-            return total
+            return sum(_budget_poly(weights, formula.variables(), budget))
         return 0
 
     if len(log.steps) != graph.num_vertices - 2:

@@ -79,15 +79,16 @@ def _sniff(text: str) -> tuple[str, int]:
     return "stg", 1
 
 
-def _load_graph(path: str) -> tuple[SignedTrigraph, Formula | None, WeightFunction]:
-    """Accept either a signed trigraph file or a CNF (via its incidence graph)."""
+def _load_graph(path: str) -> tuple[SignedTrigraph, bool]:
+    """Accept either a signed trigraph file or a CNF (via its incidence
+    graph); the flag tells which it was."""
     text = _read(path)
     kind, number = _sniff(text)
     if kind == "cnf":
-        formula, weights = parse_dimacs(text, name=path)
-        return incidence_graph(formula), formula, weights
+        formula, _ = parse_dimacs(text, name=path)
+        return incidence_graph(formula), True
     if kind == "stg":
-        return parse_graph(text), None, WeightFunction()
+        return parse_graph(text), False
     raise ParseError(f"unsupported problem line 'p {kind}' in {path}", number)
 
 
@@ -120,7 +121,7 @@ def _print_count(value: Fraction, as_json: bool, extra: dict | None = None) -> N
 
 
 def _cmd_verify(args) -> int:
-    graph, _f, _w = _load_graph(args.input)
+    graph, _ = _load_graph(args.input)
     seq = _load_sequence(args.seq)
     if args.bipartite:
         require_sides(graph, "bipartite verification")
@@ -148,7 +149,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bipartize(args) -> int:
-    graph, _f, _w = _load_graph(args.input)
+    graph, _ = _load_graph(args.input)
     seq = _load_sequence(args.seq)
     result = bipartize(graph, seq)
     _emit(serialize_sequence(result.seq, graph.num_vertices), args.output)
@@ -165,8 +166,8 @@ def _cmd_bipartize(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
-    graph, formula, _w = _load_graph(args.input)
-    bipartite = args.bipartite or formula is not None
+    graph, is_cnf = _load_graph(args.input)
+    bipartite = args.bipartite or is_cnf
     seq = greedy_sequence(graph, bipartite=bipartite, tie_break=args.tie_break)
     _emit(serialize_sequence(seq, graph.num_vertices), args.output)
     if args.json:
@@ -177,7 +178,7 @@ def _cmd_greedy(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    graph, formula, _w = _load_graph(args.input)
+    graph, _ = _load_graph(args.input)
     solver = args.solver or os.environ.get(SOLVER_ENV)
     if not solver:
         print(f"no SAT solver: pass --solver or set {SOLVER_ENV}", file=sys.stderr)
@@ -203,13 +204,13 @@ def _cmd_bwmc(args) -> int:
         else:
             print(
                 f"stats: width {stats['width']}, region size cap {stats['region_cap']}, "
-                f"{stats.get('regions_evaluated', 0)} regions evaluated "
-                f"({stats.get('large_regions', 0)} at the cap, "
-                f"{stats.get('has_one_splits', 0)} has_one splits), "
-                f"{stats.get('fold_states', 0)} fold states "
-                f"({stats.get('dead_states', 0)} dead states dropped), "
-                f"largest table {stats.get('largest_table', 0)}, "
-                f"{stats.get('entries_copied', 0)} entries copied",
+                f"{stats['regions_evaluated']} regions evaluated "
+                f"({stats['large_regions']} at the cap, "
+                f"{stats['has_one_splits']} has_one splits), "
+                f"{stats['fold_states']} fold states "
+                f"({stats['dead_states']} dead states dropped), "
+                f"largest table {stats['largest_table']}, "
+                f"{stats['entries_copied']} entries copied",
                 file=sys.stderr,
             )
     _print_count(value, args.json, {"k": args.k})

@@ -48,8 +48,9 @@ class ContractionLog:
     ContractionLog(graph) starts an empty log on graph's vertices; a
     builder grows it with contract(keep, merge), verify(graph, seq) grows
     one by replaying seq, and undo() takes the last step back, so a search
-    can backtrack.  Records each step's (x, y, z) vertex ids, the maximum
-    red degree after it, and whether every step stayed on one side; a log
+    can backtrack; sequence() names the steps taken by their labels.
+    Records each step's (x, y, z) vertex ids, the maximum red degree
+    after it, and whether every step stayed on one side; a log
     that verify returns also holds seq's first failure, where replay
     stopped (ok is False then), and check() raises it.  For every vertex
     created and not undone it keeps side, bag, birth level (0 for input
@@ -174,6 +175,14 @@ class ContractionLog:
             idx, reason = self.failure
             raise ValueError(f"invalid contraction sequence: step {idx}: {reason}")
         return self
+
+    def sequence(self) -> ContractionSequence:
+        """The steps taken so far, named by labels, declaring the log's width."""
+        return ContractionSequence(
+            tuple((self._label[x], self._label[y]) for x, y, _ in self.steps),
+            declared_width=self.width,
+            num_vertices=self._last_input,
+        )
 
     def vertices(self) -> list[int]:
         return sorted(self._red_degree)

@@ -10,6 +10,12 @@ from stww.sequence import ContractionSequence, verify
 from stww.trigraph import NEG, POS, SignedTrigraph
 
 
+def doubled(index_map):
+    """The output indices after which the graph is a double step's
+    intermediate: the first of two output steps for one input step."""
+    return {i for i in index_map if index_map[i] == index_map.get(i + 1)}
+
+
 def test_cross_side_step_splits_into_halves():
     g = SignedTrigraph(
         [1, 2, 3, 4],
@@ -41,7 +47,7 @@ def test_same_side_steps_pass_through():
     result = bipartize(g, seq)
     assert result.seq.steps == seq.steps
     assert result.index_map == {0: 0, 1: 1}
-    assert result.doubled_steps == frozenset()
+    assert doubled(result.index_map) == set()
 
 
 def test_index_map_marks_double_steps():
@@ -52,25 +58,12 @@ def test_index_map_marks_double_steps():
     values = [result.index_map[i] for i in range(len(result.seq))]
     assert values == sorted(values)
     assert set(values) <= set(range(len(seq)))
-    for i in result.doubled_steps:
-        assert result.index_map[i] == result.index_map[i + 1]
     # every input index appears at most twice, twice exactly for doubles
     for idx in set(values):
         count = values.count(idx)
         assert count in (1, 2)
-
-
-def test_doubled_steps_are_exactly_the_repeated_input_indices():
-    doubles = 0
-    for seed in range(30):
-        g = random_bipartite_graph(random.Random(seed), max_n=14)
-        for tie_break in ("smallest", "largest"):
-            result = bipartize(g, greedy_sequence(g, tie_break=tie_break))
-            index_map = result.index_map
-            repeated = {i for i in index_map if index_map[i] == index_map.get(i + 1)}
-            assert result.doubled_steps == repeated, (seed, tie_break)
-            doubles += len(repeated)
-    assert doubles > 0
+    twice = {idx for idx in values if values.count(idx) == 2}
+    assert {result.index_map[i] for i in doubled(result.index_map)} == twice
 
 
 def test_matches_reference_transform():
@@ -83,13 +76,15 @@ def test_matches_reference_transform():
         cases.append((g, greedy_sequence(g)))
     doubles = 0
     for g, seq in cases:
-        steps, index_map, doubled, input_width, output_width = reference_bipartize(g, seq)
+        steps, index_map, reference_doubled, input_width, output_width = reference_bipartize(g, seq)
         result = bipartize(g, seq)
-        assert result.seq == ContractionSequence(steps, num_vertices=max(g.vertices()))
+        assert result.seq == ContractionSequence(
+            steps, declared_width=output_width, num_vertices=max(g.vertices())
+        )
         assert result.index_map == index_map
-        assert result.doubled_steps == doubled
+        assert doubled(result.index_map) == reference_doubled
         assert (result.input_width, result.output_width) == (input_width, output_width)
-        doubles += len(doubled)
+        doubles += len(reference_doubled)
     assert doubles > 0
 
 

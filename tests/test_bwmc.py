@@ -244,7 +244,7 @@ def test_input_guards():
     cross = ContractionSequence(((1, 3),), num_vertices=3)
     with pytest.raises(ValueError, match="invalid contraction sequence"):
         solve_bwmc(f, WeightFunction(), 1, cross)
-    with pytest.raises(ValueError, match="empty incidence graph"):
+    with pytest.raises(ValueError, match="step 0: unknown vertex id 1"):
         solve_bwmc(Formula(0, ()), WeightFunction(), 0, ContractionSequence(((1, 2),)))
     with pytest.raises(ValueError, match="positive ones budget"):
         list(dp_records(f, WeightFunction(), 0, seq))
@@ -485,6 +485,7 @@ def test_solve_returns_a_fraction_on_every_path():
     cases = [
         (Formula(2, (fs(1, 2), fs())), 2, None),  # an empty clause
         (Formula(2, ()), 1, None),  # no clauses
+        (Formula(2, ()), 0, None),  # no clauses at k = 0
         (Formula(0, ()), 0, None),  # no variables either
         (Formula(2, (fs(-1), fs(-2))), 0, None),  # k = 0
         (or_clause(), 1, None),  # black final edge: the DP counts it too

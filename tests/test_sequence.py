@@ -247,6 +247,9 @@ def test_undo_restores_the_log_of_the_remaining_prefix():
                 log.contract(*prefix[-1])
             fresh = verify(graph, ContractionSequence(tuple(prefix)))
             assert log_state(log) == log_state(fresh), (seed, prefix)
+            assert log.sequence() == ContractionSequence(
+                tuple(prefix), declared_width=fresh.width, num_vertices=max(graph.vertices())
+            ), (seed, prefix)
     assert undone > 1000
 
 
