@@ -66,6 +66,27 @@ def test_index_map_marks_double_steps():
     assert {result.index_map[i] for i in doubled(result.index_map)} == twice
 
 
+def test_doubled_steps_are_exactly_the_repeated_input_indices():
+    # an input step is doubled exactly when both contracted bags hold
+    # vertices of both sides, so all four halves exist
+    doubles = 0
+    for seed in range(30):
+        g = random_bipartite_graph(random.Random(seed), max_n=14)
+        for tie_break in ("smallest", "largest"):
+            seq = greedy_sequence(g, tie_break=tie_break)
+            result = bipartize(g, seq)
+            sides = {v: {g.side(v)} for v in g.vertices()}
+            four_halves = set()
+            for index, (x, y) in enumerate(seq.steps):
+                if len(sides[x]) == len(sides[y]) == 2:
+                    four_halves.add(index)
+                sides[min(x, y)] = sides.pop(x) | sides.pop(y)
+            repeated = {result.index_map[i] for i in doubled(result.index_map)}
+            assert repeated == four_halves, (seed, tie_break)
+            doubles += len(repeated)
+    assert doubles > 0
+
+
 def test_matches_reference_transform():
     cases = []
     for seed in range(200):
