@@ -12,7 +12,7 @@ import random
 from stww import bipartize, greedy_sequence, verify
 from stww.trigraph import NEG, POS, SIDE_CLA, SIDE_VAR, SignedTrigraph
 
-rng = random.Random(7)
+rng = random.Random(6)
 n = 12
 split = 5
 sides = {v: (SIDE_VAR if v <= split else SIDE_CLA) for v in range(1, n + 1)}
@@ -36,6 +36,7 @@ print(f"bipartized: {len(result.seq.steps)} steps, width {log.width} (≤ {d} + 
 # an input step that merges two halves on each side makes two output steps
 index_map = result.index_map
 doubled = [i for i in index_map if index_map[i] == index_map.get(i + 1)]
+assert doubled, "this graph's greedy sequence should have a step to double"
 print(f"steps doubled into half-merges: {doubled}")
 for out_index, in_index in sorted(result.index_map.items()):
     print(f"  output step {out_index} <- input step {in_index}")

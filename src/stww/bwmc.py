@@ -190,7 +190,8 @@ def _region_tables(
     for key in ("regions_evaluated", "large_regions", "has_one_splits", "fold_states",
                 "largest_table", "entries_copied", "dead_states"):
         stats.setdefault(key, 0)
-    max_region = region_cap(budget, log.width)
+    max_region = stats["region_cap"] = region_cap(budget, log.width)
+    stats["width"] = log.width
     readers = Counter(roots)
     plans: dict[frozenset[int], tuple] = {}
     tables: dict[frozenset[int], Table] = {}
@@ -561,10 +562,11 @@ def solve_bwmc(
 
     The sequence must be a valid bipartite contraction sequence of the
     formula's incidence graph; when the dynamic program runs (at least one
-    clause and a positive budget) it must be maximal, ending at one variable
-    and one clause vertex, and `finalize` reads the count off the records
-    of that last level, whatever its edge.  Without a clause or without a
-    budget the count has a closed form.  `stats`, when given, collects
+    clause, none empty, and a positive budget) it must be maximal, ending
+    at one variable and one clause vertex, and `finalize` reads the count
+    off the records of that last level, whatever its edge.  Otherwise the
+    count has a closed form.  It counts in integers, on `_ScaledWeights`,
+    and divides by their scale once at the end.  `stats`, when given, collects
     region counters, the fold counters (`fold_states`, the partial and
     output states the folds build, and `largest_table`, the most states of
     one evaluated region), `dead_states`, the merged states dropped
@@ -573,10 +575,26 @@ def solve_bwmc(
     """
     if k < 0:
         raise ValueError("the ones budget k must be nonnegative")
-    graph = incidence_graph(formula)
-    log = verify(graph, seq, require_bipartite=True).check()
+    log = verify(incidence_graph(formula), seq, require_bipartite=True).check()
     scaled = _ScaledWeights(formula, weights)
-    return Fraction(_scaled_count(formula, scaled, k, graph, log, stats), scaled.scale)
+    budget = min(k, formula.num_vars)
+    if formula.num_clauses == 0 or budget == 0 or not all(formula.clauses):
+        # at budget 0 only the all-zero assignment counts; an empty clause
+        # has no negative literal
+        if all(any(lit < 0 for lit in clause) for clause in formula.clauses):
+            return Fraction(sum(_budget_poly(scaled, formula.variables(), budget)), scaled.scale)
+        return Fraction(0)
+    if len(log.vertices()) != 2:
+        raise ValueError(
+            "the sequence must contract the incidence graph down to "
+            "one variable vertex and one clause vertex"
+        )
+    roots = _red_components(log, log.vertices())
+    tables = _region_tables(log, roots, scaled, budget, stats if stats is not None else {})
+    record: Record = {}
+    for region in roots:
+        record.update(_profiles(log, region, tables[region]))
+    return Fraction(finalize(record, log, k), scaled.scale)
 
 
 class _ScaledWeights:
@@ -597,40 +615,6 @@ class _ScaledWeights:
 
     def of(self, literal: int) -> int:
         return self._by_literal[literal]
-
-
-def _scaled_count(
-    formula: Formula,
-    weights: _ScaledWeights,
-    k: int,
-    graph: SignedTrigraph,
-    log: ContractionLog,
-    stats: dict | None,
-) -> int:
-    """solve_bwmc's count times the weights' scale, all in integers."""
-    if any(not clause for clause in formula.clauses):
-        return 0
-    budget = min(k, formula.num_vars)
-    if formula.num_clauses == 0 or budget == 0:
-        # at budget 0 only the all-zero assignment counts
-        if all(any(lit < 0 for lit in clause) for clause in formula.clauses):
-            return sum(_budget_poly(weights, formula.variables(), budget))
-        return 0
-
-    if len(log.steps) != graph.num_vertices - 2:
-        raise ValueError(
-            "the sequence must contract the incidence graph down to "
-            "one variable vertex and one clause vertex"
-        )
-    if stats is not None:
-        stats["region_cap"] = region_cap(budget, log.width)
-        stats["width"] = log.width
-    roots = _red_components(log, log.vertices())
-    tables = _region_tables(log, roots, weights, budget, stats if stats is not None else {})
-    record: Record = {}
-    for region in roots:
-        record.update(_profiles(log, region, tables[region]))
-    return finalize(record, log, k)
 
 
 def dp_records(

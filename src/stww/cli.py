@@ -19,7 +19,7 @@ from pathlib import Path
 from .bipartize import bipartize
 from .bounds import greedy_sequence
 from .bwmc import solve_bwmc
-from .cnf import Formula, ParseError, WeightFunction, parse_dimacs, serialize_dimacs, token_lines
+from .cnf import ParseError, parse_dimacs, serialize_dimacs, token_lines
 from .encoding import DecodeError, SolverError, SolverUnavailableError, exact_tww_via_solver
 from .generators import (
     SIGN_POLICIES,
@@ -30,7 +30,7 @@ from .generators import (
     gen_subdivided_clique,
 )
 from .oracle import bsat_oracle, bwmc_oracle
-from .sequence import ContractionSequence, parse_sequence, serialize_sequence, verify
+from .sequence import parse_sequence, serialize_sequence, verify
 from .trigraph import SignedTrigraph, incidence_graph, parse_graph, require_sides, serialize_graph
 
 EX_OK = 0
@@ -66,10 +66,6 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
-
-
 def _sniff(text: str) -> tuple[str, int]:
     """The problem line's format token and its 1-based line number.  Text
     without one is read as `stg`, the one format whose header is optional."""
@@ -82,7 +78,7 @@ def _sniff(text: str) -> tuple[str, int]:
 def _load_graph(path: str) -> tuple[SignedTrigraph, bool]:
     """Accept either a signed trigraph file or a CNF (via its incidence
     graph); the flag tells which it was."""
-    text = _read(path)
+    text = Path(path).read_text()
     kind, number = _sniff(text)
     if kind == "cnf":
         formula, _ = parse_dimacs(text, name=path)
@@ -92,29 +88,16 @@ def _load_graph(path: str) -> tuple[SignedTrigraph, bool]:
     raise ParseError(f"unsupported problem line 'p {kind}' in {path}", number)
 
 
-def _load_formula(path: str) -> tuple[Formula, WeightFunction]:
-    formula, weights = parse_dimacs(_read(path), name=path)
-    return formula, weights
-
-
-def _load_sequence(path: str) -> ContractionSequence:
-    return parse_sequence(_read(path))
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
-def _print_count(value: Fraction, as_json: bool, extra: dict | None = None) -> None:
+def _print_count(value: Fraction, k: int, as_json: bool) -> None:
     if as_json:
-        payload = {"count": str(value), "decimal": _decimal(value)}
-        payload.update(extra or {})
-        print(json.dumps(payload))
+        print(json.dumps({"count": str(value), "decimal": _decimal(value), "k": k}))
     else:
         print(value)
         print(_decimal(value))
@@ -122,7 +105,7 @@ def _print_count(value: Fraction, as_json: bool, extra: dict | None = None) -> N
 
 def _cmd_verify(args) -> int:
     graph, _ = _load_graph(args.input)
-    seq = _load_sequence(args.seq)
+    seq = parse_sequence(Path(args.seq).read_text())
     if args.bipartite:
         require_sides(graph, "bipartite verification")
     log = verify(graph, seq, require_bipartite=args.bipartite)
@@ -150,7 +133,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bipartize(args) -> int:
     graph, _ = _load_graph(args.input)
-    seq = _load_sequence(args.seq)
+    seq = parse_sequence(Path(args.seq).read_text())
     result = bipartize(graph, seq)
     _emit(serialize_sequence(result.seq, graph.num_vertices), args.output)
     if args.json:
@@ -194,8 +177,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_bwmc(args) -> int:
-    formula, weights = _load_formula(args.input)
-    seq = _load_sequence(args.seq)
+    formula, weights = parse_dimacs(Path(args.input).read_text(), name=args.input)
+    seq = parse_sequence(Path(args.seq).read_text())
     stats: dict | None = {} if args.stats else None
     value = solve_bwmc(formula, weights, args.k, seq, stats=stats)
     if stats is not None:
@@ -213,14 +196,14 @@ def _cmd_bwmc(args) -> int:
                 f"{stats['entries_copied']} entries copied",
                 file=sys.stderr,
             )
-    _print_count(value, args.json, {"k": args.k})
+    _print_count(value, args.k, args.json)
     return EX_OK
 
 
 def _cmd_oracle(args) -> int:
-    formula, weights = _load_formula(args.input)
+    formula, weights = parse_dimacs(Path(args.input).read_text(), name=args.input)
     if args.mode == "bwmc":
-        _print_count(bwmc_oracle(formula, weights, args.k), args.json, {"k": args.k})
+        _print_count(bwmc_oracle(formula, weights, args.k), args.k, args.json)
     else:
         answer = bsat_oracle(formula, args.k)
         print(json.dumps({"satisfiable": answer, "k": args.k}) if args.json

@@ -70,7 +70,7 @@ class ContractionLog:
 
     def __init__(self, graph: SignedTrigraph) -> None:
         adj = self._adj = {v: dict(graph.neighbors(v)) for v in graph.vertices()}
-        self._red = {v: set(graph.red_neighbors(v)) for v in adj}
+        self._red = {v: {w for w, kind in nbrs.items() if kind == RED} for v, nbrs in adj.items()}
         self._side = {v: graph.side(v) for v in adj}
         self._bag = {v: graph.bag(v) for v in adj}
         self._last_input = max(adj, default=0)
@@ -92,22 +92,18 @@ class ContractionLog:
         # contracted vertex -> the level at which it no longer exists
         self._death: dict[int, int] = {}
 
-    def _pair(self, keep: int, merge: int) -> tuple[int, int]:
-        """The current vertices answering to keep and merge, or ValueError."""
-        for label in (keep, merge):
-            if label not in self._vertex_of:
-                raise ValueError(f"unknown vertex id {label}")
-        if keep == merge:
-            raise ValueError(f"cannot contract {keep} with itself")
-        return self._vertex_of[keep], self._vertex_of[merge]
-
     def contract(self, keep: int, merge: int) -> int:
         """Merge the vertices answering to labels keep and merge into a
         fresh vertex z, which answers to keep from now on; return z.
         Raises ValueError, leaving the log as it was, when a label is
         unknown or the two labels are equal."""
         adj, red, side, degree, count = self._adj, self._red, self._side, self._red_degree, self._count
-        x, y = self._pair(keep, merge)
+        for label in (keep, merge):
+            if label not in self._vertex_of:
+                raise ValueError(f"unknown vertex id {label}")
+        if keep == merge:
+            raise ValueError(f"cannot contract {keep} with itself")
+        x, y = self._vertex_of[keep], self._vertex_of[merge]
         del self._vertex_of[merge]
         z = self._last_input + len(self.steps) + 1
         self._before.append((degree[x], degree[y], self._top, self.width, self.bipartite))
@@ -252,17 +248,17 @@ def verify(
     The log's width is the maximum red degree over the input graph and
     every intermediate graph.  Replay stops at the first failure, which the
     log records: an unknown label or, with require_bipartite, a step that
-    contracts two vertices not on a common side.  Without
-    require_bipartite such a step only clears the log's bipartite flag.
+    contracts two vertices not on a common side, which is taken back.
+    Without require_bipartite such a step only clears the log's bipartite
+    flag.
     """
     log = ContractionLog(graph)
     for idx, (keep, merge) in enumerate(seq.steps):
         try:
-            if require_bipartite:
-                x, y = log._pair(keep, merge)
-                if log.side(x) is None or log.side(x) != log.side(y):
-                    raise ValueError(f"cross-side contraction ({keep},{merge})")
             log.contract(keep, merge)
+            if require_bipartite and not log.bipartite:
+                log.undo()
+                raise ValueError(f"cross-side contraction ({keep},{merge})")
         except ValueError as err:
             log.failure = (idx, str(err))
             break

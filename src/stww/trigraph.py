@@ -27,12 +27,11 @@ SIDE_CLA = 1
 class SignedTrigraph:
     """Immutable signed trigraph.
 
-    Edges are stored as adjacency maps vertex -> neighbor -> kind, with red
-    neighborhoods additionally indexed per vertex for cheap red-degree
-    queries.
+    Edges are stored as adjacency maps vertex -> neighbor -> kind, the one
+    record of every edge; red neighbourhoods and degrees are read off it.
     """
 
-    __slots__ = ("_adj", "_red", "_side", "_bag")
+    __slots__ = ("_adj", "_side", "_bag")
 
     def __init__(
         self,
@@ -56,7 +55,6 @@ class SignedTrigraph:
                 if s not in (None, SIDE_VAR, SIDE_CLA):
                     raise ValueError(f"bad side {s!r} for vertex {v}")
                 side[v] = s
-        red: dict[int, set[int]] = {v: set() for v in adj}
         for u, v, kind in edges:
             if u not in adj or v not in adj:
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
@@ -70,9 +68,6 @@ class SignedTrigraph:
                 raise ValueError(f"edge ({u},{v}) joins two side-{side[u]} vertices")
             adj[u][v] = kind
             adj[v][u] = kind
-            if kind == RED:
-                red[u].add(v)
-                red[v].add(u)
         bag: dict[int, frozenset[int]] = {v: frozenset((v,)) for v in adj}
         if bags:
             for v, contents in bags.items():
@@ -80,7 +75,6 @@ class SignedTrigraph:
                     raise ValueError(f"bag given for unknown vertex {v}")
                 bag[v] = frozenset(contents)
         self._adj = adj
-        self._red = red
         self._side = side
         self._bag = bag
 
@@ -109,10 +103,10 @@ class SignedTrigraph:
         return self._adj[v]
 
     def red_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(self._red[v])
+        return frozenset(w for w, kind in self._adj[v].items() if kind == RED)
 
     def red_degree(self, v: int) -> int:
-        return len(self._red[v])
+        return sum(kind == RED for kind in self._adj[v].values())
 
     def edges(self) -> Iterator[tuple[int, int, str]]:
         for u, nbrs in self._adj.items():
@@ -124,7 +118,7 @@ class SignedTrigraph:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def max_red_degree(self) -> int:
-        return max((len(nbrs) for nbrs in self._red.values()), default=0)
+        return max(map(self.red_degree, self._adj), default=0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedTrigraph):

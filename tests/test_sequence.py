@@ -77,6 +77,10 @@ def test_verify_failures():
     assert lax.ok and not lax.bipartite
     strict = verify(sided, cross, require_bipartite=True)
     assert not strict.ok and "cross-side" in strict.failure[1]
+    # the failed step is taken back: the log is that of the empty prefix
+    assert strict.steps == strict.per_step_max_red == [] and strict.vertices() == [1, 2, 3]
+    assert strict.vertex(1) == 1 and strict.vertex(2) == 2
+    assert strict.bipartite and strict.width == sided.max_red_degree()
     with pytest.raises(AttributeError):
         strict.ok = True
 

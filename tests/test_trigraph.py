@@ -224,6 +224,7 @@ def test_random_round_trip_and_contraction_invariants(seed):
     rng = random.Random(seed)
     g = random_bipartite_graph(rng, max_n=12)
     assert parse_graph(serialize_graph(g)) == g
+    assert_red_queries_match_edges(g)
 
     log = ContractionLog(g)
     while len(log.vertices()) > 1:
@@ -232,6 +233,7 @@ def test_random_round_trip_and_contraction_invariants(seed):
         before_bags = [log.bag(x) for x in vs]
         new = log.contract(log.label(u), log.label(v))
         h = log.snapshot()
+        assert_red_queries_match_edges(h)
         # bags partition the original vertex set at every level
         bags = [h.bag(x) for x in h.vertices()]
         assert sorted(x for b in bags for x in b) == sorted(
@@ -248,6 +250,17 @@ def test_random_round_trip_and_contraction_invariants(seed):
             for y in current:
                 assert log.edge(x, y) == log.edge(y, x)
                 assert (log.edge(x, y) == RED) == (y in log.red_neighbors(x))
+
+
+def assert_red_queries_match_edges(graph):
+    red = {v: set() for v in graph.vertices()}
+    for u, v, kind in graph.edges():
+        if kind == RED:
+            red[u].add(v)
+            red[v].add(u)
+    for v, nbrs in red.items():
+        assert graph.red_neighbors(v) == nbrs and graph.red_degree(v) == len(nbrs)
+    assert graph.max_red_degree() == max(map(len, red.values()))
 
 
 def g_bag_union(before_bags, vs, u, v):
