@@ -35,7 +35,8 @@ class _WorkingGraph:
     label (the smallest input id in its bag) and its group (its side in a
     bipartite run, else one group for all).  One bucket mask per red degree
     and the running red-edge total let a pair be scored without touching
-    the rest of the graph.
+    the rest of the graph, and a mask of the isolated vertices lets a step
+    skip the pairs they tie in.
 
     Every pair x, y of live vertices in one group has its merged red degree
     mr(x, y) = |N(x) | N(y) - {x, y} - agree| cached, where agree is
@@ -46,7 +47,7 @@ class _WorkingGraph:
 
     __slots__ = (
         "pos", "neg", "red", "nbr", "rdeg", "label", "bucket", "top", "total_red",
-        "group", "members", "scores", "at",
+        "group", "members", "scores", "at", "isolated",
     )
 
     def __init__(self, graph: SignedTrigraph, bipartite: bool) -> None:
@@ -70,6 +71,7 @@ class _WorkingGraph:
             self.bucket[self.rdeg[i]] |= 1 << i
         self.top = max(self.rdeg, default=0)
         self.total_red = sum(self.rdeg) // 2
+        self.isolated = sum(1 << i for i, nbrs in enumerate(self.nbr[: len(verts)]) if not nbrs)
         self.group = [graph.side(v) if bipartite else 0 for v in verts] + [None] * (size - len(verts))
         self.members: dict[int | None, int] = {}
         self.scores: list[dict[int, int] | None] = [{} for _ in verts] + [None] * (size - len(verts))
@@ -90,7 +92,7 @@ class _WorkingGraph:
             partners ^= bit_y
             y = bit_y.bit_length() - 1
             m = ((nbr_x | nbr[y]) & ~((pos_x & pos[y]) | (neg_x & neg[y]) | bit_x | bit_y)).bit_count()
-            # _link inlined: this loop runs once per pair of the input
+            # inlined: this loop runs once per pair of the input
             row[m] = row.get(m, 0) | bit_y
             other = scores[y]
             other[m] = other.get(m, 0) | bit_x
@@ -108,7 +110,9 @@ class _WorkingGraph:
         one; every other vertex keeps its degree.  The new maximum is read
         off the degree buckets from the top down, in O(max red degree)
         word operations, and the red edge count follows from mr and the
-        two red degrees.
+        two red degrees.  A pair with an isolated vertex is scored only when
+        that vertex is one of the two label-extreme isolated vertices of its
+        group, the only ones that can win the label tie.
         """
         pos, neg, red, nbr = self.pos, self.neg, self.red, self.nbr
         rdeg, label, bucket, scores = self.rdeg, self.label, self.bucket, self.scores
@@ -116,15 +120,30 @@ class _WorkingGraph:
         best_key: tuple | None = None
         best_pair = None
         best_width = len(bucket)
+        keep = -1
+        if self.isolated:
+            # an isolated vertex adds no neighbour and changes no degree, so
+            # all isolated partners of a vertex tie on width and red edges
+            keep = ~self.isolated
+            for members in self.members.values():
+                alone, extremes = members & self.isolated, []
+                while alone:
+                    bit = alone & -alone
+                    alone ^= bit
+                    extremes.append((label[bit.bit_length() - 1], bit))
+                extremes.sort()
+                for _, bit in extremes[-2:] if largest else extremes[:2]:
+                    keep |= bit
         for merged_red, holders in enumerate(self.at):
             if merged_red > best_width:
                 break
+            holders &= keep
             while holders:
                 bit_u = holders & -holders
                 holders ^= bit_u
                 u = bit_u.bit_length() - 1
                 # each pair once, from its lower endpoint
-                partners = scores[u][merged_red] >> (u + 1)
+                partners = (scores[u][merged_red] & keep) >> (u + 1)
                 if not partners:
                     continue
                 pos_u, neg_u, nbr_u, red_u = pos[u], neg[u], nbr[u], red[u]
@@ -213,20 +232,31 @@ class _WorkingGraph:
         rdeg[w] = red_w.bit_count()
         bucket[rdeg[w]] |= bit_w
         self.label[w] = min(self.label[u], self.label[v])
+        self.isolated &= ~pair
+        if not touched:
+            self.isolated |= bit_w
         top = min(max(self.top + 1, rdeg[w]), len(bucket) - 1)
         while top and not bucket[top]:
             top -= 1
         self.top = top
 
+        # the pair upkeep below is inlined: it runs for every partner of u
+        # and v and every re-scored pair, so a call per pair would dominate
         for x in (u, v):
-            bit_x = 1 << x
+            keep_x = ~(1 << x)
             for m, mask in scores[x].items():
-                at[m] &= ~bit_x
+                at[m] &= keep_x
                 mask &= ~pair
                 while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    _unlink(scores, at, low.bit_length() - 1, bit_x, m)
+                    bit_y = mask & -mask
+                    mask ^= bit_y
+                    other = scores[bit_y.bit_length() - 1]
+                    rest = other[m] & keep_x
+                    if rest:
+                        other[m] = rest
+                    else:
+                        del other[m]
+                        at[m] &= ~bit_y
             scores[x] = None
         key = self.group[w] = self.group[u]
         self.members[key] &= ~pair
@@ -241,8 +271,13 @@ class _WorkingGraph:
             # partners outside touched all drop by one
             inside = touched & ~done & ~bit_t
             saw_both = bit_t & both
+            keep_t = ~bit_t
             pos_t, neg_t, nbr_t = pos[t], neg[t], nbr[t]
             for m, mask in list(row.items()):
+                moved = mask & ~touched if saw_both else 0
+                # the partners that leave row[m]; bits that an earlier m
+                # moved into row[m] stay
+                leaving = moved
                 recheck = mask & inside
                 while recheck:
                     bit_y = recheck & -recheck
@@ -250,42 +285,42 @@ class _WorkingGraph:
                     y = bit_y.bit_length() - 1
                     new = ((nbr_t | nbr[y]) & ~((pos_t & pos[y]) | (neg_t & neg[y]) | bit_t | bit_y)).bit_count()
                     if new != m:
-                        _unlink(scores, at, t, bit_y, m)
-                        _link(scores, at, t, bit_y, new)
-                        _unlink(scores, at, y, bit_t, m)
-                        _link(scores, at, y, bit_t, new)
-                moved = mask & ~touched if saw_both else 0
+                        leaving |= bit_y
+                        row[new] = row.get(new, 0) | bit_y
+                        at[new] |= bit_t | bit_y
+                        other = scores[y]
+                        kept = other[m] & keep_t
+                        if kept:
+                            other[m] = kept
+                        else:
+                            del other[m]
+                            at[m] &= ~bit_y
+                        other[new] = other.get(new, 0) | bit_t
                 if moved:
-                    _unlink(scores, at, t, moved, m)
-                    _link(scores, at, t, moved, m - 1)
+                    row[m - 1] = row.get(m - 1, 0) | moved
+                    at[m - 1] |= bit_t | moved
                     while moved:
                         bit_y = moved & -moved
                         moved ^= bit_y
-                        y = bit_y.bit_length() - 1
-                        _unlink(scores, at, y, bit_t, m)
-                        _link(scores, at, y, bit_t, m - 1)
+                        other = scores[bit_y.bit_length() - 1]
+                        kept = other[m] & keep_t
+                        if kept:
+                            other[m] = kept
+                        else:
+                            del other[m]
+                            at[m] &= ~bit_y
+                        other[m - 1] = other.get(m - 1, 0) | bit_t
+                if leaving:
+                    kept = row[m] & ~leaving
+                    if kept:
+                        row[m] = kept
+                    else:
+                        del row[m]
+                        at[m] &= keep_t
             done |= bit_t
         scores[w] = {}
         self._score(w, self.members[key])
         self.members[key] |= bit_w
-
-
-def _link(scores: list, at: list[int], x: int, partners: int, m: int) -> None:
-    """Record mr(x, y) = m for each y in partners, in x's row only."""
-    row = scores[x]
-    row[m] = row.get(m, 0) | partners
-    at[m] |= 1 << x
-
-
-def _unlink(scores: list, at: list[int], x: int, partners: int, m: int) -> None:
-    """Forget mr(x, y) = m for each y in partners, in x's row only."""
-    row = scores[x]
-    rest = row[m] & ~partners
-    if rest:
-        row[m] = rest
-    else:
-        del row[m]
-        at[m] &= ~(1 << x)
 
 
 def greedy_sequence(

@@ -140,21 +140,22 @@ def enumerate_red_connected(graph: SignedTrigraph, max_size: int) -> list[frozen
 
 
 def _red_components(graph: SignedTrigraph, vertex_set) -> list[frozenset[int]]:
+    red_neighbors = graph.red_neighbors
     remaining = set(vertex_set)
     components = []
-    for v in sorted(vertex_set):
-        if v not in remaining:
-            continue
+    while remaining:
+        v = min(remaining)
         remaining.discard(v)
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in graph.red_neighbors(u):
-                if w in remaining:
-                    remaining.discard(w)
-                    comp.add(w)
-                    stack.append(w)
+        # walk grows while it is read, so every reached vertex is expanded;
+        # comp is a set because a frozenset copied from a set is sized to
+        # fit, and one built from a list can take twice the table
+        comp, walk = {v}, [v]
+        for u in walk:
+            reached = remaining & red_neighbors(u)
+            if reached:
+                remaining -= reached
+                comp |= reached
+                walk += reached
         components.append(frozenset(comp))
     return components
 
@@ -192,6 +193,7 @@ def _region_tables(
         stats.setdefault(key, 0)
     max_region = stats["region_cap"] = region_cap(budget, log.width)
     stats["width"] = log.width
+    side, label, neighbors_within = log.side, log.label, log.neighbors_within
     readers = Counter(roots)
     plans: dict[frozenset[int], tuple] = {}
     tables: dict[frozenset[int], Table] = {}
@@ -218,8 +220,8 @@ def _region_tables(
         closed = 0
         if drop_dead:
             for c in region:
-                if log.side(c) == SIDE_CLA and log.neighbors_at(c, level) <= region:
-                    closed |= 4 << 3 * log.label(c)
+                if side(c) == SIDE_CLA and neighbors_within(c, level, region):
+                    closed |= 4 << 3 * label(c)
         tables[region] = _recompute_region(log, level, region, splits, closed, budget, tables,
                                            stats)
         for _, components, _, _ in splits:
@@ -266,7 +268,8 @@ def _component_entries(
     clauses of the has_one variables plus the negative clauses of the
     variables whose bag holds a 0 (not in has_one, or mixed); each
     variable's two masks of satisfied bits are read once per call, from
-    `region_clauses`, the (clause, satisfied bit) pairs of the expansion.
+    the (clause, satisfied bit) pairs of `region_clauses`, the expansion's,
+    that lie outside the component, listed once.
     A clause inside the component needs no widening: a region's table
     already holds the black edges inside the region, since it was folded
     from children widened across all the clauses of its expansion, and the
@@ -274,18 +277,20 @@ def _component_entries(
     split only the states whose has_one bits are the split's, within the
     component, are kept.  With neither a split nor a black edge out of the
     component the table itself is returned, uncopied."""
+    outside = [(c, sat) for c, sat in region_clauses if c not in comp]
+    if split_has_one is None and not outside:
+        return table
+    side, label, edge = log.side, log.label, log.edge
     reach = []
     comp_ones = 0
     for u in comp:
-        if log.side(u) != SIDE_VAR:
+        if side(u) != SIDE_VAR:
             continue
-        one = 1 << 3 * log.label(u)
+        one = 1 << 3 * label(u)
         comp_ones |= one
         pos = neg = 0
-        for c, sat in region_clauses:
-            if c in comp:
-                continue
-            kind = log.edge(u, c)
+        for c, sat in outside:
+            kind = edge(u, c)
             if kind == POS:
                 pos |= sat
             elif kind == NEG:
@@ -344,7 +349,7 @@ def _splits(
     clause outside sees only all-zero bags across its red edges.
     """
     components = _red_components(log, expanded)
-    if all(len(comp) <= max_region for comp in components):
+    if max(map(len, components)) <= max_region:
         assert len(components) <= log.width + 2, "component count exceeds red-degree bound"
         return [(None, components, 1, 0)]
     assert len(components) == 1 and len(expanded) == max_region + 1
@@ -416,13 +421,14 @@ def _recompute_region(
     if splits[0][0] is not None:
         stats["large_regions"] += 1
         stats["has_one_splits"] += len(splits)
+    side, label = log.side, log.label
     x, y, z = log.steps[level - 1]
     expanded = (region - {z}) | {x, y}
-    region_clauses = [(c, 4 << 3 * log.label(c)) for c in expanded if log.side(c) == SIDE_CLA]
-    z_is_var = log.side(x) == SIDE_VAR
+    region_clauses = [(c, 4 << 3 * label(c)) for c in expanded if side(c) == SIDE_CLA]
+    z_is_var = side(x) == SIDE_VAR
     # x's and y's has_one bits, or their satisfied bits for a clause pair
     bit = 1 if z_is_var else 4
-    x_slot, y_slot = 3 * log.label(x), 3 * log.label(y)
+    x_slot, y_slot = 3 * label(x), 3 * label(y)
     x_bit = bit << x_slot
     pair = x_bit | bit << y_slot
     x_mixed, pair_mixed = x_bit << 1, pair << 1
@@ -433,6 +439,9 @@ def _recompute_region(
         folds = []
         for comp in components:
             table = tables[comp]
+            if table is _UNIT_TABLE and split_has_one is None:
+                # a lone clause vertex: nothing to widen, nothing to fold
+                continue
             entries = _component_entries(log, comp, region_clauses, table, split_has_one)
             if entries is not table:
                 stats["entries_copied"] += sum(map(len, entries.values()))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .cnf import ParseError, header_counts, token_lines
@@ -63,9 +63,11 @@ class ContractionLog:
     red_neighbors answer for any level at which the queried vertices all
     exist; red_neighbors holds every vertex ever red-adjacent, and the
     dynamic program, which intersects it with coexisting vertices, reads a
-    log wherever it reads a graph; neighbors_at(v, level) names v's
-    neighbours that exist at a level.  vertices, vertex, neighbors and
-    red_degree answer only for the last level.
+    log wherever it reads a graph; neighbors_within(v, level, region)
+    tells whether v's neighbours at a level all lie in region.  vertices,
+    vertex, neighbors and red_degree answer only for the last level.
+    side, label and red_neighbors are the bound lookups of the dicts
+    that contract and undo edit, so a caller may bind them once.
     """
 
     def __init__(self, graph: SignedTrigraph) -> None:
@@ -91,6 +93,10 @@ class ContractionLog:
         self._label = {v: v for v in adj}
         # contracted vertex -> the level at which it no longer exists
         self._death: dict[int, int] = {}
+        # bound lookups of the dicts that contract and undo edit in place
+        self.side: Callable[[int], int | None] = self._side.__getitem__
+        self.label: Callable[[int], int] = self._label.__getitem__
+        self.red_neighbors: Callable[[int], set[int]] = self._red.__getitem__
 
     def contract(self, keep: int, merge: int) -> int:
         """Merge the vertices answering to labels keep and merge into a
@@ -111,17 +117,27 @@ class ContractionLog:
         count[degree.pop(y)] -= 1
         # a live neighbour keeps the sign x and y agree on; any other is red
         ax, ay = adj[x], adj[y]
-        adj[z] = {w: ax.get(w) if ax.get(w) == ay.get(w) else RED
-                  for w in set(ax) | set(ay) if w in degree}
-        red[z] = {w for w, kind in adj[z].items() if kind == RED}
-        for w, kind in adj[z].items():
+        az = {}
+        for w, kind in ax.items():
+            if w in degree:
+                az[w] = kind if kind == ay.get(w) else RED
+        for w in ay:
+            if w not in az and w in degree:
+                az[w] = RED
+        adj[z], red_z = az, set()
+        for w, kind in az.items():
             adj[w][z] = kind
             if kind == RED:
+                red_z.add(w)
                 red[w].add(z)
-            count[degree[w]] -= 1
-            degree[w] += (kind == RED) - (adj[x].get(w) == RED) - (adj[y].get(w) == RED)
-            count[degree[w]] += 1
-        degree[z] = len(red[z])
+                # w's red degree moves only when x and y were not one red, one not
+                change = 1 - (ax.get(w) == RED) - (ay.get(w) == RED)
+                if change:
+                    count[degree[w]] -= 1
+                    degree[w] += change
+                    count[degree[w]] += 1
+        red[z] = red_z
+        degree[z] = len(red_z)
         count[degree[z]] += 1
         # a neighbour of z gains at most one red edge
         top = max(self._top + 1, degree[z])
@@ -192,27 +208,22 @@ class ContractionLog:
     def red_degree(self, v: int) -> int:
         return self._red_degree[v]
 
-    def side(self, v: int) -> int | None:
-        return self._side[v]
-
-    def label(self, v: int) -> int:
-        return self._label[v]
-
     def birth(self, v: int) -> int:
         return max(v - self._last_input, 0)
 
-    def neighbors_at(self, v: int, level: int) -> set[int]:
-        """v's neighbours that exist at `level`: born by it, not yet
-        contracted away."""
+    def neighbors_within(self, v: int, level: int, region) -> bool:
+        """Whether every neighbour v has at `level`, born by it and not
+        yet contracted away, lies in region; stops at the first that does
+        not."""
         # ids are handed out in step order, so top is the last id born by level
         top, death = self._last_input + level, self._death
-        return {w for w in self._adj[v] if w <= top and death.get(w, level + 1) > level}
+        for w in self._adj[v]:
+            if w not in region and w <= top and death.get(w, level + 1) > level:
+                return False
+        return True
 
     def edge(self, u: int, v: int) -> str | None:
         return self._adj[u].get(v)
-
-    def red_neighbors(self, v: int) -> set[int]:
-        return self._red[v]
 
     def bag(self, v: int) -> frozenset[int]:
         """Input vertices contracted into v, gathered on first request."""

@@ -128,6 +128,15 @@ def contracted(g, u, v):
     return SignedTrigraph(rest + [w], edges, sides, bags), w
 
 
+def neighbors_at(log, v, level):
+    """v's neighbours at `level` of a ContractionLog, read off its public
+    steps: the vertices born by that level, not yet contracted away, with
+    an edge to v."""
+    ever = set(log.vertices()).union(*log.steps)
+    gone = {u for x, y, _z in log.steps[:level] for u in (x, y)}
+    return {w for w in ever - gone if log.birth(w) <= level and log.edge(v, w) is not None}
+
+
 def brute_min_bipartite_width(graph):
     """Reference exact bipartite twin-width: plain recursion, no memo tricks."""
 

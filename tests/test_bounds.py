@@ -12,6 +12,7 @@ from helpers import (
     reference_greedy,
 )
 from stww.bounds import _WorkingGraph, exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
+from stww.cnf import Formula
 from stww.generators import gen_grid, gen_random_ksat, gen_subdivided_clique
 from stww.sequence import ContractionLog, ContractionSequence, serialize_sequence, verify
 from stww.trigraph import NEG, POS, RED, SignedTrigraph, incidence_graph
@@ -56,13 +57,13 @@ def test_greedy_tie_breaks_give_different_but_valid_sequences():
     assert verify(g, large, require_bipartite=True).ok
 
 
-def _random_sided_trigraph(rng, ids):
+def _random_sided_trigraph(rng, ids, p=0.4):
     """Sided trigraph on the given ids with POS, NEG and RED cross edges."""
     sides = {v: rng.randint(0, 1) for v in ids}
     edges = [
         (u, v, rng.choice((POS, NEG, RED)))
         for u, v in itertools.combinations(ids, 2)
-        if sides[u] != sides[v] and rng.random() < 0.4
+        if sides[u] != sides[v] and rng.random() < p
     ]
     return SignedTrigraph(ids, edges, sides=sides)
 
@@ -80,6 +81,15 @@ def _greedy_equivalence_cases():
     yield gen_grid(3, 2, signs="random", seed=5), (True, False)
     yield _random_sided_trigraph(random.Random(3), [1, 5000, 5001]), (True, False)
     yield _random_sided_trigraph(random.Random(4), [2, 9, 5000, 5001, 7000, 7002]), (True, False)
+    # isolated vertices, whose pairs all tie but for their labels: edgeless,
+    # and mostly isolated beside a few edges, red ones included
+    edgeless = [3, 1, 8, 5, 12, 9, 2]
+    yield SignedTrigraph(edgeless, sides={v: v % 2 for v in edgeless}), (True, False)
+    yield incidence_graph(Formula(9, ((-1, 2), (-2, 3)))), (True, False)
+    rng = random.Random(23)
+    for _ in range(8):
+        ids = sorted(rng.sample(range(1, 40), rng.randint(6, 12)))
+        yield _random_sided_trigraph(rng, ids, p=0.12), (True, False)
 
 
 def test_greedy_matches_contract_and_measure_reference():

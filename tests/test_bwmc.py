@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import check_record, random_formula, random_weights, realizes
+from helpers import check_record, neighbors_at, random_formula, random_weights, realizes
 from test_acceptance import implication_chain, zip_sequence
 from stww import bwmc
 from stww.bounds import greedy_sequence
@@ -812,6 +812,40 @@ def test_dropped_tables_hold_no_dead_state_and_only_realizable_ones():
                 dead += sum(p.region == region and not closed <= p.satisfied for p in record)
     # the full tables do hold dead states, and dropping them does some work
     assert kept > 0 and dead > 0
+
+
+def test_closed_clause_mask_matches_the_neighbours_at_each_level(monkeypatch):
+    # every planned region is evaluated with the satisfied bits of exactly
+    # the clause vertices whose neighbours at the region's level, by the
+    # neighbors_at referee, all lie in the region; neighbors_within, which
+    # stops at the first neighbour outside, agrees on every vertex
+    evaluate = bwmc._recompute_region
+    checked = closed_seen = 0
+
+    def checking(log, level, region, splits, closed, *rest):
+        nonlocal checked, closed_seen
+        expected = 0
+        for v in region:
+            inside = neighbors_at(log, v, level) <= region
+            assert log.neighbors_within(v, level, region) == inside, (level, region, v)
+            if inside and log.side(v) == SIDE_CLA:
+                expected |= 4 << 3 * log.label(v)
+            checked += 1
+        assert closed == expected, (level, region)
+        closed_seen += closed != 0
+        return evaluate(log, level, region, splits, closed, *rest)
+
+    monkeypatch.setattr(bwmc, "_recompute_region", checking)
+    for seed in range(40):
+        rng = random.Random(3000 + seed)
+        f = random_formula(rng, max_vars=10, max_clauses=14, min_clauses=1)
+        w = random_weights(rng, f.num_vars)
+        k = rng.randint(1, f.num_vars)
+        for tie_break in ("smallest", "largest"):
+            assert solve_bwmc(f, w, k, greedy_for(f, tie_break)) == bwmc_oracle(f, w, k), seed
+    f = gen_random_ksat(20, 3, 40, 0)
+    assert solve_bwmc(f, WeightFunction(), 1, greedy_for(f)) == bwmc_oracle(f, WeightFunction(), 1)
+    assert checked > 1000 and closed_seen > 100
 
 
 def mostly_negative_3cnf(rng, n, m):

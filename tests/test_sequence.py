@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import contracted, random_bipartite_graph, reference_verify
+from helpers import contracted, neighbors_at, random_bipartite_graph, reference_verify
 from test_acceptance import implication_chain, zip_sequence
 from stww.bounds import greedy_sequence
 from stww.cnf import ParseError
@@ -228,10 +228,14 @@ def random_red_sided_graph(rng):
 
 
 def log_state(log):
-    """Every field of a log, with the bag of every vertex it holds gathered."""
+    """Every data field of a log, with the bag of every vertex it holds
+    gathered; its bound lookups must read its own dicts."""
     for v in log._adj:
         log.bag(v)
-    return vars(log)
+    state = dict(vars(log))
+    for lookup, field in (("side", "_side"), ("label", "_label"), ("red_neighbors", "_red")):
+        assert state.pop(lookup).__self__ is state[field]
+    return state
 
 
 def test_undo_restores_the_log_of_the_remaining_prefix():
@@ -257,9 +261,46 @@ def test_undo_restores_the_log_of_the_remaining_prefix():
     assert undone > 1000
 
 
+def test_log_accessors_after_contract_and_undo_match_a_fresh_replay():
+    # side, label and red_neighbors are bound to the log's dicts, so after
+    # an undo they must read what undo left there, as every other accessor
+    for seed in range(200):
+        rng = random.Random(5000 + seed)
+        graph = random_red_sided_graph(rng)
+        log, prefix = ContractionLog(graph), []
+        for _ in range(25):
+            labels = [log.label(v) for v in log.vertices()]
+            undone = None
+            if prefix and (len(labels) < 2 or rng.random() < 0.4):
+                undone = log.steps[-1][2]
+                log.undo()
+                prefix.pop()
+            else:
+                prefix.append(tuple(rng.sample(labels, 2)))
+                log.contract(*prefix[-1])
+            fresh = verify(graph, ContractionSequence(tuple(prefix)))
+            ever = set(fresh.vertices()).union(*fresh.steps)
+            assert set(log.vertices()).union(*log.steps) == ever, (seed, prefix)
+            for v in ever:
+                assert log.side(v) == fresh.side(v), (seed, prefix, v)
+                assert log.label(v) == fresh.label(v), (seed, prefix, v)
+                assert log.red_neighbors(v) == fresh.red_neighbors(v), (seed, prefix, v)
+                assert log.bag(v) == fresh.bag(v), (seed, prefix, v)
+                assert all(log.edge(v, w) == fresh.edge(v, w) for w in ever), (seed, prefix, v)
+            for v in fresh.vertices():
+                assert log.red_degree(v) == fresh.red_degree(v), (seed, prefix, v)
+            assert log.width == fresh.width, (seed, prefix)
+            assert log.per_step_max_red == fresh.per_step_max_red, (seed, prefix)
+            if undone is not None:
+                for lookup in (log.side, log.label, log.red_neighbors):
+                    with pytest.raises(KeyError):
+                        lookup(undone)
+
+
 def test_neighbors_at_names_the_neighbours_of_every_level():
-    # a log keeps the edges of every vertex it ever held; neighbors_at reads
-    # off them the neighbours born by a level and not yet contracted away
+    # a log keeps the edges of every vertex it ever held; the referee
+    # neighbors_at reads off them the neighbours born by a level and not
+    # yet contracted away
     checked = 0
     for seed in range(300):
         graph, seq = random_sequence_case(random.Random(seed))
@@ -270,7 +311,12 @@ def test_neighbors_at_names_the_neighbours_of_every_level():
             levels.append(level)
         for i, reference in enumerate(levels):
             for v in reference.vertices():
-                assert log.neighbors_at(v, i) == set(reference.neighbors(v)), (seed, i, v)
+                nbrs = neighbors_at(log, v, i)
+                assert nbrs == set(reference.neighbors(v)), (seed, i, v)
+                # neighbors_within holds for a superset of them and fails
+                # once any one is left out
+                assert log.neighbors_within(v, i, nbrs | {v}), (seed, i, v)
+                assert not any(log.neighbors_within(v, i, nbrs - {w}) for w in nbrs), (seed, i, v)
                 checked += 1
         # undo takes the last step's deaths back: after another pair merges
         # in its place, the undone pair's survivors are neighbours again
@@ -283,6 +329,6 @@ def test_neighbors_at_names_the_neighbours_of_every_level():
             log.contract(log.label(u), log.label(w))
             after, _ = contracted(before, u, w)
             for v in after.vertices():
-                assert log.neighbors_at(v, len(log.steps)) == set(after.neighbors(v)), (seed, v)
+                assert neighbors_at(log, v, len(log.steps)) == set(after.neighbors(v)), (seed, v)
                 checked += 1
     assert checked > 1000
