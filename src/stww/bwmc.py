@@ -63,14 +63,16 @@ constant is weight 1 and no bits, so the evaluator has one path for
 both.
 
 Inside the DP a region's record is a table grouped by ones: each ones
-count maps the states to their values, a state being one int with three
+count maps the states to their values, a state being one int with two
 bits per label slot.  The vertex that answers to label s
-(`ContractionLog.label`) owns bits 3s, 3s + 1 and 3s + 2: its has_one,
-mixed and satisfied bits.  A vertex keeps its label while it exists, and
-the vertices of one level answer to distinct labels, so a child's states
-already read as the parent's and no bit ever moves: the merge of x and y
-folds y's slot into x's, which z inherits with x's label.  Input ids are
-1..V, so a state has at most 3(V + 1) bits.  Tables are held by region.
+(`ContractionLog.label`) owns bit 2s, `_bit`: a variable's has_one bit
+or a clause's satisfied bit; a variable's mixed bit is the one above it,
+and a clause leaves that bit clear.  A vertex keeps its label while it
+exists, and the vertices of one level answer to distinct labels, so a
+child's states already read as the parent's and no bit ever moves: the
+merge of x and y folds y's slot into x's, which z inherits with x's
+label.  Input ids are 1..V, so a state has at most 2(V + 1) bits.
+Tables are held by region.
 A table already holds every black edge inside its region, so a parent
 widens a child's states only by the clauses of other components, and reads
 the child's table in place when there are none and no has_one split
@@ -105,11 +107,18 @@ class Profile(NamedTuple):
 
 Record = dict[Profile, int | Fraction]
 # states grouped by ones, {ones: {state: value}}; a state is one int whose
-# bits 3s, 3s + 1 and 3s + 2 are the has_one, mixed and satisfied bits of
-# the vertex answering to label s
+# bit 2s is the has_one bit of the variable or the satisfied bit of the
+# clause answering to label s, and bit 2s + 1 that variable's mixed bit
 Table = dict[int, dict[int, int | Fraction]]
 # the table of a lone clause vertex: the empty state, 0, of weight 1
 _UNIT_TABLE: Table = {0: {0: 1}}
+
+
+def _bit(log: ContractionLog, v: int) -> int:
+    """The state bit of vertex v, at the slot of its label: a variable's
+    has_one bit, with its mixed bit just above, or a clause's satisfied
+    bit."""
+    return 1 << 2 * log.label(v)
 
 
 def enumerate_red_connected(graph: SignedTrigraph, max_size: int) -> list[frozenset[int]]:
@@ -193,7 +202,7 @@ def _region_tables(
         stats.setdefault(key, 0)
     max_region = stats["region_cap"] = region_cap(budget, log.width)
     stats["width"] = log.width
-    side, label, neighbors_within = log.side, log.label, log.neighbors_within
+    side, neighbors_within = log.side, log.neighbors_within
     readers = Counter(roots)
     plans: dict[frozenset[int], tuple] = {}
     tables: dict[frozenset[int], Table] = {}
@@ -205,7 +214,8 @@ def _region_tables(
         level = log.birth(max(region))
         if not level:
             (v,) = region
-            tables[region] = _singleton_record(log, v, weights)
+            tables[region] = ({0: {0: weights.of(-v)}, 1: {_bit(log, v): weights.of(v)}}
+                              if side(v) == SIDE_VAR else _UNIT_TABLE)
             continue
         x, y, z = log.steps[level - 1]
         splits = _splits(log, (region - {z}) | {x, y}, max_region, budget, weights)
@@ -216,12 +226,15 @@ def _region_tables(
     for region in sorted(plans, key=max):
         level, splits = plans.pop(region)
         # built here, not kept in the plan: a mask at label slots is O(V)
-        # bits wide, and the walk holds every plan until it ends
+        # bits wide, and the walk holds every plan until it ends; for the
+        # same reason `_recompute_region` rebuilds the expansion, which
+        # kept in each plan raised the zip chain's peak RSS at k = 3 from
+        # 87 to 91 MiB at n = 8,000 and from 166 to 173 MiB at n = 16,000
         closed = 0
         if drop_dead:
             for c in region:
                 if side(c) == SIDE_CLA and neighbors_within(c, level, region):
-                    closed |= 4 << 3 * label(c)
+                    closed |= _bit(log, c)
         tables[region] = _recompute_region(log, level, region, splits, closed, budget, tables,
                                            stats)
         for _, components, _, _ in splits:
@@ -232,22 +245,17 @@ def _region_tables(
     return tables
 
 
-def _singleton_record(log: ContractionLog, v: int, weights: WeightFunction) -> Table:
-    if log.side(v) == SIDE_VAR:
-        return {0: {0: weights.of(-v)}, 1: {1 << 3 * log.label(v): weights.of(v)}}
-    return _UNIT_TABLE
-
-
 def _profiles(log: ContractionLog, region: frozenset[int], table: Table) -> Record:
     """The public form of a region's table: one Profile per state, its
-    sets decoded from the slots of the region's labels."""
-    slots = [(v, 3 * log.label(v)) for v in region]
+    sets decoded from the bits of the region's vertices, read by side."""
+    variables = [(v, _bit(log, v)) for v in region if log.side(v) == SIDE_VAR]
+    clauses = [(c, _bit(log, c)) for c in region if log.side(c) == SIDE_CLA]
     return {
         Profile(region,
-                frozenset(v for v, s in slots if key >> s & 1),
-                frozenset(v for v, s in slots if key >> s & 2),
+                frozenset(v for v, bit in variables if key & bit),
+                frozenset(v for v, bit in variables if key & bit << 1),
                 ones,
-                frozenset(v for v, s in slots if key >> s & 4)): value
+                frozenset(c for c, bit in clauses if key & bit)): value
         for ones, row in table.items()
         for key, value in row.items()
     }
@@ -280,13 +288,13 @@ def _component_entries(
     outside = [(c, sat) for c, sat in region_clauses if c not in comp]
     if split_has_one is None and not outside:
         return table
-    side, label, edge = log.side, log.label, log.edge
+    side, edge = log.side, log.edge
     reach = []
     comp_ones = 0
     for u in comp:
         if side(u) != SIDE_VAR:
             continue
-        one = 1 << 3 * label(u)
+        one = _bit(log, u)
         comp_ones |= one
         pos = neg = 0
         for c, sat in outside:
@@ -353,7 +361,7 @@ def _splits(
         assert len(components) <= log.width + 2, "component count exceeds red-degree bound"
         return [(None, components, 1, 0)]
     assert len(components) == 1 and len(expanded) == max_region + 1
-    clauses = [(c, 4 << 3 * log.label(c)) for c in expanded if log.side(c) == SIDE_CLA]
+    clauses = [(c, _bit(log, c)) for c in expanded if log.side(c) == SIDE_CLA]
     # each vertex's all-zero constant: its weight, its satisfied bits and
     # the has_one bits that must be clear for them to hold, its own for a
     # variable and its red neighbours' for a clause
@@ -362,14 +370,13 @@ def _splits(
         if log.side(v) == SIDE_VAR:
             neg = sum(sat for c, sat in clauses if log.edge(v, c) == NEG)
             weight = math.prod((weights.of(-u) for u in log.bag(v)), start=1)
-            all_zero[v] = (weight, neg, 1 << 3 * log.label(v))
+            all_zero[v] = (weight, neg, _bit(log, v))
         else:
             # in a bipartite sequence a clause's red neighbours are variable vertices
             reds = log.red_neighbors(v) & expanded
             hit = all(any(log.edge(var, orig) == NEG for u in reds for var in log.bag(u))
                       for orig in log.bag(v))
-            all_zero[v] = (1, 4 << 3 * log.label(v) if hit else 0,
-                           sum(1 << 3 * log.label(u) for u in reds))
+            all_zero[v] = (1, _bit(log, v) if hit else 0, sum(_bit(log, u) for u in reds))
     variables = sorted(v for v in expanded if log.side(v) == SIDE_VAR)
     splits = []
     for size in range(budget + 1):
@@ -380,7 +387,7 @@ def _splits(
                 frontier = {w for u in frontier for w in log.red_neighbors(u) & expanded} - ball
                 ball |= frontier
             assert len(ball) <= max_region, "a red ball of radius 2 exceeds the cap"
-            has_one = sum(1 << 3 * log.label(u) for u in sources)
+            has_one = sum(_bit(log, u) for u in sources)
             weight, satisfied = 1, 0
             for v in expanded - ball:
                 zero_weight, sat, clear = all_zero[v]
@@ -421,18 +428,16 @@ def _recompute_region(
     if splits[0][0] is not None:
         stats["large_regions"] += 1
         stats["has_one_splits"] += len(splits)
-    side, label = log.side, log.label
+    side = log.side
     x, y, z = log.steps[level - 1]
     expanded = (region - {z}) | {x, y}
-    region_clauses = [(c, 4 << 3 * label(c)) for c in expanded if side(c) == SIDE_CLA]
+    region_clauses = [(c, _bit(log, c)) for c in expanded if side(c) == SIDE_CLA]
     z_is_var = side(x) == SIDE_VAR
     # x's and y's has_one bits, or their satisfied bits for a clause pair
-    bit = 1 if z_is_var else 4
-    x_slot, y_slot = 3 * label(x), 3 * label(y)
-    x_bit = bit << x_slot
-    pair = x_bit | bit << y_slot
+    x_bit, y_bit = _bit(log, x), _bit(log, y)
+    pair = x_bit | y_bit
     x_mixed, pair_mixed = x_bit << 1, pair << 1
-    clear_y, clear_pair = ~(7 << y_slot), ~pair
+    clear_y, clear_pair = ~(3 * y_bit), ~pair
     out: Table = {}
     dead = 0
     for split_has_one, components, weight, satisfied in splits:

@@ -303,7 +303,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--signs", choices=SIGN_POLICIES, default="all-pos")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("-o", "--output")
-    q.set_defaults(run=_cmd_gen, family="grid")
+    q.set_defaults(run=_cmd_gen)
 
     q = fam.add_parser("subclique", parents=[common])
     q.add_argument("d", type=int)
@@ -311,20 +311,20 @@ def _build_parser() -> _Parser:
     q.add_argument("--signs", choices=SIGN_POLICIES, default="all-pos")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("-o", "--output")
-    q.set_defaults(run=_cmd_gen, family="subclique")
+    q.set_defaults(run=_cmd_gen)
 
     q = fam.add_parser("hitset", parents=[common])
     q.add_argument("--universe", type=int, required=True, help="universe size (elements 1..N)")
     q.add_argument("--set", action="append", required=True, help="comma-separated set, repeatable")
     q.add_argument("-k", type=int, required=True)
     q.add_argument("-o", "--output")
-    q.set_defaults(run=_cmd_gen, family="hitset")
+    q.set_defaults(run=_cmd_gen)
 
     q = fam.add_parser("partclique", parents=[common])
     q.add_argument("--part", action="append", required=True, help="comma-separated part, repeatable")
     q.add_argument("--edge", action="append", default=[], help="u,v cross-part edge, repeatable")
     q.add_argument("-o", "--output")
-    q.set_defaults(run=_cmd_gen, family="partclique")
+    q.set_defaults(run=_cmd_gen)
 
     q = fam.add_parser("ksat", parents=[common])
     q.add_argument("num_vars", type=int)
@@ -332,7 +332,7 @@ def _build_parser() -> _Parser:
     q.add_argument("num_clauses", type=int)
     q.add_argument("seed", type=int)
     q.add_argument("-o", "--output")
-    q.set_defaults(run=_cmd_gen, family="ksat")
+    q.set_defaults(run=_cmd_gen)
 
     return parser
 

@@ -420,9 +420,12 @@ def watch_region_tables(monkeypatch):
     return calls
 
 
-def test_state_keys_stay_within_three_bits_per_input_vertex(monkeypatch):
-    # a state holds three bits per label slot, and labels are input ids,
-    # so no key grows with the fresh ids of contracted vertices (about 2V)
+def test_state_keys_stay_within_two_bits_per_input_vertex(monkeypatch):
+    # a state holds two bits per label slot, and labels are input ids,
+    # so no key grows with the fresh ids of contracted vertices (about 2V);
+    # a merge keeps the side, so each label has the side of its input
+    # vertex: bit 2s is a variable's has_one or a clause's satisfied bit,
+    # and bit 2s + 1 a variable's mixed bit, never set without bit 2s
     n, k = 200, 3
     graph = incidence_graph(implication_chain(n))
     log = verify(graph, zip_sequence(n), require_bipartite=True).check()
@@ -430,9 +433,13 @@ def test_state_keys_stay_within_three_bits_per_input_vertex(monkeypatch):
     roots = bwmc._red_components(log, log.vertices())
     tables = bwmc._region_tables(log, roots, WeightFunction(), k, {})
     checked = [table for _, table in calls] + [tables[root] for root in roots]
-    widest = max(key.bit_length() for table in checked for row in table.values()
-                 for key in row)
-    assert widest <= 3 * (graph.num_vertices + 1)
+    keys = [key for table in checked for row in table.values() for key in row]
+    assert max(key.bit_length() for key in keys) <= 2 * (graph.num_vertices + 1)
+    variable_bits = sum(1 << 2 * v for v in graph.vertices() if graph.side(v) == SIDE_VAR)
+    clause_uppers = sum(2 << 2 * c for c in graph.vertices() if graph.side(c) == SIDE_CLA)
+    assert not any(key & clause_uppers for key in keys)
+    assert not any(key >> 1 & variable_bits & ~key for key in keys)
+    assert any(key >> 1 & variable_bits for key in keys)
 
 
 @pytest.mark.parametrize("n", [200, 400])
@@ -603,7 +610,7 @@ def record_folds(monkeypatch):
     the merged pair is a variable pair, whether x and y lie in different
     components of more than one vertex, how many components are lone
     clause vertices and how many are not, the split's has_one set (None off
-    the capped path) as a slot bitset, bit 3s for the vertex answering to
+    the capped path) as a slot bitset, bit 2s for the vertex answering to
     label s, and the variable vertices outside its components."""
     shapes = []
     evaluate = bwmc._recompute_region
@@ -829,7 +836,7 @@ def test_closed_clause_mask_matches_the_neighbours_at_each_level(monkeypatch):
             inside = neighbors_at(log, v, level) <= region
             assert log.neighbors_within(v, level, region) == inside, (level, region, v)
             if inside and log.side(v) == SIDE_CLA:
-                expected |= 4 << 3 * log.label(v)
+                expected |= 1 << 2 * log.label(v)
             checked += 1
         assert closed == expected, (level, region)
         closed_seen += closed != 0
