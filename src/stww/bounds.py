@@ -1,19 +1,23 @@
 """Twin-width upper bounds: greedy sequences, exact search, subdivided cliques.
 
 greedy_sequence runs on a private mutable bitset working graph rather than
-on SignedTrigraph.  It caches, for every candidate pair, the red degree mr
-the merged vertex would get, which reads only the two endpoints' masks.  A
-step walks the pairs by ascending mr and scores in full, from the
-per-degree buckets, only those whose mr does not exceed the best width
-found so far.  A contraction of u and v changes the masks only of their
-neighbours and the new vertex, so it re-scores only the pairs with an
-endpoint there.  The scores, the label tie-break and hence the emitted
-sequences are exactly those of contracting every candidate pair and
-measuring the result.  The exact search runs one depth-first search per
-red degree cap on one sequence.ContractionLog, contracting forward and
-backtracking with undo(); the partitions it has found dead under a cap are
-keyed by their bags, a frozenset of bags.  The subdivided-clique
-construction grows one ContractionLog in place.
+on SignedTrigraph.  Of a candidate pair it needs the red degree mr the
+merged vertex would get, which reads only the two endpoints' masks.  It
+caches mr only for the near pairs, those that are adjacent or share a
+neighbour; a far pair has mr = deg x + deg y exactly, so per-group degree
+buckets list the far pairs at each mr.  A step walks the pairs by
+ascending mr, the near ones from the cache and the far ones from the
+degree buckets, and scores in full, from the per-red-degree buckets, only
+those whose mr does not exceed the best width found so far.  A contraction
+of u and v changes the masks only of their neighbours and the new vertex,
+so it re-scores only the near pairs with an endpoint there and scores the
+new vertex against its near partners alone.  The scores, the label
+tie-break and hence the emitted sequences are exactly those of contracting
+every candidate pair and measuring the result.  The exact search runs one
+depth-first search per red degree cap on one sequence.ContractionLog,
+contracting forward and backtracking with undo(); the partitions it has
+found dead under a cap are keyed by their bags, a frozenset of bags.  The
+subdivided-clique construction grows one ContractionLog in place.
 """
 
 from __future__ import annotations
@@ -26,28 +30,35 @@ from .trigraph import NEG, POS, RED, SignedTrigraph, require_sides
 
 class _WorkingGraph:
     """Greedy's private, mutable bitset copy of a trigraph, with cached
-    pair scores.
+    scores for the pairs that share a neighbour.
 
     Vertices get dense indices: the input vertices in sorted order, then
     one fresh index per contraction, so every mask stays below 2V bits
     however sparse the input ids are.  Vertex i keeps int bitmasks of its
     POS, NEG and RED neighbours (plus their union), its red degree, its
-    label (the smallest input id in its bag) and its group (its side in a
-    bipartite run, else one group for all).  One bucket mask per red degree
-    and the running red-edge total let a pair be scored without touching
-    the rest of the graph, and a mask of the isolated vertices lets a step
-    skip the pairs they tie in.
+    degree, its label (the smallest input id in its bag) and its group (its
+    side in a bipartite run, else one group for all).  One bucket mask per
+    red degree and the running red-edge total let a pair be scored without
+    touching the rest of the graph.  Each group keeps one mask per degree
+    (by_degree) and the least degree of its live vertices (least), which
+    list the far pairs below.
 
-    Every pair x, y of live vertices in one group has its merged red degree
-    mr(x, y) = |N(x) | N(y) - {x, y} - agree| cached, where agree is
-    (pos_x & pos_y) | (neg_x & neg_y): scores[x] maps each mr value to the
-    mask of x's partners at that value (so each pair sits in both rows),
-    and at[m] is the mask of vertices with a partner at mr m.
+    A pair x, y of live vertices in one group has the merged red degree
+    mr(x, y) = |N(x) | N(y) - {x, y} - agree|, where agree is
+    (pos_x & pos_y) | (neg_x & neg_y).  A near pair (the two are adjacent
+    or share a neighbour) has mr cached: scores[x] maps each mr value to
+    the mask of x's near partners at that value (so each pair sits in both
+    rows), and at[m] is the mask of vertices with a near partner at mr m.
+    A far pair shares no neighbour and no edge, so nothing agrees and its
+    mr is exactly deg x + deg y: the far pairs at mr m are the pairs of a
+    degree-a and a degree-(m - a) vertex of one group that are not near.
+    No far pair has an entry, and near(x) is derived from the masks when a
+    step asks for it (_near), not kept per vertex.
     """
 
     __slots__ = (
-        "pos", "neg", "red", "nbr", "rdeg", "label", "bucket", "top", "total_red",
-        "group", "members", "scores", "at", "isolated",
+        "pos", "neg", "red", "nbr", "rdeg", "degree", "label", "bucket", "top", "total_red",
+        "by_degree", "least", "group", "members", "scores", "at",
     )
 
     def __init__(self, graph: SignedTrigraph, bipartite: bool) -> None:
@@ -64,22 +75,36 @@ class _WorkingGraph:
             masks[j] |= 1 << i
         self.nbr = [p | n | r for p, n, r in zip(self.pos, self.neg, self.red)]
         self.rdeg = [r.bit_count() for r in self.red]
+        self.degree = [nbrs.bit_count() for nbrs in self.nbr]
         self.label = verts + [0] * (size - len(verts))
-        # red degrees never exceed the vertex count, one bucket each
+        self.group = [graph.side(v) if bipartite else 0 for v in verts] + [None] * (size - len(verts))
+        # degrees never exceed the vertex count, one bucket each
         self.bucket = [0] * (len(verts) + 1)
-        for i in range(len(verts)):
+        self.by_degree = {key: [0] * (len(verts) + 1) for key in self.group[: len(verts)]}
+        self.least = dict.fromkeys(self.by_degree, len(verts))
+        for i, key in enumerate(self.group[: len(verts)]):
             self.bucket[self.rdeg[i]] |= 1 << i
+            self.by_degree[key][self.degree[i]] |= 1 << i
+            self.least[key] = min(self.least[key], self.degree[i])
         self.top = max(self.rdeg, default=0)
         self.total_red = sum(self.rdeg) // 2
-        self.isolated = sum(1 << i for i, nbrs in enumerate(self.nbr[: len(verts)]) if not nbrs)
-        self.group = [graph.side(v) if bipartite else 0 for v in verts] + [None] * (size - len(verts))
         self.members: dict[int | None, int] = {}
         self.scores: list[dict[int, int] | None] = [{} for _ in verts] + [None] * (size - len(verts))
         # a merged vertex is red to at most the other live vertices
         self.at = [0] * (len(verts) + 1)
         for i, key in enumerate(self.group[: len(verts)]):
-            self._score(i, self.members.get(key, 0))
+            self._score(i, self._near(i) & self.members.get(key, 0))
             self.members[key] = self.members.get(key, 0) | 1 << i
+
+    def _near(self, x: int) -> int:
+        """The mask of x's neighbours and of their neighbours (x among them)."""
+        nbr = self.nbr
+        near = rest = nbr[x]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            near |= nbr[bit.bit_length() - 1]
+        return near
 
     def _score(self, x: int, partners: int) -> None:
         """Cache mr(x, y) for every y in the mask partners."""
@@ -92,27 +117,85 @@ class _WorkingGraph:
             partners ^= bit_y
             y = bit_y.bit_length() - 1
             m = ((nbr_x | nbr[y]) & ~((pos_x & pos[y]) | (neg_x & neg[y]) | bit_x | bit_y)).bit_count()
-            # inlined: this loop runs once per pair of the input
+            # inlined: this loop runs once per near pair of the input
             row[m] = row.get(m, 0) | bit_y
             other = scores[y]
             other[m] = other.get(m, 0) | bit_x
             at[m] |= bit_x | bit_y
 
+    def _far_floor(self, limit: int) -> int:
+        """The least degree sum of two live vertices of one group, a floor
+        for the mr of a far pair, or a value above limit if every such sum
+        exceeds limit."""
+        # degrees stay below len(at), so the scan stays inside the buckets
+        floor = min(limit + 1, len(self.at))
+        for key, held in self.by_degree.items():
+            a = b = self.least[key]
+            if not held[a] & (held[a] - 1):
+                # a lone vertex at the least degree pairs with the next one
+                b += 1
+                while a + b < floor and not held[b]:
+                    b += 1
+            floor = min(floor, a + b)
+        return floor
+
+    def _far_pairs(self, merged_red: int, largest: bool) -> list[tuple[int, int]]:
+        """(u, partners) covering once each far pair at mr merged_red that
+        can win.
+
+        Such a pair joins a degree-a and a degree-(merged_red - a) vertex of
+        one group that are not near; a degree pair with an empty side is
+        skipped.  A degree-0 vertex adds no neighbour and changes no degree,
+        so all isolated partners of a vertex tie on width and red edges:
+        only the two label-extreme isolated vertices of each group can win
+        the label tie, and only they are paired.
+        """
+        walk = []
+        half = merged_red >> 1
+        for key, by_degree in self.by_degree.items():
+            a = self.least[key] - 1
+            while a < half:
+                a += 1
+                xs = by_degree[a]
+                ys = by_degree[merged_red - a]
+                if not xs or not ys:
+                    continue
+                if not a:
+                    alone = []
+                    while xs:
+                        bit = xs & -xs
+                        xs ^= bit
+                        alone.append((self.label[bit.bit_length() - 1], bit))
+                    alone.sort()
+                    xs = sum(bit for _, bit in (alone[-2:] if largest else alone[:2]))
+                    if not merged_red:
+                        ys = xs
+                while xs:
+                    bit_u = xs & -xs
+                    xs ^= bit_u
+                    u = bit_u.bit_length() - 1
+                    partners = ys & ~self._near(u)
+                    if a + a == merged_red:
+                        # each pair once, from its lower endpoint
+                        partners &= -(bit_u << 1)
+                    if partners:
+                        walk.append((u, partners))
+        return walk
+
     def best_pair(self, largest: bool) -> tuple[int, int] | None:
         """The pair minimizing (max red degree, red edges, label tie) after
         its contraction, or None when no group holds two vertices.
 
-        Pairs are visited by ascending cached mr, and the walk stops past
-        the best width found so far: the merged vertex alone has red degree
-        mr, so no pair beyond that can win.  Only the visited pairs are
-        scored in full.  Of the merged vertex's red neighbours, those red
-        to neither u nor v gain one red edge and those red to both lose
+        Pairs are visited by ascending mr, the near ones from the cache and
+        the far ones from the degree buckets (_far_pairs), and the walk stops
+        past the best width found so far: the merged vertex alone has red
+        degree mr, so no pair beyond that can win.  Only the visited pairs
+        are scored in full.  Of the merged vertex's red neighbours, those
+        red to neither u nor v gain one red edge and those red to both lose
         one; every other vertex keeps its degree.  The new maximum is read
-        off the degree buckets from the top down, in O(max red degree)
-        word operations, and the red edge count follows from mr and the
-        two red degrees.  A pair with an isolated vertex is scored only when
-        that vertex is one of the two label-extreme isolated vertices of its
-        group, the only ones that can win the label tie.
+        off the degree buckets from the top down, in O(max red degree) word
+        operations, and the red edge count follows from mr and the two red
+        degrees.
         """
         pos, neg, red, nbr = self.pos, self.neg, self.red, self.nbr
         rdeg, label, bucket, scores = self.rdeg, self.label, self.bucket, self.scores
@@ -120,41 +203,38 @@ class _WorkingGraph:
         best_key: tuple | None = None
         best_pair = None
         best_width = len(bucket)
-        keep = -1
-        if self.isolated:
-            # an isolated vertex adds no neighbour and changes no degree, so
-            # all isolated partners of a vertex tie on width and red edges
-            keep = ~self.isolated
-            for members in self.members.values():
-                alone, extremes = members & self.isolated, []
-                while alone:
-                    bit = alone & -alone
-                    alone ^= bit
-                    extremes.append((label[bit.bit_length() - 1], bit))
-                extremes.sort()
-                for _, bit in extremes[-2:] if largest else extremes[:2]:
-                    keep |= bit
+        # a far pair's mr is at least twice the least degree, and at least
+        # _far_floor once the walk gets that far
+        far_from = 2 * min(self.least.values(), default=0)
+        floored = False
         for merged_red, holders in enumerate(self.at):
             if merged_red > best_width:
                 break
-            holders &= keep
-            while holders:
-                bit_u = holders & -holders
-                holders ^= bit_u
-                u = bit_u.bit_length() - 1
-                # each pair once, from its lower endpoint
-                partners = (scores[u][merged_red] & keep) >> (u + 1)
-                if not partners:
-                    continue
+            if merged_red >= far_from and not floored:
+                far_from = self._far_floor(best_width)
+                floored = True
+            far = self._far_pairs(merged_red, largest) if merged_red >= far_from else None
+            # the near pairs first, then the far ones
+            while holders or far:
+                if holders:
+                    bit_u = holders & -holders
+                    holders ^= bit_u
+                    u = bit_u.bit_length() - 1
+                    # each pair once, from its lower endpoint
+                    partners = scores[u][merged_red] & -(bit_u << 1)
+                    if not partners:
+                        continue
+                else:
+                    u, partners = far.pop()
+                    bit_u = 1 << u
                 pos_u, neg_u, nbr_u, red_u = pos[u], neg[u], nbr[u], red[u]
                 base = total - rdeg[u] + merged_red
                 label_u = label[u]
-                v = u
                 while partners:
-                    skip = (partners & -partners).bit_length()
-                    partners >>= skip
-                    v += skip
-                    pair = bit_u | 1 << v
+                    bit_v = partners & -partners
+                    partners ^= bit_v
+                    v = bit_v.bit_length() - 1
+                    pair = bit_u | bit_v
                     merged = (nbr_u | nbr[v]) & ~((pos_u & pos[v]) | (neg_u & neg[v]) | pair)
                     red_v = red[v]
                     gain = merged & ~(red_u | red_v)
@@ -187,17 +267,19 @@ class _WorkingGraph:
 
     def contract(self, u: int, v: int, w: int) -> None:
         """Merge u and v into the fresh index w, updating only w, the old
-        neighbours of u and v, and the cached scores of their pairs.
+        neighbours of u and v, and the cached scores of their near pairs.
 
         Only the masks of touched = N(u) | N(v) - {u, v} change, so only
         pairs with an endpoint in touched or at w can change mr.  A touched
         t loses u and v and gains w, so against a partner y outside touched
         (which sees none of u, v, w) mr moves by 1 - |N(t) & {u, v}|: down
-        one if t saw both, else not at all.  Pairs inside touched are
-        scored afresh, and w against its whole group.
+        one if t saw both, else not at all.  Such a pair is near after the
+        step exactly when it was before, since a neighbour the two share is
+        none of u, v, w.  Pairs inside touched all share w, so they are
+        scored afresh, and w against its near partners.
         """
         pos, neg, red, nbr = self.pos, self.neg, self.red, self.nbr
-        rdeg, bucket, scores, at = self.rdeg, self.bucket, self.scores, self.at
+        rdeg, degree, bucket, scores, at = self.rdeg, self.degree, self.bucket, self.scores, self.at
         pair = (1 << u) | (1 << v)
         bit_w = 1 << w
         pos_w = pos[u] & pos[v]
@@ -206,6 +288,8 @@ class _WorkingGraph:
         both = nbr[u] & nbr[v]
         red_w = touched & ~(pos_w | neg_w)
         self.total_red += red_w.bit_count() - rdeg[u] - rdeg[v] + ((red[u] >> v) & 1)
+        # w's near partners: its neighbours and theirs
+        near_w = touched
         rest = touched
         while rest:
             low = rest & -rest
@@ -219,12 +303,13 @@ class _WorkingGraph:
                 neg[x] |= bit_w
             red_x = (red[x] & ~pair) | (bit_w if low & red_w else 0)
             red[x] = red_x
-            nbr[x] = (nbr[x] & ~pair) | bit_w
-            degree = red_x.bit_count()
-            if degree != rdeg[x]:
+            nbr_x = nbr[x] = (nbr[x] & ~pair) | bit_w
+            near_w |= nbr_x
+            red_degree = red_x.bit_count()
+            if red_degree != rdeg[x]:
                 bucket[rdeg[x]] &= ~low
-                bucket[degree] |= low
-                rdeg[x] = degree
+                bucket[red_degree] |= low
+                rdeg[x] = red_degree
         for x in (u, v):
             bucket[rdeg[x]] &= ~(1 << x)
             pos[x] = neg[x] = red[x] = nbr[x] = 0
@@ -232,16 +317,42 @@ class _WorkingGraph:
         rdeg[w] = red_w.bit_count()
         bucket[rdeg[w]] |= bit_w
         self.label[w] = min(self.label[u], self.label[v])
-        self.isolated &= ~pair
-        if not touched:
-            self.isolated |= bit_w
+        key = self.group[w] = self.group[u]
+        least = self.least
+        # a touched vertex that saw both drops one neighbour; the touched
+        # vertices all lie in one group (the other side, in a sided graph)
+        rest = both
+        if rest:
+            side = self.group[(rest & -rest).bit_length() - 1]
+            held = self.by_degree[side]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                d = degree[x] - 1
+                held[d + 1] &= ~low
+                held[d] |= low
+                degree[x] = d
+                if d < least[side]:
+                    least[side] = d
+        held = self.by_degree[key]
+        held[degree[u]] &= ~(1 << u)
+        held[degree[v]] &= ~(1 << v)
+        d = degree[w] = touched.bit_count()
+        held[d] |= bit_w
+        low = min(least[key], d)
+        # u or v may have held the least degree alone; w stops the scan
+        while not held[low]:
+            low += 1
+        least[key] = low
         top = min(max(self.top + 1, rdeg[w]), len(bucket) - 1)
         while top and not bucket[top]:
             top -= 1
         self.top = top
 
-        # the pair upkeep below is inlined: it runs for every partner of u
-        # and v and every re-scored pair, so a call per pair would dominate
+        # the pair upkeep below is inlined: it runs for every near partner
+        # of u and v and every re-scored pair, so a call per pair would
+        # dominate
         for x in (u, v):
             keep_x = ~(1 << x)
             for m, mask in scores[x].items():
@@ -258,7 +369,6 @@ class _WorkingGraph:
                         del other[m]
                         at[m] &= ~bit_y
             scores[x] = None
-        key = self.group[w] = self.group[u]
         self.members[key] &= ~pair
         done = 0
         rest = touched
@@ -270,6 +380,7 @@ class _WorkingGraph:
             # partners inside touched not yet re-scored, and whether t's
             # partners outside touched all drop by one
             inside = touched & ~done & ~bit_t
+            cached = 0
             saw_both = bit_t & both
             keep_t = ~bit_t
             pos_t, neg_t, nbr_t = pos[t], neg[t], nbr[t]
@@ -279,6 +390,7 @@ class _WorkingGraph:
                 # moved into row[m] stay
                 leaving = moved
                 recheck = mask & inside
+                cached |= recheck
                 while recheck:
                     bit_y = recheck & -recheck
                     recheck ^= bit_y
@@ -317,9 +429,12 @@ class _WorkingGraph:
                     else:
                         del row[m]
                         at[m] &= keep_t
+            if inside & ~cached:
+                # pairs inside touched that were far now share w
+                self._score(t, inside & ~cached)
             done |= bit_t
         scores[w] = {}
-        self._score(w, self.members[key])
+        self._score(w, near_w & self.members[key])
         self.members[key] |= bit_w
 
 
@@ -336,11 +451,15 @@ def greedy_sequence(
     order pairs are scored in.  The achieved width lands in declared_width.
 
     The loop runs on a private bitset working graph (_WorkingGraph) that
-    caches each same-group pair's merged red degree mr.  A step scores in
-    full only the pairs whose mr does not exceed the best width found, and
-    a contraction re-scores only the pairs with an endpoint among the
-    merged pair's neighbours or at the new vertex; no other pair's score
-    can change.
+    caches the merged red degree mr of each same-group near pair (adjacent,
+    or sharing a neighbour).  A far pair is not cached: its mr is the sum
+    of the two degrees, so the per-group degree buckets list the far pairs
+    at each mr.  A step scores in full only the pairs whose mr does not
+    exceed the best width found, and a contraction re-scores only the near
+    pairs with an endpoint among the merged pair's neighbours, and scores
+    the new vertex against its near partners; no other pair's score can
+    change.  On an implication chain, whose incidence graph is a path, the
+    cache holds O(V) pairs and a step touches O(1) of them.
     """
     if tie_break not in ("smallest", "largest"):
         raise ValueError(f"unknown tie_break {tie_break!r}")

@@ -294,10 +294,11 @@ def _build_parser() -> _Parser:
     p.add_argument("-k", type=int, required=True, help="ones budget")
     p.set_defaults(run=_cmd_oracle)
 
-    p = sub.add_parser("gen", parents=[common], help="emit generated instances")
+    # gen writes files only, so none of its parsers takes --json
+    p = sub.add_parser("gen", help="emit generated instances")
     fam = p.add_subparsers(dest="family", required=True)
 
-    q = fam.add_parser("grid", parents=[common])
+    q = fam.add_parser("grid")
     q.add_argument("dimension", type=int)
     q.add_argument("side", type=int)
     q.add_argument("--signs", choices=SIGN_POLICIES, default="all-pos")
@@ -305,7 +306,7 @@ def _build_parser() -> _Parser:
     q.add_argument("-o", "--output")
     q.set_defaults(run=_cmd_gen)
 
-    q = fam.add_parser("subclique", parents=[common])
+    q = fam.add_parser("subclique")
     q.add_argument("d", type=int)
     q.add_argument("counts", type=int, nargs="*", help="one count per K_d edge, lexicographic")
     q.add_argument("--signs", choices=SIGN_POLICIES, default="all-pos")
@@ -313,20 +314,20 @@ def _build_parser() -> _Parser:
     q.add_argument("-o", "--output")
     q.set_defaults(run=_cmd_gen)
 
-    q = fam.add_parser("hitset", parents=[common])
+    q = fam.add_parser("hitset")
     q.add_argument("--universe", type=int, required=True, help="universe size (elements 1..N)")
     q.add_argument("--set", action="append", required=True, help="comma-separated set, repeatable")
     q.add_argument("-k", type=int, required=True)
     q.add_argument("-o", "--output")
     q.set_defaults(run=_cmd_gen)
 
-    q = fam.add_parser("partclique", parents=[common])
+    q = fam.add_parser("partclique")
     q.add_argument("--part", action="append", required=True, help="comma-separated part, repeatable")
     q.add_argument("--edge", action="append", default=[], help="u,v cross-part edge, repeatable")
     q.add_argument("-o", "--output")
     q.set_defaults(run=_cmd_gen)
 
-    q = fam.add_parser("ksat", parents=[common])
+    q = fam.add_parser("ksat")
     q.add_argument("num_vars", type=int)
     q.add_argument("width", type=int)
     q.add_argument("num_clauses", type=int)

@@ -11,6 +11,7 @@ from helpers import (
     reference_exact_witness,
     reference_greedy,
 )
+from test_acceptance import implication_chain
 from stww.bounds import _WorkingGraph, exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
 from stww.cnf import Formula
 from stww.generators import gen_grid, gen_random_ksat, gen_subdivided_clique
@@ -86,6 +87,7 @@ def _greedy_equivalence_cases():
     edgeless = [3, 1, 8, 5, 12, 9, 2]
     yield SignedTrigraph(edgeless, sides={v: v % 2 for v in edgeless}), (True, False)
     yield incidence_graph(Formula(9, ((-1, 2), (-2, 3)))), (True, False)
+    yield incidence_graph(implication_chain(12)), (True, False)
     rng = random.Random(23)
     for _ in range(8):
         ids = sorted(rng.sample(range(1, 40), rng.randint(6, 12)))
@@ -334,18 +336,33 @@ def test_greedy_outputs_are_pinned_past_the_reference():
 
 
 def _fresh_scores(work):
-    """Every live same-group pair's merged red degree, from the masks."""
+    """Every live same-group pair's merged red degree, from the masks, and
+    whether the pair is near (adjacent, or sharing a neighbour)."""
     scores = {}
     for key, members in work.members.items():
         live = [x for x in range(members.bit_length()) if members >> x & 1]
         for x, y in itertools.combinations(live, 2):
             agree = (work.pos[x] & work.pos[y]) | (work.neg[x] & work.neg[y])
             merged = (work.nbr[x] | work.nbr[y]) & ~(agree | 1 << x | 1 << y)
-            scores[x, y] = merged.bit_count()
+            near = bool(work.nbr[x] & work.nbr[y] or work.nbr[x] >> y & 1)
+            scores[x, y] = merged.bit_count(), near
     return scores
 
 
+def _cached_entries(work):
+    """{(x, y): mr} for every entry of every cached row."""
+    cached = {}
+    for x, row in enumerate(work.scores):
+        for m, partners in (row or {}).items():
+            for y in range(partners.bit_length()):
+                if partners >> y & 1:
+                    cached[x, y] = m
+    return cached
+
+
 def test_cached_pair_scores_match_the_masks_after_every_step():
+    # the cache holds exactly the live near pairs, each at its fresh mr; a
+    # far pair's mr is the sum of the two degrees, which the degree masks hold
     graphs = [
         incidence_graph(gen_random_ksat(12, 3, 24, seed=2)),
         gen_grid(2, 5, signs="random", seed=1),
@@ -356,19 +373,72 @@ def test_cached_pair_scores_match_the_masks_after_every_step():
             work = _WorkingGraph(graph, bipartite)
             fresh = graph.num_vertices
             while True:
-                cached = {}
-                for x, row in enumerate(work.scores):
-                    for m, partners in (row or {}).items():
-                        for y in range(partners.bit_length()):
-                            if partners >> y & 1:
-                                cached[x, y] = m
                 fresh_scores = _fresh_scores(work)
-                assert cached == {**fresh_scores, **{(y, x): m for (x, y), m in fresh_scores.items()}}
+                near = {(x, y): m for (x, y), (m, is_near) in fresh_scores.items() if is_near}
+                assert _cached_entries(work) == {**near, **{(y, x): m for (x, y), m in near.items()}}
+                for (x, y), (m, is_near) in fresh_scores.items():
+                    assert is_near or m == work.degree[x] + work.degree[y], (x, y)
                 holders = [sum(1 << x for x, row in enumerate(work.scores) if row and m in row)
                            for m in range(len(work.at))]
                 assert work.at == holders
+                for key, members in work.members.items():
+                    by_degree = [0] * len(work.at)
+                    for x in range(members.bit_length()):
+                        if members >> x & 1:
+                            assert work.degree[x] == work.nbr[x].bit_count()
+                            by_degree[work.degree[x]] |= 1 << x
+                    assert work.by_degree[key] == by_degree
+                    assert work.least[key] == min(d for d, held in enumerate(by_degree) if held)
                 pair = work.best_pair(largest=False)
                 if pair is None:
                     break
                 work.contract(*pair, fresh)
                 fresh += 1
+
+
+def test_pair_cache_stays_linear_on_a_chain():
+    # the chain's incidence graph is a path: a vertex shares a neighbour
+    # with at most two others, so the cache is linear in V, not quadratic
+    graph = incidence_graph(implication_chain(400))
+    for bipartite in (True, False):
+        work = _WorkingGraph(graph, bipartite)
+        entries = sum(mask.bit_count() for row in work.scores if row for mask in row.values())
+        assert entries <= 4 * graph.num_vertices, (bipartite, entries)
+
+
+def _disjoint_two_clauses(num_clauses, seed):
+    """num_clauses clauses on their own two variables each, random signs:
+    every variable has degree 1 and every clause degree 2."""
+    rng = random.Random(seed)
+    return Formula(2 * num_clauses, tuple(
+        frozenset((rng.choice((1, -1)) * (2 * i + 1), rng.choice((1, -1)) * (2 * i + 2)))
+        for i in range(num_clauses)
+    ))
+
+
+def _sparse_unsided_trigraph(seed, n, p):
+    """Trigraph without sides, odd cycles allowed, on n ids below 400."""
+    rng = random.Random(seed)
+    ids = sorted(rng.sample(range(1, 400), n))
+    edges = [(u, v, rng.choice((POS, NEG, RED))) for u, v in itertools.combinations(ids, 2) if rng.random() < p]
+    return SignedTrigraph(ids, edges)
+
+
+def _far_pair_pin_cases():
+    # inputs where pairs that share no neighbour are scored, or win
+    yield incidence_graph(implication_chain(12)), (True, False)
+    yield incidence_graph(implication_chain(300)), (True, False)
+    yield incidence_graph(_disjoint_two_clauses(40, 5)), (True, False)
+    rng = random.Random(31)
+    yield _random_sided_trigraph(rng, sorted(rng.sample(range(1, 2000), 70)), p=0.05), (True, False)
+    yield _sparse_unsided_trigraph(37, 60, 0.05), (False,)
+
+
+def test_greedy_outputs_are_pinned_where_far_pairs_compete():
+    digest = hashlib.sha256()
+    for graph, modes in _far_pair_pin_cases():
+        for bipartite in modes:
+            for tie_break in ("smallest", "largest"):
+                seq = greedy_sequence(graph, bipartite=bipartite, tie_break=tie_break)
+                digest.update(f"{seq.declared_width}\n{serialize_sequence(seq)}".encode())
+    assert digest.hexdigest() == "50eb2f58410c4329ac72a74d0d4f1229f8b0d1e1bb2ac5b0c7ed75e0a2c0d3df"

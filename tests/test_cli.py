@@ -384,6 +384,11 @@ def test_usage_errors_exit_64(capsys, or_cnf):
     with pytest.raises(SystemExit) as info:
         main(["oracle", "bwmc", or_cnf])  # missing -k
     assert info.value.code == EX_USAGE
+    # gen writes DIMACS or .stg only; --json is not one of its options
+    for argv in (["gen", "ksat", "3", "2", "2", "1", "--json"], ["gen", "--json", "ksat", "3", "2", "2", "1"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EX_USAGE
     capsys.readouterr()
 
 
