@@ -7,14 +7,7 @@ counting over a provided contraction sequence.
 
 from .bipartize import BipartizationResult, HalfDegreeError, bipartize
 from .bounds import exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
-from .bwmc import (
-    Profile,
-    dp_records,
-    enumerate_red_connected,
-    finalize,
-    region_cap,
-    solve_bwmc,
-)
+from .bwmc import region_cap, solve_bwmc
 from .cnf import (
     Formula,
     FormulaWarning,

@@ -80,7 +80,9 @@ class _WorkingGraph:
         self.group = [graph.side(v) if bipartite else 0 for v in verts] + [None] * (size - len(verts))
         # degrees never exceed the vertex count, one bucket each
         self.bucket = [0] * (len(verts) + 1)
-        self.by_degree = {key: [0] * (len(verts) + 1) for key in self.group[: len(verts)]}
+        # one list per group, in the order groups first appear
+        self.by_degree = {key: [0] * (len(verts) + 1)
+                          for key in dict.fromkeys(self.group[: len(verts)])}
         self.least = dict.fromkeys(self.by_degree, len(verts))
         for i, key in enumerate(self.group[: len(verts)]):
             self.bucket[self.rdeg[i]] |= 1 << i

@@ -26,12 +26,10 @@ only the tables still waiting for a reader are held.  A region's children
 fold one after another, smallest first, skipping lone clause vertices,
 whose record is the empty state alone; one pass then applies the
 contraction's merge of x and y into z to the folded states and adds them
-into the region's table.  `finalize`
-reads the count off the records by one rule: the weight of the profiles
-with at most k ones under which c is satisfied, read from {a, c} when the
-final edge is red and from a's own profiles across a black edge.
-`dp_records` plans and evaluates every red-connected region of every
-level as a root, so that every level's full record can be refereed.
+into the region's table.  `finalize` reads the count off the root
+tables by one rule: the weight of the states with at most k ones under
+which c is satisfied, read from the table of {a, c} when the final edge
+is red and from a's own table across a black edge.
 
 A clause vertex c of a region is closed when every neighbour c has at
 the region's level lies in the region.  Two vertices are adjacent exactly
@@ -47,8 +45,8 @@ the full table filtered by this rule: a state reached only through a
 dead child state is missing, and a state into which a dead child state
 merged, say through a merge of c with an open clause, holds less; the
 weight lost is that of assignments that leave an original clause
-unsatisfied, which no count includes.  `dp_records` keeps every state,
-so that its records hold every realizable profile.
+unsatisfied, which no count includes.  With `drop_dead` off every state
+is kept, so that each table holds every realizable profile.
 
 No record is kept for a region past the cap k(d² + 1), `region_cap`.
 When a merge would grow a capped region past it, the expansion splits by
@@ -62,9 +60,9 @@ vertices as a constant that starts its fold.  An uncapped split's
 constant is weight 1 and no bits, so the evaluator has one path for
 both.
 
-Inside the DP a region's record is a table grouped by ones: each ones
-count maps the states to their values, a state being one int with two
-bits per label slot.  The vertex that answers to label s
+A region's record is a table grouped by ones: each ones count maps the
+states to their values, a state being one int with two bits per label
+slot, the only form a record takes.  The vertex that answers to label s
 (`ContractionLog.label`) owns bit 2s, `_bit`: a variable's has_one bit
 or a clause's satisfied bit; a variable's mixed bit is the one above it,
 and a clause leaves that bit clear.  A vertex keeps its label while it
@@ -72,16 +70,15 @@ exists, and the vertices of one level answer to distinct labels, so a
 child's states already read as the parent's and no bit ever moves: the
 merge of x and y folds y's slot into x's, which z inherits with x's
 label.  Input ids are 1..V, so a state has at most 2(V + 1) bits.
-Tables are held by region.
-A table already holds every black edge inside its region, so a parent
-widens a child's states only by the clauses of other components, and reads
-the child's table in place when there are none and no has_one split
-filters it.  `Profile`s are built only where records leave the module.
-`solve_bwmc` counts in integers: each variable's weight pair
-(w(v), w(-v)) is scaled by D_v, the lcm of its two denominators, and since
-every assignment takes one weight of each pair, every term carries the
-same factor Π D_v, divided out once at the end.  The same code runs on the
-caller's `Fraction` weights in `dp_records`.
+Tables are held by region.  A table already holds every black edge
+inside its region, so a parent widens a child's states only by the
+clauses of other components, and reads the child's table in place when
+there are none and no has_one split filters it.  `solve_bwmc` counts in
+integers: each variable's weight pair (w(v), w(-v)) is scaled by D_v,
+the lcm of its two denominators, and since every assignment takes one
+weight of each pair, every term carries the same factor Π D_v, divided
+out once at the end.  On a `WeightFunction` the same code holds
+`Fraction`s.
 """
 
 from __future__ import annotations
@@ -90,22 +87,13 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping
 
 from .cnf import Formula, WeightFunction
 from .sequence import ContractionLog, ContractionSequence, verify
 from .trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
 
-class Profile(NamedTuple):
-    region: frozenset[int]
-    has_one: frozenset[int]
-    mixed: frozenset[int]
-    ones: int
-    satisfied: frozenset[int]
-
-
-Record = dict[Profile, int | Fraction]
 # states grouped by ones, {ones: {state: value}}; a state is one int whose
 # bit 2s is the has_one bit of the variable or the satisfied bit of the
 # clause answering to label s, and bit 2s + 1 that variable's mixed bit
@@ -119,33 +107,6 @@ def _bit(log: ContractionLog, v: int) -> int:
     has_one bit, with its mixed bit just above, or a clause's satisfied
     bit."""
     return 1 << 2 * log.label(v)
-
-
-def enumerate_red_connected(graph: SignedTrigraph, max_size: int) -> list[frozenset[int]]:
-    """Every red-connected vertex set of size <= max_size, each exactly once.
-
-    Sets are grown from their minimum vertex, so the enumeration is
-    deterministic and duplicate-free.
-    """
-    out: list[frozenset[int]] = []
-
-    def grow(current: frozenset[int], frontier: frozenset[int], blocked: set[int]) -> None:
-        out.append(current)
-        if len(current) >= max_size:
-            return
-        for v in sorted(frontier):
-            if v in blocked:
-                continue
-            extended = (frontier | graph.red_neighbors(v)) - current
-            nxt = frozenset(u for u in extended if u != v and u > root)
-            grow(current | {v}, nxt, set(blocked))
-            blocked.add(v)
-
-    if max_size >= 1:
-        for root in graph.vertices():
-            frontier = frozenset(u for u in graph.red_neighbors(root) if u > root)
-            grow(frozenset((root,)), frontier, set())
-    return out
 
 
 def _red_components(graph: SignedTrigraph, vertex_set) -> list[frozenset[int]]:
@@ -243,22 +204,6 @@ def _region_tables(
                 if not readers[comp]:
                     del tables[comp]
     return tables
-
-
-def _profiles(log: ContractionLog, region: frozenset[int], table: Table) -> Record:
-    """The public form of a region's table: one Profile per state, its
-    sets decoded from the bits of the region's vertices, read by side."""
-    variables = [(v, _bit(log, v)) for v in region if log.side(v) == SIDE_VAR]
-    clauses = [(c, _bit(log, c)) for c in region if log.side(c) == SIDE_CLA]
-    return {
-        Profile(region,
-                frozenset(v for v, bit in variables if key & bit),
-                frozenset(v for v, bit in variables if key & bit << 1),
-                ones,
-                frozenset(c for c, bit in clauses if key & bit)): value
-        for ones, row in table.items()
-        for key, value in row.items()
-    }
 
 
 def _component_entries(
@@ -531,38 +476,34 @@ def _budget_poly(weights: WeightFunction, variables, cap: int) -> list[int | Fra
     return poly
 
 
-def finalize(record: Record, graph: SignedTrigraph, k: int) -> int | Fraction:
-    """Read the count off the fully contracted two-vertex graph.
+def finalize(log: ContractionLog, tables: Mapping[frozenset[int], Table], k: int) -> int | Fraction:
+    """Read the count off the root tables of a fully contracted log.
 
-    The count is the total weight of the profiles with at most k ones under
+    The count is the total weight of the states with at most k ones under
     which the clause vertex c is satisfied.  With a red edge, those are the
-    profiles of the region {a, c} that list c as satisfied.  Any other edge
-    is uniform over all bagged pairs, so the variable vertex a's {a}
-    profiles decide, by the black-edge rule: a positive edge needs a 1 in
-    a's bag, a negative edge a 0, and no edge is never satisfied.  The sum
-    has the record's value type: `dp_records` gives `Fraction`s, and the
-    scaled ints of `solve_bwmc`'s records pass through as an int.
+    states of the region {a, c} that have c's bit.  Any other edge is
+    uniform over all bagged pairs, so the variable vertex a's table {a}
+    decides, by the black-edge rule: a positive edge needs a 1 in a's bag,
+    a's has_one bit, and a negative edge a 0, a's has_one bit clear or its
+    mixed bit set; no edge is never satisfied.  The sum has the tables'
+    value type.
     """
-    vertices = graph.vertices()
-    if len(vertices) != 2 or {graph.side(v) for v in vertices} != {SIDE_VAR, SIDE_CLA}:
+    vertices = log.vertices()
+    if len(vertices) != 2 or {log.side(v) for v in vertices} != {SIDE_VAR, SIDE_CLA}:
         raise ValueError("expected a fully contracted graph: one variable and one clause vertex")
-    a, c = sorted(vertices, key=graph.side)
-    kind = graph.edge(a, c)
-    total = 0
-    for profile, value in record.items():
-        if profile.ones > k:
-            continue
-        if kind == RED:
-            counts = profile.region == {a, c} and c in profile.satisfied
-        elif kind == POS:
-            counts = profile.region == {a} and a in profile.has_one
-        elif kind == NEG:
-            counts = profile.region == {a} and (a not in profile.has_one or a in profile.mixed)
-        else:
-            counts = False
-        if counts:
-            total += value
-    return total
+    a, c = sorted(vertices, key=log.side)
+    kind = log.edge(a, c)
+    one = _bit(log, a)
+    if kind == RED:
+        region, counts = (a, c), lambda key: key & _bit(log, c)
+    elif kind == POS:
+        region, counts = (a,), lambda key: key & one
+    elif kind == NEG:
+        region, counts = (a,), lambda key: not key & one or key & one << 1
+    else:
+        return 0
+    return sum(value for ones, row in tables[frozenset(region)].items() if ones <= k
+               for key, value in row.items() if counts(key))
 
 
 def solve_bwmc(
@@ -578,9 +519,10 @@ def solve_bwmc(
     formula's incidence graph; when the dynamic program runs (at least one
     clause, none empty, and a positive budget) it must be maximal, ending
     at one variable and one clause vertex, and `finalize` reads the count
-    off the records of that last level, whatever its edge.  Otherwise the
-    count has a closed form.  It counts in integers, on `_ScaledWeights`,
-    and divides by their scale once at the end.  `stats`, when given, collects
+    off the tables of that last level's red components, whatever its edge;
+    no record is decoded.  Otherwise the count has a closed form.  It
+    counts in integers, on `_ScaledWeights`, and divides by their scale
+    once at the end.  `stats`, when given, collects
     region counters, the fold counters (`fold_states`, the partial and
     output states the folds build, and `largest_table`, the most states of
     one evaluated region), `dead_states`, the merged states dropped
@@ -605,10 +547,7 @@ def solve_bwmc(
         )
     roots = _red_components(log, log.vertices())
     tables = _region_tables(log, roots, scaled, budget, stats if stats is not None else {})
-    record: Record = {}
-    for region in roots:
-        record.update(_profiles(log, region, tables[region]))
-    return Fraction(finalize(record, log, k), scaled.scale)
+    return Fraction(finalize(log, tables, k), scaled.scale)
 
 
 class _ScaledWeights:
@@ -629,43 +568,4 @@ class _ScaledWeights:
 
     def of(self, literal: int) -> int:
         return self._by_literal[literal]
-
-
-def dp_records(
-    formula: Formula,
-    weights: WeightFunction,
-    k: int,
-    seq: ContractionSequence,
-    stats: dict | None = None,
-) -> Iterator[tuple[SignedTrigraph, Record]]:
-    """Full per-level records, from the incidence graph to the final level.
-
-    Each yielded record holds every realizable profile of every
-    red-connected region up to the size threshold, read through the region
-    evaluation `solve_bwmc` runs: the regions of all levels are the roots
-    of one planned evaluation, which runs before the first level is
-    yielded.  Meant for validation on small inputs; the full enumeration
-    grows quickly with the threshold.
-    """
-    if k <= 0:
-        raise ValueError("record enumeration needs a positive ones budget")
-    graph = incidence_graph(formula)
-    log = verify(graph, seq, require_bipartite=True).check()
-    budget = min(k, formula.num_vars)
-    max_region = region_cap(budget, log.width)
-    # each level's graph, a snapshot of the log at that level's vertices
-    level, graphs = set(graph.vertices()), [graph]
-    for x, y, z in log.steps:
-        level -= {x, y}
-        level.add(z)
-        graphs.append(log.snapshot(level))
-    levels = [enumerate_red_connected(graph, max_region) for graph in graphs]
-    roots = itertools.chain.from_iterable(levels)
-    tables = _region_tables(log, roots, weights, budget, stats if stats is not None else {},
-                            drop_dead=False)
-    for graph, regions in zip(graphs, levels):
-        record: Record = {}
-        for region in regions:
-            record.update(_profiles(log, region, tables[region]))
-        yield graph, record
 

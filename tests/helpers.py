@@ -1,10 +1,17 @@
 """Shared random-instance builders and brute-force referees.
 
-Everything here is deliberately independent of the solver internals: the
-record referee recomputes profile weights straight from the definitions,
-and `realizes` states what a profile means, so the dynamic program and the
-tests can only agree by both being right.  `is_partitioned_clique_shape`
-checks the clause structure of the partitioned-clique reduction.
+The referees are deliberately independent of the solver internals.  The
+record referee checks the dynamic program's records in a public form: a
+`Profile` per state of a region's table, with sets of vertices in place
+of bits (`profiles`).  `dp_records` gets the tables from the package's
+own evaluator, `bwmc._region_tables` with every state kept, on every
+red-connected region of every level (`enumerate_red_connected`), and
+`finalize_record` reads a count off the last level's record by a readout
+of its own, not `bwmc.finalize`.  `check_record` recomputes each profile's weight
+straight from the definitions, and `realizes` states what a profile
+means, so the dynamic program and the tests can only agree by both being
+right.  `is_partitioned_clique_shape` checks the clause structure of the
+partitioned-clique reduction.
 """
 
 from __future__ import annotations
@@ -13,10 +20,13 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 
-from stww.bwmc import Profile, enumerate_red_connected
+from typing import Iterator, NamedTuple
+
+from stww.bwmc import _bit, _region_tables, region_cap
 from stww.cnf import Formula, WeightFunction
 from stww.cwexpr import expression
-from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph
+from stww.sequence import ContractionLog, ContractionSequence, verify
+from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
 
 def random_formula(rng, max_vars=10, max_clauses=12, widths=(2, 3, 4), min_clauses=0):
@@ -383,6 +393,131 @@ def is_partitioned_clique_shape(formula, parts):
 
 
 # -- profile record referee -------------------------------------------------
+
+
+class Profile(NamedTuple):
+    region: frozenset[int]
+    has_one: frozenset[int]
+    mixed: frozenset[int]
+    ones: int
+    satisfied: frozenset[int]
+
+
+Record = dict[Profile, int | Fraction]
+
+
+def enumerate_red_connected(graph: SignedTrigraph, max_size: int) -> list[frozenset[int]]:
+    """Every red-connected vertex set of size <= max_size, each exactly once.
+
+    Sets are grown from their minimum vertex, so the enumeration is
+    deterministic and duplicate-free.
+    """
+    out: list[frozenset[int]] = []
+
+    def grow(current: frozenset[int], frontier: frozenset[int], blocked: set[int]) -> None:
+        out.append(current)
+        if len(current) >= max_size:
+            return
+        for v in sorted(frontier):
+            if v in blocked:
+                continue
+            extended = (frontier | graph.red_neighbors(v)) - current
+            nxt = frozenset(u for u in extended if u != v and u > root)
+            grow(current | {v}, nxt, set(blocked))
+            blocked.add(v)
+
+    if max_size >= 1:
+        for root in graph.vertices():
+            frontier = frozenset(u for u in graph.red_neighbors(root) if u > root)
+            grow(frozenset((root,)), frontier, set())
+    return out
+
+
+def profiles(log: ContractionLog, region: frozenset[int], table) -> Record:
+    """The public form of a region's table: one Profile per state, its
+    sets decoded from the bits of the region's vertices, read by side."""
+    variables = [(v, _bit(log, v)) for v in region if log.side(v) == SIDE_VAR]
+    clauses = [(c, _bit(log, c)) for c in region if log.side(c) == SIDE_CLA]
+    return {
+        Profile(region,
+                frozenset(v for v, bit in variables if key & bit),
+                frozenset(v for v, bit in variables if key & bit << 1),
+                ones,
+                frozenset(c for c, bit in clauses if key & bit)): value
+        for ones, row in table.items()
+        for key, value in row.items()
+    }
+
+
+def dp_records(
+    formula: Formula,
+    weights: WeightFunction,
+    k: int,
+    seq: ContractionSequence,
+    stats: dict | None = None,
+) -> Iterator[tuple[SignedTrigraph, Record]]:
+    """Full per-level records, from the incidence graph to the final level.
+
+    Each yielded record holds every realizable profile of every
+    red-connected region up to the size threshold, read through the region
+    evaluation `solve_bwmc` runs, with no dead state dropped: the regions
+    of all levels are the roots of one planned evaluation, which runs
+    before the first level is yielded.  Meant for small inputs; the full
+    enumeration grows quickly with the threshold.
+    """
+    if k <= 0:
+        raise ValueError("record enumeration needs a positive ones budget")
+    graph = incidence_graph(formula)
+    log = verify(graph, seq, require_bipartite=True).check()
+    budget = min(k, formula.num_vars)
+    max_region = region_cap(budget, log.width)
+    # each level's graph, a snapshot of the log at that level's vertices
+    level, graphs = set(graph.vertices()), [graph]
+    for x, y, z in log.steps:
+        level -= {x, y}
+        level.add(z)
+        graphs.append(log.snapshot(level))
+    levels = [enumerate_red_connected(graph, max_region) for graph in graphs]
+    roots = itertools.chain.from_iterable(levels)
+    tables = _region_tables(log, roots, weights, budget, stats if stats is not None else {},
+                            drop_dead=False)
+    for graph, regions in zip(graphs, levels):
+        record: Record = {}
+        for region in regions:
+            record.update(profiles(log, region, tables[region]))
+        yield graph, record
+
+
+def finalize_record(record: Record, graph: SignedTrigraph, k: int) -> int | Fraction:
+    """Read the count off the fully contracted two-vertex graph's record.
+
+    The count is the total weight of the profiles with at most k ones under
+    which the clause vertex c is satisfied.  With a red edge, those are the
+    profiles of the region {a, c} that list c as satisfied.  Any other edge
+    is uniform over all bagged pairs, so the variable vertex a's {a}
+    profiles decide, by the black-edge rule: a positive edge needs a 1 in
+    a's bag, a negative edge a 0, and no edge is never satisfied.
+    """
+    vertices = graph.vertices()
+    if len(vertices) != 2 or {graph.side(v) for v in vertices} != {SIDE_VAR, SIDE_CLA}:
+        raise ValueError("expected a fully contracted graph: one variable and one clause vertex")
+    a, c = sorted(vertices, key=graph.side)
+    kind = graph.edge(a, c)
+    total = 0
+    for profile, value in record.items():
+        if profile.ones > k:
+            continue
+        if kind == RED:
+            counts = profile.region == {a, c} and c in profile.satisfied
+        elif kind == POS:
+            counts = profile.region == {a} and a in profile.has_one
+        elif kind == NEG:
+            counts = profile.region == {a} and (a not in profile.has_one or a in profile.mixed)
+        else:
+            counts = False
+        if counts:
+            total += value
+    return total
 
 
 def region_scope(current, region):

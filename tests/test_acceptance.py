@@ -26,6 +26,7 @@ from helpers import (
     brute_hitting_set_exists,
     brute_multicolored_clique_exists,
     check_record,
+    dp_records,
     evaluate_cw_text,
     is_partitioned_clique_shape,
     random_bipartite_graph,
@@ -36,7 +37,7 @@ from helpers import (
 )
 from stww.bipartize import bipartize
 from stww.bounds import exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
-from stww.bwmc import dp_records, region_cap, solve_bwmc
+from stww.bwmc import region_cap, solve_bwmc
 from stww.cnf import Formula, parse_dimacs, serialize_dimacs
 from stww.cwexpr import cw_to_sequence, serialize_cw
 from stww.encoding import decode, encode, exact_tww_via_solver, run_solver

@@ -5,22 +5,26 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import check_record, neighbors_at, random_formula, random_weights, realizes
+from helpers import (
+    Profile,
+    check_record,
+    dp_records,
+    enumerate_red_connected,
+    finalize_record,
+    neighbors_at,
+    profiles,
+    random_formula,
+    random_weights,
+    realizes,
+)
 from test_acceptance import implication_chain, zip_sequence
 from stww import bwmc
 from stww.bounds import greedy_sequence
-from stww.bwmc import (
-    Profile,
-    dp_records,
-    enumerate_red_connected,
-    finalize,
-    region_cap,
-    solve_bwmc,
-)
+from stww.bwmc import finalize, region_cap, solve_bwmc
 from stww.cnf import Formula, WeightFunction
 from stww.generators import gen_random_ksat
 from stww.oracle import bwmc_oracle
-from stww.sequence import ContractionSequence, verify
+from stww.sequence import ContractionLog, ContractionSequence, verify
 from stww.trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
 
 EMPTY = frozenset()
@@ -189,23 +193,50 @@ def test_one_clause_over_every_variable_goes_through_the_dynamic_program():
                     assert stats["regions_evaluated"] == n - 1
 
 
+def two_vertex_log(kind, a=1, c=2):
+    """The log of a fully contracted graph: variable vertex a and clause
+    vertex c, joined by an edge of `kind` (None for no edge)."""
+    edges = [] if kind is None else [(a, c, kind)]
+    return ContractionLog(SignedTrigraph([a, c], edges, sides={a: SIDE_VAR, c: SIDE_CLA}))
+
+
 def test_finalize_reads_the_variable_vertex_across_a_black_edge():
+    # a's has_one bit is bit 2a, its mixed bit the one above
     a, c = 1, 2
-    record = {
-        Profile(fs(a), fs(a), EMPTY, 2, EMPTY): Fraction(3),  # all ones
-        Profile(fs(a), fs(a), fs(a), 1, EMPTY): Fraction(5),  # a 1 and a 0
-        Profile(fs(a), EMPTY, EMPTY, 0, EMPTY): Fraction(7),  # all zeros
-        Profile(fs(c), EMPTY, EMPTY, 0, EMPTY): Fraction(11),  # c alone never counts
+    one, mixed = 1 << 2 * a, 2 << 2 * a
+    tables = {
+        fs(a): {
+            2: {one: Fraction(3)},  # all ones
+            1: {one | mixed: Fraction(5)},  # a 1 and a 0
+            0: {0: Fraction(7)},  # all zeros
+        },
+        fs(c): {0: {0: Fraction(11)}},  # c alone never counts
     }
-    sides = {a: SIDE_VAR, c: SIDE_CLA}
-    positive = SignedTrigraph([a, c], [(a, c, POS)], sides=sides)
-    negative = SignedTrigraph([a, c], [(a, c, NEG)], sides=sides)
-    unlinked = SignedTrigraph([a, c], [], sides=sides)
-    assert finalize(record, positive, 2) == 3 + 5
-    assert finalize(record, positive, 1) == 5
-    assert finalize(record, negative, 2) == 5 + 7
-    assert finalize(record, negative, 0) == 7
-    assert finalize(record, unlinked, 2) == 0
+    positive, negative, unlinked = (two_vertex_log(kind, a, c) for kind in (POS, NEG, None))
+    assert finalize(positive, tables, 2) == 3 + 5
+    assert finalize(positive, tables, 1) == 5
+    assert finalize(negative, tables, 2) == 5 + 7
+    assert finalize(negative, tables, 0) == 7
+    assert finalize(unlinked, tables, 2) == 0
+
+
+def test_finalize_reads_c_satisfied_across_a_red_edge():
+    # c's satisfied bit is bit 2c; the rows of {a, c} with it count, up to k
+    # ones, whatever a's bits are, and a's own table is not read
+    a, c = 1, 2
+    one, mixed, sat = 1 << 2 * a, 2 << 2 * a, 1 << 2 * c
+    tables = {
+        fs(a, c): {
+            0: {0: Fraction(2), sat: Fraction(3)},
+            1: {one: Fraction(5), one | mixed | sat: Fraction(7)},
+            2: {one | sat: Fraction(11)},  # above k = 1
+        },
+        fs(a): {0: {0: Fraction(13)}, 1: {one: Fraction(17)}},
+    }
+    red = two_vertex_log(RED, a, c)
+    assert finalize(red, tables, 1) == 3 + 7
+    assert finalize(red, tables, 2) == 3 + 7 + 11
+    assert finalize(red, tables, 0) == 3
 
 
 def test_zero_budget_paths():
@@ -252,8 +283,9 @@ def test_input_guards():
 
 def test_finalize_requires_two_vertex_graph():
     f = or_clause()
+    log = verify(incidence_graph(f), ContractionSequence(())).check()
     with pytest.raises(ValueError, match="fully contracted"):
-        finalize({}, incidence_graph(f), 1)
+        finalize(log, {}, 1)
 
 
 # -- cross-checks --------------------------------------------------------------
@@ -286,7 +318,7 @@ def test_large_region_branch_fires_and_agrees():
     final_graph, record = None, None
     for final_graph, record in dp_records(f, w, 1, seq, stats=forward_stats):
         pass
-    assert finalize(record, final_graph, 1) == expected
+    assert finalize_record(record, final_graph, 1) == expected
     assert forward_stats["large_regions"] >= 1
 
 
@@ -379,7 +411,7 @@ def test_dp_records_finalize_matches_solve():
         graph, record = None, None
         for graph, record in dp_records(f, w, k, seq):
             pass
-        assert finalize(record, graph, k) == solve_bwmc(f, w, k, seq)
+        assert finalize_record(record, graph, k) == solve_bwmc(f, w, k, seq)
 
 
 @pytest.mark.parametrize("n", [250, 2000])
@@ -812,7 +844,7 @@ def test_dropped_tables_hold_no_dead_state_and_only_realizable_ones():
             for region in regions:
                 closed = {c for c in region
                           if graph.side(c) == SIDE_CLA and set(graph.neighbors(c)) <= region}
-                for profile in bwmc._profiles(log, region, tables[region]):
+                for profile in profiles(log, region, tables[region]):
                     assert closed <= profile.satisfied, (profile, closed)
                     assert profile in record, profile
                     kept += 1
