@@ -9,15 +9,17 @@ buckets list the far pairs at each mr.  A step walks the pairs by
 ascending mr, the near ones from the cache and the far ones from the
 degree buckets, and scores in full, from the per-red-degree buckets, only
 those whose mr does not exceed the best width found so far.  A contraction
-of u and v changes the masks only of their neighbours and the new vertex,
-so it re-scores only the near pairs with an endpoint there and scores the
-new vertex against its near partners alone.  The scores, the label
-tie-break and hence the emitted sequences are exactly those of contracting
-every candidate pair and measuring the result.  The exact search runs one
-depth-first search per red degree cap on one sequence.ContractionLog,
-contracting forward and backtracking with undo(); the partitions it has
-found dead under a cap are keyed by their bags, a frozenset of bags.  The
-subdivided-clique construction grows one ContractionLog in place.
+of u and v writes the merged vertex into u's index, so V indices serve the
+whole run.  It changes the masks only of u and v's neighbours and of the
+merged vertex, so it re-scores only the near pairs with an endpoint there
+and scores the merged vertex against its near partners alone.  The scores,
+the label tie-break and hence the emitted sequences are exactly those of
+contracting every candidate pair and measuring the result.  The exact
+search runs one depth-first search per red degree cap on one
+sequence.ContractionLog, contracting forward and backtracking with undo();
+the partitions it has found dead under a cap are keyed by their bags, a
+frozenset of bags.  The subdivided-clique construction grows one
+ContractionLog in place.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ class _WorkingGraph:
     """Greedy's private, mutable bitset copy of a trigraph, with cached
     scores for the pairs that share a neighbour.
 
-    Vertices get dense indices: the input vertices in sorted order, then
-    one fresh index per contraction, so every mask stays below 2V bits
-    however sparse the input ids are.  Vertex i keeps int bitmasks of its
-    POS, NEG and RED neighbours (plus their union), its red degree, its
-    degree, its label (the smallest input id in its bag) and its group (its
-    side in a bipartite run, else one group for all).  One bucket mask per
-    red degree and the running red-edge total let a pair be scored without
+    Vertices get dense indices, the input vertices in sorted order, and a
+    merged vertex takes the index of the first of its pair, so every list
+    holds V entries and every mask stays below V bits however sparse the
+    input ids are.  Vertex i keeps int bitmasks of its POS, NEG and RED
+    neighbours (plus their union), its red degree, its degree, its label
+    (the smallest input id in its bag) and its group (its side in a
+    bipartite run, else one group for all).  One bucket mask per red
+    degree and the running red-edge total let a pair be scored without
     touching the rest of the graph.  Each group keeps one mask per degree
     (by_degree) and the least degree of its live vertices (least), which
     list the far pairs below.
@@ -64,10 +67,9 @@ class _WorkingGraph:
     def __init__(self, graph: SignedTrigraph, bipartite: bool) -> None:
         verts = graph.vertices()
         index = {v: i for i, v in enumerate(verts)}
-        size = max(2 * len(verts) - 1, 0)
-        self.pos = [0] * size
-        self.neg = [0] * size
-        self.red = [0] * size
+        self.pos = [0] * len(verts)
+        self.neg = [0] * len(verts)
+        self.red = [0] * len(verts)
         for u, v, kind in graph.edges():
             i, j = index[u], index[v]
             masks = self.pos if kind == POS else self.neg if kind == NEG else self.red
@@ -76,25 +78,25 @@ class _WorkingGraph:
         self.nbr = [p | n | r for p, n, r in zip(self.pos, self.neg, self.red)]
         self.rdeg = [r.bit_count() for r in self.red]
         self.degree = [nbrs.bit_count() for nbrs in self.nbr]
-        self.label = verts + [0] * (size - len(verts))
-        self.group = [graph.side(v) if bipartite else 0 for v in verts] + [None] * (size - len(verts))
+        self.label = verts
+        self.group = [graph.side(v) if bipartite else 0 for v in verts]
         # degrees never exceed the vertex count, one bucket each
         self.bucket = [0] * (len(verts) + 1)
         # one list per group, in the order groups first appear
         self.by_degree = {key: [0] * (len(verts) + 1)
-                          for key in dict.fromkeys(self.group[: len(verts)])}
+                          for key in dict.fromkeys(self.group)}
         self.least = dict.fromkeys(self.by_degree, len(verts))
-        for i, key in enumerate(self.group[: len(verts)]):
+        for i, key in enumerate(self.group):
             self.bucket[self.rdeg[i]] |= 1 << i
             self.by_degree[key][self.degree[i]] |= 1 << i
             self.least[key] = min(self.least[key], self.degree[i])
         self.top = max(self.rdeg, default=0)
         self.total_red = sum(self.rdeg) // 2
         self.members: dict[int | None, int] = {}
-        self.scores: list[dict[int, int] | None] = [{} for _ in verts] + [None] * (size - len(verts))
+        self.scores: list[dict[int, int] | None] = [{} for _ in verts]
         # a merged vertex is red to at most the other live vertices
         self.at = [0] * (len(verts) + 1)
-        for i, key in enumerate(self.group[: len(verts)]):
+        for i, key in enumerate(self.group):
             self._score(i, self._near(i) & self.members.get(key, 0))
             self.members[key] = self.members.get(key, 0) | 1 << i
 
@@ -267,9 +269,10 @@ class _WorkingGraph:
                         best_width = width
         return best_pair
 
-    def contract(self, u: int, v: int, w: int) -> None:
-        """Merge u and v into the fresh index w, updating only w, the old
-        neighbours of u and v, and the cached scores of their near pairs.
+    def contract(self, u: int, v: int) -> None:
+        """Merge v into u: the merged vertex w takes u's index and v's index
+        dies.  Only w, the old neighbours of u and v and the cached scores
+        of their near pairs are updated.
 
         Only the masks of touched = N(u) | N(v) - {u, v} change, so only
         pairs with an endpoint in touched or at w can change mr.  A touched
@@ -283,6 +286,7 @@ class _WorkingGraph:
         pos, neg, red, nbr = self.pos, self.neg, self.red, self.nbr
         rdeg, degree, bucket, scores, at = self.rdeg, self.degree, self.bucket, self.scores, self.at
         pair = (1 << u) | (1 << v)
+        w = u
         bit_w = 1 << w
         pos_w = pos[u] & pos[v]
         neg_w = neg[u] & neg[v]
@@ -312,6 +316,7 @@ class _WorkingGraph:
                 bucket[rdeg[x]] &= ~low
                 bucket[red_degree] |= low
                 rdeg[x] = red_degree
+        # w is u: both slots are cleared before w's masks go in
         for x in (u, v):
             bucket[rdeg[x]] &= ~(1 << x)
             pos[x] = neg[x] = red[x] = nbr[x] = 0
@@ -319,7 +324,7 @@ class _WorkingGraph:
         rdeg[w] = red_w.bit_count()
         bucket[rdeg[w]] |= bit_w
         self.label[w] = min(self.label[u], self.label[v])
-        key = self.group[w] = self.group[u]
+        key = self.group[w]
         least = self.least
         # a touched vertex that saw both drops one neighbour; the touched
         # vertices all lie in one group (the other side, in a sided graph)
@@ -459,9 +464,10 @@ def greedy_sequence(
     at each mr.  A step scores in full only the pairs whose mr does not
     exceed the best width found, and a contraction re-scores only the near
     pairs with an endpoint among the merged pair's neighbours, and scores
-    the new vertex against its near partners; no other pair's score can
-    change.  On an implication chain, whose incidence graph is a path, the
-    cache holds O(V) pairs and a step touches O(1) of them.
+    the merged vertex, which takes the first vertex's index, against its
+    near partners; no other pair's score can change.  On an implication
+    chain, whose incidence graph is a path, the cache holds O(V) pairs and
+    a step touches O(1) of them.
     """
     if tie_break not in ("smallest", "largest"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
@@ -471,12 +477,10 @@ def greedy_sequence(
     vertices = graph.vertices()
     steps: list[tuple[int, int]] = []
     width = work.top
-    fresh = len(vertices)
     while (pair := work.best_pair(tie_break == "largest")) is not None:
         u, v = pair
         steps.append(tuple(sorted((work.label[u], work.label[v]))))
-        work.contract(u, v, fresh)
-        fresh += 1
+        work.contract(u, v)
         width = max(width, work.top)
     return ContractionSequence(
         tuple(steps),

@@ -91,7 +91,7 @@ from typing import Mapping
 
 from .cnf import Formula, WeightFunction
 from .sequence import ContractionLog, ContractionSequence, verify
-from .trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, SignedTrigraph, incidence_graph
+from .trigraph import NEG, POS, RED, SIDE_CLA, SIDE_VAR, incidence_graph
 
 
 # states grouped by ones, {ones: {state: value}}; a state is one int whose
@@ -109,8 +109,8 @@ def _bit(log: ContractionLog, v: int) -> int:
     return 1 << 2 * log.label(v)
 
 
-def _red_components(graph: SignedTrigraph, vertex_set) -> list[frozenset[int]]:
-    red_neighbors = graph.red_neighbors
+def _red_components(log: ContractionLog, vertex_set) -> list[frozenset[int]]:
+    red_neighbors = log.red_neighbors
     remaining = set(vertex_set)
     components = []
     while remaining:

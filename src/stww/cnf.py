@@ -211,21 +211,6 @@ def satisfies(formula: Formula, assignment: Assignment) -> bool:
     return True
 
 
-def _weight_value(token: str) -> Fraction:
-    """Fraction(token), reading the plain ``a`` and ``a/b`` tokens (an
-    optional sign, then ASCII digits, b not zero) with int, which costs
-    about half; every other token goes to Fraction as it is, so the same
-    tokens pass and the same errors are raised."""
-    num, slash, den = token.partition("/")
-    digits = num[1:] if num[:1] in "+-" else num
-    if digits.isascii() and digits.isdigit():
-        if not slash:
-            return Fraction(int(num))
-        if den.isascii() and den.isdigit() and den.strip("0"):
-            return Fraction(int(num), int(den))
-    return Fraction(token)
-
-
 def parse_dimacs(text: str | bytes, name: str | None = None) -> tuple[Formula, WeightFunction]:
     """Parse a DIMACS CNF file, with optional ``c p weight <lit> <w> 0`` lines.
 
@@ -258,7 +243,7 @@ def parse_dimacs(text: str | bytes, name: str | None = None) -> tuple[Formula, W
                     raise ParseError("expected 'c p weight <lit> <weight> 0'", lineno)
                 try:
                     lit = int(fields[3])
-                    value = _weight_value(fields[4])
+                    value = Fraction(fields[4])
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f"bad weight line: {exc}", lineno) from None
                 if lit == 0:

@@ -61,6 +61,24 @@ def random_weights(rng, num_vars, zeros=True, negatives=True):
     return WeightFunction(table)
 
 
+def implication_chain(num_vars):
+    """x_1 -> x_2 -> ... -> x_n: the incidence graph is a path, all-zero is
+    a model, and x_1 = 1 forces all n ones."""
+    return Formula(
+        num_vars, tuple(frozenset((-v, v + 1)) for v in range(1, num_vars))
+    )
+
+
+def zip_sequence(num_vars):
+    """Width-2 bipartite schedule for a chain formula's incidence path."""
+    steps = [(1, 2)]
+    first_clause = num_vars + 1
+    for i in range(1, num_vars - 1):
+        steps.append((first_clause, first_clause + i))
+        steps.append((1, 2 + i))
+    return ContractionSequence(tuple(steps), num_vertices=2 * num_vars - 1)
+
+
 def reference_formula_check(num_vars, clauses):
     """Reference for Formula's clause checks: the per-literal loop, raising
     the ValueError of the first bad clause, or returning None."""

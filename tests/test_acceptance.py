@@ -28,17 +28,19 @@ from helpers import (
     check_record,
     dp_records,
     evaluate_cw_text,
+    implication_chain,
     is_partitioned_clique_shape,
     random_bipartite_graph,
     random_cw_expression,
     random_formula,
     random_partitioned_instance,
     random_weights,
+    zip_sequence,
 )
 from stww.bipartize import bipartize
 from stww.bounds import exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
 from stww.bwmc import region_cap, solve_bwmc
-from stww.cnf import Formula, parse_dimacs, serialize_dimacs
+from stww.cnf import parse_dimacs, serialize_dimacs
 from stww.cwexpr import cw_to_sequence, serialize_cw
 from stww.encoding import decode, encode, exact_tww_via_solver, run_solver
 from stww.generators import (
@@ -48,7 +50,7 @@ from stww.generators import (
     gen_subdivided_clique,
 )
 from stww.oracle import bsat_oracle, bwmc_oracle
-from stww.sequence import ContractionLog, ContractionSequence, verify
+from stww.sequence import ContractionLog, verify
 from stww.trigraph import POS, SignedTrigraph, incidence_graph
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -312,23 +314,6 @@ def test_criterion_10_reductions():
             assert is_partitioned_clique_shape(formula, parts), seed
             assert quotient_is_subdivided_clique(formula, parts), seed
         under(120, start)
-
-
-def implication_chain(num_vars):
-    """x_1 -> x_2 -> ... -> x_n; the incidence graph is a path."""
-    return Formula(
-        num_vars, tuple(frozenset((-v, v + 1)) for v in range(1, num_vars))
-    )
-
-
-def zip_sequence(num_vars):
-    """Width-2 bipartite schedule for a chain formula's incidence path."""
-    steps = [(1, 2)]
-    first_clause = num_vars + 1
-    for i in range(1, num_vars - 1):
-        steps.append((first_clause, first_clause + i))
-        steps.append((1, 2 + i))
-    return ContractionSequence(tuple(steps), num_vertices=2 * num_vars - 1)
 
 
 def test_benchmark_dp_on_forty_variables():

@@ -7,11 +7,11 @@ import pytest
 
 from helpers import (
     brute_min_bipartite_width,
+    implication_chain,
     random_bipartite_graph,
     reference_exact_witness,
     reference_greedy,
 )
-from test_acceptance import implication_chain
 from stww.bounds import _WorkingGraph, exact_tww_bruteforce, greedy_sequence, subdivided_clique_sequence
 from stww.cnf import Formula
 from stww.generators import gen_grid, gen_random_ksat, gen_subdivided_clique
@@ -371,7 +371,6 @@ def test_cached_pair_scores_match_the_masks_after_every_step():
     for graph in graphs:
         for bipartite in (True, False):
             work = _WorkingGraph(graph, bipartite)
-            fresh = graph.num_vertices
             while True:
                 fresh_scores = _fresh_scores(work)
                 near = {(x, y): m for (x, y), (m, is_near) in fresh_scores.items() if is_near}
@@ -392,8 +391,35 @@ def test_cached_pair_scores_match_the_masks_after_every_step():
                 pair = work.best_pair(largest=False)
                 if pair is None:
                     break
-                work.contract(*pair, fresh)
-                fresh += 1
+                work.contract(*pair)
+
+
+def test_masks_stay_below_one_bit_per_input_vertex():
+    # the merged vertex takes u's index, so no index reaches V and every
+    # per-index list holds V entries
+    graphs = [
+        incidence_graph(implication_chain(300)),
+        _random_sided_trigraph(random.Random(5), sorted(random.Random(6).sample(range(1, 10**4), 40))),
+    ]
+    for graph in graphs:
+        n = graph.num_vertices
+        for bipartite in (True, False):
+            work = _WorkingGraph(graph, bipartite)
+            lists = (work.pos, work.neg, work.red, work.nbr, work.rdeg, work.degree,
+                     work.label, work.group, work.scores)
+            assert all(len(entries) == n for entries in lists)
+            step = 0
+            while True:
+                masks = [*work.pos, *work.neg, *work.red, *work.nbr, *work.bucket, *work.at,
+                         *work.members.values()]
+                masks += [mask for held in work.by_degree.values() for mask in held]
+                masks += [mask for row in work.scores if row for mask in row.values()]
+                assert max(masks) < 1 << n, (bipartite, step)
+                pair = work.best_pair(largest=False)
+                if pair is None:
+                    break
+                work.contract(*pair)
+                step += 1
 
 
 def test_pair_cache_stays_linear_on_a_chain():

@@ -11,13 +11,14 @@ from helpers import (
     dp_records,
     enumerate_red_connected,
     finalize_record,
+    implication_chain,
     neighbors_at,
     profiles,
     random_formula,
     random_weights,
     realizes,
+    zip_sequence,
 )
-from test_acceptance import implication_chain, zip_sequence
 from stww import bwmc
 from stww.bounds import greedy_sequence
 from stww.bwmc import finalize, region_cap, solve_bwmc

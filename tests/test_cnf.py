@@ -21,7 +21,6 @@ from stww.cnf import (
     ParseError,
     WeightFunction,
     _is_canonical,
-    _weight_value,
     assignment_weight,
     ones,
     parse_dimacs,
@@ -326,57 +325,30 @@ c p weight -2 0.25 0
     assert w.of(3) == 1
 
 
-# read through int: plain integers and a/b with an unsigned nonzero b
-FAST_WEIGHT_TOKENS = ["0", "7", "+7", "-7", "007", "2/3", "-2/4", "+10/15", "0/5", "-0/3"]
-# handed to Fraction: a signed or zero denominator, underscores, non-ASCII
-# digits, decimals, exponents, and malformed tokens
-SLOW_WEIGHT_TOKENS = [
+# plain integers and a/b, then a signed or zero denominator, underscores,
+# non-ASCII digits, decimals, exponents, and malformed tokens
+WEIGHT_TOKENS = [
+    "0", "7", "+7", "-7", "007", "2/3", "-2/4", "+10/15", "0/5", "-0/3",
     "1/-2", "1/+2", "1/0", "-3/00", "0/0", "1_000", "1_0/3", "3/1_0", "_1", "1__0",
     "\u0661", "\u0663/\u0664", "\u00b2", "1/\u00b2", "0.25", "-.5", "1.", "1e3", "2E-2", "1.5e1/2",
     "", "+", "-", "/", "1/", "/2", "--1", "+-1", "1/2/3", "a", "0x10", "inf", "nan", " 1",
 ]
 
 
-@pytest.mark.parametrize("token", FAST_WEIGHT_TOKENS + SLOW_WEIGHT_TOKENS)
+@pytest.mark.parametrize("token", WEIGHT_TOKENS)
 def test_weight_tokens_read_as_fraction_reads_them(token):
-    # the int path for plain tokens must accept, value and reject exactly
-    # as Fraction(token), which reads every other token; so must the file
-    def outcome(read, token):
-        try:
-            value = read(token)
-        except (ValueError, ZeroDivisionError) as exc:
-            return type(exc), str(exc)
-        assert type(value) is Fraction
-        return value
-
-    expected = outcome(Fraction, token)
-    assert outcome(_weight_value, token) == expected
+    # a weight line must accept, value and reject exactly as Fraction(token)
     text = f"p cnf 1 1\nc p weight 1 {token} 0\n1 0\n"
-    if isinstance(expected, Fraction):
-        assert parse_dimacs(text)[1].of(1) == expected
-    elif token and not token.isspace() and " " not in token:
-        with pytest.raises(ParseError, match="bad weight line") as raised:
-            parse_dimacs(text)
-        assert str(raised.value) == f"line 2: bad weight line: {expected[1]}"
-
-
-def test_weight_tokens_split_between_the_int_path_and_fraction(monkeypatch):
-    # the plain tokens never reach Fraction's string reader, the rest do
-    seen = []
-    fraction = Fraction
-
-    def watched(*args):
-        if len(args) == 1 and isinstance(args[0], str):
-            seen.append(args[0])
-        return fraction(*args)
-
-    monkeypatch.setattr("stww.cnf.Fraction", watched)
-    for token in FAST_WEIGHT_TOKENS + SLOW_WEIGHT_TOKENS:
-        try:
-            _weight_value(token)
-        except (ValueError, ZeroDivisionError):
-            pass
-    assert seen == SLOW_WEIGHT_TOKENS
+    try:
+        expected = Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        if token and not token.isspace() and " " not in token:
+            with pytest.raises(ParseError, match="bad weight line") as raised:
+                parse_dimacs(text)
+            assert str(raised.value) == f"line 2: bad weight line: {exc}"
+    else:
+        value = parse_dimacs(text)[1].of(1)
+        assert type(value) is Fraction and value == expected
 
 
 def test_parse_dimacs_multiline_and_percent_marker():

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from helpers import random_formula, random_weights
+from helpers import implication_chain, random_formula, random_weights
 from stww.cnf import Formula, WeightFunction, assignment_weight, ones, satisfies
 from stww.oracle import bsat_oracle, bwmc_oracle
 
@@ -98,11 +98,6 @@ def test_bsat_monotone_in_k():
         f = random_formula(rng, max_vars=7, max_clauses=9)
         answers = [bsat_oracle(f, k) for k in range(f.num_vars + 1)]
         assert all(b or not a for a, b in zip(answers, answers[1:]))
-
-
-def implication_chain(n):
-    """(¬x_i ∨ x_{i+1}) for i < n: all-zero is a model, and x1 = 1 forces all n ones."""
-    return Formula(n, tuple(frozenset({-i, i + 1}) for i in range(1, n)))
 
 
 def test_bsat_searches_past_the_recursion_limit():

@@ -2,8 +2,14 @@ import random
 
 import pytest
 
-from helpers import contracted, neighbors_at, random_bipartite_graph, reference_verify
-from test_acceptance import implication_chain, zip_sequence
+from helpers import (
+    contracted,
+    implication_chain,
+    neighbors_at,
+    random_bipartite_graph,
+    reference_verify,
+    zip_sequence,
+)
 from stww.bounds import greedy_sequence
 from stww.cnf import ParseError
 from stww.sequence import (
