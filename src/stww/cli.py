@@ -296,6 +296,7 @@ def _build_parser() -> _Parser:
 
     # gen writes files only, so none of its parsers takes --json
     p = sub.add_parser("gen", help="emit generated instances")
+    p.set_defaults(run=_cmd_gen)
     fam = p.add_subparsers(dest="family", required=True)
 
     q = fam.add_parser("grid")
@@ -304,7 +305,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--signs", choices=SIGN_POLICIES, default="all-pos")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("-o", "--output")
-    q.set_defaults(run=_cmd_gen)
 
     q = fam.add_parser("subclique")
     q.add_argument("d", type=int)
@@ -312,20 +312,17 @@ def _build_parser() -> _Parser:
     q.add_argument("--signs", choices=SIGN_POLICIES, default="all-pos")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("-o", "--output")
-    q.set_defaults(run=_cmd_gen)
 
     q = fam.add_parser("hitset")
     q.add_argument("--universe", type=int, required=True, help="universe size (elements 1..N)")
     q.add_argument("--set", action="append", required=True, help="comma-separated set, repeatable")
     q.add_argument("-k", type=int, required=True)
     q.add_argument("-o", "--output")
-    q.set_defaults(run=_cmd_gen)
 
     q = fam.add_parser("partclique")
     q.add_argument("--part", action="append", required=True, help="comma-separated part, repeatable")
     q.add_argument("--edge", action="append", default=[], help="u,v cross-part edge, repeatable")
     q.add_argument("-o", "--output")
-    q.set_defaults(run=_cmd_gen)
 
     q = fam.add_parser("ksat")
     q.add_argument("num_vars", type=int)
@@ -333,7 +330,6 @@ def _build_parser() -> _Parser:
     q.add_argument("num_clauses", type=int)
     q.add_argument("seed", type=int)
     q.add_argument("-o", "--output")
-    q.set_defaults(run=_cmd_gen)
 
     return parser
 

@@ -25,6 +25,10 @@ the rule compares the vertices once per loop iteration outside its
 innermost loop.  Each rule appends its clause tuple straight to a list,
 once, and it is kept as written; `Formula` is the one duplicate guard.
 
+Each query is encoded in one pass: `encode(graph, d)` writes the rules that
+do not depend on d, then d = 0's unit clauses or the degree counters, all
+into one builder, and no clause is kept from one d to the next.
+
 Soundness is never taken from the encoding alone: every satisfying model is
 decoded into a sequence and re-verified by `verify`.
 """
@@ -74,7 +78,7 @@ class ExactResult:
 
 
 class _Builder:
-    """Allocates variables from `count` on and collects clauses in a list.
+    """Allocates variables from 1 on and collects clauses in a list.
 
     The rules append each clause to `clauses` themselves, with the list's
     own `append`, as a tuple of literals already sorted by variable, the
@@ -86,8 +90,8 @@ class _Builder:
     from all 3 rotations of its triple; that rule writes only the first.)
     """
 
-    def __init__(self, count: int = 0) -> None:
-        self.count = count
+    def __init__(self) -> None:
+        self.count = 0
         self.clauses: list[tuple[int, ...]] = []
 
     def new_var(self) -> int:
@@ -122,51 +126,6 @@ def encode(graph: SignedTrigraph, d: int) -> EncodingArtifact:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return _encode_prefix(graph).finish(d)
-
-
-@dataclass(frozen=True)
-class _Prefix:
-    """Every clause of a graph's encoding but the degree counters, and their
-    variable count.  Only the counters depend on d, and they come last in
-    both variable and clause order, so the encoding at any d is this prefix
-    with d's counters appended; `finish` leaves the prefix as it is."""
-
-    graph: SignedTrigraph
-    count: int
-    clauses: tuple[tuple[int, ...], ...]
-    order: dict[tuple[int, int], int]
-    parent: dict[tuple[int, int], int]
-    # red_of[t][a][c] is r(t,a,c) under either order of a and c
-    red_of: dict[int, dict[int, dict[int, int]]]
-    cross_side: dict[int, list[int]]
-
-    @property
-    def reds(self) -> range:
-        """The red variables: the prefix's last block, after `last`'s."""
-        first = len(self.order) + len(self.parent) + self.graph.num_vertices + 1
-        return range(first, self.count + 1)
-
-    def finish(self, d: int) -> EncodingArtifact:
-        """The encoding at d, its counters built in a builder of their own."""
-        b, red_of, vertices = _Builder(self.count), self.red_of, self.graph.vertices()
-        # after any step, every vertex has at most d red edges; at d = 0 that
-        # forbids every red edge, by one unit clause (-r,) each
-        if d == 0:
-            b.clauses.extend(zip(map(neg, self.reds)))
-        else:
-            for t in vertices:
-                for v in vertices:
-                    if v == t:
-                        continue
-                    lits = [red_of[t][v][w] for w in self.cross_side[v] if w != t]
-                    b.add_at_most(lits, d)
-        cnf = Formula(b.count, (*self.clauses, *b.clauses))
-        return EncodingArtifact(cnf, self.graph, self.order, self.parent)
-
-
-def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
-    """The clauses of `encode` that do not depend on d, in its order."""
     vertices = graph.vertices()
     require_sides(graph, "the encoding")
     for _, _, kind in graph.edges():
@@ -197,12 +156,15 @@ def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
     red_at: dict[int, list[tuple[int, int, tuple[int, int, int], int]]] = {
         t: [] for t in vertices
     }
+    # the red variables are one block, the last before the counters'
+    first_red = b.count + 1
     for t in vertices:
         for a, c in combinations(vertices, 2):
             if a != t and c != t and graph.side(a) != graph.side(c):
                 var = b.new_var()
                 red_of[t][a][c] = red_of[t][c][a] = var
                 red_at[t].append((a, c, tuple(sorted((t, a, c))), var))
+    red_vars = range(first_red, b.count + 1)
 
     # total elimination order: the three rotations of (x, y, z) give the same
     # clause, so emit only the one starting at the smallest vertex x, for the
@@ -300,7 +262,18 @@ def _encode_prefix(graph: SignedTrigraph) -> _Prefix:
                     if a != u and c != u:
                         append((guard[x], guard[y], guard[z], red_u[a][c], -red_t))
 
-    return _Prefix(graph, b.count, tuple(b.clauses), order, parent, red_of, cross_side)
+    # after any step, every vertex has at most d red edges; at d = 0 that
+    # forbids every red edge, by one unit clause (-r,) each
+    if d == 0:
+        b.clauses.extend(zip(map(neg, red_vars)))
+    else:
+        for t in vertices:
+            for v in vertices:
+                if v == t:
+                    continue
+                lits = [red_of[t][v][w] for w in cross_side[v] if w != t]
+                b.add_at_most(lits, d)
+    return EncodingArtifact(Formula(b.count, b.clauses), graph, order, parent)
 
 
 def decode(artifact: EncodingArtifact, model) -> ContractionSequence:
@@ -418,8 +391,8 @@ def exact_tww_via_solver(
 ) -> ExactResult:
     """Minimal bipartite width via repeated SAT queries.
 
-    Starts from the greedy upper bound and walks d downward, encoding the
-    clauses that do not depend on d once; every satisfiable answer is
+    Starts from the greedy upper bound and walks d downward, one query per
+    d, each encoded in one pass by `encode`; every satisfiable answer is
     decoded and re-verified before it is trusted.  On timeout or an unknown
     answer the best verified width so far is returned with exact=False (an
     upper bound only).  A NaN timeout is a ValueError.
@@ -432,8 +405,6 @@ def exact_tww_via_solver(
     best_seq = base
     deadline = time.monotonic() + timeout if timeout is not None else None
 
-    # the clauses every d shares, encoded once at the first query
-    prefix: _Prefix | None = None
     d = best_width - 1
     while d >= 0:
         remaining = None
@@ -441,9 +412,7 @@ def exact_tww_via_solver(
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return ExactResult(best_width, best_seq, False)
-        if prefix is None:
-            prefix = _encode_prefix(graph)
-        artifact = prefix.finish(d)
+        artifact = encode(graph, d)
         status, model = run_solver(serialize_dimacs(artifact.cnf), solver, remaining)
         if status == "sat":
             seq = decode(artifact, model)

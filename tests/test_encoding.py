@@ -13,7 +13,6 @@ from stww.encoding import (
     DecodeError,
     SolverError,
     SolverUnavailableError,
-    _encode_prefix,
     decode,
     encode,
     exact_tww_via_solver,
@@ -84,41 +83,32 @@ def test_encoding_clauses_are_literal_tuples(monkeypatch):
         graph = incidence_graph(gen_random_ksat(*ksat))
         sides = [[v for v in graph.vertices() if graph.side(v) == side] for side in (0, 1)]
         assert any(len(side) == 1 for side in sides) == (ksat[2] == 1)
-        prefix = _encode_prefix(graph)
-        # the red variables are one contiguous block, last in the prefix
-        reds = {var for t in prefix.red_of.values() for by_c in t.values() for var in by_c.values()}
-        assert reds == set(prefix.reds) and prefix.reds.stop == prefix.count + 1
+        zero = encode(graph, 0)
+        # the red variables follow order, parent and last(u), one per time t
+        # and cross-side pair without t: |A|·|B|·(V − 2) in all
+        num_vertices = graph.num_vertices
+        first = len(zero.order_vars) + len(zero.parent_vars) + num_vertices + 1
+        red_vars = range(first, first + len(sides[0]) * len(sides[1]) * (num_vertices - 2))
+        # no red edge at all: one unit clause per red variable, in the
+        # block's order, and no counter variable
+        rules = zero.cnf.clauses[: len(zero.cnf.clauses) - len(red_vars)]
+        assert zero.cnf.clauses[len(rules):] == tuple((-var,) for var in red_vars)
+        assert zero.cnf.num_vars == red_vars.stop - 1
         for d in range(4):
-            artifact = prefix.finish(d)
+            artifact = encode(graph, d)
             clauses = artifact.cnf.clauses
             assert all(type(clause) is tuple for clause in clauses)
             assert _is_canonical(clauses, artifact.cnf.num_vars)
-            assert artifact.cnf == encode(graph, d).cnf
+            if d:
+                # the rules that do not depend on d, then the counters, each
+                # clause of which holds a register allocated after the red block
+                assert clauses[: len(rules)] == rules
+                assert all(max(map(abs, clause)) >= red_vars.stop for clause in clauses[len(rules):])
             if ksat == (5, 3, 9, 1) and d == 3:
                 assert len(clauses) == 19412
-            if d == 0:
-                # no red edge at all: one unit clause per red variable, in
-                # the block's order, and no counter variable
-                assert clauses[len(prefix.clauses):] == tuple((-var,) for var in prefix.reds)
-                assert artifact.cnf.num_vars == prefix.count
             for side in sides:
                 if len(side) == 1:
                     assert all(u != side[0] for u, _ in artifact.parent_vars)
-
-
-def test_finish_leaves_the_prefix_as_it_is():
-    # one prefix serves every d, in any order; the digest is of the texts
-    # the encoder wrote when each d had a copy of the prefix of its own
-    graph = incidence_graph(gen_random_ksat(4, 3, 6, 2))
-    prefix = _encode_prefix(graph)
-    count, clauses = prefix.count, prefix.clauses
-    digest = hashlib.sha256()
-    for d in (3, 0, 2, 1, 3):
-        text = serialize_dimacs(prefix.finish(d).cnf)
-        assert text == serialize_dimacs(encode(graph, d).cnf)
-        assert prefix.count == count and prefix.clauses == clauses
-        digest.update(text.encode())
-    assert digest.hexdigest() == "837a3a82995e23a753154eebae629e85b82419782f6c08a3d6b27880b16ecc00"
 
 
 def one_large_side(seed, large=21):
