@@ -111,6 +111,19 @@ def test_encoding_clauses_are_literal_tuples(monkeypatch):
                     assert all(u != side[0] for u, _ in artifact.parent_vars)
 
 
+def test_encode_leaves_the_graph_as_it_is():
+    # encode is a function of the graph and d alone: any order of d, a d
+    # asked twice included, reads the graph without changing it and writes
+    # the texts pinned when one shared prefix served every d
+    graph = incidence_graph(gen_random_ksat(4, 3, 6, 2))
+    before = incidence_graph(gen_random_ksat(4, 3, 6, 2))
+    digest = hashlib.sha256()
+    for d in (3, 0, 2, 1, 3):
+        digest.update(serialize_dimacs(encode(graph, d).cnf).encode())
+        assert graph == before
+    assert digest.hexdigest() == "837a3a82995e23a753154eebae629e85b82419782f6c08a3d6b27880b16ecc00"
+
+
 def one_large_side(seed, large=21):
     """A sided graph with `large` vertices on one side and 2 on the other,
     every cross pair joined by a random sign: the `last` and `parent`
